@@ -37,7 +37,7 @@ import numpy as np
 from repro import SudowoodoConfig, SudowoodoEncoder
 from repro.core import build_tokenizer
 from repro.eval import format_table
-from repro.serve import Overloaded, ServiceFrontend, ShardedMatchService
+from repro.serve import MatchService, Overloaded, ServiceFrontend
 
 K = 10
 MAX_BATCH = 4  # small batches keep measured capacity low and stable
@@ -66,7 +66,7 @@ def _config(**overrides) -> SudowoodoConfig:
 
 def _make_frontend(encoder, corpus, max_queue_depth):
     config = _config(max_queue_depth=max_queue_depth)
-    service = ShardedMatchService(encoder, config=config)
+    service = MatchService(encoder, config=config)
     service.index_records(corpus)
     return ServiceFrontend(service)
 

@@ -5,14 +5,15 @@ corpus (no paper table; see docs/benchmarks.md).
 Scenario: ``num_threads`` closed-loop clients each issue single-query
 ``search()`` calls against a live streaming index.
 
-* **Baseline** — one :class:`MatchService` (not thread-safe) guarded by
-  a global mutex: every request encodes its own query and scans the one
-  index, strictly serialized — the best a correct deployment of the
-  unsharded service can do.
-* **Sharded + coalesced** — one :class:`ShardedMatchService`:
-  concurrent callers are micro-batched into single batched
-  encoder/backend calls (batched encoding is ~2.5x faster per record)
-  and each batch fans out across ``num_shards`` partitions in parallel.
+* **Baseline** — one single-shard :class:`MatchService` driven through
+  its uncoalesced ``search_batch`` under a global mutex: every request
+  encodes its own query and scans the one index, strictly serialized —
+  what serving looks like with neither lever pulled.
+* **Sharded + coalesced** — one ``num_shards=4`` :class:`MatchService`
+  driven through ``search``: concurrent callers are micro-batched into
+  single batched encoder/backend calls (batched encoding is ~2.5x
+  faster per record) and each batch fans out across ``num_shards``
+  partitions in parallel.
 
 Acceptance targets: >= 2x multi-threaded QPS at full scale, with
 exact-backend results identical to the single-shard service.  Run as a
@@ -34,7 +35,7 @@ from repro import SudowoodoConfig, SudowoodoEncoder
 from repro.core import build_tokenizer
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
-from repro.serve import EmbeddingStore, MatchService, ShardedMatchService
+from repro.serve import EmbeddingStore, MatchService
 
 K = 10
 NUM_THREADS = 8
@@ -118,9 +119,9 @@ def run(
     encoder.embed_items(corpus[:64])  # warm up caches / thread pools
 
     store = EmbeddingStore(encoder, batch_size=config.serve_batch_size)
-    single = MatchService(encoder, config=config, store=store)
+    single = MatchService(encoder, config=replace(config, num_shards=1), store=store)
     single.index_records(corpus)
-    sharded = ShardedMatchService(
+    sharded = MatchService(
         encoder, config=replace(config, num_shards=num_shards), store=store
     )
     sharded.index_records(corpus)
@@ -129,7 +130,7 @@ def run(
     # Sequential spot-check (batches of one query each): the sharded +
     # coalesced path must return exactly the single-shard ids.
     for query in queries[:32]:
-        expected, _ = single.search([query], k=K)
+        expected, _ = single.search_batch([query], k=K)
         got, _ = sharded.search([query], k=K)
         np.testing.assert_array_equal(got, expected)
 
@@ -137,8 +138,8 @@ def run(
     single_lock = threading.Lock()
 
     def baseline_search(texts, k):
-        with single_lock:  # MatchService is not thread-safe
-            return single.search(texts, k=k)
+        with single_lock:  # one request at a time: nothing to coalesce
+            return single.search_batch(texts, k=k)
 
     baseline_qps, baseline_lat = _drive(baseline_search, queries, num_threads)
     sharded_qps, sharded_lat = _drive(

@@ -22,9 +22,9 @@ Sharing contract
   a **clone** of the encoder (:meth:`checkout_encoder`), so fitting one
   task never perturbs another task's — or the store's — representations.
 * :meth:`serve` exports any fitted task as a thread-safe
-  :class:`~repro.serve.sharding.ShardedMatchService` over the shared
-  store: cleaning and column embeddings get streaming upsert / delete
-  and coalesced concurrent queries exactly like the EM path.
+  :class:`~repro.serve.service.MatchService` over the shared store:
+  cleaning and column embeddings get streaming upsert / delete and
+  coalesced concurrent queries exactly like the EM path.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from ..core.pretrain import PretrainResult, pretrain
-from ..serve import EmbeddingStore, ServiceFrontend, ShardedMatchService
+from ..serve import EmbeddingStore, MatchService, ServiceFrontend
 from ..utils import Timer
 from .registry import Task, TaskNotFittedError, available_tasks, create_task
 
@@ -242,14 +242,13 @@ class SudowoodoSession:
         max_queue_depth: Optional[int] = None,
         default_deadline_ms: Optional[float] = None,
         priority_levels: Optional[int] = None,
-    ) -> Union[ShardedMatchService, ServiceFrontend]:
+    ) -> Union[MatchService, ServiceFrontend]:
         """Export the session (optionally a fitted task) as a live service.
 
-        Returns a thread-safe
-        :class:`~repro.serve.sharding.ShardedMatchService` sharing this
-        session's encoder and warm store.  With ``task`` (a name or a
-        fitted task instance) the task's corpus is loaded into the live
-        index — streaming ``upsert_records`` / ``delete_records`` /
+        Returns a thread-safe :class:`~repro.serve.service.MatchService`
+        sharing this session's encoder and warm store.  With ``task`` (a
+        name or a fitted task instance) the task's corpus is loaded into
+        the live index — streaming ``upsert_records`` / ``delete_records`` /
         coalesced ``search`` then work over cleaning cells or serialized
         columns exactly as over EM records — and the task's fine-tuned
         matcher (when it has one) backs ``match_pairs``.  ``num_shards``
@@ -289,7 +288,7 @@ class SudowoodoSession:
         if priority_levels is not None:
             overrides["priority_levels"] = priority_levels
         config = replace(self.config, **overrides) if overrides else self.config
-        service = ShardedMatchService(
+        service = MatchService(
             self.encoder,
             config=config,
             store=self.store,

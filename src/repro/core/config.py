@@ -126,16 +126,15 @@ class SudowoodoConfig:
     # score error; pin "float64" for byte-identical exactness.
     store_dtype: str = "float32"
     # Sharded serving (serve.sharding): with num_shards > 1 the ANN index
-    # is hash-partitioned across per-shard backends queried in parallel,
-    # and SudowoodoPipeline.match_service() returns the thread-safe
-    # ShardedMatchService.  The coalescer collects concurrent search()
+    # is hash-partitioned across per-shard backends queried in parallel.
+    # MatchService's broker (serve.broker) collects concurrent search()
     # callers for up to coalesce_window_ms into one batched encoder /
     # backend call, capped at max_coalesce_batch queries per batch
     # (window 0 = no added latency, only simultaneous callers coalesce).
     num_shards: int = 1
     coalesce_window_ms: float = 2.0
     max_coalesce_batch: int = 64
-    # Front-end broker (serve.frontend): admission control + deadlines.
+    # Front-end admission policy (serve.frontend): shedding + deadlines.
     # max_queue_depth bounds admitted-but-unfinished requests — beyond it
     # new arrivals are shed with a typed Overloaded error (None = never
     # shed); default_deadline_ms is the per-request budget applied when

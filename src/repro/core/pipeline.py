@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..data import EMDataset, LabeledPair
-from ..serve import EmbeddingStore, MatchService, ShardedMatchService, build_backend
+from ..serve import EmbeddingStore, MatchService, build_backend
 from ..utils import RngStream, Timer
 from .blocker import Blocker, CandidateSet
 from .config import SudowoodoConfig
@@ -201,17 +201,15 @@ class SudowoodoPipeline:
         (fine-tuning mutates the encoder, so pre-finetune vectors were
         dropped) and re-warms on first use.
 
-        With ``config.num_shards > 1`` the thread-safe
-        :class:`~repro.serve.sharding.ShardedMatchService` is returned
-        instead: the live index is partitioned across shards and
-        concurrent ``search`` callers are coalesced into batched calls.
+        The service is thread-safe: its live index is partitioned across
+        ``config.num_shards`` lock-guarded shards and concurrent
+        ``search`` callers are coalesced into batched calls.
         """
-        encoder = self._require_encoder()
-        service_cls = (
-            ShardedMatchService if self.config.num_shards > 1 else MatchService
-        )
-        return service_cls(
-            encoder, config=self.config, store=self.store, matcher=self.matcher
+        return MatchService(
+            self._require_encoder(),
+            config=self.config,
+            store=self.store,
+            matcher=self.matcher,
         )
 
     # ------------------------------------------------------------------

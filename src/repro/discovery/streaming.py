@@ -40,7 +40,8 @@ from typing import (
 
 import numpy as np
 
-from ..serve.frontend import DeadlineExceeded, Overloaded, ServiceFrontend
+from ..serve.broker import DeadlineExceeded, Overloaded
+from ..serve.frontend import ServiceFrontend
 from ..serve.metrics import MetricsRegistry, StalenessGauge
 
 #: Event kinds a feed may contain.

@@ -24,24 +24,24 @@ discovery.  This package makes that reuse concrete at serving time:
   same stable-id contract as :class:`EmbeddingStore`, so corpora can
   exceed RAM.  Configured by ``ivf_cells`` / ``pq_subvectors`` /
   ``pq_bits`` / ``nprobe`` / ``store_dtype``.
-* :class:`MatchService` — a request-level facade exposing
+* :class:`MatchService` — the one thread-safe, request-level service:
   ``embed_batch`` / ``block`` / ``match_pairs`` plus the streaming
   ``index_records`` / ``upsert_records`` / ``delete_records`` /
   ``search`` APIs over a shared warm cache.
-* :class:`ShardedBackend` / :class:`ShardedMatchService` /
-  :class:`QueryCoalescer` — concurrent serving: the live index is
-  hash-partitioned across per-shard backends (read-write locked,
-  queried in parallel) and concurrent ``search`` callers are coalesced
-  into single batched encoder/backend calls.  Enabled by
-  ``SudowoodoConfig(num_shards=...)``.
-* :class:`ServiceFrontend` / :class:`RequestBroker` /
-  :class:`MetricsRegistry` — the production front end: bounded
-  admission with typed :class:`Overloaded` shedding, deadline- and
-  priority-aware batching with typed :class:`DeadlineExceeded` expiry,
-  streaming p50/p99 metrics, and zero-downtime blue/green
-  ``reindex(new_encoder)``.  Configured by ``max_queue_depth`` /
-  ``default_deadline_ms`` / ``priority_levels`` and returned by
-  ``session.serve(..., frontend=True)``.
+* :class:`ShardedBackend` — the service's live index: hash-partitioned
+  across ``SudowoodoConfig(num_shards=...)`` per-shard backends
+  (read-write locked, queried in parallel; one shard by default).
+* :class:`RequestBroker` — the one leader/follower micro-batcher:
+  concurrent ``search`` callers are coalesced into single batched
+  encoder/backend calls.  The service runs one with no admission
+  policy; the front end runs one with all of it.
+* :class:`ServiceFrontend` / :class:`MetricsRegistry` — the production
+  front end: bounded admission with typed :class:`Overloaded` shedding,
+  deadline- and priority-aware batching with typed
+  :class:`DeadlineExceeded` expiry, streaming p50/p99 metrics, and
+  zero-downtime blue/green ``reindex(new_encoder)``.  Configured by
+  ``max_queue_depth`` / ``default_deadline_ms`` / ``priority_levels``
+  and returned by ``session.serve(..., frontend=True)``.
 * :class:`ContainmentSketch` / :class:`StalenessGauge` — discovery-tier
   helpers: bottom-k value sketches for joinability scoring (O(k) memory
   per column, deterministic hashing) and an index-freshness gauge that
@@ -58,29 +58,26 @@ from .backends import (
     build_backend,
     register_backend,
 )
-from .frontend import (
+from .broker import (
     DeadlineExceeded,
     MonotonicClock,
     Overloaded,
     RequestBroker,
     RequestError,
-    ServiceFrontend,
-    build_frontend,
 )
+from .frontend import ServiceFrontend
 from .hnsw import HNSWIndex
 from .ivfpq import IVFPQBackend, ProductQuantizer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, StalenessGauge
 from .service import MatchService
 from .sketch import ContainmentSketch
-from .sharding import (
-    QueryCoalescer,
-    ReadWriteLock,
-    ShardedBackend,
-    ShardedMatchService,
-    shard_assignments,
-)
+from .sharding import ReadWriteLock, ShardedBackend, shard_assignments
 from .store import EmbeddingStore
 from .vecstore import MemmapVectorStore, dequantize_rows, quantize_rows
+
+# The sharded service was folded into MatchService.  benchmarks/perf/ is
+# frozen by BENCHMARK.json and still imports (and shims) it by this name.
+ShardedMatchService = MatchService
 
 __all__ = [
     "ANNBackend",
@@ -101,17 +98,14 @@ __all__ = [
     "MetricsRegistry",
     "MonotonicClock",
     "Overloaded",
-    "QueryCoalescer",
     "ReadWriteLock",
     "RequestBroker",
     "RequestError",
     "ServiceFrontend",
     "ShardedBackend",
-    "ShardedMatchService",
     "StalenessGauge",
     "available_backends",
     "build_backend",
-    "build_frontend",
     "dequantize_rows",
     "quantize_rows",
     "register_backend",

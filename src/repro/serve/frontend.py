@@ -1,13 +1,13 @@
 """Production service front end: admission control, deadline-aware
 batching, metrics, and blue/green reindex.
 
-:class:`~repro.serve.sharding.ShardedMatchService` solves *concurrency*
-— many threads can search one index safely — but a heavy-traffic
+:class:`~repro.serve.service.MatchService` solves *concurrency* — many
+threads can search one index safely — but a heavy-traffic
 deployment also has to survive *overload* and *change*:
 
 * **Bounded admission + load shedding.**  An unbounded queue converts
   overload into unbounded latency for everyone.  The
-  :class:`RequestBroker` counts admitted-but-unfinished requests and,
+  :class:`~repro.serve.broker.RequestBroker` counts admitted-but-unfinished requests and,
   beyond ``max_queue_depth``, rejects new arrivals immediately with a
   typed :class:`Overloaded` error — callers get an instant, retryable
   signal and the requests that *were* admitted keep meeting their SLO
@@ -21,8 +21,8 @@ deployment also has to survive *overload* and *change*:
   batch, and higher-priority requests drain first under backlog.
 * **Metrics.**  A :class:`~repro.serve.metrics.MetricsRegistry` is
   threaded through the broker (admission/shed/expiry counters, latency
-  and batch-size histograms), the coalescer, the sharded backend, and
-  the :class:`~repro.serve.store.EmbeddingStore` (cache hit counters);
+  and batch-size histograms) and the
+  :class:`~repro.serve.store.EmbeddingStore` (cache hit counters);
   :meth:`ServiceFrontend.metrics_snapshot` renders everything as one
   plain dict.
 * **Blue/green reindex.**  :meth:`ServiceFrontend.reindex` builds a
@@ -33,7 +33,7 @@ deployment also has to survive *overload* and *change*:
   mix, and a failure mid-build leaves the old index serving untouched.
 
 Every time-dependent decision goes through an injectable clock
-(:class:`MonotonicClock` in production), so the fault-injection suite
+(:class:`~repro.serve.broker.MonotonicClock` in production), so the fault-injection suite
 (``tests/serve/faults.py``) can drive shedding, expiry, and mid-swap
 failures deterministically.
 
@@ -46,396 +46,32 @@ failures deterministically.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
+from .broker import MonotonicClock, RequestBroker
 from .metrics import MetricsRegistry
-from .sharding import ShardedMatchService
+from .service import MatchService
 from .store import EmbeddingStore
-
-
-# ----------------------------------------------------------------------
-# Typed request errors
-# ----------------------------------------------------------------------
-class RequestError(RuntimeError):
-    """Base class for per-request serving failures."""
-
-
-class Overloaded(RequestError):
-    """The admission queue is full; the request was rejected unqueued.
-
-    Carries ``queue_depth`` (admitted-but-unfinished requests at
-    rejection time) so callers can log or back off proportionally.
-    """
-
-    def __init__(self, queue_depth: int, max_queue_depth: int) -> None:
-        super().__init__(
-            f"admission queue full ({queue_depth} in flight >= "
-            f"max_queue_depth={max_queue_depth}); retry with backoff"
-        )
-        self.queue_depth = queue_depth
-        self.max_queue_depth = max_queue_depth
-
-
-class DeadlineExceeded(RequestError):
-    """The request's deadline passed before it could be served.
-
-    ``late_s`` is how far past the deadline the clock was when the
-    request was dropped (0.0 when it expired at admission).
-    """
-
-    def __init__(self, late_s: float) -> None:
-        super().__init__(
-            f"deadline exceeded ({late_s * 1e3:.1f} ms late); "
-            "request dropped without executing"
-        )
-        self.late_s = late_s
-
-
-# ----------------------------------------------------------------------
-# Clocks
-# ----------------------------------------------------------------------
-class MonotonicClock:
-    """Production clock: ``time.monotonic`` + real event waits."""
-
-    def now(self) -> float:
-        """Seconds on a monotonic clock (the deadline timebase)."""
-        return time.monotonic()
-
-    def wait_for(self, event: threading.Event, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds for ``event``; True if set."""
-        return event.wait(timeout)
-
-
-class _BrokeredRequest:
-    __slots__ = (
-        "texts",
-        "k",
-        "deadline",
-        "priority",
-        "admitted_at",
-        "seq",
-        "done",
-        "result",
-        "error",
-    )
-
-    def __init__(
-        self,
-        texts: List[str],
-        k: int,
-        deadline: Optional[float],
-        priority: int,
-        admitted_at: float,
-        seq: int,
-    ) -> None:
-        self.texts = texts
-        self.k = k
-        self.deadline = deadline
-        self.priority = priority
-        self.admitted_at = admitted_at
-        self.seq = seq
-        self.done = threading.Event()
-        self.result: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.error: Optional[BaseException] = None
-
-
-# ----------------------------------------------------------------------
-# The broker
-# ----------------------------------------------------------------------
-class RequestBroker:
-    """Bounded-admission, deadline/priority-aware micro-batcher.
-
-    The leader/follower shape matches
-    :class:`~repro.serve.sharding.QueryCoalescer` — the first caller with
-    no batch in flight leads, collects followers, and drains the queue in
-    ``max_batch``-sized chunks — with three serving-grade upgrades:
-
-    * **Admission control**: at most ``max_queue_depth`` requests may be
-      admitted-but-unfinished; beyond that :meth:`submit` raises
-      :class:`Overloaded` *immediately* (no queue time is spent on a
-      request that will be rejected).  ``None`` disables shedding.
-    * **Deadlines**: the leader waits until ``window_ms`` elapses or the
-      earliest pending deadline arrives, whichever is sooner; at each
-      drain step, requests whose deadline has passed complete with
-      :class:`DeadlineExceeded` instead of occupying batch slots.  A
-      request whose deadline has already passed at admission fails the
-      same way without being queued.
-    * **Priorities**: pending requests drain in
-      ``(priority, admission order)`` order — level 0 first — so under
-      backlog, low-priority traffic is what expires.
-
-    Failed batches are *isolated*: when a multi-request chunk raises,
-    each member is retried alone so one poisoned query cannot fail its
-    batch-mates (counted under ``frontend.isolations``).
-
-    Every counter/histogram lands in the injected
-    :class:`~repro.serve.metrics.MetricsRegistry`; every time read goes
-    through the injected clock, which is what makes the deadline paths
-    deterministically testable (``tests/serve/faults.py``).
-    """
-
-    def __init__(
-        self,
-        run_batch: Callable[[List[str], int], Tuple[np.ndarray, np.ndarray]],
-        window_ms: float = 0.0,
-        max_batch: int = 64,
-        max_queue_depth: Optional[int] = None,
-        priority_levels: int = 1,
-        clock: Optional[MonotonicClock] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if window_ms < 0:
-            raise ValueError("window_ms must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be positive or None")
-        if priority_levels < 1:
-            raise ValueError("priority_levels must be >= 1")
-        self._run_batch = run_batch
-        self.window_ms = window_ms
-        self.max_batch = max_batch
-        self.max_queue_depth = max_queue_depth
-        self.priority_levels = priority_levels
-        self.clock = clock or MonotonicClock()
-        self.metrics = metrics or MetricsRegistry()
-        self._lock = threading.Lock()
-        self._pending: List[_BrokeredRequest] = []
-        self._wake = threading.Event()
-        self._leader_active = False
-        self._in_flight = 0
-        self._seq = 0
-
-    # -- bookkeeping ----------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        """Admitted-but-unfinished requests right now."""
-        with self._lock:
-            return self._in_flight
-
-    @property
-    def pending_requests(self) -> int:
-        """Requests queued and not yet picked into a batch."""
-        with self._lock:
-            return len(self._pending)
-
-    def _finish(
-        self,
-        request: _BrokeredRequest,
-        result: Optional[Tuple[np.ndarray, np.ndarray]],
-        error: Optional[BaseException],
-        outcome: str,
-    ) -> None:
-        request.result = result
-        request.error = error
-        with self._lock:
-            self._in_flight -= 1
-        self.metrics.counter(f"frontend.{outcome}").increment()
-        self.metrics.histogram("frontend.latency_s").record(
-            self.clock.now() - request.admitted_at
-        )
-        request.done.set()
-
-    # -- submission -----------------------------------------------------
-    def submit(
-        self,
-        texts: Sequence[str],
-        k: int,
-        deadline: Optional[float] = None,
-        priority: int = 0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer one search request through the shared batch.
-
-        ``deadline`` is an *absolute* time on the broker's clock (None =
-        no deadline); ``priority`` must be in
-        ``[0, priority_levels)`` with 0 the most urgent.  Raises
-        :class:`Overloaded` / :class:`DeadlineExceeded` on the
-        corresponding admission or expiry path, and re-raises backend
-        errors per request.
-        """
-        if not 0 <= priority < self.priority_levels:
-            raise ValueError(
-                f"priority must be in [0, {self.priority_levels}); "
-                f"got {priority}"
-            )
-        now = self.clock.now()
-        if deadline is not None and now >= deadline:
-            # Expired on arrival: fail fast, never queued (still counted
-            # as expired so dashboards see the whole picture).
-            self.metrics.counter("frontend.expired").increment()
-            raise DeadlineExceeded(now - deadline)
-        with self._lock:
-            if (
-                self.max_queue_depth is not None
-                and self._in_flight >= self.max_queue_depth
-            ):
-                depth = self._in_flight
-                self.metrics.counter("frontend.shed").increment()
-                raise Overloaded(depth, self.max_queue_depth)
-            request = _BrokeredRequest(
-                list(texts), k, deadline, priority, now, self._seq
-            )
-            self._seq += 1
-            self._in_flight += 1
-            self._pending.append(request)
-            is_leader = not self._leader_active
-            if is_leader:
-                self._leader_active = True
-            elif (
-                sum(len(r.texts) for r in self._pending) >= self.max_batch
-                or deadline is not None
-            ):
-                # Wake the waiting leader: the batch is full, or a new
-                # deadline may shorten its wait (spurious wakes are fine
-                # — the leader recomputes its flush time every loop).
-                self._wake.set()
-        self.metrics.counter("frontend.admitted").increment()
-        if not is_leader:
-            request.done.wait()
-        else:
-            self._lead()
-        if request.error is not None:
-            raise request.error
-        assert request.result is not None
-        return request.result
-
-    # -- leader ---------------------------------------------------------
-    def _lead(self) -> None:
-        self._wait_for_followers()
-        while True:
-            expired, batch = self._take_batch()
-            for request, late_s in expired:
-                self._finish(request, None, DeadlineExceeded(late_s), "expired")
-            if batch is None:
-                break
-            self._execute(batch)
-
-    def _wait_for_followers(self) -> None:
-        """Collect followers until the window closes, the batch fills, or
-        the earliest admitted deadline is about to be missed."""
-        if self.window_ms <= 0:
-            return
-        window_end = self.clock.now() + self.window_ms / 1000.0
-        while True:
-            with self._lock:
-                self._wake.clear()
-                total = sum(len(r.texts) for r in self._pending)
-                earliest = min(
-                    (r.deadline for r in self._pending if r.deadline is not None),
-                    default=None,
-                )
-            if total >= self.max_batch:
-                return
-            flush_at = (
-                window_end if earliest is None else min(window_end, earliest)
-            )
-            timeout = flush_at - self.clock.now()
-            if timeout <= 0:
-                return
-            self.clock.wait_for(self._wake, timeout)
-
-    def _take_batch(self):
-        """Pop expired requests and the next priority-ordered chunk.
-
-        Returns ``(expired, batch)`` where ``expired`` is a list of
-        ``(request, seconds_late)`` pairs and ``batch`` is ``None`` once
-        the queue is drained (leadership is released under the same lock,
-        so a follower can never be stranded without a leader).
-        """
-        with self._lock:
-            now = self.clock.now()
-            expired = []
-            survivors = []
-            for request in self._pending:
-                if request.deadline is not None and now > request.deadline:
-                    expired.append((request, now - request.deadline))
-                else:
-                    survivors.append(request)
-            # Stable sort: admission order within each priority level.
-            survivors.sort(key=lambda r: (r.priority, r.seq))
-            batch: List[_BrokeredRequest] = []
-            taken = 0
-            while survivors and (
-                not batch or taken + len(survivors[0].texts) <= self.max_batch
-            ):
-                request = survivors.pop(0)
-                batch.append(request)
-                taken += len(request.texts)
-            self._pending = survivors
-            if not self._pending:
-                self._wake.clear()
-            if not batch:
-                if not expired:
-                    self._leader_active = False
-                    return [], None
-                return expired, []
-            self.metrics.counter("frontend.batches").increment()
-            self.metrics.histogram(
-                "frontend.batch_size", lowest=1.0, highest=1e5, growth=1.05
-            ).record(taken)
-        return expired, batch
-
-    def _execute(self, batch: List[_BrokeredRequest]) -> None:
-        """Run one chunk; on failure, isolate so each request fails alone."""
-        if not batch:
-            return
-        all_texts = [text for r in batch for text in r.texts]
-        max_k = max(r.k for r in batch)
-        try:
-            ids, scores = self._run_batch(all_texts, max_k)
-        except BaseException as exc:
-            if len(batch) == 1:
-                self._finish(batch[0], None, exc, "failed")
-                return
-            # Per-item error channel: rerun each request alone so one
-            # poisoned query cannot fail its batch-mates.
-            self.metrics.counter("frontend.isolations").increment()
-            for request in batch:
-                try:
-                    solo_ids, solo_scores = self._run_batch(
-                        request.texts, request.k
-                    )
-                except BaseException as solo_exc:
-                    self._finish(request, None, solo_exc, "failed")
-                else:
-                    self._finish(
-                        request,
-                        (solo_ids[:, : request.k], solo_scores[:, : request.k]),
-                        None,
-                        "completed",
-                    )
-            return
-        start = 0
-        for request in batch:
-            stop = start + len(request.texts)
-            self._finish(
-                request,
-                (ids[start:stop, : request.k], scores[start:stop, : request.k]),
-                None,
-                "completed",
-            )
-            start = stop
 
 
 # ----------------------------------------------------------------------
 # The front end
 # ----------------------------------------------------------------------
 class ServiceFrontend:
-    """Deadline-aware, shedding, observable broker over a sharded service.
+    """Deadline-aware, shedding, observable broker over a match service.
 
-    Wraps one :class:`~repro.serve.sharding.ShardedMatchService`:
-    ``search`` traffic flows through the :class:`RequestBroker` (bounded
-    admission, deadlines, priorities, per-request error isolation) into
-    the service's *uncoalesced* batch path — the broker already batches,
-    so stacking the service's own coalescer on top would only add
-    latency.  Mutations (``upsert_records`` / ``delete_records``) pass
-    through under the swap lock, and :meth:`reindex` performs the
-    blue/green encoder swap.
+    Wraps one :class:`~repro.serve.service.MatchService`: ``search``
+    traffic flows through a :class:`~repro.serve.broker.RequestBroker`
+    carrying the admission policy (bounded depth, deadlines, priorities,
+    per-request error isolation) into the service's ``search_batch`` —
+    the path that bypasses the service's own broker, so a request is
+    batched exactly once.  Mutations (``upsert_records`` /
+    ``delete_records``) pass through under the swap lock, and
+    :meth:`reindex` performs the blue/green encoder swap.
 
     Configuration comes from the
     :class:`~repro.core.config.ServeConfig` section:
@@ -452,7 +88,7 @@ class ServiceFrontend:
 
     def __init__(
         self,
-        service: ShardedMatchService,
+        service: MatchService,
         config: Optional[SudowoodoConfig] = None,
         clock: Optional[MonotonicClock] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -535,7 +171,7 @@ class ServiceFrontend:
         """Swap in a freshly-encoded index with zero query downtime.
 
         Builds a *shadow* :class:`~repro.serve.store.EmbeddingStore` and
-        :class:`~repro.serve.sharding.ShardedMatchService` for
+        :class:`~repro.serve.service.MatchService` for
         ``new_encoder`` (over ``corpus``, defaulting to the live corpus
         in stable id order — record ids restart at 0 in corpus order),
         entirely off the query path, then publishes it with one atomic
@@ -566,7 +202,7 @@ class ServiceFrontend:
                         capacity=self.config.embed_cache_capacity,
                         dtype=self.config.store_dtype,
                     )
-                shadow = ShardedMatchService(
+                shadow = MatchService(
                     new_encoder,
                     config=self.config,
                     store=store,
@@ -589,7 +225,7 @@ class ServiceFrontend:
 
     # -- introspection --------------------------------------------------
     @property
-    def service(self) -> ShardedMatchService:
+    def service(self) -> MatchService:
         """The currently-published service (changes on reindex)."""
         return self._service
 
@@ -622,8 +258,8 @@ class ServiceFrontend:
 
         Combines the registry (broker counters + latency/batch-size
         histograms + store cache counters) with the current service's
-        component stats: embedding-store cache rates, coalescer
-        counters, shard layout, and the index generation.
+        component stats: embedding-store cache rates, the service's own
+        batching counters, shard layout, and the index generation.
         """
         snapshot = self.metrics.snapshot()
         service = self._service
@@ -636,12 +272,3 @@ class ServiceFrontend:
         }
         return snapshot
 
-
-def build_frontend(
-    service: ShardedMatchService,
-    config: Optional[SudowoodoConfig] = None,
-    clock: Optional[MonotonicClock] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> ServiceFrontend:
-    """Convenience constructor mirroring ``build_backend``'s shape."""
-    return ServiceFrontend(service, config=config, clock=clock, metrics=metrics)

@@ -16,6 +16,14 @@ Two candidate-generation styles coexist:
   place, deletes never require a re-encode, and results carry the
   store's stable record ids.
 
+The service is thread-safe at any ``config.num_shards`` (1 included):
+the live index is always a lock-guarded
+:class:`~repro.serve.sharding.ShardedBackend`, cross-shard mutations are
+atomic with respect to concurrent ``search``, and concurrent ``search``
+callers are micro-batched by one
+:class:`~repro.serve.broker.RequestBroker` into single batched encoder +
+backend calls.
+
 >>> service = MatchService(encoder, config)
 >>> vectors = service.embed_batch(corpus)                 # warm the cache
 >>> candidates = service.block(texts_a, texts_b, k=10)    # reuses vectors
@@ -27,13 +35,15 @@ Two candidate-generation styles coexist:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+import threading
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from .backends import ANNBackend, build_backend
+from .broker import RequestBroker
 from .store import EmbeddingStore, _normalize_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocker imports serve)
@@ -42,7 +52,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocker imports serv
 
 
 class MatchService:
-    """Batched ``embed_batch`` / ``block`` / ``match_pairs`` APIs.
+    """Thread-safe ``embed_batch`` / ``block`` / ``match_pairs`` APIs plus
+    a live, sharded, coalesced streaming index.
+
+    For the exact backend ``search`` returns the same ids at any shard
+    count; only the partitioning of the live index changes.
+
+    Locking model (acquisition order prevents deadlock):
+
+    1. ``_mutation_lock`` — serializes index mutations
+       (``index_records`` / ``upsert_records`` / ``delete_records`` /
+       ``rebuild_index``) against each other.
+    2. ``_store_lock`` — guards the (not thread-safe)
+       :class:`EmbeddingStore`, the encoder behind it, and index
+       metadata; held for the embed step of searches / ``block`` /
+       ``embed_batch``, by mutations, and for the whole of
+       ``match_pairs`` (the matcher drives the shared encoder).
+    3. per-shard :class:`~repro.serve.sharding.ReadWriteLock`\\ s — inside
+       :class:`~repro.serve.sharding.ShardedBackend`; queries share read
+       locks, mutations take write locks of every affected shard at once.
 
     Parameters
     ----------
@@ -50,13 +78,13 @@ class MatchService:
         The shared representation model.
     config:
         Serving knobs (``serve_batch_size``, ``ann_backend``,
-        ``embed_cache_capacity``); defaults to the encoder's own config.
+        ``embed_cache_capacity``, ``num_shards``, ``coalesce_window_ms``,
+        ``max_coalesce_batch``); defaults to the encoder's own config.
+        To vary one per service, pass ``dataclasses.replace(config, ...)``.
     store:
         Pass an existing :class:`EmbeddingStore` to share its warm cache
         (e.g. the one a :class:`~repro.core.pipeline.SudowoodoPipeline`
         already filled during blocking).
-    backend:
-        Override the config-selected ANN backend instance.
     matcher:
         Optional trained pairwise matcher enabling :meth:`match_pairs`.
     """
@@ -66,11 +94,13 @@ class MatchService:
         encoder: SudowoodoEncoder,
         config: Optional[SudowoodoConfig] = None,
         store: Optional[EmbeddingStore] = None,
-        backend: Optional[ANNBackend] = None,
         matcher: Optional["PairwiseMatcher"] = None,
     ) -> None:
         self.encoder = encoder
         self.config = config if config is not None else encoder.config
+        if self.config.num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        self.num_shards = self.config.num_shards
         if store is None:
             # NB: explicit None check — an *empty* store is falsy (it
             # defines __len__), and replacing a shared-but-cleared store
@@ -82,19 +112,30 @@ class MatchService:
                 dtype=self.config.store_dtype,
             )
         self.store = store
-        self._backend = backend
         self.matcher = matcher
         # Streaming state: a live mutable index over store record ids.
         self._live_backend: Optional[ANNBackend] = None
         self._live_texts: Dict[int, str] = {}
         self._index_mean: Optional[np.ndarray] = None
+        self._mutation_lock = threading.RLock()
+        # The store's own reentrant mutex, not a private one: services
+        # sharing one store (e.g. two match_service() calls on the same
+        # pipeline) must serialize on the same lock, and holding it
+        # across embed + metadata keeps both consistent.
+        self._store_lock = self.store.lock
+        self._broker = RequestBroker(
+            self.search_batch,
+            window_ms=self.config.coalesce_window_ms,
+            max_batch=self.config.max_coalesce_batch,
+        )
 
     # ------------------------------------------------------------------
     def embed_batch(
         self, texts: Sequence[str], normalize: bool = True
     ) -> np.ndarray:
         """Embed ``texts`` through the shared store (cache-first)."""
-        return self.store.embed_batch(texts, normalize=normalize)
+        with self._store_lock:
+            return self.store.embed_batch(texts, normalize=normalize)
 
     # ------------------------------------------------------------------
     def block(
@@ -117,9 +158,10 @@ class MatchService:
         self_join = texts_b is None
         if self_join:
             texts_b = texts_a
-        # Through self.embed_batch (not the store directly): subclasses
-        # hook that method to add locking, and only the embed step needs
-        # it — the backend build/query below runs on local data.
+        # Through self.embed_batch (not the store directly): it holds the
+        # store lock, and only the embed step needs it — the backend
+        # build/query below runs on local data, so a long blocking
+        # request stalls searches only while it embeds.
         raw_a = self.embed_batch(texts_a, normalize=False)
         raw_b = raw_a if self_join else self.embed_batch(texts_b, normalize=False)
         if center and (raw_a.size or raw_b.size):
@@ -128,7 +170,7 @@ class MatchService:
             raw_b = raw_b - mean
         vectors_a = _normalize_rows(raw_a)
         vectors_b = _normalize_rows(raw_b)
-        backend = self._backend or build_backend(self.config)
+        backend = build_backend(self.config)
         backend.build(vectors_b)
         indices, scores = backend.query(vectors_a, k + 1 if self_join else k)
         pairs, score_map = _collect_pairs(
@@ -157,11 +199,6 @@ class MatchService:
         except KeyError:
             raise KeyError(f"record id {record_id} is not indexed") from None
 
-    def _build_live_backend(self) -> ANNBackend:
-        """Backend factory hook for :meth:`index_records` (subclasses
-        override to force the lock-guarded sharded wrapper)."""
-        return build_backend(self.config)
-
     def index_records(
         self, texts: Sequence[str], center: bool = True
     ) -> np.ndarray:
@@ -175,26 +212,32 @@ class MatchService:
         """
         # Validate the backend before touching any state: a failure here
         # must leave an existing live index (and its frozen mean) intact.
-        backend = self._build_live_backend()
+        # sharded=True even for num_shards == 1: a single-shard service
+        # still needs the ReadWriteLock-guarded wrapper, or searches
+        # would race mutations inside a raw backend.
+        backend = build_backend(self.config, sharded=True)
         if not backend.supports_updates:
             raise ValueError(
                 f"ann_backend {backend.name!r} does not support incremental "
                 "updates; choose exact, lsh, or hnsw for streaming serving"
             )
-        ids, raw = self.store.upsert_batch(texts)
-        if center and raw.shape[0]:
-            self._index_mean = raw.mean(axis=0, keepdims=True)
-        else:
-            self._index_mean = np.zeros((1, self.store.dim))
-        backend.build(np.zeros((0, self.store.dim)))
-        unique_ids, first_rows = np.unique(ids, return_index=True)
-        backend.add(unique_ids, _normalize_rows(raw - self._index_mean)[first_rows])
-        self._live_backend = backend
-        self._live_texts = {
-            int(record_id): texts[row]
-            for record_id, row in zip(unique_ids.tolist(), first_rows.tolist())
-        }
-        return ids
+        with self._mutation_lock, self._store_lock:
+            ids, raw = self.store.upsert_batch(texts)
+            if center and raw.shape[0]:
+                self._index_mean = raw.mean(axis=0, keepdims=True)
+            else:
+                self._index_mean = np.zeros((1, self.store.dim))
+            backend.build(np.zeros((0, self.store.dim)))
+            unique_ids, first_rows = np.unique(ids, return_index=True)
+            backend.add(
+                unique_ids, _normalize_rows(raw - self._index_mean)[first_rows]
+            )
+            self._live_backend = backend
+            self._live_texts = {
+                int(record_id): texts[row]
+                for record_id, row in zip(unique_ids.tolist(), first_rows.tolist())
+            }
+            return ids
 
     def upsert_records(self, texts: Sequence[str]) -> np.ndarray:
         """Insert-or-refresh records in the live index; returns their ids.
@@ -203,15 +246,21 @@ class MatchService:
         encoded, and the ANN backend is patched in place (no rebuild).
         Creates the index on first use.
         """
-        if self._live_backend is None:
-            return self.index_records(texts)
-        ids, raw = self.store.upsert_batch(texts)
-        vectors = _normalize_rows(raw - self._index_mean)
-        unique_ids, first_rows = np.unique(ids, return_index=True)
-        self._live_backend.add(unique_ids, vectors[first_rows])
-        for record_id, row in zip(unique_ids.tolist(), first_rows.tolist()):
-            self._live_texts[record_id] = texts[row]
-        return ids
+        with self._mutation_lock:
+            if self._live_backend is None:
+                return self.index_records(texts)
+            with self._store_lock:
+                ids, raw = self.store.upsert_batch(texts)
+                vectors = _normalize_rows(raw - self._index_mean)
+                unique_ids, first_rows = np.unique(ids, return_index=True)
+                # Texts first: any id a concurrent search can return must
+                # already resolve through record_text().
+                for record_id, row in zip(
+                    unique_ids.tolist(), first_rows.tolist()
+                ):
+                    self._live_texts[record_id] = texts[row]
+            self._live_backend.add(unique_ids, vectors[first_rows])
+            return ids
 
     def delete_records(self, texts: Sequence[str]) -> np.ndarray:
         """Remove records from the live index; returns the retired ids.
@@ -226,29 +275,30 @@ class MatchService:
         none were.  Store eviction is therefore symmetric with index
         removal: exactly the records leaving the index leave the store.
         """
-        if self._live_backend is None:
-            raise RuntimeError("no live index; call index_records() first")
-        doomed_texts: list = []
-        doomed_ids: list = []
-        seen: set = set()
-        for text in texts:
-            try:
-                record_id = int(self.store.ids_for([text], assign=False)[0])
-            except KeyError:
-                continue  # never assigned an id at all
-            if record_id not in self._live_texts or record_id in seen:
-                continue  # cached-but-unindexed, already deleted, or duplicate
-            seen.add(record_id)
-            doomed_texts.append(text)
-            doomed_ids.append(record_id)
-        if not doomed_ids:
-            return np.empty(0, dtype=np.int64)
-        id_array = np.asarray(doomed_ids, dtype=np.int64)
-        self._live_backend.remove(id_array)
-        for record_id in doomed_ids:
-            del self._live_texts[record_id]
-        self.store.evict(doomed_texts)
-        return id_array
+        with self._mutation_lock, self._store_lock:
+            if self._live_backend is None:
+                raise RuntimeError("no live index; call index_records() first")
+            doomed_texts: list = []
+            doomed_ids: list = []
+            seen: set = set()
+            for text in texts:
+                try:
+                    record_id = int(self.store.ids_for([text], assign=False)[0])
+                except KeyError:
+                    continue  # never assigned an id at all
+                if record_id not in self._live_texts or record_id in seen:
+                    continue  # cached-but-unindexed, already deleted, or duplicate
+                seen.add(record_id)
+                doomed_texts.append(text)
+                doomed_ids.append(record_id)
+            if not doomed_ids:
+                return np.empty(0, dtype=np.int64)
+            id_array = np.asarray(doomed_ids, dtype=np.int64)
+            self._live_backend.remove(id_array)
+            for record_id in doomed_ids:
+                del self._live_texts[record_id]
+            self.store.evict(doomed_texts)
+            return id_array
 
     def search(
         self, texts: Sequence[str], k: int = 10
@@ -261,18 +311,58 @@ class MatchService:
         served from the warm cache when they happen to be corpus records
         but are *not* cached themselves — unbounded query traffic must
         neither grow the store nor evict the indexed corpus.
+
+        Concurrent callers are micro-batched by the service's broker:
+        queries in one batch are answered at the maximum requested ``k``
+        and each caller's rows are trimmed back to its own ``k``, which
+        is exact for prefix-stable backends such as ``exact``.
         """
         if self._live_backend is None:
             raise RuntimeError("no live index; call index_records() first")
-        raw = self.store.embed_batch(texts, cache=False)
-        vectors = _normalize_rows(raw - self._index_mean)
-        return self._live_backend.query(vectors, k)
+        return self._broker.submit(texts, k)
+
+    def search_batch(
+        self, texts: Sequence[str], k: int = 10
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve one already-formed batch: single encode, single fan-out
+        query, no broker.
+
+        What the service's own broker runs per batch, and the hook for
+        callers that batch *upstream* — notably
+        :class:`~repro.serve.frontend.ServiceFrontend`, whose
+        deadline-aware batches must not queue a second time behind the
+        coalescing window.  Thread-safe like :meth:`search`.
+        """
+        with self._store_lock:
+            # Snapshot backend and mean together: index_records() swaps
+            # both under this lock, and pairing the old backend with the
+            # new frozen mean would silently skew every score.
+            backend = self._live_backend
+            mean = self._index_mean
+            if backend is None:
+                raise RuntimeError("no live index; call index_records() first")
+            raw = self.store.embed_batch(list(texts), cache=False)
+        vectors = _normalize_rows(raw - mean)
+        return backend.query(vectors, k)
+
+    def coalesce_stats(self) -> Dict[str, float]:
+        """The broker's batching counters (requests, batches, mean batch
+        size, isolations) for traffic that came through :meth:`search`."""
+        return self._broker.stats()
+
+    def live_texts(self) -> List[str]:
+        """The live corpus in ascending record-id order (a snapshot
+        consistent with concurrent mutations — the blue/green reindex
+        reads its corpus through this)."""
+        with self._store_lock:
+            return [text for _, text in sorted(self._live_texts.items())]
 
     def rebuild_index(self) -> "MatchService":
         """Compact the live index (drop tombstones); ids are unchanged."""
-        if self._live_backend is None:
-            raise RuntimeError("no live index; call index_records() first")
-        self._live_backend.rebuild()
+        with self._mutation_lock:
+            if self._live_backend is None:
+                raise RuntimeError("no live index; call index_records() first")
+            self._live_backend.rebuild()
         return self
 
     # ------------------------------------------------------------------
@@ -290,9 +380,13 @@ class MatchService:
             raise RuntimeError(
                 "no matcher attached; pass matcher= or call attach_matcher()"
             )
-        return self.matcher.predict_proba(
-            list(pairs), batch_size=batch_size or self.config.serve_batch_size
-        )
+        # Fully serialized: the matcher drives the shared encoder, whose
+        # forward pass (train/eval toggling) is not safe to interleave
+        # with the broker's embeds.
+        with self._store_lock:
+            return self.matcher.predict_proba(
+                list(pairs), batch_size=batch_size or self.config.serve_batch_size
+            )
 
     def attach_matcher(self, matcher: "PairwiseMatcher") -> "MatchService":
         """Bind a (fine-tuned) pairwise matcher for :meth:`match_pairs`."""
@@ -302,7 +396,8 @@ class MatchService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Cache statistics of the underlying embedding store."""
-        return self.store.stats()
+        with self._store_lock:
+            return self.store.stats()
 
 
 def _collect_pairs(

@@ -92,7 +92,7 @@ class EmbeddingStore:
         # One reentrant mutex per store, acquired by every state-touching
         # public method (even cache hits mutate: LRU move-to-end, hit
         # counters).  Reentrant so a concurrent consumer — e.g. a
-        # ShardedMatchService, which uses this same lock to keep its
+        # MatchService, which uses this same lock to keep its
         # index metadata consistent with the store — can hold it across
         # a compound operation; crucially, services *sharing* a store
         # thereby share one lock instead of racing through private ones.

@@ -23,7 +23,7 @@ from repro.data.generators import (
     load_cleaning_dataset,
     load_em_benchmark,
 )
-from repro.serve import ShardedMatchService
+from repro.serve import MatchService
 
 
 def tiny_config(**overrides):
@@ -173,7 +173,7 @@ class TestServe:
         if not match.fitted:
             match.fit(em_dataset, label_budget=20)
         service = session.serve("match", num_shards=2)
-        assert isinstance(service, ShardedMatchService)
+        assert isinstance(service, MatchService)
         assert service.num_shards == 2
         assert service.index_size == len(em_dataset.table_b)
         ids, scores = service.search([em_dataset.serialize_b(0)], k=3)
@@ -209,7 +209,7 @@ class TestServe:
 
     def test_serve_without_task_gives_bare_service(self, session):
         service = session.serve()
-        assert isinstance(service, ShardedMatchService)
+        assert isinstance(service, MatchService)
         assert service.index_size == 0
         assert service.store is session.store
 

@@ -1,6 +1,6 @@
 """Concurrency stress test for the sharded serving layer.
 
-Eight threads hammer one :class:`ShardedMatchService` with a bounded mix
+Eight threads hammer one :class:`MatchService` with a bounded mix
 of ``search`` / ``upsert_records`` / ``delete_records`` operations, then
 the index invariants are checked: no duplicate ids in any result row,
 ``index_size`` equals the number of live records, and every surviving
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
-from repro.serve import ShardedMatchService
+from repro.serve import MatchService
 from repro.utils import spawn_rng
 
 NUM_THREADS = 8
@@ -62,7 +62,7 @@ def encoder():
 @pytest.mark.stress
 @pytest.mark.parametrize("backend_name", ["exact", "hnsw"])
 def test_mixed_search_upsert_delete_stress(encoder, backend_name):
-    service = ShardedMatchService(
+    service = MatchService(
         encoder, config=tiny_config(ann_backend=backend_name)
     )
     service.index_records(BASE_CORPUS)

@@ -1,6 +1,6 @@
 """Fault-injection tests for the production service front end.
 
-Every typed failure path of :class:`~repro.serve.frontend.RequestBroker`
+Every typed failure path of :class:`~repro.serve.broker.RequestBroker`
 and :class:`~repro.serve.frontend.ServiceFrontend` is driven
 deterministically — gates hold batches in flight while bursts are
 arranged, a :class:`FakeClock` decides exactly which deadlines have
@@ -12,7 +12,7 @@ passed, and :class:`FaultyStore` kills shadow builds mid-flight:
 * mid-reindex fault: the blue/green build dies and the old index keeps
   serving, byte-for-byte.
 * per-item error channel: one poisoned query in a coalesced batch fails
-  alone (broker level and end-to-end through ``QueryCoalescer``).
+  alone (broker level and end-to-end through ``MatchService.search``).
 * priority scheduling, metrics threading, and the session entry point.
 
 The stress half — blue/green swap under 8-thread query load with a
@@ -30,12 +30,11 @@ from repro.api import SudowoodoSession
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from repro.serve import (
     DeadlineExceeded,
+    MatchService,
     MetricsRegistry,
     Overloaded,
     RequestBroker,
     ServiceFrontend,
-    ShardedMatchService,
-    build_frontend,
 )
 
 CORPUS = [f"[COL] name [VAL] record-{i} [COL] city [VAL] c{i % 5}" for i in range(24)]
@@ -74,7 +73,7 @@ def encoder_b():
 
 def make_frontend(encoder, store=None, clock=None, **config_overrides):
     config = tiny_config(**config_overrides)
-    service = ShardedMatchService(encoder, config=config, store=store)
+    service = MatchService(encoder, config=config, store=store)
     service.index_records(CORPUS)
     return ServiceFrontend(service, clock=clock)
 
@@ -371,6 +370,44 @@ class TestErrorIsolation:
         assert broker.metrics.counter("frontend.failed").value == 1
         assert broker.queue_depth == 0
 
+    def test_leader_crash_releases_leadership_and_fails_the_queue(self):
+        """Regression: an error escaping the leader *after* run_batch
+        returned — here 1-D arrays that cannot be sliced per request —
+        used to leave ``_leader_active`` set and ``_in_flight`` stuck, so
+        the queued follower and every later caller blocked forever (or
+        was shed forever once ``max_queue_depth`` filled)."""
+        search = GatedSearch()
+        malformed = threading.Event()
+        malformed.set()
+
+        def run_batch(texts, k):
+            ids, scores = search(texts, k)
+            return (ids[:, 0], scores[:, 0]) if malformed.is_set() else (ids, scores)
+
+        broker = RequestBroker(run_batch, window_ms=0.0, max_queue_depth=2)
+        lead_thread, lead = submit_async(broker, ["lead"], k=2)
+        assert search.entered.wait(timeout=10.0)
+        follower_thread, follower = submit_async(broker, ["follower"], k=2)
+        wait_until(lambda: broker.pending_requests == 1)
+        search.gate.set()
+        lead_thread.join(timeout=5.0)
+        follower_thread.join(timeout=5.0)
+        assert not lead_thread.is_alive() and not follower_thread.is_alive()
+        assert isinstance(lead["error"], IndexError)
+        assert isinstance(follower["error"], IndexError)
+        assert broker.queue_depth == 0 and broker.pending_requests == 0
+
+        # The broker is led again: the next caller is answered, not
+        # queued behind a leader that no longer exists.
+        malformed.clear()
+        later_thread, later = submit_async(broker, ["later"], k=2)
+        later_thread.join(timeout=5.0)
+        assert not later_thread.is_alive()
+        np.testing.assert_array_equal(later["result"][0], fake_search(["later"], 2)[0])
+        counters = broker.metrics.snapshot()["counters"]
+        assert counters["frontend.admitted"] == 3
+        assert counters["frontend.failed"] == 2 and counters["frontend.completed"] == 1
+
     def test_transient_batch_failure_recovers_via_isolation(self, encoder):
         """Regression with FaultyBackend: a backend that rejects
         multi-query batches but serves single queries fine used to fail
@@ -379,7 +416,7 @@ class TestErrorIsolation:
         an answer."""
         gate = threading.Event()
         entered = threading.Event()
-        service = ShardedMatchService(encoder, config=tiny_config())
+        service = MatchService(encoder, config=tiny_config())
         service.index_records(CORPUS)
         faulty = FaultyBackend(
             service._live_backend,
@@ -409,7 +446,7 @@ class TestErrorIsolation:
         assert entered.wait(timeout=10.0)
         threads.append(query(CORPUS[1]))
         threads.append(query(CORPUS[2]))
-        wait_until(lambda: len(service._coalescer._pending) == 2)
+        wait_until(lambda: service._broker.pending_requests == 2)
         gate.set()
         for thread in threads:
             thread.join(timeout=10.0)
@@ -421,9 +458,9 @@ class TestErrorIsolation:
         assert faulty.query_calls == 4  # leader + failed pair + 2 solos
 
     def test_coalescer_isolation_end_to_end(self, encoder):
-        """Regression for the QueryCoalescer per-item error channel: a
-        poisoned query in a coalesced service batch fails alone while
-        its batch-mates get answers."""
+        """Regression for the per-item error channel of the service's
+        own broker: a poisoned query in a coalesced service batch fails
+        alone while its batch-mates get answers."""
         gate = threading.Event()
         entered = threading.Event()
         store = FaultyStore(
@@ -432,7 +469,7 @@ class TestErrorIsolation:
             embed_gate=gate,
             embed_entered=entered,
         )
-        service = ShardedMatchService(encoder, config=tiny_config(), store=store)
+        service = MatchService(encoder, config=tiny_config(), store=store)
         gate.set()  # let index_records embed freely
         service.index_records(CORPUS)
         gate.clear()
@@ -458,7 +495,7 @@ class TestErrorIsolation:
         assert entered.wait(timeout=10.0)
         threads.append(query("POISON"))
         threads.append(query(CORPUS[1]))
-        wait_until(lambda: len(service._coalescer._pending) == 2)
+        wait_until(lambda: service._broker.pending_requests == 2)
         gate.set()
         for thread in threads:
             thread.join(timeout=10.0)
@@ -576,10 +613,8 @@ class TestServiceFrontend:
         assert frontend.index_size == len(CORPUS)
 
     def test_build_frontend_and_session_serve(self, encoder):
-        frontend = build_frontend(
-            ShardedMatchService(encoder, config=tiny_config())
-        )
-        assert isinstance(frontend, ServiceFrontend)
+        frontend = ServiceFrontend(MatchService(encoder, config=tiny_config()))
+        assert frontend.config is frontend.service.config
 
         session = SudowoodoSession(tiny_config()).adopt(encoder)
         served = session.serve(
@@ -593,7 +628,7 @@ class TestServiceFrontend:
         assert int(ids[0, 0]) == 4
         # Plain serve() still returns the bare service.
         bare = session.serve()
-        assert isinstance(bare, ShardedMatchService)
+        assert isinstance(bare, MatchService)
         assert not isinstance(bare, ServiceFrontend)
 
 
@@ -616,7 +651,7 @@ class TestReindex:
         after_ids, _ = frontend.search(queries, k=5)
         # The new index answers exactly like a from-scratch service on
         # the new encoder (ids restart at 0 in corpus order).
-        expected_service = ShardedMatchService(encoder_b, config=tiny_config())
+        expected_service = MatchService(encoder_b, config=tiny_config())
         expected_service.index_records(CORPUS)
         expected_ids, _ = expected_service.search_batch(queries, 5)
         np.testing.assert_array_equal(after_ids, expected_ids)
@@ -697,7 +732,7 @@ class TestReindexUnderLoad:
         # coalesced batches answer identically).
         expected = {}
         for name, enc in (("blue", encoder), ("green", encoder_b)):
-            service = ShardedMatchService(enc, config=tiny_config())
+            service = MatchService(enc, config=tiny_config())
             service.index_records(CORPUS)
             expected[name] = service.search_batch(queries, k)[0]
         assert not np.array_equal(expected["blue"], expected["green"])

@@ -9,10 +9,10 @@ from repro.core.persistence import load_ivfpq_index, save_ivfpq_index
 from repro.serve import (
     ExactBackend,
     IVFPQBackend,
+    MatchService,
     ProductQuantizer,
     ServiceFrontend,
     ShardedBackend,
-    ShardedMatchService,
     available_backends,
     build_backend,
 )
@@ -259,7 +259,7 @@ class TestServiceFrontendComposition:
             seed=0,
         )
         encoder = SudowoodoEncoder(config, build_tokenizer(CORPUS, config))
-        service = ShardedMatchService(encoder, config=config)
+        service = MatchService(encoder, config=config)
         service.index_records(CORPUS)
         return ServiceFrontend(service)
 

@@ -1,6 +1,7 @@
 """Sharded serving tests: shard-equivalence against the single-shard
-service, recall under churn for the approximate backends, the query
-coalescer, and the config/registry/pipeline routing."""
+service, recall under churn for the approximate backends, the request
+broker as a plain query coalescer, and the config/registry/pipeline
+routing."""
 
 import threading
 import time
@@ -20,10 +21,9 @@ from repro.serve import (
     HNSWBackend,
     LSHBackend,
     MatchService,
-    QueryCoalescer,
     ReadWriteLock,
+    RequestBroker,
     ShardedBackend,
-    ShardedMatchService,
     build_backend,
     shard_assignments,
 )
@@ -257,15 +257,13 @@ class TestShardedBackendEquivalence:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
 class TestShardedServiceEquivalence:
-    """ShardedMatchService.search must match MatchService byte-for-byte
-    on ids for the exact backend, at any shard count."""
+    """MatchService.search must return byte-identical ids for the exact
+    backend at any shard count (num_shards=1 is the reference)."""
 
     def test_search_identical(self, dataset, encoder, num_shards):
         corpus = dataset.all_items()[:20]
-        single = MatchService(encoder, config=tiny_config())
-        sharded = ShardedMatchService(
-            encoder, config=tiny_config(num_shards=num_shards)
-        )
+        single = MatchService(encoder, config=tiny_config(num_shards=1))
+        sharded = MatchService(encoder, config=tiny_config(num_shards=num_shards))
         ids_single = single.index_records(corpus)
         ids_sharded = sharded.index_records(corpus)
         np.testing.assert_array_equal(ids_single, ids_sharded)
@@ -281,10 +279,8 @@ class TestShardedServiceEquivalence:
     def test_upsert_delete_parity(self, dataset, encoder, num_shards):
         corpus = dataset.all_items()[:12]
         extra = dataset.all_items()[12:16]
-        single = MatchService(encoder, config=tiny_config())
-        sharded = ShardedMatchService(
-            encoder, config=tiny_config(num_shards=num_shards)
-        )
+        single = MatchService(encoder, config=tiny_config(num_shards=1))
+        sharded = MatchService(encoder, config=tiny_config(num_shards=num_shards))
         for service in (single, sharded):
             service.index_records(corpus)
             service.upsert_records(extra)
@@ -297,6 +293,9 @@ class TestShardedServiceEquivalence:
 
 # ----------------------------------------------------------------------
 class TestQueryCoalescer:
+    """RequestBroker at its defaults (no depth bound, no deadlines, one
+    priority level) is the query coalescer MatchService.search runs."""
+
     def run_batch_spy(self):
         calls = []
 
@@ -310,7 +309,7 @@ class TestQueryCoalescer:
 
     def test_single_caller_passthrough(self):
         calls, run_batch = self.run_batch_spy()
-        coalescer = QueryCoalescer(run_batch, window_ms=0.0, max_batch=8)
+        coalescer = RequestBroker(run_batch, window_ms=0.0, max_batch=8)
         ids, scores = coalescer.submit(["a", "b"], k=3)
         assert ids.shape == (2, 3) and scores.shape == (2, 3)
         assert calls == [(["a", "b"], 3)]
@@ -329,7 +328,7 @@ class TestQueryCoalescer:
             ids = np.tile(np.arange(k, dtype=np.int64), (len(texts), 1))
             return ids, np.zeros((len(texts), k))
 
-        coalescer = QueryCoalescer(run_batch, window_ms=50.0, max_batch=3)
+        coalescer = RequestBroker(run_batch, window_ms=50.0, max_batch=3)
         results = {}
 
         def caller(name, k):
@@ -365,7 +364,7 @@ class TestQueryCoalescer:
         run_batch call; chunks must respect max_batch (one oversized
         request still runs alone, since requests are never split)."""
         calls, run_batch = self.run_batch_spy()
-        coalescer = QueryCoalescer(run_batch, window_ms=0.0, max_batch=4)
+        coalescer = RequestBroker(run_batch, window_ms=0.0, max_batch=4)
         coalescer.submit([f"q{i}" for i in range(10)], k=2)
         assert [len(texts) for texts, _ in calls] == [10]  # oversized, alone
 
@@ -381,7 +380,7 @@ class TestQueryCoalescer:
                 np.zeros((len(texts), k)),
             )
 
-        chunked = QueryCoalescer(chunked_run, window_ms=50.0, max_batch=4)
+        chunked = RequestBroker(chunked_run, window_ms=50.0, max_batch=4)
         leader = threading.Thread(target=chunked.submit, args=(["lead"], 2))
         leader.start()
         while not chunked_calls:
@@ -406,7 +405,7 @@ class TestQueryCoalescer:
         def run_batch(texts, k):
             raise ValueError("backend exploded")
 
-        coalescer = QueryCoalescer(run_batch, window_ms=0.0, max_batch=4)
+        coalescer = RequestBroker(run_batch, window_ms=0.0, max_batch=4)
         with pytest.raises(ValueError, match="exploded"):
             coalescer.submit(["x"], k=2)
         # The coalescer stays usable after a failed batch.
@@ -416,9 +415,9 @@ class TestQueryCoalescer:
     def test_validates_parameters(self):
         run = lambda texts, k: (np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            QueryCoalescer(run, window_ms=-1.0)
+            RequestBroker(run, window_ms=-1.0)
         with pytest.raises(ValueError):
-            QueryCoalescer(run, max_batch=0)
+            RequestBroker(run, max_batch=0)
 
 
 # ----------------------------------------------------------------------
@@ -501,26 +500,26 @@ class TestConfigAndRouting:
         pipeline = SudowoodoPipeline(tiny_config(num_shards=2))
         pipeline.pretrain_on(dataset)
         service = pipeline.match_service()
-        assert isinstance(service, ShardedMatchService)
+        assert isinstance(service, MatchService)
         assert service.num_shards == 2
         assert service.store is pipeline.store  # shared warm cache
 
-        unsharded = SudowoodoPipeline(tiny_config())
-        unsharded.pretrain_on(dataset)
-        assert not isinstance(unsharded.match_service(), ShardedMatchService)
-
-    def test_service_overrides_do_not_mutate_shared_config(self, encoder):
-        config = tiny_config(num_shards=2)
-        service = ShardedMatchService(encoder, config=config, num_shards=5)
-        assert service.num_shards == 5
-        assert config.num_shards == 2  # caller's config untouched
+    def test_pipeline_single_shard_service_gets_locked_backend(self, dataset):
+        """There is one service class: an unsharded pipeline's service
+        is thread-safe too, its live index behind a 1-shard wrapper."""
+        pipeline = SudowoodoPipeline(tiny_config())
+        pipeline.pretrain_on(dataset)
+        service = pipeline.match_service()
+        service.index_records(dataset.all_items()[:8])
+        assert isinstance(service._live_backend, ShardedBackend)
+        assert service._live_backend.num_shards == 1
 
     def test_single_shard_service_still_gets_locked_backend(
         self, dataset, encoder
     ):
         """Regression: with num_shards=1 the live backend used to be a
         raw (lock-free) inner backend, so searches raced mutations."""
-        service = ShardedMatchService(encoder, config=tiny_config(num_shards=1))
+        service = MatchService(encoder, config=tiny_config(num_shards=1))
         service.index_records(dataset.all_items()[:8])
         assert isinstance(service._live_backend, ShardedBackend)
         assert service._live_backend.num_shards == 1
@@ -532,10 +531,10 @@ class TestConfigAndRouting:
         from repro.serve import EmbeddingStore
 
         store = EmbeddingStore(encoder)
-        first = ShardedMatchService(
+        first = MatchService(
             encoder, config=tiny_config(num_shards=2), store=store
         )
-        second = ShardedMatchService(
+        second = MatchService(
             encoder, config=tiny_config(num_shards=3), store=store
         )
         assert first._store_lock is store.lock
@@ -548,7 +547,7 @@ class TestConfigAndRouting:
             np.zeros((len(texts), k), dtype=np.int64),
             np.zeros((len(texts), k)),
         )
-        coalescer = QueryCoalescer(run, window_ms=500.0, max_batch=4)
+        coalescer = RequestBroker(run, window_ms=500.0, max_batch=4)
         start = time.perf_counter()
         coalescer.submit(["a", "b", "c", "d"], k=1)  # fills max_batch alone
         assert time.perf_counter() - start < 0.25  # no 500 ms idle wait
