@@ -39,7 +39,7 @@ setup(
     # columns.clustering's connected components — both are imported
     # unconditionally by the repro.api surface.
     install_requires=["numpy>=1.22", "scipy>=1.8", "networkx>=2.6"],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: Artificial Intelligence",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +36,27 @@ from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder
 
 PathLike = Union[str, Path]
+
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """Replace ``path``'s content with ``text`` all-or-nothing.
+
+    The text goes to a temp file beside ``path`` (same filesystem),
+    is synced, and ``os.replace`` swaps it in — a reader, or a reopen
+    after a crash mid-write, sees the old file or the new one, never a
+    torn mix.  For small metadata files rewritten in place.
+    """
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        if temp.exists():  # only on failure before the rename
+            temp.unlink()
 
 
 def _resolve_npz(path: PathLike) -> Path:

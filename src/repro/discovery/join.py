@@ -22,21 +22,25 @@ which is why the ranking is invariant to ``num_shards`` for the exact
 backend (the sharded top-k provably equals the single-shard top-k, see
 ``repro.serve.sharding``) and fully deterministic everywhere else.
 
-Lake-scale mechanics (PR 10): the normalized column matrix is held in
-``config.store_dtype`` (not forced float64), backend queries and scoring
-run over **streamed batches** of ``config.discovery_batch_size`` columns
-(upcast to float64 per batch), containments come from the batched
-:meth:`~repro.serve.sketch.ContainmentSketch.intersection_many` kernel,
-and with ``top`` set a bounded heap keeps peak memory at O(top + batch)
-instead of O(all candidate pairs).  The batched scorer is byte-identical
-to the preserved per-pair scorer (``scorer="pairwise"``) — the
-determinism/shard-invariance contract above is the regression oracle,
-and ``benchmarks/bench_lake_scale_discovery.py`` asserts the parity.
+Lake-scale mechanics: the normalized column matrix is held in
+``config.store_dtype`` (not forced float64), and backend queries and
+scoring run over **streamed batches** of ``config.discovery_batch_size``
+columns (upcast to float64 per batch).  A batch of candidate pairs is
+scored in one shot — one einsum for the cosines, ONE call into the KMV
+pair kernel (:class:`~repro.serve.sketch.SketchTable`, built once per
+ranking) for the containments — and collected as arrays under integer
+pair keys; with ``top`` set the held rows are cut to the best ``top``
+after every batch, so peak memory is O(top + batch) instead of O(all
+candidate pairs), and ``JoinCandidate`` objects exist only for the final
+survivors.  The batched scorer is byte-identical to the preserved
+per-pair scorer (``scorer="pairwise"``, which shares none of that code)
+— the determinism/shard-invariance contract above is the regression
+oracle, and ``benchmarks/bench_lake_scale_discovery.py`` asserts the
+parity and a speed floor between the two.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,7 +50,7 @@ from ..api.results import JoinCandidate
 from ..core.config import SudowoodoConfig
 from ..data.records import Table, serialize_column
 from ..serve.backends import ANNBackend, build_backend
-from ..serve.sketch import ContainmentSketch
+from ..serve.sketch import ContainmentSketch, SketchTable
 
 #: A column reference: (table name, column name).
 ColumnRef = Tuple[str, str]
@@ -116,185 +120,176 @@ def _normalize_rows(
 # ----------------------------------------------------------------------
 # Candidate scoring (shared by the table path and the lake path)
 # ----------------------------------------------------------------------
-class _HeapEntry:
-    """Heap node ordered so the *worst* candidate is the heap minimum:
-    lower score is worse; on score ties the larger pair is worse (the
-    final ranking sorts by descending score, ascending pair)."""
-
-    __slots__ = ("score", "pair", "candidate")
-
-    def __init__(
-        self,
-        score: float,
-        pair: Tuple[ColumnRef, ColumnRef],
-        candidate: JoinCandidate,
-    ) -> None:
-        self.score = score
-        self.pair = pair
-        self.candidate = candidate
-
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        return (self.score, other.pair) < (other.score, self.pair)
-
-
 class _CandidateCollector:
-    """Accumulates scored candidates with cross-batch dedup.
+    """Accumulates scored pairs as arrays, deduplicated across batches.
 
-    With ``top`` set, a bounded min-heap of the ``top`` best candidates
-    keeps peak memory at O(top) no matter how many candidate pairs
-    stream through; without it every surviving candidate is kept (the
-    caller asked for the full ranking).  A pair proposed by both of its
-    endpoints' neighbour lists scores identically, so the second
-    occurrence is dropped.
+    A pair's key is ``rank_a * N + rank_b`` over the profiles' refs in
+    sorted order, so one integer carries both the dedup identity and the
+    ranking's tie-break.  A pair proposed by both of its endpoints'
+    neighbour lists scores identically; the first occurrence is kept.
+    With ``top`` set the held rows are cut back to the ``top`` best after
+    every batch — O(top + batch) peak memory however many pairs stream
+    through — and ``JoinCandidate`` objects are only built by
+    :meth:`ranked`, for the survivors.
     """
 
-    def __init__(self, top: Optional[int]) -> None:
-        if top is not None and top < 1:
-            raise ValueError("top must be positive or None")
+    def __init__(self, profiles: Sequence[ColumnProfile], top: Optional[int]) -> None:
         self.top = top
-        self._heap: List[_HeapEntry] = []
-        self._in_heap: Dict[Tuple[ColumnRef, ColumnRef], None] = {}
-        self._all: Dict[Tuple[ColumnRef, ColumnRef], JoinCandidate] = {}
+        self._profiles = profiles
+        order = {
+            ref: rank
+            for rank, ref in enumerate(sorted({p.ref for p in profiles}))
+        }
+        self._ref_rank = np.fromiter(
+            (order[p.ref] for p in profiles), np.int64, count=len(profiles)
+        )
+        # Columns: key, first row, second row, score, containment, cosine.
+        self._held: List[Tuple[np.ndarray, ...]] = []
 
-    def offer(self, candidate: JoinCandidate) -> None:
-        pair = candidate.pair
-        if self.top is None:
-            self._all.setdefault(pair, candidate)
-            return
-        if pair in self._in_heap:
-            return
-        entry = _HeapEntry(candidate.score, pair, candidate)
-        if len(self._heap) < self.top:
-            heapq.heappush(self._heap, entry)
-            self._in_heap[pair] = None
-        elif self._heap[0] < entry:
-            evicted = heapq.heappushpop(self._heap, entry)
-            del self._in_heap[evicted.pair]
-            self._in_heap[pair] = None
+    def offer(
+        self,
+        pairs: np.ndarray,
+        scores: np.ndarray,
+        containments: np.ndarray,
+        cosines: np.ndarray,
+    ) -> None:
+        left, right = pairs[:, 0], pairs[:, 1]
+        rank_left, rank_right = self._ref_rank[left], self._ref_rank[right]
+        swapped = rank_left > rank_right
+        keys = np.minimum(rank_left, rank_right) * len(self._profiles) + np.maximum(
+            rank_left, rank_right
+        )
+        self._held.append(
+            (
+                keys,
+                np.where(swapped, right, left),
+                np.where(swapped, left, right),
+                scores,
+                containments,
+                cosines,
+            )
+        )
+        if self.top is not None:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Merge the held batches: first occurrence per key, sorted by
+        descending score then ascending key, cut to ``top``."""
+        columns = [np.concatenate(column) for column in zip(*self._held)]
+        _, keep = np.unique(columns[0], return_index=True)  # key order
+        best = keep[np.argsort(-columns[3][keep], kind="stable")][: self.top]
+        self._held = [tuple(column[best] for column in columns)]
 
     def ranked(self) -> List[JoinCandidate]:
-        if self.top is None:
-            candidates = list(self._all.values())
-        else:
-            candidates = [entry.candidate for entry in self._heap]
-        candidates.sort(key=lambda c: (-c.score, c.pair))
-        return candidates
-
-
-def _make_candidate(
-    profiles: Sequence[ColumnProfile],
-    i: int,
-    j: int,
-    score: float,
-    containment: float,
-    cosine: float,
-) -> JoinCandidate:
-    first, second = sorted((profiles[i].ref, profiles[j].ref))
-    return JoinCandidate(
-        table_a=first[0],
-        column_a=first[1],
-        table_b=second[0],
-        column_b=second[1],
-        score=score,
-        containment=containment,
-        cosine=cosine,
-    )
+        if not self._held:
+            return []
+        self._compact()
+        _, first, second, scores, containments, cosines = (
+            column.tolist() for column in self._held[0]
+        )
+        profiles = self._profiles
+        return [
+            JoinCandidate(
+                table_a=profiles[a].table,
+                column_a=profiles[a].column,
+                table_b=profiles[b].table,
+                column_b=profiles[b].column,
+                score=score,
+                containment=containment,
+                cosine=cosine,
+            )
+            for a, b, score, containment, cosine in zip(
+                first, second, scores, containments, cosines
+            )
+        ]
 
 
 def _batch_containments(
-    profiles: Sequence[ColumnProfile], left: np.ndarray, right: np.ndarray
+    table: SketchTable, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
     """Symmetric containment ``max(|A∩B|/|A|, |A∩B|/|B|)`` for a batch of
-    pairs, grouped by left profile so each group runs ONE
-    ``intersection_many`` call instead of two ``containment`` calls per
-    pair.  The intersection estimate is symmetric, so both directions
-    come from the single batched pass — bit-identical to the scalar
-    two-call form."""
-    out = np.zeros(left.size, dtype=np.float64)
-    order = np.argsort(left, kind="stable")
-    sorted_left = left[order]
-    start = 0
-    while start < sorted_left.size:
-        stop = start
-        while stop < sorted_left.size and sorted_left[stop] == sorted_left[start]:
-            stop += 1
-        rows = order[start:stop]
-        anchor = profiles[int(sorted_left[start])].sketch
-        others = [profiles[int(j)].sketch for j in right[rows]]
-        intersections = anchor.intersection_many(others)
-        card_a = anchor.cardinality()
-        card_b = np.asarray([sketch.cardinality() for sketch in others])
-        forward = (
-            np.minimum(1.0, intersections / card_a)
-            if card_a > 0
-            else np.zeros(intersections.size)
-        )
-        safe_b = np.where(card_b > 0, card_b, 1.0)
-        backward = np.where(
-            card_b > 0, np.minimum(1.0, intersections / safe_b), 0.0
-        )
-        out[rows] = np.maximum(forward, backward)
-        start = stop
-    return out
+    row pairs of ``table``: ONE pair-kernel call, then both directions
+    from the (symmetric) intersection estimate — bit-identical to the
+    scalar two-call form."""
+    intersections = table.intersections(left, right)
+
+    def direction(cardinality: np.ndarray) -> np.ndarray:
+        nonempty = cardinality > 0
+        ratio = intersections / np.where(nonempty, cardinality, 1.0)
+        return np.where(nonempty, np.minimum(1.0, ratio), 0.0)
+
+    return np.maximum(
+        direction(table.cardinality[left]), direction(table.cardinality[right])
+    )
 
 
-def _score_batched(
+def _rank_batched(
     profiles: Sequence[ColumnProfile],
     normalized: np.ndarray,
-    pairs: np.ndarray,
+    pair_batches: Iterable[np.ndarray],
     alpha: float,
     min_score: float,
-    collector: _CandidateCollector,
-) -> None:
-    """Score a ``(B, 2)`` batch of candidate index pairs in one shot:
-    a single float64 einsum for every cosine, one grouped containment
-    pass, then elementwise blending."""
-    left, right = pairs[:, 0], pairs[:, 1]
-    left_rows = normalized[left].astype(np.float64, copy=False)
-    right_rows = normalized[right].astype(np.float64, copy=False)
-    cosines = np.einsum("ij,ij->i", left_rows, right_rows)
-    containments = _batch_containments(profiles, left, right)
-    scores = alpha * containments + (1.0 - alpha) * np.maximum(cosines, 0.0)
-    for position in range(pairs.shape[0]):
-        score = float(scores[position])
-        if score < min_score:
-            continue
+    top: Optional[int],
+) -> List[JoinCandidate]:
+    """Score each ``(B, 2)`` batch in one shot — a single float64 einsum
+    for every cosine, one containment kernel call over the ranking's
+    sketch table, elementwise blending and the ``min_score`` mask — and
+    collect the survivors as arrays."""
+    collector = _CandidateCollector(profiles, top)
+    table = SketchTable([profile.sketch for profile in profiles])
+    for pairs in pair_batches:
+        left, right = pairs[:, 0], pairs[:, 1]
+        left_rows = normalized[left].astype(np.float64, copy=False)
+        right_rows = normalized[right].astype(np.float64, copy=False)
+        cosines = np.einsum("ij,ij->i", left_rows, right_rows)
+        containments = _batch_containments(table, left, right)
+        scores = alpha * containments + (1.0 - alpha) * np.maximum(cosines, 0.0)
+        keep = ~(scores < min_score)
         collector.offer(
-            _make_candidate(
-                profiles,
-                int(left[position]),
-                int(right[position]),
-                score,
-                float(containments[position]),
-                float(cosines[position]),
+            pairs[keep], scores[keep], containments[keep], cosines[keep]
+        )
+    return collector.ranked()
+
+
+def _rank_pairwise(
+    profiles: Sequence[ColumnProfile],
+    normalized: np.ndarray,
+    pair_batches: Iterable[np.ndarray],
+    alpha: float,
+    min_score: float,
+    top: Optional[int],
+) -> List[JoinCandidate]:
+    """The legacy per-pair path — scalar set-based containments, a dict
+    keyed by the sorted ref pair, a Python sort — preserved as the
+    byte-identity oracle for :func:`_rank_batched` (it shares none of its
+    scoring or collecting code, and holds every candidate in memory)."""
+    seen: Dict[Tuple[ColumnRef, ColumnRef], JoinCandidate] = {}
+    for pairs in pair_batches:
+        for i, j in pairs.tolist():
+            first, second = sorted((profiles[i].ref, profiles[j].ref))
+            if (first, second) in seen:
+                continue
+            row_i = normalized[i : i + 1].astype(np.float64, copy=False)
+            row_j = normalized[j : j + 1].astype(np.float64, copy=False)
+            cosine = float(np.einsum("ij,ij->i", row_i, row_j)[0])
+            containment = max(
+                profiles[i].sketch.containment(profiles[j].sketch),
+                profiles[j].sketch.containment(profiles[i].sketch),
             )
-        )
-
-
-def _score_pairwise(
-    profiles: Sequence[ColumnProfile],
-    normalized: np.ndarray,
-    pairs: np.ndarray,
-    alpha: float,
-    min_score: float,
-    collector: _CandidateCollector,
-) -> None:
-    """The legacy per-pair scoring loop (one kernel call per candidate),
-    preserved as the byte-identity oracle for the batched path."""
-    for i, j in pairs.tolist():
-        row_i = normalized[i : i + 1].astype(np.float64, copy=False)
-        row_j = normalized[j : j + 1].astype(np.float64, copy=False)
-        cosine = float(np.einsum("ij,ij->i", row_i, row_j)[0])
-        containment = max(
-            profiles[i].sketch.containment(profiles[j].sketch),
-            profiles[j].sketch.containment(profiles[i].sketch),
-        )
-        score = alpha * containment + (1.0 - alpha) * max(cosine, 0.0)
-        if score < min_score:
-            continue
-        collector.offer(
-            _make_candidate(profiles, i, j, score, containment, cosine)
-        )
+            score = alpha * containment + (1.0 - alpha) * max(cosine, 0.0)
+            if score < min_score:
+                continue
+            seen[(first, second)] = JoinCandidate(
+                table_a=first[0],
+                column_a=first[1],
+                table_b=second[0],
+                column_b=second[1],
+                score=score,
+                containment=containment,
+                cosine=cosine,
+            )
+    ranked = sorted(seen.values(), key=lambda c: (-c.score, c.pair))
+    return ranked[:top]
 
 
 def score_candidate_batches(
@@ -311,8 +306,8 @@ def score_candidate_batches(
     This is the scoring half of :func:`rank_join_candidates`, exposed so
     the lake path (``repro.discovery.lake``) can feed candidates from a
     *live* incrementally-maintained index through the identical scorer.
-    Pairs must be canonical ``(min, max)`` rows; duplicates across
-    batches are deduplicated (they score identically).
+    Pairs must be canonical ``(min, max)`` rows; duplicates within or
+    across batches are deduplicated (they score identically).
     """
     if scorer not in SCORERS:
         raise ValueError(
@@ -320,14 +315,24 @@ def score_candidate_batches(
         )
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    score_batch = _score_batched if scorer == "batched" else _score_pairwise
-    collector = _CandidateCollector(top)
-    for pairs in pair_batches:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            continue
-        score_batch(profiles, normalized, pairs, alpha, min_score, collector)
-    return collector.ranked()
+    if top is not None and top < 1:
+        raise ValueError("top must be positive or None")
+    rank = _rank_batched if scorer == "batched" else _rank_pairwise
+    batches = (np.asarray(pairs, dtype=np.int64) for pairs in pair_batches)
+    nonempty = (pairs for pairs in batches if pairs.size)
+    return rank(profiles, normalized, nonempty, alpha, min_score, top)
+
+
+def _canonical_pairs(
+    query_rows: np.ndarray, partner_rows: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """Distinct ``(min, max)`` row pairs, in lexicographic order, deduped
+    on one integer key per pair."""
+    keys = np.unique(
+        np.minimum(query_rows, partner_rows) * num_rows
+        + np.maximum(query_rows, partner_rows)
+    )
+    return np.stack([keys // num_rows, keys % num_rows], axis=1)
 
 
 def iter_candidate_pairs(
@@ -362,15 +367,8 @@ def iter_candidate_pairs(
         if not include_intra_table:
             cross = table_codes[query_ids] != table_codes[partner_ids]
             query_ids, partner_ids = query_ids[cross], partner_ids[cross]
-        pairs = np.stack(
-            [
-                np.minimum(query_ids, partner_ids),
-                np.maximum(query_ids, partner_ids),
-            ],
-            axis=1,
-        )
-        if pairs.shape[0]:
-            yield np.unique(pairs, axis=0)
+        if query_ids.size:
+            yield _canonical_pairs(query_ids, partner_ids, n)
 
 
 def _table_codes(profiles: Sequence[ColumnProfile]) -> np.ndarray:

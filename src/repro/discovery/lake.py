@@ -11,6 +11,9 @@ tables.  This module makes discovery *incremental* end to end:
   ``EmbeddingStore`` already use), with the vectors in a
   :class:`~repro.serve.vecstore.MemmapVectorStore` instead of in-RAM
   float64 — a reopened store serves profiles without touching a table.
+  Entries live in an append-only journal, so caching a delta writes
+  O(delta) bytes, and a crash mid-write costs at most the entries being
+  written.
 * :func:`profile_lake` walks the current tables and recomputes **only**
   columns whose fingerprint is not already cached; everything else is
   byte-identical cache hits (sketches round-trip exactly, vectors come
@@ -34,14 +37,17 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -49,6 +55,7 @@ import numpy as np
 
 from ..api.results import JoinCandidate
 from ..core.config import SudowoodoConfig
+from ..core.persistence import atomic_write_text
 from ..data.records import Table, serialize_column
 from ..serve.backends import ANNBackend, build_backend
 from ..serve.sketch import ContainmentSketch
@@ -57,13 +64,15 @@ from ..utils.fingerprint import text_fingerprint
 from .join import (
     ColumnProfile,
     ColumnRef,
+    _canonical_pairs,
     _normalize_rows,
     _table_codes,
     score_candidate_batches,
 )
 
 _FORMAT_VERSION = 1
-_PROFILES_FILE = "profiles.json"
+_JOURNAL_FILE = "profiles.jsonl"
+_PROFILES_FILE = "profiles.json"  # pre-journal stores: one JSON document
 _VECTORS_DIR = "vectors"
 
 #: How values are joined before hashing — a non-printable separator so
@@ -85,6 +94,39 @@ def column_fingerprint(
     return text_fingerprint(payload)
 
 
+class _CachedColumn(NamedTuple):
+    """One store entry; ``sketch`` is the only in-memory copy of it."""
+
+    text: str
+    num_values: int
+    sketch: ContainmentSketch
+    vector_id: int
+
+    def to_json(self, fingerprint: str) -> str:
+        return json.dumps(
+            {
+                "fingerprint": fingerprint,
+                "text": self.text,
+                "num_values": self.num_values,
+                "sketch": self.sketch.to_dict(),
+                "vector_id": self.vector_id,
+            }
+        )
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "_CachedColumn":
+        """Malformed payloads raise ``KeyError``/``TypeError``/``ValueError``."""
+        vector_id = int(payload["vector_id"])  # type: ignore[call-overload]
+        if vector_id < 0:
+            raise ValueError(f"negative vector_id {vector_id}")
+        return cls(
+            text=str(payload["text"]),
+            num_values=int(payload["num_values"]),  # type: ignore[call-overload]
+            sketch=ContainmentSketch.from_dict(payload["sketch"]),  # type: ignore[arg-type]
+            vector_id=vector_id,
+        )
+
+
 class ProfileStore:
     """Persistent, content-addressed column-profile cache.
 
@@ -95,39 +137,68 @@ class ProfileStore:
     cost memmap pages, not RAM.  Entries are content-addressed —
     *identical columns in different tables share one entry* — and the
     table/column identity is re-attached at read time.
+
+    Entries persist in an append-only journal, ``profiles.jsonl``: a
+    header line (``format_version``, ``store_dtype``) then one JSON line
+    per entry, so :meth:`put_many` writes O(new entries) bytes whatever
+    the store holds.  Vectors are appended *before* their journal lines;
+    reopening replays the journal and drops only what a crash between
+    the two can leave — a torn final line, or entries whose vector row
+    was never recorded — compacting the journal when it does.  Anything
+    else malformed raises ``ValueError``.  A store written before the
+    journal existed (one ``profiles.json`` document) is still read, and
+    moves to the journal on its first write.
     """
 
     def __init__(self, path: Union[str, Path], store_dtype: str = "float32") -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.store_dtype = store_dtype
-        self._entries: Dict[str, Dict[str, object]] = {}
-        self._sketches: Dict[str, ContainmentSketch] = {}
+        self._entries: Dict[str, _CachedColumn] = {}
         self._vectors: Optional[MemmapVectorStore] = None
         self._load()
 
     def _load(self) -> None:
-        profiles_path = self.path / _PROFILES_FILE
-        if profiles_path.is_file():
-            try:
-                payload = json.loads(profiles_path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ValueError(
-                    f"corrupt profile store {profiles_path}: {error}"
-                ) from error
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format_version") != _FORMAT_VERSION
-                or not isinstance(payload.get("columns"), dict)
-            ):
-                raise ValueError(
-                    f"unsupported profile store format in {profiles_path}"
-                )
-            self.store_dtype = str(payload.get("store_dtype", self.store_dtype))
-            self._entries = payload["columns"]
         vectors_dir = self.path / _VECTORS_DIR
         if vectors_dir.is_dir():
             self._vectors = MemmapVectorStore.open(vectors_dir)
+        journal = self.path / _JOURNAL_FILE
+        source = journal if journal.is_file() else self.path / _PROFILES_FILE
+        if not source.is_file():
+            return
+        parse = _parse_journal if source is journal else _parse_legacy
+        try:
+            header, payloads, torn = parse(source.read_text(encoding="utf-8"))
+        except (OSError, TypeError, ValueError) as error:  # bad bytes, bad JSON
+            raise ValueError(f"corrupt profile store {source}: {error}") from error
+        if (
+            not isinstance(header, dict)
+            or header.get("format_version") != _FORMAT_VERSION
+        ):
+            raise ValueError(f"unsupported profile store format in {source}")
+        self.store_dtype = str(header.get("store_dtype", self.store_dtype))
+        try:
+            for payload in payloads:
+                fingerprint = str(payload["fingerprint"])
+                if fingerprint in self._entries:
+                    raise ValueError(f"duplicate fingerprint {fingerprint}")
+                self._entries[fingerprint] = _CachedColumn.from_payload(payload)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"corrupt profile store {source}: {error}") from error
+        # Vectors are appended before their journal lines, so a crash can
+        # leave a torn last line or lines whose vector row was not recorded
+        # — never a hole: drop those, and compact so a later append cannot
+        # land behind the fragment or hand a dropped row id out again.
+        stored = len(self._vectors) if self._vectors is not None else 0
+        orphaned = [
+            fingerprint
+            for fingerprint, entry in self._entries.items()
+            if entry.vector_id >= stored
+        ]
+        for fingerprint in orphaned:
+            del self._entries[fingerprint]
+        if source is journal and (torn or orphaned):
+            self._rewrite_journal()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,7 +211,7 @@ class ProfileStore:
         """On-disk bytes of the cached embeddings."""
         return self._vectors.nbytes if self._vectors is not None else 0
 
-    def _entry(self, fingerprint: str) -> Dict[str, object]:
+    def _entry(self, fingerprint: str) -> _CachedColumn:
         entry = self._entries.get(fingerprint)
         if entry is None:
             raise KeyError(f"unknown column fingerprint: {fingerprint}")
@@ -150,16 +221,12 @@ class ProfileStore:
         """The cached profile under ``fingerprint``, re-attached to the
         given table/column identity (entries are content-addressed)."""
         entry = self._entry(fingerprint)
-        sketch = self._sketches.get(fingerprint)
-        if sketch is None:
-            sketch = ContainmentSketch.from_dict(entry["sketch"])  # type: ignore[arg-type]
-            self._sketches[fingerprint] = sketch
         return ColumnProfile(
             table=table,
             column=column,
-            text=str(entry["text"]),
-            sketch=sketch,
-            num_values=int(entry["num_values"]),  # type: ignore[arg-type]
+            text=entry.text,
+            sketch=entry.sketch,
+            num_values=entry.num_values,
         )
 
     def vectors(self, fingerprints: Sequence[str]) -> np.ndarray:
@@ -169,8 +236,7 @@ class ProfileStore:
             return np.zeros((0, 0), dtype=np.float32)
         if self._vectors is None:
             raise KeyError("profile store holds no vectors yet")
-        rows = [int(self._entry(fp)["vector_id"]) for fp in fingerprints]  # type: ignore[arg-type]
-        return self._vectors.get(rows)
+        return self._vectors.get([self._entry(fp).vector_id for fp in fingerprints])
 
     def put_many(
         self,
@@ -202,28 +268,58 @@ class ProfileStore:
         start = len(self._vectors)
         ids = list(range(start, start + len(fingerprints)))
         self._vectors.append(ids, vectors)
-        for fingerprint, profile, vector_id in zip(fingerprints, profiles, ids):
-            self._entries[fingerprint] = {
-                "text": profile.text,
-                "num_values": profile.num_values,
-                "sketch": profile.sketch.to_dict(),
-                "vector_id": vector_id,
-            }
-            self._sketches[fingerprint] = profile.sketch
-        self.flush()
+        fresh = {
+            fingerprint: _CachedColumn(
+                profile.text, profile.num_values, profile.sketch, vector_id
+            )
+            for fingerprint, profile, vector_id in zip(fingerprints, profiles, ids)
+        }
+        self._entries.update(fresh)
+        journal = self.path / _JOURNAL_FILE
+        if not journal.is_file():
+            self._rewrite_journal()  # a new store, or one moving off profiles.json
+            return
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write(_journal_lines(fresh))
 
-    def flush(self) -> None:
-        """Persist the profile entries (vectors flush on append)."""
-        (self.path / _PROFILES_FILE).write_text(
-            json.dumps(
-                {
-                    "format_version": _FORMAT_VERSION,
-                    "store_dtype": self.store_dtype,
-                    "columns": self._entries,
-                }
-            ),
-            encoding="utf-8",
+    def _rewrite_journal(self) -> None:
+        """Write header + every live entry, atomically."""
+        header = json.dumps(
+            {"format_version": _FORMAT_VERSION, "store_dtype": self.store_dtype}
         )
+        atomic_write_text(
+            self.path / _JOURNAL_FILE, header + "\n" + _journal_lines(self._entries)
+        )
+
+
+def _journal_lines(entries: Dict[str, _CachedColumn]) -> str:
+    return "".join(
+        entry.to_json(fingerprint) + "\n" for fingerprint, entry in entries.items()
+    )
+
+
+def _parse_journal(text: str) -> Tuple[object, List[Dict[str, object]], bool]:
+    """``(header, entry payloads, torn)`` of a journal's text.  Only the
+    final line can be torn by a crash mid-append — it is whatever follows
+    the last newline — so it alone is skipped; a bad line anywhere else
+    raises ``ValueError``."""
+    lines = text.split("\n")
+    torn = bool(lines.pop())
+    documents = [json.loads(line) for line in lines]
+    return (documents[0] if documents else None), documents[1:], torn
+
+
+def _parse_legacy(text: str) -> Tuple[object, List[Dict[str, object]], bool]:
+    """The same triple from a pre-journal ``profiles.json`` document."""
+    document = json.loads(text)
+    columns = document.get("columns") if isinstance(document, dict) else None
+    if not isinstance(columns, dict):
+        return None, [], False
+    payloads = [
+        {"fingerprint": fingerprint, **entry}
+        for fingerprint, entry in columns.items()
+    ]
+    return document, payloads, False
 
 
 @dataclass
@@ -243,6 +339,12 @@ class LakeProfile:
     reused: int
     computed: int
     computed_refs: List[ColumnRef]
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """``vectors`` unit-normalized in float64 — computed once, shared
+        by the index update and the ranking of this pass."""
+        return _normalize_rows(self.vectors)
 
 
 def profile_lake(
@@ -327,6 +429,9 @@ class LakeIndex:
         self._ref_to_id: Dict[ColumnRef, int] = {}
         self._ref_fp: Dict[ColumnRef, str] = {}
         self._next_id = 0
+        # Of the lake last synced: stable id -> row, and table id per row.
+        self._id_to_row = np.empty(0, dtype=np.int64)
+        self._table_codes = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._ref_to_id)
@@ -334,7 +439,7 @@ class LakeIndex:
     def update(self, lake: LakeProfile) -> Dict[str, int]:
         """Sync the index to ``lake``; returns the delta accounting
         (``added`` / ``updated`` / ``removed`` / ``unchanged``)."""
-        normalized = _normalize_rows(lake.vectors)
+        normalized = lake.normalized
         current: Dict[ColumnRef, int] = {
             profile.ref: row for row, profile in enumerate(lake.profiles)
         }
@@ -343,11 +448,10 @@ class LakeIndex:
         if self._backend is None:
             self._backend = build_backend(self.config, sharded=True)
             self._backend.build(normalized)  # ids 0..N-1, trains IVF-PQ
-            self._ref_to_id = dict(
-                zip((p.ref for p in lake.profiles), range(len(lake.profiles)))
-            )
-            self._ref_fp = dict(zip(self._ref_to_id, lake.fingerprints))
+            self._ref_to_id = dict(current)
+            self._ref_fp = dict(zip(current, lake.fingerprints))
             self._next_id = len(lake.profiles)
+            self._map_rows(lake, current)
             return {
                 "added": len(lake.profiles),
                 "updated": 0,
@@ -377,12 +481,23 @@ class LakeIndex:
             for ref, stable_id in zip(fresh, fresh_ids):
                 self._ref_to_id[ref] = stable_id
                 self._ref_fp[ref] = lake.fingerprints[current[ref]]
+        self._map_rows(lake, current)
         return {
             "added": len(added),
             "updated": len(updated),
             "removed": len(removed),
             "unchanged": len(current) - len(added) - len(updated),
         }
+
+    def _map_rows(self, lake: LakeProfile, current: Dict[ColumnRef, int]) -> None:
+        """Once per synced lake, what the candidate stream needs of it:
+        every indexed ref is in ``current`` now, so stable id -> row is a
+        total map."""
+        self._id_to_row = np.full(self._next_id, -1, dtype=np.int64)
+        self._id_to_row[list(self._ref_to_id.values())] = [
+            current[ref] for ref in self._ref_to_id
+        ]
+        self._table_codes = _table_codes(lake.profiles)
 
     def iter_candidate_pairs(
         self,
@@ -394,21 +509,20 @@ class LakeIndex:
     ) -> Iterator[np.ndarray]:
         """Stream canonical candidate index pairs (positions into
         ``profiles``) from the live backend, ``batch_size`` queries at a
-        time.  The backend answers in stable ids; they are translated to
-        current row positions, so callers score against the *exact*
-        current vectors and sketches."""
+        time.  ``profiles`` must be those of the lake last passed to
+        :meth:`update`: the backend answers in stable ids, which that
+        update mapped to the lake's row positions, so callers score
+        against the *exact* current vectors and sketches."""
         if self._backend is None:
             raise RuntimeError("lake index is empty; call update() first")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        positions = np.full(max(self._next_id, 1), -1, dtype=np.int64)
-        by_ref = {profile.ref: row for row, profile in enumerate(profiles)}
-        for ref, stable_id in self._ref_to_id.items():
-            row = by_ref.get(ref)
-            if row is not None:
-                positions[stable_id] = row
         n = len(profiles)
-        table_codes = _table_codes(profiles)
+        if n != self._table_codes.size:
+            raise ValueError(
+                f"{n} profiles but the index was last updated with "
+                f"{self._table_codes.size}; call update() with this lake first"
+            )
         kq = min(k + 1, len(self._ref_to_id))
         if kq < 1:
             return
@@ -417,22 +531,15 @@ class LakeIndex:
             block = np.asarray(normalized[start:stop], dtype=np.float64)
             neighbor_ids, _ = self._backend.query(block, kq)
             flat = neighbor_ids.reshape(-1).astype(np.int64)
-            partner_rows = np.where(flat >= 0, positions[np.maximum(flat, 0)], -1)
+            partner_rows = np.where(flat >= 0, self._id_to_row[np.maximum(flat, 0)], -1)
             query_rows = np.repeat(np.arange(start, stop, dtype=np.int64), kq)
             valid = (partner_rows >= 0) & (partner_rows != query_rows)
             query_rows, partner_rows = query_rows[valid], partner_rows[valid]
             if not include_intra_table:
-                cross = table_codes[query_rows] != table_codes[partner_rows]
+                cross = self._table_codes[query_rows] != self._table_codes[partner_rows]
                 query_rows, partner_rows = query_rows[cross], partner_rows[cross]
-            pairs = np.stack(
-                [
-                    np.minimum(query_rows, partner_rows),
-                    np.maximum(query_rows, partner_rows),
-                ],
-                axis=1,
-            )
-            if pairs.shape[0]:
-                yield np.unique(pairs, axis=0)
+            if query_rows.size:
+                yield _canonical_pairs(query_rows, partner_rows, n)
 
 
 def rank_lake_candidates(
@@ -456,7 +563,7 @@ def rank_lake_candidates(
     tie-breaks, batched output byte-identical to ``scorer="pairwise"``.
     """
     config = config or index.config
-    normalized = _normalize_rows(lake.vectors, dtype=np.dtype(config.store_dtype))
+    normalized = lake.normalized.astype(np.dtype(config.store_dtype), copy=False)
     batches = index.iter_candidate_pairs(
         lake.profiles,
         normalized,

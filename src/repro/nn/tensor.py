@@ -122,28 +122,31 @@ class _ScratchPool(threading.local):
 
     Fused kernels ask the pool for *internal* temporaries (attention score
     matrices, layer-norm centering buffers) instead of allocating fresh
-    arrays on every call; because encode batches repeat the same shapes
-    layer after layer, each (shape, dtype) slot is allocated once and then
-    recycled for the rest of the process.  Buffers never escape the op
-    that borrowed them, and the pool is thread-local, so reuse is safe
-    even under concurrent serving traffic.
+    arrays on every call.  The pool keeps ONE flat grow-only buffer per
+    ``(dtype, slot)`` and hands out reshaped prefixes of it, so its
+    footprint is bounded by the largest request per slot no matter how
+    many distinct batch shapes the process encodes.  Buffers never escape
+    the op that borrowed them, and the pool is thread-local, so reuse is
+    safe even under concurrent serving traffic.
     """
 
     def __init__(self) -> None:
         self.buffers: dict = {}
 
     def take(self, shape: Tuple[int, ...], dtype, slot: int = 0) -> np.ndarray:
-        """Borrow the reusable buffer for ``(shape, dtype)``.
+        """Borrow a ``shape``-shaped view of the ``(dtype, slot)`` buffer.
 
-        ``slot`` distinguishes buffers an op needs *simultaneously* at the
-        same shape/dtype (the pool hands back the same array per key).
+        Two takes on the same slot alias each other *whatever their
+        shapes*: buffers an op holds simultaneously must use distinct
+        slots.
         """
-        key = (shape, np.dtype(dtype), slot)
+        key = (np.dtype(dtype), slot)
+        size = math.prod(shape)
         buffer = self.buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
+        if buffer is None or buffer.size < size:
+            buffer = np.empty(size, dtype=dtype)
             self.buffers[key] = buffer
-        return buffer
+        return buffer[:size].reshape(shape)
 
 
 _SCRATCH = _ScratchPool()
@@ -956,7 +959,7 @@ def attention_scores(
         # the same result (max is associative and commutative), ~3x
         # faster than numpy's small-row axis reduction on this shape.
         flat = scores.reshape(-1, scores.shape[-1])
-        row_max = _SCRATCH.take((flat.shape[0],), scores.dtype)
+        row_max = _SCRATCH.take((flat.shape[0],), scores.dtype, slot=1)
         np.copyto(row_max, flat[:, 0])
         for column in range(1, flat.shape[1]):
             np.maximum(row_max, flat[:, column], out=row_max)

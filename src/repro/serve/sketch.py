@@ -33,10 +33,17 @@ from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["ContainmentSketch"]
+__all__ = ["ContainmentSketch", "SketchTable"]
 
 #: Hash width: 64 bits, normalized into [0, 1) for the KMV estimators.
 _HASH_SPACE = float(1 << 64)
+
+#: Padding for the pair kernel's sort; rows are cut by *length*, so a
+#: genuine hash with this value is still counted.
+_PAD = np.uint64((1 << 64) - 1)
+
+#: Matrix cells one pair-kernel pass may hold (8 MiB of uint64).
+_KERNEL_CELLS = 1 << 20
 
 
 def _stable_hash(value: str) -> int:
@@ -63,7 +70,8 @@ class ContainmentSketch:
         if k < 1:
             raise ValueError("sketch size k must be >= 1")
         self.k = k
-        self._hashes: List[int] = []  # sorted ascending, at most k entries
+        # Sorted ascending, distinct, at most k entries.
+        self._hashes = np.empty(0, dtype=np.uint64)
         self._distinct = 0  # exact while <= k, then lower bound
 
     @classmethod
@@ -76,21 +84,15 @@ class ContainmentSketch:
     def update(self, values: Iterable[str]) -> "ContainmentSketch":
         """Fold more values into the sketch (duplicates and empties are
         ignored — sketches describe *sets* of cell values)."""
-        seen = set(self._hashes)
-        merged = False
-        for value in values:
-            if not value:
-                continue
-            hashed = _stable_hash(value)
-            if hashed in seen:
-                continue
-            seen.add(hashed)
-            self._hashes.append(hashed)
-            self._distinct += 1
-            merged = True
-        if merged:
-            self._hashes.sort()
-            del self._hashes[self.k :]
+        fresh = {_stable_hash(value) for value in values if value}
+        fresh.difference_update(self._hashes.tolist())
+        if fresh:
+            self._distinct += len(fresh)
+            merged = np.concatenate(
+                [self._hashes, np.fromiter(fresh, np.uint64, count=len(fresh))]
+            )
+            merged.sort()
+            self._hashes = merged[: self.k].copy()
         return self
 
     def __len__(self) -> int:
@@ -108,15 +110,18 @@ class ContainmentSketch:
         if self.is_exact:
             return float(self._distinct)
         # KMV estimator: E[|A|] = (k - 1) / h_(k), h normalized to [0, 1).
-        kth = self._hashes[-1] / _HASH_SPACE
+        kth = int(self._hashes[-1]) / _HASH_SPACE
         return (self.k - 1) / kth if kth > 0 else float(self._distinct)
 
     # ------------------------------------------------------------------
     # Pairwise estimators
     # ------------------------------------------------------------------
+    def _hash_set(self) -> set:
+        return set(self._hashes.tolist())
+
     def _union_bottom(self, other: "ContainmentSketch") -> List[int]:
         """Bottom-min(k_a, k_b) hashes of the union of both sketches."""
-        merged = sorted(set(self._hashes) | set(other._hashes))
+        merged = sorted(self._hash_set() | other._hash_set())
         return merged[: min(self.k, other.k)]
 
     def jaccard(self, other: "ContainmentSketch") -> float:
@@ -129,8 +134,8 @@ class ContainmentSketch:
         bottom = self._union_bottom(other)
         if not bottom:
             return 0.0
-        mine = set(self._hashes)
-        theirs = set(other._hashes)
+        mine = self._hash_set()
+        theirs = other._hash_set()
         shared = sum(1 for h in bottom if h in mine and h in theirs)
         return shared / len(bottom)
 
@@ -140,7 +145,7 @@ class ContainmentSketch:
         if not bottom:
             return 0.0
         if self.is_exact and other.is_exact:
-            return float(len(set(self._hashes) | set(other._hashes)))
+            return float(len(self._hash_set() | other._hash_set()))
         kth = bottom[-1] / _HASH_SPACE
         return (len(bottom) - 1) / kth if kth > 0 else float(len(bottom))
 
@@ -163,46 +168,32 @@ class ContainmentSketch:
     # ------------------------------------------------------------------
     # Batched estimators (the join-discovery scoring hot path)
     # ------------------------------------------------------------------
+    @staticmethod
+    def intersection_pairs(
+        lefts: Sequence["ContainmentSketch"],
+        rights: Sequence["ContainmentSketch"],
+    ) -> np.ndarray:
+        """``|lefts[p] ∩ rights[p]|`` estimates for every pair at once.
+
+        Bit-identical to ``lefts[p].intersection(rights[p])`` — the same
+        bottom-k, the same exactness check, the same KMV formula — which
+        is what keeps batch-scored join rankings byte-equal to the
+        per-pair scorer.  Callers scoring many pairs over few sketches
+        build one :class:`SketchTable` and index into it instead.
+        """
+        if len(lefts) != len(rights):
+            raise ValueError("lefts and rights must pair up")
+        table = SketchTable([*lefts, *rights])
+        pairs = np.arange(len(lefts), dtype=np.int64)
+        return table.intersections(pairs, pairs + len(lefts))
+
     def intersection_many(
         self, others: Sequence["ContainmentSketch"]
     ) -> np.ndarray:
-        """``|self ∩ other|`` estimates against many sketches at once.
-
-        One call replaces ``len(others)`` :meth:`intersection` calls:
-        this sketch's hash array is materialized once and each pairwise
-        union/membership step runs as a vectorized numpy set operation.
-        Estimates are bit-identical to the scalar path — the same
-        bottom-k, the same exactness check, the same KMV formula — which
-        is what keeps batch-scored join rankings byte-equal to the
-        per-pair scorer.
-        """
-        out = np.zeros(len(others), dtype=np.float64)
-        if not self._hashes:
-            return out
-        mine = np.asarray(self._hashes, dtype=np.uint64)
-        exact = self.is_exact
-        for position, other in enumerate(others):
-            if not other._hashes:
-                continue
-            theirs = np.asarray(other._hashes, dtype=np.uint64)
-            merged = np.union1d(mine, theirs)
-            bottom = merged[: min(self.k, other.k)]
-            shared = int(
-                np.count_nonzero(
-                    np.isin(bottom, mine, assume_unique=True)
-                    & np.isin(bottom, theirs, assume_unique=True)
-                )
-            )
-            jaccard = shared / bottom.size
-            if exact and other.is_exact:
-                union_card = float(merged.size)
-            else:
-                kth = float(bottom[-1]) / _HASH_SPACE
-                union_card = (
-                    (bottom.size - 1) / kth if kth > 0 else float(bottom.size)
-                )
-            out[position] = jaccard * union_card
-        return out
+        """``|self ∩ other|`` estimates against many sketches at once."""
+        table = SketchTable([self, *others])
+        rights = np.arange(1, len(others) + 1, dtype=np.int64)
+        return table.intersections(np.zeros_like(rights), rights)
 
     def containment_many(
         self, others: Sequence["ContainmentSketch"]
@@ -222,7 +213,7 @@ class ContainmentSketch:
         return {
             "k": self.k,
             "distinct": self._distinct,
-            "hashes": list(self._hashes),
+            "hashes": self._hashes.tolist(),
         }
 
     @classmethod
@@ -239,9 +230,88 @@ class ContainmentSketch:
             hashes = [int(h) for h in payload["hashes"]]
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"corrupt sketch payload: {error}") from error
-        if distinct < 0 or len(hashes) > k or any(h < 0 for h in hashes):
+        if (
+            distinct < 0
+            or len(hashes) > k
+            or len(set(hashes)) != len(hashes)
+            or any(not 0 <= h < (1 << 64) for h in hashes)
+        ):
             raise ValueError("corrupt sketch payload: inconsistent fields")
         sketch = cls(k)
-        sketch._hashes = sorted(hashes)
+        sketch._hashes = np.sort(np.asarray(hashes, dtype=np.uint64))
         sketch._distinct = distinct
         return sketch
+
+
+class SketchTable:
+    """``N`` sketches laid out as arrays, so pair estimators index rows.
+
+    ``hashes`` is the ``(N, L)`` matrix of sorted bottom-k hashes (``L``
+    the longest sketch, shorter rows padded; ``lengths`` says where each
+    row ends), beside each sketch's ``k``, exactness flag and cardinality
+    estimate.  Join scoring builds one table per ranking call and scores
+    every candidate batch by row index.
+    """
+
+    def __init__(self, sketches: Sequence[ContainmentSketch]) -> None:
+        count = len(sketches)
+        self.lengths = np.fromiter(
+            (s._hashes.size for s in sketches), np.int64, count=count
+        )
+        self.k = np.fromiter((s.k for s in sketches), np.int64, count=count)
+        self.exact = np.fromiter((s.is_exact for s in sketches), bool, count=count)
+        self.cardinality = np.fromiter(
+            (s.cardinality() for s in sketches), np.float64, count=count
+        )
+        width = int(self.lengths.max()) if count else 0
+        self.hashes = np.zeros((count, width), dtype=np.uint64)
+        if width:
+            filled = np.arange(width) < self.lengths[:, None]
+            self.hashes[filled] = np.concatenate([s._hashes for s in sketches])
+
+    def intersections(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``|A ∩ B|`` estimates for the row pairs ``(left[p], right[p])``,
+        bit-identical to :meth:`ContainmentSketch.intersection`."""
+        out = np.zeros(left.size, dtype=np.float64)
+        step = max(1, _KERNEL_CELLS // max(1, 2 * self.hashes.shape[1]))
+        for start in range(0, left.size, step):
+            stop = start + step
+            out[start:stop] = self._intersections(left[start:stop], right[start:stop])
+        return out
+
+    def _intersections(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        len_a, len_b = self.lengths[left], self.lengths[right]
+        width_a, width_b = int(len_a.max()), int(len_b.max())
+        if not (width_a and width_b):
+            return np.zeros(left.size, dtype=np.float64)
+        # One (P, La+Lb) matrix: both sketches of a pair side by side,
+        # cells past a sketch's length padded, then ONE row-wise sort.
+        # The first len_a+len_b cells of a sorted row are its real hashes
+        # whatever their values, so validity never reads a sentinel.
+        merged = np.concatenate(
+            [self.hashes[left, :width_a], self.hashes[right, :width_b]], axis=1
+        )
+        columns = np.arange(width_a + width_b)
+        merged[:, :width_a][columns[:width_a] >= len_a[:, None]] = _PAD
+        merged[:, width_a:][columns[:width_b] >= len_b[:, None]] = _PAD
+        merged.sort(axis=1)
+        valid = columns < (len_a + len_b)[:, None]
+        # A sketch holds distinct hashes, so a cell equal to its left
+        # neighbour is the second copy of a hash present on both sides.
+        repeat = np.zeros(merged.shape, dtype=bool)
+        repeat[:, 1:] = (merged[:, 1:] == merged[:, :-1]) & valid[:, 1:]
+        rank = np.cumsum(valid & ~repeat, axis=1)  # 1-based, over distinct hashes
+        union = rank[:, -1]
+        bottom = np.minimum(union, np.minimum(self.k[left], self.k[right]))
+        shared = np.count_nonzero(repeat & (rank <= bottom[:, None]), axis=1)
+        kth_hash = np.max(
+            merged, axis=1, where=valid & (rank == bottom[:, None]), initial=0
+        )
+        kth = kth_hash.astype(np.float64) / _HASH_SPACE
+        size = np.maximum(bottom, 1).astype(np.float64)
+        union_card = np.where(
+            self.exact[left] & self.exact[right],
+            union.astype(np.float64),
+            np.where(kth > 0, (size - 1.0) / np.where(kth > 0, kth, 1.0), size),
+        )
+        return (shared / size) * union_card  # jaccard x union size

@@ -42,6 +42,8 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.persistence import atomic_write_text
+
 PathLike = Union[str, Path]
 
 #: Supported storage element types and their bytes/value.
@@ -247,7 +249,8 @@ class MemmapVectorStore:
 
     def flush(self) -> None:
         """Persist metadata (the data files are already on disk)."""
-        (self.path / _META).write_text(
+        atomic_write_text(
+            self.path / _META,
             json.dumps(
                 {
                     "format_version": _FORMAT_VERSION,
@@ -256,7 +259,6 @@ class MemmapVectorStore:
                     "size": self._size,
                 }
             ),
-            encoding="utf-8",
         )
 
     # ------------------------------------------------------------------

@@ -175,3 +175,29 @@ class TestVectorCache:
         )
         with pytest.raises(ValueError, match="corrupt"):
             load_vector_cache(path)
+
+
+class TestAtomicWriteText:
+    def test_replaces_content_and_leaves_no_temp_file(self, tmp_path):
+        from repro.core.persistence import atomic_write_text
+
+        target = tmp_path / "meta.json"
+        atomic_write_text(target, "first")
+        atomic_write_text(target, "second")
+        assert target.read_text(encoding="utf-8") == "second"
+        assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        from repro.core import persistence
+
+        target = tmp_path / "meta.json"
+        persistence.atomic_write_text(target, "old")
+
+        def crash(descriptor):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persistence.os, "fsync", crash)
+        with pytest.raises(OSError, match="disk full"):
+            persistence.atomic_write_text(target, "new, never completed")
+        assert target.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]

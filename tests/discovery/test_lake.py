@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import SudowoodoConfig
 from repro.data.generators import generate_lake, mutate_lake
 from repro.discovery import (
+    ColumnProfile,
     LakeIndex,
     ProfileStore,
     column_fingerprint,
@@ -19,6 +20,7 @@ from repro.discovery import (
     rank_join_candidates,
     rank_lake_candidates,
 )
+from repro.serve import ContainmentSketch
 
 EMBED = hashed_embedder(dim=32)
 
@@ -88,6 +90,122 @@ class TestProfileStore:
         )
         with pytest.raises(ValueError, match="unsupported profile store"):
             ProfileStore(path)
+
+
+class TestProfileJournal:
+    """``profiles.jsonl``: O(delta) appends, replay on reopen, and the
+    two things a crash can leave behind."""
+
+    def _filled(self, path, lake_tables):
+        store = ProfileStore(path)
+        lake = profile_lake(lake_tables.tables, store, EMBED)
+        return store, lake
+
+    def _column(self, index, k=16):
+        values = [f"value-{index}-{j}" for j in range(6)]
+        sketch = ContainmentSketch.from_values(values, k=k)
+        return ColumnProfile("t", f"c{index}", " ".join(values), sketch, len(values))
+
+    def test_reopen_replays_every_entry(self, tmp_path, lake_tables):
+        store, lake = self._filled(tmp_path / "cache", lake_tables)
+        reopened = ProfileStore(tmp_path / "cache")
+        assert len(reopened) == len(store)
+        for fingerprint in lake.fingerprints:
+            ours = store.profile(fingerprint, "t", "c")
+            theirs = reopened.profile(fingerprint, "t", "c")
+            assert ours.text == theirs.text
+            assert ours.num_values == theirs.num_values
+            assert ours.sketch.to_dict() == theirs.sketch.to_dict()
+        np.testing.assert_array_equal(
+            store.vectors(lake.fingerprints), reopened.vectors(lake.fingerprints)
+        )
+
+    def test_put_many_bytes_independent_of_store_size(self, tmp_path):
+        store = ProfileStore(tmp_path / "cache")
+        journal = tmp_path / "cache" / "profiles.jsonl"
+        grown = []
+        for batch in range(6):
+            columns = [self._column(batch * 50 + i) for i in range(50 if batch % 2 else 2)]
+            fingerprints = [f"fp-{batch}-{i:03d}" for i in range(len(columns))]
+            before = journal.stat().st_size if journal.is_file() else 0
+            store.put_many(fingerprints, columns, np.ones((len(columns), 4)))
+            grown.append((len(columns), journal.stat().st_size - before))
+        # Two-entry appends cost the same bytes (within the width of a
+        # vector id) whether the store holds 2 entries or 100+.
+        small = [size for count, size in grown[2:] if count == 2]
+        assert max(small) - min(small) <= 4
+        assert max(small) < min(size for count, size in grown if count == 50) / 10
+
+    def test_torn_final_line_is_dropped_and_compacted(self, tmp_path, lake_tables):
+        store, lake = self._filled(tmp_path / "cache", lake_tables)
+        journal = tmp_path / "cache" / "profiles.jsonl"
+        whole = journal.read_bytes()
+        last_line = whole.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        journal.write_bytes(whole[: -len(last_line) // 2])  # crash mid-append
+        recovered = ProfileStore(tmp_path / "cache")
+        assert len(recovered) == len(store) - 1
+        assert journal.read_bytes().endswith(b"}\n")  # fragment gone
+        # The lost column is simply re-profiled; nothing else recomputes.
+        warm = profile_lake(lake_tables.tables, recovered, EMBED)
+        assert warm.computed >= 1
+        assert warm.reused == len(warm.profiles) - warm.computed
+        assert len(ProfileStore(tmp_path / "cache")) == len(store)
+
+    def test_entry_without_a_vector_row_is_dropped(self, tmp_path):
+        store = ProfileStore(tmp_path / "cache")
+        store.put_many(["fp-a"], [self._column(0)], np.ones((1, 4)))
+        journal = tmp_path / "cache" / "profiles.jsonl"
+        ahead = json.loads(journal.read_text().splitlines()[1])
+        ahead.update(fingerprint="fp-b", vector_id=1)  # its vector never landed
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(ahead) + "\n")
+        recovered = ProfileStore(tmp_path / "cache")
+        assert "fp-a" in recovered and "fp-b" not in recovered
+        # Row id 1 is handed out again; the dropped line must not come
+        # back to claim it on the next reopen.
+        recovered.put_many(["fp-c"], [self._column(2)], np.full((1, 4), 2.0))
+        final = ProfileStore(tmp_path / "cache")
+        assert "fp-b" not in final
+        np.testing.assert_array_equal(final.vectors(["fp-c"]), np.full((1, 4), 2.0))
+
+    @pytest.mark.parametrize("damage", ["middle", "header", "duplicate"])
+    def test_other_damage_raises(self, tmp_path, lake_tables, damage):
+        self._filled(tmp_path / "cache", lake_tables)
+        journal = tmp_path / "cache" / "profiles.jsonl"
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        if damage == "middle":
+            lines[3] = lines[3][:20]
+        elif damage == "header":
+            lines[0] = json.dumps({"format_version": 99})
+        else:
+            lines.append(lines[1])
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        match = "unsupported" if damage == "header" else "corrupt profile store"
+        with pytest.raises(ValueError, match=match):
+            ProfileStore(tmp_path / "cache")
+
+    def test_legacy_document_is_read_then_journaled(self, tmp_path, lake_tables):
+        store, lake = self._filled(tmp_path / "cache", lake_tables)
+        journal = tmp_path / "cache" / "profiles.jsonl"
+        entries = [json.loads(line) for line in journal.read_text().splitlines()[1:]]
+        journal.unlink()
+        (tmp_path / "cache" / "profiles.json").write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "store_dtype": "float32",
+                    "columns": {e.pop("fingerprint"): e for e in entries},
+                }
+            ),
+            encoding="utf-8",
+        )
+        legacy = ProfileStore(tmp_path / "cache")
+        assert len(legacy) == len(store)
+        warm = profile_lake(lake_tables.tables, legacy, EMBED)
+        assert warm.computed == 0
+        np.testing.assert_array_equal(warm.vectors, lake.vectors)
+        legacy.put_many(["fp-new"], [self._column(1)], np.ones((1, 32)))
+        assert len(ProfileStore(tmp_path / "cache")) == len(store) + 1
 
 
 class TestProfileLake:

@@ -293,3 +293,52 @@ class TestFullEncoder:
         assert len(grads[0]) == len(grads[1]) > 0
         for fused_grad, ref_grad in zip(grads[0], grads[1]):
             np.testing.assert_array_equal(fused_grad, ref_grad)
+
+
+class TestScratchPoolBounded:
+    """The ``no_grad`` pool holds one grow-only buffer per (dtype, slot):
+    meeting new batch shapes must not leave a buffer behind per shape."""
+
+    SHAPES = [(1, 5), (3, 12), (2, 7), (4, 12), (4, 9), (2, 12), (1, 3)]
+
+    def _encode(self, model, batch, length):
+        generator = gen(batch * 100 + length)
+        ids = generator.integers(1, 50, size=(batch, length))
+        mask = np.ones((batch, length), dtype=np.int64)
+        with no_grad():
+            return model.pooled(ids, attention_mask=mask, pooling="mean").data
+
+    def test_pool_bytes_bounded_by_largest_request_per_slot(self, monkeypatch):
+        from repro.nn import tensor as tensor_module
+
+        pool = tensor_module._ScratchPool()
+        monkeypatch.setattr(tensor_module, "_SCRATCH", pool)
+        largest = {}
+        original_take = pool.take
+
+        def recording_take(shape, dtype, slot=0):
+            key = (np.dtype(dtype), slot)
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            largest[key] = max(largest.get(key, 0), nbytes)
+            return original_take(shape, dtype, slot)
+
+        pool.take = recording_take
+        model = TransformerEncoder(TestFullEncoder()._config())
+        model.eval()
+        for batch, length in self.SHAPES:
+            fused = self._encode(model, batch, length).copy()
+            with fused_kernels(False):
+                reference = self._encode(model, batch, length)
+            np.testing.assert_array_equal(fused, reference)
+        assert largest, "the no_grad encode path never touched the pool"
+        held = sum(buffer.nbytes for buffer in pool.buffers.values())
+        assert held <= sum(largest.values())
+
+    def test_same_slot_aliases_across_shapes(self):
+        from repro.nn.tensor import _ScratchPool
+
+        pool = _ScratchPool()
+        big = pool.take((4, 6), np.float32)
+        small = pool.take((5,), np.float32)
+        assert np.shares_memory(big, small)
+        assert not np.shares_memory(big, pool.take((5,), np.float32, slot=1))
