@@ -9,12 +9,11 @@ the whole suite to a few minutes while preserving the paper's shapes
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
-from repro import SudowoodoConfig
-from repro.cleaning import cleaning_config
-from repro.columns import column_config
+from repro import SudowoodoConfig, SudowoodoSession
+from repro.cleaning import cleaning_corpus
 
 PROFILE = os.environ.get("REPRO_BENCH", "quick")
 FULL = PROFILE == "full"
@@ -103,7 +102,7 @@ def ec_config(seed: int = 0, **overrides) -> SudowoodoConfig:
         seed=seed,
     )
     defaults.update(overrides)
-    return cleaning_config(**defaults)
+    return SudowoodoConfig.for_task("clean", **defaults)
 
 
 def col_config(seed: int = 0, **overrides) -> SudowoodoConfig:
@@ -122,7 +121,33 @@ def col_config(seed: int = 0, **overrides) -> SudowoodoConfig:
         seed=seed,
     )
     defaults.update(overrides)
-    return column_config(**defaults)
+    return SudowoodoConfig.for_task("column_match", **defaults)
+
+
+def fit_match(config: SudowoodoConfig, dataset, label_budget: int):
+    """One standalone EM job — pre-train a session on ``dataset`` and fit
+    its ``match`` task; returns ``(session, task)``."""
+    session = SudowoodoSession(config)
+    session.pretrain(dataset.all_items())
+    return session, session.task("match").fit(dataset, label_budget=label_budget)
+
+
+def fit_clean(
+    config: SudowoodoConfig, dataset, generator, labeled_rows: int,
+    contrastive: bool = True,
+):
+    """One standalone EC job — pre-train a session on the cleaning corpus
+    and fit its ``clean`` task; returns ``(session, task)``.
+
+    ``contrastive=False`` keeps only the MLM warm start
+    (``pretrain_epochs=0``) — the paper's "RoBERTa-base" ablation row.
+    """
+    if not contrastive:
+        config = replace(config, pretrain_epochs=0)
+    session = SudowoodoSession(config)
+    session.pretrain(cleaning_corpus(dataset, generator))
+    task = session.task("clean").fit(dataset, generator, labeled_rows=labeled_rows)
+    return session, task
 
 
 def once(benchmark, func):

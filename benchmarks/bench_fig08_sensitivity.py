@@ -2,9 +2,8 @@
 (F1 and false-negative rate), alpha_bt, and the pseudo-label multiplier."""
 
 import numpy as np
-from _scale import FULL, SCALE, em_config, once
+from _scale import FULL, SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.core import ClusterBatcher
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
@@ -23,10 +22,7 @@ def run_with(**overrides):
         DATASET, scale=SCALE.em_scale, max_table_size=SCALE.em_max_table
     )
     config = em_config(**overrides)
-    report = SudowoodoPipeline(config).run(
-        dataset, label_budget=SCALE.em_label_budget
-    )
-    return report.f1
+    return fit_match(config, dataset, SCALE.em_label_budget)[1].report().f1
 
 
 def test_fig08_sensitivity(benchmark):

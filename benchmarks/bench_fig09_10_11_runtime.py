@@ -3,11 +3,10 @@ time per dataset, and cleaning (RoBERTa warm-only vs Sudowoodo)."""
 
 import time
 
-from _scale import SCALE, ec_config, em_config, once
+from _scale import SCALE, ec_config, em_config, fit_clean, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.baselines import train_ditto
-from repro.cleaning import CandidateGenerator, SudowoodoCleaner
+from repro.cleaning import CandidateGenerator
 from repro.data.generators import load_cleaning_dataset, load_em_benchmark
 from repro.eval import format_table
 
@@ -24,13 +23,13 @@ def test_fig09_10_11_runtime(benchmark):
             train_ditto(dataset, SCALE.em_label_budget, em_config())
             ditto_time = time.perf_counter() - start
 
-            pipeline = SudowoodoPipeline(em_config())
             start = time.perf_counter()
-            pipeline.run(dataset, label_budget=SCALE.em_label_budget)
+            session, task = fit_match(em_config(), dataset, SCALE.em_label_budget)
+            task.evaluate("test")
             sudowoodo_time = time.perf_counter() - start
             em_rows.append([key, ditto_time, sudowoodo_time])
             blocking_rows.append(
-                [key, pipeline.timer.total("pretrain"), pipeline.timer.total("blocking")]
+                [key, session.timer.total("pretrain"), task.timer.total("blocking")]
             )
 
         cleaning_rows = []
@@ -38,14 +37,15 @@ def test_fig09_10_11_runtime(benchmark):
             dataset = load_cleaning_dataset(name, scale=SCALE.cleaning_scale)
             generator = CandidateGenerator().fit(dataset)
             start = time.perf_counter()
-            SudowoodoCleaner(ec_config()).fit(
-                dataset, generator, SCALE.cleaning_labeled_rows, contrastive=False
-            ).evaluate()
+            fit_clean(
+                ec_config(), dataset, generator, SCALE.cleaning_labeled_rows,
+                contrastive=False,
+            )[1].evaluate()
             warm_time = time.perf_counter() - start
             start = time.perf_counter()
-            SudowoodoCleaner(ec_config()).fit(
-                dataset, generator, SCALE.cleaning_labeled_rows
-            ).evaluate()
+            fit_clean(
+                ec_config(), dataset, generator, SCALE.cleaning_labeled_rows
+            )[1].evaluate()
             sudowoodo_time = time.perf_counter() - start
             cleaning_rows.append([name, warm_time, sudowoodo_time])
         return em_rows, blocking_rows, cleaning_rows

@@ -1,15 +1,15 @@
 """Session-reuse benchmark — pretrain-once + 3 tasks vs. 3 standalone
-drivers (no paper table; the economics behind the multi-purpose claim).
+sessions (no paper table; the economics behind the multi-purpose claim).
 
 The dominant cost of every Sudowoodo workload is contrastive
-pre-training.  The legacy drivers (``SudowoodoPipeline``,
-``SudowoodoCleaner``, ``ColumnMatchingPipeline``) each pre-train their
-own encoder; a :class:`repro.api.SudowoodoSession` pre-trains **once**
+pre-training.  The baseline arm runs each workload the per-task way —
+its own :class:`repro.api.SudowoodoSession`, its own pre-training run
+on its own corpus (three pre-trains); the shared arm pre-trains **once**
 on the union corpus and attaches all three tasks to the shared encoder.
 
-Acceptance target: the session path completes entity matching + error
+Acceptance target: the shared session completes entity matching + error
 correction + column matching in **<= 1/2** the wall-clock of the three
-standalone drivers (>= 2x end-to-end speedup), at comparable task
+standalone sessions (>= 2x end-to-end speedup), at comparable task
 metrics (each task's F1 within ``METRIC_TOLERANCE`` of its standalone
 run — the tasks see identical labels; only the pre-training corpus
 differs, union vs. per-task).
@@ -23,12 +23,9 @@ quick CI smoke check::
 
 import argparse
 import time
-import warnings
 
 from repro.api import SudowoodoConfig, SudowoodoSession
-from repro.cleaning import CandidateGenerator, SudowoodoCleaner, cleaning_corpus
-from repro.columns import ColumnMatchingPipeline
-from repro.core import SudowoodoPipeline
+from repro.cleaning import CandidateGenerator, cleaning_corpus
 from repro.data.generators import (
     generate_column_corpus,
     load_cleaning_dataset,
@@ -74,8 +71,16 @@ def _datasets(smoke: bool):
     return em, beers, columns
 
 
+def _standalone(config: SudowoodoConfig, corpus, task: str, data, fit, **options):
+    """One workload the per-task way: a private session pre-trained on
+    the task's own corpus; returns the fitted task's metrics."""
+    session = SudowoodoSession(config)
+    session.pretrain(corpus)
+    return session.task(task, **options).fit(data, **fit).evaluate()
+
+
 def run(smoke: bool = False) -> dict:
-    """Time 3 standalone drivers vs. one session serving all 3 tasks."""
+    """Time 3 standalone sessions vs. one session serving all 3 tasks."""
     em, beers, columns = _datasets(smoke)
     generator = CandidateGenerator().fit(beers)
     budget = 30 if smoke else 60
@@ -83,26 +88,27 @@ def run(smoke: bool = False) -> dict:
     column_k, column_labels = 5, 80 if smoke else 200
     max_values = 5
 
-    # ----------------------------------------------- standalone drivers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        start = time.perf_counter()
-        pipeline = SudowoodoPipeline(_config(smoke))
-        em_report = pipeline.run(em, label_budget=budget)
-        cleaner = SudowoodoCleaner(
-            SudowoodoConfig.for_task("clean", **_overridable(_config(smoke)))
-        )
-        cleaner.fit(beers, generator, labeled_rows=labeled_rows)
-        clean_report = cleaner.evaluate()
-        column_pipeline = ColumnMatchingPipeline(
-            SudowoodoConfig.for_task("column_match", **_overridable(_config(smoke))),
-            max_values_per_column=max_values,
-        )
-        column_pipeline.pretrain_on(columns)
-        column_report = column_pipeline.train_and_evaluate(
-            k=column_k, num_labels=column_labels
-        )
-        legacy_seconds = time.perf_counter() - start
+    # ---------------------------------------------- standalone sessions
+    start = time.perf_counter()
+    em_metrics = _standalone(
+        _config(smoke), em.all_items(), "match", em, dict(label_budget=budget)
+    )
+    clean_metrics = _standalone(
+        SudowoodoConfig.for_task("clean", **_overridable(_config(smoke))),
+        cleaning_corpus(beers, generator),
+        "clean",
+        beers,
+        dict(generator=generator, labeled_rows=labeled_rows),
+    )
+    column_metrics = _standalone(
+        SudowoodoConfig.for_task("column_match", **_overridable(_config(smoke))),
+        columns.serialized(max_values=max_values),
+        "column_match",
+        columns,
+        dict(k=column_k, num_labels=column_labels),
+        max_values_per_column=max_values,
+    )
+    legacy_seconds = time.perf_counter() - start
 
     # ------------------------------------------------- one shared session
     start = time.perf_counter()
@@ -131,10 +137,10 @@ def run(smoke: bool = False) -> dict:
         "speedup": legacy_seconds / session_seconds,
         "pretrain_seconds": session.timer.total("pretrain"),
         "metrics": {
-            "match": (em_report.f1, session_match_metrics.get("f1", 0.0)),
-            "clean": (clean_report.f1, session_clean_metrics.get("f1", 0.0)),
+            "match": (em_metrics["f1"], session_match_metrics.get("f1", 0.0)),
+            "clean": (clean_metrics["f1"], session_clean_metrics.get("f1", 0.0)),
             "column_match": (
-                column_report.test_metrics.get("f1", 0.0),
+                column_metrics["f1"],
                 session_column_metrics.get("f1", 0.0),
             ),
         },
@@ -155,7 +161,7 @@ def _overridable(config: SudowoodoConfig) -> dict:
 
 def print_report(results: dict) -> None:
     rows = [
-        ["3 standalone drivers (3 pretrains)", results["legacy_seconds"]],
+        ["3 standalone sessions (3 pretrains)", results["legacy_seconds"]],
         ["1 session (pretrain once, 3 tasks)", results["session_seconds"]],
     ]
     print(
@@ -186,7 +192,7 @@ def print_report(results: dict) -> None:
 def _assert_targets(results: dict, smoke: bool) -> None:
     assert results["speedup"] >= 2.0, (
         f"session path only {results['speedup']:.2f}x faster than three "
-        "standalone drivers (target: >= 2x)"
+        "standalone sessions (target: >= 2x)"
     )
     tolerance = METRIC_TOLERANCE if smoke else 0.2
     for task, (standalone, shared) in results["metrics"].items():

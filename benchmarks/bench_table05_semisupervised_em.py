@@ -7,9 +7,8 @@ largest single optimization.  ``REPRO_BENCH=full`` adds every ablation row
 and all five datasets.
 """
 
-from _scale import FULL, SCALE, em_config, once
+from _scale import FULL, SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.baselines import train_ditto, train_rotom
 from repro.data.generators import load_em_benchmark
 from repro.eval import f1_row, format_table
@@ -25,10 +24,8 @@ def load(key):
 
 def sudowoodo_variant(dataset, label, **flags):
     config = em_config().ablated(**flags) if flags else em_config()
-    report = SudowoodoPipeline(config).run(
-        dataset, label_budget=SCALE.em_label_budget
-    )
-    RESULTS.setdefault(label, {})[dataset.name] = report.test_metrics
+    report = fit_match(config, dataset, SCALE.em_label_budget)[1].report()
+    RESULTS.setdefault(label, {})[dataset.name] = report.metrics
     return report
 
 
@@ -43,8 +40,8 @@ def test_table05_semisupervised_em(benchmark):
             rotom = train_rotom(dataset, budget, em_config(), rounds=1)
             RESULTS.setdefault(f"Rotom ({budget})", {})[key] = rotom.test_metrics
             simclr_config = em_config().as_simclr()
-            simclr = SudowoodoPipeline(simclr_config).run(dataset, budget)
-            RESULTS.setdefault("SimCLR", {})[key] = simclr.test_metrics
+            simclr = fit_match(simclr_config, dataset, budget)[1].report()
+            RESULTS.setdefault("SimCLR", {})[key] = simclr.metrics
             sudowoodo_variant(dataset, "Sudowoodo (-PL)", use_pseudo_labeling=False)
             sudowoodo_variant(dataset, "Sudowoodo (-cls)", use_cluster_sampling=False)
             if FULL:

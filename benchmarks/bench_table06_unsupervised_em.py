@@ -5,9 +5,8 @@ the paper treats as an available dataset statistic) against ZeroER and
 Auto-FuzzyJoin.
 """
 
-from _scale import SCALE, em_config, once
+from _scale import SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.baselines import run_autofuzzyjoin, run_zeroer
 from repro.data.generators import benchmark_entry, load_em_benchmark
 from repro.eval import f1_row, format_table
@@ -27,8 +26,8 @@ def test_table06_unsupervised_em(benchmark):
             config = em_config(
                 positive_ratio=max(0.05, round(benchmark_entry(key).positive_rate, 2))
             )
-            report = SudowoodoPipeline(config).run(dataset, label_budget=0)
-            results.setdefault("Sudowoodo", {})[key] = report.test_metrics
+            report = fit_match(config, dataset, 0)[1].report()
+            results.setdefault("Sudowoodo", {})[key] = report.metrics
         return results
 
     results = once(benchmark, run)

@@ -3,7 +3,7 @@ DL-Block, plus the recall-CSSR curves."""
 
 from _scale import SCALE, em_config, once
 
-from repro import SudowoodoPipeline
+from repro import SudowoodoSession
 from repro.baselines import DLBlockBlocker
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
@@ -18,16 +18,15 @@ def test_table07_fig07_blocking(benchmark):
             dataset = load_em_benchmark(
                 key, scale=SCALE.em_scale, max_table_size=SCALE.em_max_table
             )
-            pipeline = SudowoodoPipeline(em_config())
-            pipeline.pretrain_on(dataset)
-            sudowoodo_curve = pipeline.blocker.recall_cssr_curve(KS)
+            session = SudowoodoSession(em_config())
+            session.pretrain(dataset.all_items())
+            blocker = session.task("block").fit(dataset).blocker
+            sudowoodo_curve = blocker.recall_cssr_curve(KS)
             dl_curve = DLBlockBlocker(dataset, em_config()).recall_cssr_curve(KS)
             # Table VII protocol: DL-Block's k=10 recall is the target;
             # Sudowoodo reports the first k that beats it.
             target = next(r for r in dl_curve if r["k"] >= 10)
-            matched = pipeline.blocker.first_k_beating_recall(
-                target["recall"], max_k=20
-            )
+            matched = blocker.first_k_beating_recall(target["recall"], max_k=20)
             results[key] = {
                 "sudowoodo_curve": sudowoodo_curve,
                 "dlblock_curve": dl_curve,

@@ -1,11 +1,10 @@
 """Table VIII — error-correction F1: Raha+Baran, Perfect-ED+Baran,
 RoBERTa-base (no contrastive pre-training), and Sudowoodo."""
 
-from _scale import FULL, SCALE, ec_config, once
+from _scale import FULL, SCALE, ec_config, fit_clean, once
 
 from repro.cleaning import (
     CandidateGenerator,
-    SudowoodoCleaner,
     run_perfect_ed_baran,
     run_raha_baran,
 )
@@ -27,19 +26,20 @@ def test_table08_error_correction(benchmark):
             results.setdefault("Perfect ED + Baran", {})[name] = run_perfect_ed_baran(
                 dataset, generator, SCALE.cleaning_labeled_rows
             ).f1
-            warm_only = SudowoodoCleaner(ec_config()).fit(
+            _, warm_only = fit_clean(
+                ec_config(),
                 dataset,
                 generator,
-                labeled_rows=SCALE.cleaning_labeled_rows,
+                SCALE.cleaning_labeled_rows,
                 contrastive=False,
             )
             results.setdefault("RoBERTa-base (warm only)", {})[name] = (
-                warm_only.evaluate().f1
+                warm_only.evaluate()["f1"]
             )
-            sudowoodo = SudowoodoCleaner(ec_config()).fit(
-                dataset, generator, labeled_rows=SCALE.cleaning_labeled_rows
+            _, sudowoodo = fit_clean(
+                ec_config(), dataset, generator, SCALE.cleaning_labeled_rows
             )
-            results.setdefault("Sudowoodo", {})[name] = sudowoodo.evaluate().f1
+            results.setdefault("Sudowoodo", {})[name] = sudowoodo.evaluate()["f1"]
         return results
 
     results = once(benchmark, run)

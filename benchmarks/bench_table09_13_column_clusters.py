@@ -22,7 +22,7 @@ def test_table09_13_column_clusters(benchmark):
         task = session.task("column_match", max_values_per_column=6)
         task.fit(corpus, k=10, num_labels=SCALE.column_labels)
         report = task.report()
-        candidates = task.pipeline.candidate_pairs(k=10)
+        candidates = task.candidate_pairs(k=10)
         # High-precision edges: connected components amplify false edges,
         # so discovery uses a strict probability cut (Section V-B notes the
         # clustering step controls granularity).

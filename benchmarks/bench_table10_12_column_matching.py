@@ -29,8 +29,8 @@ def test_table10_12_column_matching(benchmark):
         task.fit(corpus, k=10, num_labels=SCALE.column_labels)
         # The baselines reuse the task's candidate pairs and labeled
         # splits (both deterministic under the shared seed).
-        candidates = task.pipeline.candidate_pairs(k=10)
-        splits = task.pipeline.build_labeled_pairs(candidates, SCALE.column_labels)
+        candidates = task.candidate_pairs(k=10)
+        splits = task.build_labeled_pairs(candidates, SCALE.column_labels)
         results = {}
         for featurizer_name, featurizer_factory in [
             ("Sherlock", SherlockFeaturizer),

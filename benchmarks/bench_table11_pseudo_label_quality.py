@@ -2,18 +2,14 @@
 for SimCLR vs Sudowoodo pre-training, and Sudowoodo without any manual
 label (the "no label" column)."""
 
-from _scale import SCALE, em_config, once
+from _scale import SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
 
 
 def quality(config, dataset, budget):
-    pipeline = SudowoodoPipeline(config)
-    pipeline.pretrain_on(dataset)
-    pipeline.train_matcher(label_budget=budget)
-    return pipeline.pseudo_label_quality()
+    return fit_match(config, dataset, budget)[1].pseudo_label_quality()
 
 
 from _scale import FULL

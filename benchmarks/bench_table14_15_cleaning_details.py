@@ -1,8 +1,8 @@
 """Table XIV — candidate coverage / sizes; Table XV — cleaning ablations."""
 
-from _scale import FULL, SCALE, ec_config, once
+from _scale import FULL, SCALE, ec_config, fit_clean, once
 
-from repro.cleaning import CandidateGenerator, SudowoodoCleaner
+from repro.cleaning import CandidateGenerator
 from repro.data.generators import CLEANING_DATASET_KEYS, load_cleaning_dataset
 from repro.eval import format_table
 
@@ -52,10 +52,10 @@ def test_table15_cleaning_ablation(benchmark):
             generator = CandidateGenerator().fit(dataset)
             for label, flags in ABLATIONS.items():
                 config = ec_config().ablated(**flags) if flags else ec_config()
-                cleaner = SudowoodoCleaner(config).fit(
-                    dataset, generator, SCALE.cleaning_labeled_rows
+                _, task = fit_clean(
+                    config, dataset, generator, SCALE.cleaning_labeled_rows
                 )
-                results.setdefault(label, {})[name] = cleaner.evaluate().f1
+                results.setdefault(label, {})[name] = task.evaluate()["f1"]
         return results
 
     results = once(benchmark, run)

@@ -1,8 +1,7 @@
 """Table XVI — Sudowoodo vs Ditto across Jaccard difficulty levels."""
 
-from _scale import FULL, SCALE, em_config, once
+from _scale import FULL, SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.baselines import build_warm_encoder, manual_examples
 from repro.core.matcher import PairwiseMatcher, evaluate_f1, finetune_matcher
 from repro.data.generators import load_em_benchmark
@@ -25,8 +24,7 @@ def test_table16_difficulty_profile(benchmark):
             examples = manual_examples(dataset, SCALE.em_label_budget, config)
             finetune_matcher(ditto, examples, examples, config)
             # Sudowoodo.
-            pipeline = SudowoodoPipeline(em_config())
-            pipeline.run(dataset, label_budget=SCALE.em_label_budget)
+            _, task = fit_match(em_config(), dataset, SCALE.em_label_budget)
 
             per_level = {}
             for level in split_by_difficulty(dataset):
@@ -36,7 +34,7 @@ def test_table16_difficulty_profile(benchmark):
                 labels = [p.label for p in level.pairs]
                 per_level[level.level] = {
                     "ditto": evaluate_f1(ditto, pairs, labels)["f1"],
-                    "sudowoodo": evaluate_f1(pipeline.matcher, pairs, labels)["f1"],
+                    "sudowoodo": evaluate_f1(task.matcher, pairs, labels)["f1"],
                     "pos_range": level.positive_jaccard_range,
                     "neg_range": level.negative_jaccard_range,
                 }

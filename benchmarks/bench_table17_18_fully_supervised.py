@@ -2,9 +2,8 @@
 DeepMatcher, Ditto, Sudowoodo (w/o RR), and Sudowoodo on the extended
 benchmark set (incl. Beer / Fodors-Zagats / iTunes-Amazon)."""
 
-from _scale import FULL, SCALE, em_config, once
+from _scale import FULL, SCALE, em_config, fit_match, once
 
-from repro import SudowoodoPipeline
 from repro.baselines import train_deepmatcher, train_ditto
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
@@ -49,10 +48,10 @@ def test_table17_18_fully_supervised(benchmark):
             ).test_metrics
             no_rr = config.ablated(use_barlow_twins=False)
             results.setdefault("Sudowoodo (w/o RR)", {})[key] = (
-                SudowoodoPipeline(no_rr).run(dataset, full_budget).test_metrics
+                fit_match(no_rr, dataset, full_budget)[1].report().metrics
             )
             results.setdefault("Sudowoodo", {})[key] = (
-                SudowoodoPipeline(config).run(dataset, full_budget).test_metrics
+                fit_match(config, dataset, full_budget)[1].report().metrics
             )
         return results, stats_rows
 

@@ -70,7 +70,7 @@ def main() -> None:
 
     # Blocking on its own: recall vs candidate-set-size-ratio.
     print("\nBlocking frontier (recall @ CSSR):")
-    for row in match.pipeline.blocker.recall_cssr_curve([1, 5, 10]):
+    for row in match.blocker.recall_cssr_curve([1, 5, 10]):
         print(f"  k={row['k']:>2}  recall={row['recall']:.2f}  "
               f"cssr={row['cssr']:.3f}")
 

@@ -35,11 +35,15 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    # scipy backs text.tfidf's sparse matrices; networkx backs
-    # columns.clustering's connected components — both are imported
-    # unconditionally by the repro.api surface.
-    install_requires=["numpy>=1.22", "scipy>=1.8", "networkx>=2.6"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    # scipy backs text.tfidf's sparse matrices, which the repro.api
+    # surface imports unconditionally.  networkx is a test-only oracle:
+    # connected components run on utils.unionfind, and the only import
+    # left is function-local in discovery.dedupe._networkx_clusters,
+    # which tests and the lake benchmark compare against.
+    install_requires=["numpy>=1.22", "scipy>=1.8"],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx>=2.6"]
+    },
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: Artificial Intelligence",

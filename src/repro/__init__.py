@@ -20,10 +20,8 @@ from .core import (
     Blocker,
     CandidateSet,
     PairwiseMatcher,
-    PipelineReport,
     SudowoodoConfig,
     SudowoodoEncoder,
-    SudowoodoPipeline,
 )
 from .serve import EmbeddingStore, MatchService, build_backend
 
@@ -35,10 +33,8 @@ __all__ = [
     "EmbeddingStore",
     "MatchService",
     "PairwiseMatcher",
-    "PipelineReport",
     "SudowoodoConfig",
     "SudowoodoEncoder",
-    "SudowoodoPipeline",
     "SudowoodoSession",
     "available_tasks",
     "build_backend",

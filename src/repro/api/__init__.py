@@ -17,9 +17,9 @@ fitted task as a thread-safe, shardable streaming service.
 >>> repairs = session.task("clean").fit(dirty_table).predict()
 >>> service = session.serve("match", num_shards=4)  # doctest: +SKIP
 
-The legacy drivers (``SudowoodoPipeline``, ``SudowoodoCleaner``,
-``ColumnMatchingPipeline``) remain as deprecated shims over this API;
-see ``docs/api.md`` for the migration table.
+The task classes are the only implementation of their workloads; the
+pre-session drivers are gone (``docs/api.md`` maps each removed name to
+its session spelling).
 """
 
 from ..core.config import (

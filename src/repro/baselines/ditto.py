@@ -18,10 +18,10 @@ from ..core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from ..core.matcher import (
     PairwiseMatcher,
     TrainingExample,
+    _apply_class_balance,
     evaluate_f1,
     finetune_matcher,
 )
-from ..core.pipeline import _apply_class_balance
 from ..core.pretrain import prepare_corpus
 from ..data import EMDataset
 from ..text import MLMConfig, mlm_warm_start

@@ -1,4 +1,6 @@
-"""Data cleaning: candidate tools, Sudowoodo EC, Raha/Baran baselines."""
+"""Data cleaning: candidate tools, EC serialization and repair scoring,
+Raha/Baran baselines.  The Sudowoodo corrector itself is the ``clean``
+task of :mod:`repro.api`."""
 
 from .baselines import (
     BaranCorrector,
@@ -16,9 +18,8 @@ from .candidates import (
 )
 from .cleaner import (
     CleaningReport,
-    SudowoodoCleaner,
-    cleaning_config,
     cleaning_corpus,
+    score_repairs,
     serialize_cell,
 )
 
@@ -30,12 +31,11 @@ __all__ = [
     "DependencyTool",
     "FormatTool",
     "RahaDetector",
-    "SudowoodoCleaner",
     "TypoTool",
     "ValueFrequencyTool",
-    "cleaning_config",
     "cleaning_corpus",
     "run_perfect_ed_baran",
     "run_raha_baran",
+    "score_repairs",
     "serialize_cell",
 ]

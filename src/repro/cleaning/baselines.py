@@ -27,7 +27,7 @@ from ..ml import LogisticRegression
 from ..text import levenshtein
 from ..utils import RngStream
 from .candidates import CandidateGenerator
-from .cleaner import CleaningReport
+from .cleaner import CleaningReport, score_repairs
 
 
 def _format_signature(value: str) -> str:
@@ -218,29 +218,9 @@ class BaranCorrector:
         name: str,
     ) -> CleaningReport:
         """Correction P/R/F1 given an error mask (Raha's or perfect)."""
-        repairs = self.correct(error_cells)
-        dataset = self.dataset
-        truth_errors = set(dataset.error_cells())
-        correct = sum(
-            1
-            for cell, candidate in repairs.items()
-            if cell in truth_errors
-            and candidate == dataset.ground_truth(cell[0], cell[1])
-        )
-        precision = correct / len(repairs) if repairs else 0.0
-        recall = correct / len(truth_errors) if truth_errors else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return CleaningReport(
-            dataset=f"{dataset.name} ({name})",
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            repaired=len(repairs),
-        )
+        report = score_repairs(self.dataset, self.correct(error_cells))
+        report.dataset = f"{self.dataset.name} ({name})"
+        return report
 
 
 def run_raha_baran(

@@ -1,45 +1,21 @@
-"""Sudowoodo for error correction (Section V-A).
+"""Error-correction building blocks (Section V-A): cell serialization,
+the unlabeled EC corpus, and repair scoring.
 
-Pipeline: pre-train the representation model on serialized cells and their
-candidate corrections; label ~20 uniformly sampled rows; fine-tune the
-pairwise matcher on (cell, candidate) pairs; finally, for every cell, take
-the candidate maximizing the match probability — the cell is clean when
-that candidate is the original value.
-
-Pseudo-labeling is *not* used here (the task is not similarity-based,
-Section V-A), matching the paper's setting.
+The corrector itself is the ``clean`` task of :mod:`repro.api`
+(``session.task("clean")``): label ~20 uniformly sampled rows, fine-tune
+the pairwise matcher on (cell, candidate) pairs, then for every cell take
+the candidate maximizing the match probability.  This module holds what
+that task and the Raha/Baran baselines share.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core import SudowoodoConfig
-from ..core.matcher import (
-    PairwiseMatcher,
-    TrainingExample,
-    finetune_matcher,
-)
-from ..core.pipeline import _apply_class_balance
 from ..data.generators.cleaning import CleaningDataset
 from ..data.records import serialize_cell_context_free, serialize_row_contextual
-from ..serve import EmbeddingStore
-from ..utils import RngStream, Timer
 from .candidates import CandidateGenerator
-
-
-def cleaning_config(**overrides) -> SudowoodoConfig:
-    """The paper's EC configuration: span_shuffle DA with span cutoff, all
-    pre-training optimizations on, pseudo-labeling off.
-
-    Import shim for :meth:`SudowoodoConfig.for_task`\\ ``("clean")`` — the
-    per-task presets now live in one place on the config class.
-    """
-    return SudowoodoConfig.for_task("clean", **overrides)
 
 
 def context_schema(
@@ -128,23 +104,6 @@ def cleaning_corpus(
     return corpus
 
 
-def _best_threshold(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Threshold maximizing F1 on calibration pairs (ties -> higher t)."""
-    best_threshold, best_f1 = 0.5, -1.0
-    for threshold in np.unique(np.round(probabilities, 3)):
-        predictions = probabilities >= threshold
-        true_pos = int((predictions & (labels == 1)).sum())
-        if true_pos == 0:
-            continue
-        precision = true_pos / predictions.sum()
-        recall = true_pos / max(1, (labels == 1).sum())
-        f1 = 2 * precision * recall / (precision + recall)
-        if f1 >= best_f1:
-            best_f1 = f1
-            best_threshold = float(threshold)
-    return best_threshold
-
-
 @dataclass
 class CleaningReport:
     dataset: str
@@ -155,328 +114,41 @@ class CleaningReport:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
-class SudowoodoCleaner:
-    """Error-correction pipeline over a :class:`CleaningDataset`.
-
-    .. deprecated::
-        ``SudowoodoCleaner`` is now a shim over
-        :class:`repro.api.SudowoodoSession`; new code should use
-        ``session.task("clean")`` (see ``docs/api.md``), which shares one
-        pre-training run across every workload.
-    """
-
-    def __init__(
-        self,
-        config: Optional[SudowoodoConfig] = None,
-        serialization: str = "contextual",
-        max_candidates_for_matching: int = 6,
-        context_attributes: int = 4,
-    ) -> None:
-        warnings.warn(
-            "SudowoodoCleaner is deprecated; use repro.api.SudowoodoSession "
-            "and session.task('clean') instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init_state(
-            config, serialization, max_candidates_for_matching, context_attributes
-        )
-
-    def _init_state(
-        self,
-        config: Optional[SudowoodoConfig],
-        serialization: str,
-        max_candidates_for_matching: int,
-        context_attributes: int,
-    ) -> None:
-        if serialization not in ("context_free", "contextual"):
-            raise ValueError("serialization must be context_free or contextual")
-        self.config = config or cleaning_config()
-        self.serialization = serialization
-        self.max_candidates = max_candidates_for_matching
-        self.context_attributes = context_attributes
-        self.timer = Timer()
-        self.matcher: Optional[PairwiseMatcher] = None
-        self.store: Optional[EmbeddingStore] = None
-        # Session-attached mode: a pre-trained encoder (a private clone,
-        # safe to fine-tune) plus the session's shared store; fit() then
-        # skips pre-training and never clears the shared cache.
-        self._adopted_encoder = None
-        self._shared_store = False
-
-    @classmethod
-    def _attached(
-        cls,
-        config: SudowoodoConfig,
-        encoder,
-        store: EmbeddingStore,
-        serialization: str = "contextual",
-        max_candidates_for_matching: int = 6,
-        context_attributes: int = 4,
-    ) -> "SudowoodoCleaner":
-        """Session-internal constructor: adopt a pre-trained encoder and a
-        shared embedding store instead of pre-training (no deprecation
-        warning — this is the engine behind ``session.task("clean")``)."""
-        cleaner = cls.__new__(cls)
-        cleaner._init_state(
-            config, serialization, max_candidates_for_matching, context_attributes
-        )
-        cleaner._adopted_encoder = encoder
-        cleaner.store = store
-        cleaner._shared_store = True
-        return cleaner
-
-    # ------------------------------------------------------------------
-    def _context_schema(self, dataset: CleaningDataset, attribute: str) -> List[str]:
-        """The serialized attribute window (see :func:`context_schema`)."""
-        return context_schema(dataset, attribute, self.context_attributes)
-
-    def _serialize_cell(self, dataset, row: int, attribute: str, value: str) -> str:
-        return serialize_cell(
-            dataset, row, attribute, value, self.serialization,
-            self.context_attributes,
-        )
-
-    def _corpus(self, dataset: CleaningDataset, generator: CandidateGenerator):
-        """Unlabeled pre-training corpus (see :func:`cleaning_corpus`)."""
-        return cleaning_corpus(
-            dataset, generator, self.serialization, self.context_attributes
-        )
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        dataset: CleaningDataset,
-        generator: Optional[CandidateGenerator] = None,
-        labeled_rows: int = 20,
-        contrastive: bool = True,
-    ) -> "SudowoodoCleaner":
-        """Pre-train and fine-tune on ``labeled_rows`` uniform rows.
-
-        ``contrastive=False`` skips contrastive pre-training (keeping only
-        the MLM warm start) — the paper's "RoBERTa-base" ablation row.
-        """
-        self.dataset = dataset
-        self.generator = generator or CandidateGenerator().fit(dataset)
-        rngs = RngStream(self.config.seed)
-
-        if self._adopted_encoder is not None:
-            # Session-attached: the encoder is already pre-trained (on the
-            # session's corpus) and the shared store serves the cache.
-            self.encoder = self._adopted_encoder
-        else:
-            from ..api.session import SudowoodoSession  # deferred: api imports cleaning
-
-            with self.timer.section("pretrain"):
-                corpus = self._corpus(dataset, self.generator)
-                config = self.config
-                if not contrastive:
-                    config = config.ablated()  # copy
-                    config.pretrain_epochs = 0
-                # The session is the one pre-training implementation; this
-                # driver adopts its encoder and store.  Candidate
-                # corrections repeat heavily across cells (they come from
-                # shared domain vocabularies), so pruning goes through the
-                # cached embedding store instead of re-encoding per cell.
-                session = SudowoodoSession(config)
-                session.pretrain(corpus)
-            self.encoder = session.encoder
-            self.store = session.store
-
-        rng = rngs.get("labeled-rows")
-        num_rows = len(dataset.dirty)
-        chosen = rng.choice(num_rows, size=min(labeled_rows, num_rows), replace=False)
-        self._labeled_rows = sorted(int(r) for r in chosen)
-        recoverable = 0
-        examples: List[TrainingExample] = []
-        for row in self._labeled_rows:
-            for attribute in dataset.schema:
-                value = dataset.dirty[row].get(attribute)
-                truth = dataset.ground_truth(row, attribute)
-                # Candidate *corrections* only — the original value is not a
-                # correction; "keep the cell" is the all-candidates-rejected
-                # outcome (M_pm = 0), as in the paper's decision rule.
-                candidates = [
-                    c
-                    for c in self.generator.candidates(row, attribute)
-                    if c != value
-                ]
-                cell_text = self._serialize_cell(dataset, row, attribute, value)
-                negatives = [c for c in candidates if c != truth]
-                rng.shuffle(negatives)
-                if truth != value and truth in candidates:
-                    recoverable += 1
-                    examples.append(
-                        TrainingExample(
-                            cell_text,
-                            self._serialize_cell(dataset, row, attribute, truth),
-                            1,
-                            1.0,
-                        )
-                    )
-                for candidate in negatives[:2]:
-                    examples.append(
-                        TrainingExample(
-                            cell_text,
-                            self._serialize_cell(dataset, row, attribute, candidate),
-                            0,
-                            1.0,
-                        )
-                    )
-        if not any(e.label == 1 for e in examples):
-            raise RuntimeError(
-                "labeled rows contain no recoverable errors; increase "
-                "labeled_rows or the dataset scale"
-            )
-        if self.config.class_balance:
-            _apply_class_balance(examples)
-
-        with self.timer.section("finetune"):
-            self.matcher = PairwiseMatcher(self.encoder)
-            finetune_matcher(self.matcher, examples, examples, self.config)
-        if not self._shared_store:
-            # Fine-tuning mutated the encoder in place; drop any cached
-            # vectors so _prune embeds with the final weights only.  A
-            # session-shared store is exempt: it wraps the session's
-            # pristine encoder (this cleaner fine-tuned a private clone),
-            # so its cache is still valid for every other task.
-            self.store.clear()
-
-        # The labeled rows give an unbiased estimate of the *recoverable*
-        # error rate; the apply phase repairs the same fraction of cells,
-        # taking the highest-scoring candidates first.  (This mirrors the
-        # paper's use of dataset priors — cf. the positive ratio rho in
-        # pseudo-labeling — and replaces a poorly calibrated 0.5 cut.)
-        labeled_cells = len(self._labeled_rows) * len(dataset.schema)
-        self._recoverable_rate = recoverable / max(1, labeled_cells)
-        return self
-
-    # ------------------------------------------------------------------
-    def correct(self) -> Dict[Tuple[int, str], str]:
-        """Predict a correction for every cell; returns only actual repairs
-        (cells where the chosen candidate differs from the current value)."""
-        if self.matcher is None:
-            raise RuntimeError("fit the cleaner first")
-        dataset = self.dataset
-        # Gather (cell, candidate) queries, embedding-pruned to the top few
-        # candidates per cell (the optional "blocking" step of Section V-A).
-        queries: List[Tuple[str, str]] = []
-        spans: List[Tuple[int, str, List[str]]] = []
-        for row in range(len(dataset.dirty)):
-            for attribute in dataset.schema:
-                value = dataset.dirty[row].get(attribute)
-                candidates = [
-                    c
-                    for c in self.generator.candidates(row, attribute)
-                    if c != value
-                ]
-                if not candidates:
-                    continue
-                candidates = self._prune(dataset, row, attribute, value, candidates)
-                cell_text = self._serialize_cell(dataset, row, attribute, value)
-                for candidate in candidates:
-                    queries.append(
-                        (
-                            cell_text,
-                            self._serialize_cell(dataset, row, attribute, candidate),
-                        )
-                    )
-                spans.append((row, attribute, candidates))
-
-        with self.timer.section("correct"):
-            probabilities = (
-                self.matcher.predict_proba(queries)[:, 1] if queries else np.array([])
-            )
-        best_scores: List[float] = []
-        best_candidates: List[str] = []
-        cursor = 0
-        for row, attribute, candidates in spans:
-            scores = probabilities[cursor : cursor + len(candidates)]
-            cursor += len(candidates)
-            best = int(np.argmax(scores))
-            best_scores.append(float(scores[best]))
-            best_candidates.append(candidates[best])
-
-        # Repair budget: the recoverable-error rate estimated from the
-        # labeled rows, applied to the whole table.
-        total_cells = len(dataset.dirty) * len(dataset.schema)
-        budget = int(round(getattr(self, "_recoverable_rate", 0.0) * total_cells))
-        budget = min(budget, len(spans))
-        repairs: Dict[Tuple[int, str], str] = {}
-        if budget > 0:
-            order = np.argsort(-np.array(best_scores))[:budget]
-            for index in order:
-                row, attribute, _ = spans[int(index)]
-                # Still require the matcher to prefer "match" outright.
-                if best_scores[int(index)] < 0.5:
-                    continue
-                repairs[(row, attribute)] = best_candidates[int(index)]
-        return repairs
-
-    def _prune(
-        self,
-        dataset: CleaningDataset,
-        row: int,
-        attribute: str,
-        value: str,
-        candidates: List[str],
-    ) -> List[str]:
-        if len(candidates) <= self.max_candidates:
-            return candidates
-        texts = [
-            self._serialize_cell(dataset, row, attribute, c) for c in candidates
-        ]
-        cell_vector = self.store.embed_batch(
-            [self._serialize_cell(dataset, row, attribute, value)], normalize=True
-        )
-        candidate_vectors = self.store.embed_batch(texts, normalize=True)
-        scores = candidate_vectors @ cell_vector[0]
-        keep = np.argsort(-scores)[: self.max_candidates]
-        return [candidates[int(i)] for i in sorted(keep)]
-
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        exclude_rows: Optional[Sequence[int]] = None,
-        repairs: Optional[Dict[Tuple[int, str], str]] = None,
-    ) -> CleaningReport:
-        """Correction P/R/F1 against ground truth (Baran's protocol):
-        precision over repaired cells, recall over erroneous cells.
-
-        Pass precomputed ``repairs`` (from :meth:`correct`) to score them
-        without re-running full-table matcher inference.
-        """
-        if repairs is None:
-            repairs = self.correct()
-        dataset = self.dataset
-        excluded = set(exclude_rows or ())
-        correct_repairs = 0
-        counted_repairs = 0
-        for (row, attribute), candidate in repairs.items():
-            if row in excluded:
-                continue
-            counted_repairs += 1
-            if candidate == dataset.ground_truth(row, attribute) and dataset.is_error(
-                row, attribute
-            ):
-                correct_repairs += 1
-        errors = [
-            (row, attribute)
-            for row, attribute in dataset.error_cells()
-            if row not in excluded
-        ]
-        precision = correct_repairs / counted_repairs if counted_repairs else 0.0
-        recall = correct_repairs / len(errors) if errors else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return CleaningReport(
-            dataset=dataset.name,
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            repaired=counted_repairs,
-            timings=self.timer.summary(),
-        )
+def score_repairs(
+    dataset: CleaningDataset,
+    repairs: Dict[Tuple[int, str], str],
+    exclude_rows: Optional[Sequence[int]] = None,
+) -> CleaningReport:
+    """Correction P/R/F1 against ground truth (Baran's protocol):
+    precision over repaired cells, recall over erroneous cells, both
+    outside ``exclude_rows``."""
+    excluded = set(exclude_rows or ())
+    correct_repairs = 0
+    counted_repairs = 0
+    for (row, attribute), candidate in repairs.items():
+        if row in excluded:
+            continue
+        counted_repairs += 1
+        if candidate == dataset.ground_truth(row, attribute) and dataset.is_error(
+            row, attribute
+        ):
+            correct_repairs += 1
+    errors = [
+        (row, attribute)
+        for row, attribute in dataset.error_cells()
+        if row not in excluded
+    ]
+    precision = correct_repairs / counted_repairs if counted_repairs else 0.0
+    recall = correct_repairs / len(errors) if errors else 0.0
+    f1 = (
+        2 * precision * recall / (precision + recall)
+        if precision + recall
+        else 0.0
+    )
+    return CleaningReport(
+        dataset=dataset.name,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        repaired=counted_repairs,
+    )

@@ -14,18 +14,14 @@ from .clustering import (
     discover_types,
     find_subtype_clusters,
 )
-from .matching import ColumnMatchingPipeline, ColumnMatchReport, column_config
 
 __all__ = [
     "CLASSIFIER_FACTORIES",
     "ClusterReport",
-    "ColumnMatchReport",
-    "ColumnMatchingPipeline",
     "SatoFeaturizer",
     "SherlockFeaturizer",
     "cluster_columns",
     "cluster_purity",
-    "column_config",
     "discover_types",
     "evaluate_feature_baseline",
     "find_subtype_clusters",

@@ -14,10 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-import numpy as np
-
 from ..data.generators.columns import ColumnCorpus
+from ..utils.unionfind import connected_components
 
 
 @dataclass
@@ -33,10 +31,7 @@ def cluster_columns(
 ) -> List[List[int]]:
     """Connected components over predicted same-type edges; singletons are
     kept (a column with no matches is its own type)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(corpus)))
-    graph.add_edges_from(edges)
-    return [sorted(component) for component in nx.connected_components(graph)]
+    return list(connected_components(len(corpus), edges))
 
 
 def cluster_purity(corpus: ColumnCorpus, clusters: Sequence[Sequence[int]]) -> float:

@@ -1,5 +1,6 @@
 """Sudowoodo core: config, encoder, losses, pre-training, blocking,
-matching, pseudo-labeling, and the end-to-end pipeline."""
+matching, and pseudo-labeling — the pieces the session tasks in
+:mod:`repro.api` compose into workloads."""
 
 from .blocker import Blocker, CandidateSet
 from .config import SudowoodoConfig
@@ -15,7 +16,6 @@ from .matcher import (
 )
 from .negative_sampling import ClusterBatcher
 from .persistence import load_encoder, save_encoder
-from .pipeline import PipelineReport, SudowoodoPipeline
 from .pretrain import OperatorScheduler, PretrainResult, prepare_corpus, pretrain
 from .pseudo_label import (
     PseudoLabelSet,
@@ -31,12 +31,10 @@ __all__ = [
     "ClusterBatcher",
     "FinetuneResult",
     "PairwiseMatcher",
-    "PipelineReport",
     "PretrainResult",
     "PseudoLabelSet",
     "SudowoodoConfig",
     "SudowoodoEncoder",
-    "SudowoodoPipeline",
     "TrainingExample",
     "barlow_twins_loss",
     "build_tokenizer",

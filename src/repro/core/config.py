@@ -326,8 +326,7 @@ class SudowoodoConfig:
         ``"block"``, ``"clean"``, ``"column_match"``,
         ``"column_cluster"``, and the discovery tier
         ``"join_discovery"`` / ``"dedupe"`` / ``"streaming_er"``);
-        ``overrides`` are applied on top of the preset.  This replaces the old per-module ``cleaning_config()`` /
-        ``column_config()`` helper copies.
+        ``overrides`` are applied on top of the preset.
         """
         if task not in TASK_CONFIG_DEFAULTS:
             raise ValueError(

@@ -44,6 +44,21 @@ class TrainingExample:
     weight: float = 1.0
 
 
+def _apply_class_balance(examples: List[TrainingExample]) -> None:
+    """Scale example weights so both classes contribute equally in
+    expectation (EM training sets are ~90% negative)."""
+    num_pos = sum(1 for e in examples if e.label == 1)
+    num_neg = len(examples) - num_pos
+    if num_pos == 0 or num_neg == 0:
+        return
+    weight_of = {
+        1: len(examples) / (2.0 * num_pos),
+        0: len(examples) / (2.0 * num_neg),
+    }
+    for example in examples:
+        example.weight *= weight_of[example.label]
+
+
 @dataclass
 class FinetuneResult:
     """Fine-tuning trace: per-epoch losses and the best validation F1."""

@@ -28,8 +28,7 @@ from ..api.results import (
     JoinDiscoveryResult,
     StreamingERResult,
 )
-from ..api.tasks import SessionTask
-from ..core.pipeline import SudowoodoPipeline
+from ..api.tasks import MatchTask, SessionTask
 from ..data.generators.discovery import DirtyDuplicates, JoinableTables
 from ..data.records import Record, Table, serialize_record
 from .dedupe import (
@@ -300,9 +299,9 @@ class LakeDiscoveryTask(SessionTask):
 @register_task("dedupe")
 class DedupeTask(SessionTask):
     """Dedupe-and-merge over one dirty table: self-join EM matching
-    (blocking + pseudo-labels + fine-tuned matcher), connected-component
-    clustering, and per-attribute conflict resolution into canonical
-    records."""
+    (a composed :class:`~repro.api.tasks.MatchTask`: blocking +
+    pseudo-labels + fine-tuned matcher), connected-component clustering,
+    and per-attribute conflict resolution into canonical records."""
 
     def __init__(
         self,
@@ -320,7 +319,7 @@ class DedupeTask(SessionTask):
         self.timestamp_attribute = timestamp_attribute
         self._table: Optional[Table] = None
         self._truth: Optional[set] = None
-        self._pipeline: Optional[SudowoodoPipeline] = None
+        self._match = MatchTask(session)
         self._clusters: List[List[int]] = []
         self._canonical: List[Record] = []
 
@@ -343,6 +342,8 @@ class DedupeTask(SessionTask):
         ``threshold`` is the match probability above which a candidate
         pair becomes an edge of the duplicate graph.
         """
+        self.fitted = False
+        k = self._resolve_k(k, self.session.config.blocking_k)
         if isinstance(data, DirtyDuplicates):
             self._table = data.table
             self._truth = set(data.duplicate_pairs())
@@ -357,15 +358,8 @@ class DedupeTask(SessionTask):
         dataset = self_match_dataset(
             self._table, truth_pairs=self._truth, seed=seed
         )
-        self._pipeline = SudowoodoPipeline._attached(
-            self.session.config,
-            dataset,
-            self.session.checkout_encoder(),
-            self.session.store,
-        )
-        self._pipeline.train_matcher(label_budget, head=head)
-
-        candidates = self._pipeline.block(k)
+        matcher = self._match.fit(dataset, label_budget, head=head).matcher
+        candidates = self._match.block(k)
         # Self-join blocking proposes (i, i) and both orientations; keep
         # one canonical copy of each genuine pair.  Match edges stream
         # straight from bounded matcher batches into the union-find, and
@@ -376,9 +370,7 @@ class DedupeTask(SessionTask):
         edges = iter_match_edges(
             pairs,
             lambda a, b: (dataset.serialize_a(a), dataset.serialize_b(b)),
-            lambda texts: self._pipeline.matcher.predict_proba(
-                texts, batch_size=batch_size
-            ),
+            lambda texts: matcher.predict_proba(texts, batch_size=batch_size),
             threshold=threshold,
             batch_size=batch_size,
         )
@@ -400,7 +392,7 @@ class DedupeTask(SessionTask):
     @property
     def matcher(self) -> Optional["PairwiseMatcher"]:
         """The fine-tuned self-match matcher once fitted."""
-        return self._pipeline.matcher if self._pipeline else None
+        return self._match.matcher if self.fitted else None
 
     def predict(self) -> List[List[int]]:
         """The duplicate clusters (sorted record-index lists; singletons
@@ -446,11 +438,10 @@ class DedupeTask(SessionTask):
     def report(self) -> DedupeResult:
         """Clusters, canonical records, and the consolidation metrics."""
         self._require_fitted("report()")
-        assert self._pipeline is not None and self._table is not None
         return DedupeResult(
             task=self.name,
             metrics=self.evaluate(),
-            timings=self._pipeline.timer.summary(),
+            timings=self._match.timer.summary(),
             dataset=self._table.name,
             policy=self.policy,
             num_records=len(self._table),

@@ -83,8 +83,8 @@ class MatchService:
         To vary one per service, pass ``dataclasses.replace(config, ...)``.
     store:
         Pass an existing :class:`EmbeddingStore` to share its warm cache
-        (e.g. the one a :class:`~repro.core.pipeline.SudowoodoPipeline`
-        already filled during blocking).
+        (e.g. ``session.store``, which the session's tasks already
+        filled during blocking — what ``session.serve`` passes).
     matcher:
         Optional trained pairwise matcher enabling :meth:`match_pairs`.
     """
@@ -119,8 +119,8 @@ class MatchService:
         self._index_mean: Optional[np.ndarray] = None
         self._mutation_lock = threading.RLock()
         # The store's own reentrant mutex, not a private one: services
-        # sharing one store (e.g. two match_service() calls on the same
-        # pipeline) must serialize on the same lock, and holding it
+        # sharing one store (e.g. two serve() calls on the same
+        # session) must serialize on the same lock, and holding it
         # across embed + metadata keeps both consistent.
         self._store_lock = self.store.lock
         self._broker = RequestBroker(

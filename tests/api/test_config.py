@@ -11,8 +11,6 @@ from repro.api import (
     ServeConfig,
     SudowoodoConfig,
 )
-from repro.cleaning import cleaning_config
-from repro.columns import column_config
 from repro.core.config import CONFIG_SECTIONS, TASK_CONFIG_DEFAULTS
 
 
@@ -83,12 +81,6 @@ class TestRoundTrip:
 
 
 class TestForTask:
-    def test_clean_preset_matches_legacy_helper(self):
-        assert SudowoodoConfig.for_task("clean") == cleaning_config()
-
-    def test_column_preset_matches_legacy_helper(self):
-        assert SudowoodoConfig.for_task("column_match") == column_config()
-
     def test_overrides_win(self):
         config = SudowoodoConfig.for_task("clean", dim=12, da_operator="span_del")
         assert config.dim == 12

@@ -1,5 +1,5 @@
 """Tests for SudowoodoSession: shared-encoder reuse, the task registry,
-serving exports, and the deprecated driver shims."""
+serving exports, and the fit / k contracts at the task boundary."""
 
 import warnings
 
@@ -11,18 +11,19 @@ from repro.api import (
     SessionTask,
     SudowoodoConfig,
     SudowoodoSession,
+    TaskNotFittedError,
     available_tasks,
     create_task,
     register_task,
 )
-from repro.cleaning import SudowoodoCleaner, cleaning_corpus
-from repro.columns import ColumnMatchingPipeline
-from repro.core import SudowoodoPipeline
+from repro.cleaning import cleaning_corpus
 from repro.data.generators import (
     generate_column_corpus,
+    generate_dirty_duplicates,
     load_cleaning_dataset,
     load_em_benchmark,
 )
+from repro.data.records import serialize_record
 from repro.serve import MatchService
 
 
@@ -230,20 +231,157 @@ class TestCleanTaskReuse:
             assert candidate != beers.dirty[row].get(attribute)
 
 
+    @pytest.mark.parametrize("name", ["match", "clean", "column_match", "dedupe"])
+    def test_fit_leaves_the_session_store_alone(self, name, em_dataset, column_corpus):
+        """Every fine-tuning task trains a checkout: once the task's
+        records are cached, ``fit`` neither changes a shared embedding nor
+        clears (or grows) the shared store."""
+        data, corpus, options, fit = workload(name, em_dataset, column_corpus)
+        session = SudowoodoSession(tiny_config())
+        session.pretrain(corpus[:120])
+        session.embed(corpus)  # warm: everything fit embeds is cached
+        probe = corpus[:10]
+        before = session.embedding_fingerprint(probe)
+        cached = len(session.store)
+        task = session.task(name, **options).fit(data, **fit)
+        assert task.matcher is not None
+        assert session.embedding_fingerprint(probe) == before
+        assert len(session.store) == cached
+
+
+def workload(name, em_dataset, column_corpus):
+    """(data, pre-training corpus, task options, fit keywords) of one
+    small job for the task ``name``."""
+    if name in ("match", "block"):
+        fit = dict(label_budget=10) if name == "match" else dict(k=3)
+        return em_dataset, em_dataset.all_items(), {}, fit
+    if name == "clean":
+        beers = load_cleaning_dataset("beers", scale=0.03)
+        return beers, cleaning_corpus(beers)[:200], {}, dict(labeled_rows=12)
+    if name == "dedupe":
+        dirty = generate_dirty_duplicates(num_entities=10, hardness=0.15, seed=2)
+        corpus = [serialize_record(r, dirty.table.schema) for r in dirty.table]
+        return dirty, corpus, {}, dict(label_budget=0)
+    return (
+        column_corpus,
+        column_corpus.serialized(max_values=5),
+        dict(max_values_per_column=5),
+        dict(k=5, num_labels=60),
+    )
+
+
+#: A re-fit that raises, per task: (fit keywords, the error).
+FAILING_REFITS = {
+    "match": (dict(label_budget=10, head="bogus"), ValueError),
+    "block": (dict(k=0), ValueError),
+    "clean": (dict(labeled_rows=0), RuntimeError),
+    "column_match": (dict(k=0), ValueError),
+    "column_cluster": (dict(k=0), ValueError),
+    "dedupe": (dict(label_budget=0, head="bogus"), ValueError),
+}
+
+
+class TestFitIsAtomic:
+    """A failed re-fit must leave a task that says it is unfitted — not a
+    "fitted" task with no matcher or with the previous fit's predictions."""
+
+    @pytest.mark.parametrize("name", FAILING_REFITS)
+    def test_failed_refit_leaves_task_unfitted(self, name, em_dataset, column_corpus):
+        data, corpus, options, good = workload(name, em_dataset, column_corpus)
+        bad, error = FAILING_REFITS[name]
+        session = SudowoodoSession(tiny_config())
+        session.pretrain(corpus[:120])
+        task = session.task(name, **options).fit(data, **good)
+        if name == "clean":
+            assert task.predict() is task.predict()  # repairs cached per fit
+        with pytest.raises(error):
+            task.fit(data, **bad)
+        arguments = ([("a", "b")],) if name == "match" else ()
+        with pytest.raises(TaskNotFittedError):
+            # Regression: AttributeError on the None matcher (match), the
+            # previous fit's cached repairs / candidates (clean, block).
+            task.predict(*arguments)
+        assert not task.fitted
+        assert task.matcher is None
+        for operation in (task.evaluate, task.report):
+            with pytest.raises(TaskNotFittedError):
+                operation()
+        with pytest.raises(TaskNotFittedError):
+            session.serve(task)
+        assert session.tasks()[name] is False
+        # ... and a later successful fit recovers the same instance.
+        assert task.fit(data, **good).fitted
+
+
+class TestTaskBoundary:
+    """``None`` is the only "use the default" value of ``k``; bad values
+    of ``k`` and ``split`` fail at the task boundary with ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def tasks(self, session, em_dataset, column_corpus):
+        return {
+            "match": create_task("match", session).fit(em_dataset, label_budget=10),
+            "block": create_task("block", session).fit(em_dataset, k=3),
+            "column_match": create_task(
+                "column_match", session, max_values_per_column=5
+            ).fit(column_corpus, k=5, num_labels=60),
+        }
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda t, s, em, cols: t["block"].predict(k=0), "k must be"),
+            (lambda t, s, em, cols: t["block"].predict(k=-2), "k must be"),
+            (lambda t, s, em, cols: t["match"].block(0), "k must be"),
+            (lambda t, s, em, cols: t["match"].pseudo_labels(8, k=0), "k must be"),
+            (lambda t, s, em, cols: t["column_match"].predict(k=0), "k must be"),
+            (lambda t, s, em, cols: t["column_match"].candidate_pairs(0), "k must be"),
+            (lambda t, s, em, cols: create_task("block", s).fit(em, k=0), "k must be"),
+            (
+                lambda t, s, em, cols: create_task("column_match", s).fit(cols, k=0),
+                "k must be",
+            ),
+            (
+                lambda t, s, em, cols: create_task("dedupe", s).fit(em.table_a, k=0),
+                "k must be",
+            ),
+            (lambda t, s, em, cols: t["match"].evaluate("bogus"), "train, valid, test"),
+        ],
+        ids=[
+            "block.predict-0", "block.predict-negative", "match.block",
+            "match.pseudo_labels", "column_match.predict",
+            "column_match.candidate_pairs", "block.fit", "column_match.fit",
+            "dedupe.fit", "match.evaluate-split",
+        ],
+    )
+    def test_bad_k_or_split_raises_value_error(
+        self, call, message, tasks, session, em_dataset, column_corpus
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(tasks, session, em_dataset, column_corpus)
+
+    def test_k_zero_is_not_the_default(self, em_dataset):
+        """Regression: ``k or blocking_k`` answered ``predict(k=0)`` with
+        the k = blocking_k candidate set."""
+        session = SudowoodoSession(tiny_config(blocking_k=10))
+        session.pretrain(em_dataset.all_items())
+        block = session.task("block").fit(em_dataset, k=3)
+        assert len(block.predict()) == 3 * len(em_dataset.table_a)
+        assert block.predict(k=None) is block.predict()
+        with pytest.raises(ValueError, match="k must be"):
+            block.predict(k=0)
+
+    def test_column_predict_defaults_to_fitted_k(self, tasks):
+        task = tasks["column_match"]
+        assert task.k == 5
+        # threshold 0 keeps every candidate, so the edges *are* the
+        # candidate set predict() blocked with (regression: a literal 20).
+        assert task.predict(threshold=0.0) == task.candidate_pairs(5)
+        assert task.predict(threshold=0.0, k=3) == task.candidate_pairs(3)
+
+
 class TestDeprecatedShims:
-    def test_pipeline_warns_but_works(self, em_dataset):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            pipeline = SudowoodoPipeline(tiny_config())
-        report = pipeline.run(em_dataset, label_budget=20)
-        assert 0.0 <= report.f1 <= 1.0
-
-    def test_cleaner_warns(self):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            SudowoodoCleaner()
-
-    def test_column_pipeline_warns(self):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            ColumnMatchingPipeline()
+    """The session path never emits a ``DeprecationWarning``."""
 
     def test_session_path_emits_no_deprecation(self, em_dataset):
         session = SudowoodoSession(tiny_config(seed=3))
@@ -251,18 +389,3 @@ class TestDeprecatedShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             session.task("match", fresh=True).fit(em_dataset, label_budget=20)
-
-    def test_legacy_pipeline_matches_session_task_f1(self, em_dataset):
-        """The shim and the session path train on identical inputs and
-        reach the same test metrics (shared seeds, shared pretrain)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SudowoodoPipeline(tiny_config(seed=4))
-            legacy.pretrain_on(em_dataset)
-            legacy.train_matcher(label_budget=20)
-            legacy_metrics = legacy.evaluate("test")
-
-        session = SudowoodoSession(tiny_config(seed=4))
-        session.pretrain(em_dataset.all_items())
-        task = session.task("match").fit(em_dataset, label_budget=20)
-        assert task.evaluate("test") == pytest.approx(legacy_metrics)

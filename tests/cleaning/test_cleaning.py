@@ -1,20 +1,23 @@
-"""Tests for candidate generation, the Sudowoodo cleaner, and baselines."""
+"""Tests for candidate generation, the ``clean`` task, repair scoring, and
+baselines."""
 
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoConfig, SudowoodoSession, TaskNotFittedError
 from repro.cleaning import (
     BaranCorrector,
     CandidateGenerator,
     FormatTool,
     RahaDetector,
-    SudowoodoCleaner,
     TypoTool,
     ValueFrequencyTool,
-    cleaning_config,
+    cleaning_corpus,
     run_perfect_ed_baran,
     run_raha_baran,
+    score_repairs,
 )
+from repro.cleaning.cleaner import context_schema
 from repro.data.generators import load_cleaning_dataset
 
 
@@ -142,9 +145,11 @@ class TestBaran:
             assert candidate != beers.dirty[cell[0]].get(cell[1])
 
 
-class TestSudowoodoCleaner:
-    def tiny_cleaner(self):
-        config = cleaning_config(
+class TestCleanTask:
+    """The ``clean`` session task on a tiny pre-trained session."""
+
+    def tiny_config(self, **overrides):
+        defaults = dict(
             dim=16,
             num_layers=1,
             num_heads=2,
@@ -161,30 +166,74 @@ class TestSudowoodoCleaner:
             mlm_warm_start_epochs=0,
             seed=0,
         )
-        return SudowoodoCleaner(config)
+        defaults.update(overrides)
+        return SudowoodoConfig.for_task("clean", **defaults)
 
-    def test_fit_and_evaluate(self, beers, generator):
-        cleaner = self.tiny_cleaner().fit(beers, generator, labeled_rows=12)
-        report = cleaner.evaluate()
+    @pytest.fixture(scope="class")
+    def task(self, beers, generator):
+        session = SudowoodoSession(self.tiny_config())
+        session.pretrain(cleaning_corpus(beers, generator))
+        return session.task("clean").fit(beers, generator, labeled_rows=12)
+
+    def test_fit_and_evaluate(self, task):
+        report = task.report()
         assert 0.0 <= report.f1 <= 1.0
         assert report.dataset == "beers"
+        assert report.metrics == task.evaluate()
 
-    def test_correct_returns_actual_changes(self, beers, generator):
-        cleaner = self.tiny_cleaner().fit(beers, generator, labeled_rows=12)
-        repairs = cleaner.correct()
+    def test_correct_returns_actual_changes(self, task, beers):
+        repairs = task.predict()
         for (row, attribute), candidate in repairs.items():
             assert candidate != beers.dirty[row].get(attribute)
 
-    def test_requires_fit_before_correct(self):
-        with pytest.raises(RuntimeError):
-            self.tiny_cleaner().correct()
+    def test_requires_fit_before_correct(self, task):
+        with pytest.raises(TaskNotFittedError):
+            task.session.task("clean", fresh=True).predict()
 
-    def test_rejects_bad_serialization(self):
-        with pytest.raises(ValueError):
-            SudowoodoCleaner(serialization="bogus")
+    def test_rejects_bad_serialization(self, task):
+        with pytest.raises(ValueError, match="serialization"):
+            task.session.task("clean", fresh=True, serialization="bogus")
 
-    def test_context_schema_includes_determinant(self, beers, generator):
-        cleaner = self.tiny_cleaner()
-        window = cleaner._context_schema(beers, "city")
+    def test_context_schema_includes_determinant(self, beers):
+        window = context_schema(beers, "city")
         assert "brewery_id" in window  # brewery_id -> city FD
         assert "city" in window
+
+    def test_warm_only_session_fits(self, beers, generator):
+        """The RoBERTa-base ablation row is a session whose config has
+        ``pretrain_epochs=0`` (no contrastive step); the task still fits."""
+        session = SudowoodoSession(self.tiny_config(pretrain_epochs=0))
+        session.pretrain(cleaning_corpus(beers, generator))
+        task = session.task("clean").fit(beers, generator, labeled_rows=12)
+        assert 0.0 <= task.evaluate()["f1"] <= 1.0
+
+
+class TestScoreRepairs:
+    def test_matches_hand_count_and_respects_excluded_rows(self, beers):
+        errors = beers.error_cells()
+        (good_row, good_attr), (bad_row, bad_attr) = errors[0], errors[-1]
+        repairs = {
+            (good_row, good_attr): beers.ground_truth(good_row, good_attr),
+            (bad_row, bad_attr): "definitely wrong",
+        }
+        report = score_repairs(beers, repairs)
+        assert report.repaired == 2
+        assert report.precision == 0.5
+        assert report.recall == pytest.approx(1 / len(errors))
+        excluded = score_repairs(beers, repairs, exclude_rows=[bad_row])
+        assert excluded.repaired == 1 and excluded.precision == 1.0
+        remaining = [cell for cell in errors if cell[0] != bad_row]
+        assert excluded.recall == pytest.approx(1 / len(remaining))
+
+    def test_baran_evaluate_uses_the_same_arithmetic(self, beers, generator):
+        corrector = BaranCorrector().fit(beers, generator, labeled_rows=10)
+        cells = beers.error_cells()
+        report = corrector.evaluate(cells, "PerfectED+Baran")
+        expected = score_repairs(beers, corrector.correct(cells))
+        assert report.dataset == "beers (PerfectED+Baran)"
+        assert (report.precision, report.recall, report.f1, report.repaired) == (
+            expected.precision,
+            expected.recall,
+            expected.f1,
+            expected.repaired,
+        )

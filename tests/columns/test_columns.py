@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoConfig, SudowoodoSession
 from repro.columns import (
-    ColumnMatchingPipeline,
     SatoFeaturizer,
     SherlockFeaturizer,
     cluster_columns,
     cluster_purity,
-    column_config,
     discover_types,
     evaluate_feature_baseline,
     find_subtype_clusters,
@@ -23,8 +22,9 @@ def corpus():
     return generate_column_corpus(80, seed=5)
 
 
-def tiny_column_config():
-    return column_config(
+def tiny_columns_config():
+    return SudowoodoConfig.for_task(
+        "column_match",
         dim=16,
         num_layers=1,
         num_heads=2,
@@ -44,38 +44,43 @@ def tiny_column_config():
 
 
 @pytest.fixture(scope="module")
-def pipeline(corpus):
-    return ColumnMatchingPipeline(
-        tiny_column_config(), max_values_per_column=5
-    ).pretrain_on(corpus)
+def task(corpus):
+    """The ``column_match`` task fitted once for the module."""
+    session = SudowoodoSession(tiny_columns_config())
+    session.pretrain(corpus.serialized(max_values=5))
+    return session.task("column_match", max_values_per_column=5).fit(
+        corpus, k=5, num_labels=60
+    )
 
 
 class TestColumnMatching:
-    def test_candidate_pairs_no_self_matches(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=3)
+    def test_candidate_pairs_no_self_matches(self, task):
+        candidates = task.candidate_pairs(k=3)
         for i, j in candidates:
             assert i < j
 
-    def test_labeled_split_ratio(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=5)
-        splits = pipeline.build_labeled_pairs(candidates, 40)
+    def test_labeled_split_ratio(self, task):
+        candidates = task.candidate_pairs(k=5)
+        splits = task.build_labeled_pairs(candidates, 40)
         assert len(splits["train"]) == 20
         assert len(splits["valid"]) == 10
 
-    def test_train_and_evaluate(self, pipeline):
-        report = pipeline.train_and_evaluate(k=5, num_labels=60)
-        assert 0.0 <= report.test_metrics["f1"] <= 1.0
-        assert report.num_candidates > 0
+    def test_train_and_evaluate(self, task):
+        report = task.report()
+        assert 0.0 <= report.metrics["f1"] <= 1.0
+        assert report.metrics == task.evaluate()
+        assert report.num_candidates == len(task.candidate_pairs())
         assert 0.0 <= report.positive_rate <= 1.0
+        assert {"embed", "blocking", "finetune", "evaluate"} <= set(report.timings)
 
-    def test_predict_edges_subset_of_candidates(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=3)[:30]
-        edges = pipeline.predict_edges(candidates)
+    def test_predict_edges_subset_of_candidates(self, task):
+        candidates = task.candidate_pairs(k=3)[:30]
+        edges = task.predict(candidates)
         assert set(edges) <= set(candidates)
 
-    def test_blocking_finds_same_type_neighbors(self, pipeline, corpus):
+    def test_blocking_finds_same_type_neighbors(self, task, corpus):
         """kNN candidates should be enriched in same-type pairs."""
-        candidates = pipeline.candidate_pairs(k=5)
+        candidates = task.candidate_pairs(k=5)
         same = sum(corpus.same_type(i, j) for i, j in candidates)
         rate_candidates = same / len(candidates)
         rng = np.random.default_rng(0)
@@ -162,12 +167,9 @@ class TestFeaturizers:
         assert pair_features(va, vb).shape == (12,)
 
     @pytest.mark.parametrize("classifier", ["LR", "GBT", "SIM"])
-    def test_feature_baseline_evaluation(self, corpus, classifier):
-        pipeline = ColumnMatchingPipeline(
-            tiny_column_config(), max_values_per_column=5
-        ).pretrain_on(corpus)
-        candidates = pipeline.candidate_pairs(k=5)
-        splits = pipeline.build_labeled_pairs(candidates, 60)
+    def test_feature_baseline_evaluation(self, corpus, task, classifier):
+        candidates = task.candidate_pairs(k=5)
+        splits = task.build_labeled_pairs(candidates, 60)
         result = evaluate_feature_baseline(
             corpus, SherlockFeaturizer(), splits, classifier
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SudowoodoConfig, SudowoodoPipeline
+from repro import SudowoodoConfig, SudowoodoSession
 from repro.data.generators import load_em_benchmark
 from repro.text import LSHIndex
 
@@ -37,40 +37,42 @@ def dataset():
     return load_em_benchmark("DA", scale=0.02, max_table_size=40)
 
 
+def pretrained_session(dataset, **overrides):
+    session = SudowoodoSession(tiny_config(**overrides))
+    session.pretrain(dataset.all_items())
+    return session
+
+
 class TestAutoDAPipeline:
     def test_full_pipeline_with_auto_operator(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(da_operator="auto"))
-        report = pipeline.run(dataset, label_budget=20)
+        session = pretrained_session(dataset, da_operator="auto")
+        report = session.task("match").fit(dataset, label_budget=20).report()
         assert 0.0 <= report.f1 <= 1.0
-        assert pipeline.pretrain_result.operator_weights is not None
+        assert session.pretrain_result.operator_weights is not None
 
 
 class TestConcatHeadPipeline:
     def test_pipeline_with_ditto_style_head(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=1))
-        pipeline.pretrain_on(dataset)
-        pipeline.train_matcher(label_budget=20, head="concat")
-        metrics = pipeline.evaluate("test")
+        task = pretrained_session(dataset, seed=1).task("match")
+        metrics = task.fit(dataset, label_budget=20, head="concat").evaluate("test")
         assert 0.0 <= metrics["f1"] <= 1.0
 
 
 class TestLSHBlockingIntegration:
-    def test_lsh_over_learned_embeddings(self, dataset):
+    @pytest.fixture(scope="class")
+    def blocker(self, dataset):
+        return pretrained_session(dataset, seed=2).task("block").fit(dataset).blocker
+
+    def test_lsh_over_learned_embeddings(self, blocker):
         """LSH retrieval over the blocker's embedding space approximates
         the exact kNN candidates."""
-        pipeline = SudowoodoPipeline(tiny_config(seed=2))
-        pipeline.pretrain_on(dataset)
-        blocker = pipeline.blocker
         index = LSHIndex(
             dim=blocker.vectors_b.shape[1], num_tables=12, num_bits=4, seed=0
         ).build(blocker.vectors_b)
         recall = index.recall_against_exact(blocker.vectors_a[:20], k=3)
         assert recall > 0.5
 
-    def test_lsh_candidates_contain_matches(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=2))
-        pipeline.pretrain_on(dataset)
-        blocker = pipeline.blocker
+    def test_lsh_candidates_contain_matches(self, dataset, blocker):
         index = LSHIndex(
             dim=blocker.vectors_b.shape[1], num_tables=16, num_bits=3, seed=1
         ).build(blocker.vectors_b)
@@ -87,10 +89,9 @@ class TestLSHBlockingIntegration:
 
 class TestPositiveRatioPlumbing:
     def test_pseudo_positive_fraction_shrinks_positives(self, dataset):
-        generous = SudowoodoPipeline(tiny_config(pseudo_positive_fraction=1.0))
-        generous.pretrain_on(dataset)
-        generous.train_matcher(label_budget=20)
-        conservative = SudowoodoPipeline(tiny_config(pseudo_positive_fraction=0.3))
-        conservative.pretrain_on(dataset)
-        conservative.train_matcher(label_budget=20)
-        assert len(conservative._pseudo.positives) <= len(generous._pseudo.positives)
+        def positives(fraction):
+            session = pretrained_session(dataset, pseudo_positive_fraction=fraction)
+            task = session.task("match").fit(dataset, label_budget=20)
+            return len(task._pseudo.positives)
+
+        assert positives(0.3) <= positives(1.0)

@@ -1,9 +1,10 @@
-"""Integration tests: encoder, blocker, matcher, pipeline on tiny configs."""
+"""Integration tests: encoder, blocker, matcher, and the end-to-end
+``match`` task on tiny configs."""
 
 import numpy as np
 import pytest
 
-from repro import SudowoodoConfig, SudowoodoPipeline
+from repro import SudowoodoConfig, SudowoodoSession
 from repro.core import (
     Blocker,
     PairwiseMatcher,
@@ -242,50 +243,55 @@ class TestF1Computation:
         assert m["precision"] == 0.5 and m["recall"] == 0.5 and m["f1"] == 0.5
 
 
+def pretrained_session(dataset, **overrides):
+    session = SudowoodoSession(tiny_config(**overrides))
+    session.pretrain(dataset.all_items())
+    return session
+
+
 class TestPipeline:
+    """Pretrain -> block -> pseudo-label -> fine-tune through the session's
+    ``match`` task."""
+
     def test_run_produces_report(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        report = pipeline.run(dataset, label_budget=30)
+        session = pretrained_session(dataset)
+        report = session.task("match").fit(dataset, label_budget=30).report()
         assert report.dataset == "AB"
         assert 0.0 <= report.f1 <= 1.0
         assert report.num_manual_labels == 30
         assert report.num_pseudo_labels > 0
-        assert "pretrain" in report.timings
+        assert "pretrain" in session.timer.summary()
+        assert {"blocking", "pseudo_label", "finetune"} <= set(report.timings)
 
     def test_unsupervised_mode(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.train_matcher(label_budget=0)
-        metrics = pipeline.evaluate("test")
+        task = pretrained_session(dataset, seed=2).task("match")
+        metrics = task.fit(dataset, label_budget=0).evaluate("test")
         assert 0.0 <= metrics["f1"] <= 1.0
 
-    def test_requires_pretrain_first(self):
-        pipeline = SudowoodoPipeline(tiny_config())
+    def test_requires_pretrain_first(self, dataset):
+        task = SudowoodoSession(tiny_config()).task("match")
         with pytest.raises(RuntimeError):
-            pipeline.block()
+            task.block()
+        with pytest.raises(RuntimeError, match="pretrain"):
+            task.fit(dataset, 10)
         with pytest.raises(RuntimeError):
-            pipeline.train_matcher(10)
-        with pytest.raises(RuntimeError):
-            pipeline.evaluate()
+            task.evaluate()
 
     def test_no_labels_no_pl_rejected(self, dataset):
-        config = tiny_config(use_pseudo_labeling=False)
-        pipeline = SudowoodoPipeline(config)
-        pipeline.pretrain_on(dataset)
-        with pytest.raises(RuntimeError):
-            pipeline.train_matcher(label_budget=0)
+        task = pretrained_session(dataset, use_pseudo_labeling=False).task("match")
+        with pytest.raises(RuntimeError, match="no training examples"):
+            task.fit(dataset, label_budget=0)
+        assert not task.fitted
 
     def test_pseudo_quality_available(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=3))
-        pipeline.pretrain_on(dataset)
-        pipeline.train_matcher(label_budget=20)
-        quality = pipeline.pseudo_label_quality()
+        task = pretrained_session(dataset, seed=3).task("match")
+        quality = task.fit(dataset, label_budget=20).pseudo_label_quality()
         assert set(quality) == {"tpr", "tnr"}
+        assert task.report().pseudo_quality == quality
 
     def test_class_balance_weights_applied(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        train, _ = pipeline.build_training_set(30)
+        task = pretrained_session(dataset).task("match").fit(dataset, 30)
+        train, _ = task.build_training_set(30)
         pos_weights = {e.weight for e in train if e.label == 1}
         neg_weights = {e.weight for e in train if e.label == 0}
         assert max(pos_weights) > max(neg_weights)

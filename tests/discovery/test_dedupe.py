@@ -5,7 +5,8 @@ dataset construction, and pairwise metrics."""
 import numpy as np
 import pytest
 
-from repro.data.generators import generate_dirty_duplicates
+from repro.columns import cluster_columns
+from repro.data.generators import generate_column_corpus, generate_dirty_duplicates
 from repro.data.records import Record
 from repro.discovery import (
     MERGE_POLICIES,
@@ -76,6 +77,23 @@ class TestDisjointSet:
                 for a, b in rng.integers(-3, n + 3, size=(num_edges, 2))
             ]
             assert duplicate_clusters(n, edges) == _networkx_clusters(n, edges)
+
+    def test_cluster_columns_partition_matches_networkx(self):
+        # Type discovery runs on the same union-find: same partition and
+        # same cluster order as the networkx components it used to build,
+        # self-loops and duplicate edges included.
+        corpus = generate_column_corpus(50, seed=3)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            num_edges = int(rng.integers(0, 90))
+            edges = [
+                (int(a), int(b))
+                for a, b in rng.integers(0, len(corpus), size=(num_edges, 2))
+            ]
+            edges += edges[: num_edges // 3] + [(5, 5), (0, 0)]
+            assert cluster_columns(corpus, edges) == _networkx_clusters(
+                len(corpus), edges
+            )
 
 
 class TestIterDuplicateClusters:

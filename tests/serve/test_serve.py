@@ -5,12 +5,15 @@ blocking, and single-encoding pipeline integration."""
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoSession
 from repro.core import (
     Blocker,
     SudowoodoConfig,
+    PairwiseMatcher,
     SudowoodoEncoder,
-    SudowoodoPipeline,
+    TrainingExample,
     build_tokenizer,
+    finetune_matcher,
 )
 from repro.data.generators import load_em_benchmark
 from repro.serve import (
@@ -641,17 +644,6 @@ class TestIncrementalBlocker:
         assert candidate_set.num_b == blocker.num_live_b
         assert all(b != ids[0] for _, b in candidate_set.pairs)
 
-    def test_pipeline_streaming_wrappers(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        pipeline.pseudo_labels(8)
-        assert pipeline._pseudo is not None
-        ids = pipeline.upsert_records(["[COL] name [VAL] piped record"])
-        assert pipeline._pseudo is None  # stale pseudo labels invalidated
-        assert pipeline.block(k=2).num_b == len(dataset.table_b) + 1
-        pipeline.delete_records(ids)
-        assert pipeline.block(k=2).num_b == len(dataset.table_b)
-
 
 # ----------------------------------------------------------------------
 class TestBlockerAndService:
@@ -703,6 +695,13 @@ class TestBlockerAndService:
         with pytest.raises(RuntimeError):
             service.match_pairs([("a", "b")])
 
+    def test_match_service_shares_an_empty_store(self, encoder):
+        """Regression: an empty store is falsy (defines __len__); the
+        service must still share it rather than silently create its own."""
+        store = EmbeddingStore(encoder)
+        assert len(store) == 0
+        assert MatchService(encoder, store=store).store is store
+
     def test_deterministic_across_rebuilds(self, dataset):
         """Same seed => same tokenizer, weights, embeddings, candidates."""
         runs = []
@@ -721,68 +720,61 @@ class TestBlockerAndService:
 
 
 # ----------------------------------------------------------------------
+def pretrained_session(dataset, **overrides) -> SudowoodoSession:
+    session = SudowoodoSession(tiny_config(**overrides))
+    session.pretrain(dataset.all_items())
+    return session
+
+
 class TestPipelineIntegration:
     def test_single_encoding_per_run(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        corpus_size = len(pipeline.store)
-        misses = pipeline.store.misses
+        session = pretrained_session(dataset, finetune_epochs=1, multiplier=2)
+        session.task("block").fit(dataset, k=3)
+        corpus_size = len(session.store)
+        misses = session.store.misses
         assert misses == corpus_size  # every unique record encoded exactly once
 
-        pipeline.block(k=5)
-        pipeline.pseudo_labels(8)
-        service = pipeline.match_service()
+        session.task("block").predict(k=5)
+        match = session.task("match").fit(dataset, label_budget=16)
+        match.pseudo_labels(8)
+        service = session.serve(match)
         service.embed_batch(dataset.all_items())
-        assert pipeline.store.misses == misses  # warm cache across tasks
-
-    def test_store_cleared_after_finetune(self, dataset):
-        """Fine-tuning mutates the encoder in place, so the pipeline must
-        drop cached (now stale) vectors before serving continues."""
-        pipeline = SudowoodoPipeline(tiny_config(finetune_epochs=1, multiplier=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        assert len(pipeline.store) > 0
-        pipeline.train_matcher(label_budget=16)
-        assert len(pipeline.store) == 0  # stale pre-finetune vectors dropped
-        service = pipeline.match_service()
-        # Regression: an empty store is falsy (defines __len__); the service
-        # must still share it rather than silently creating a fresh one.
-        assert service.store is pipeline.store
-        probabilities = service.match_pairs(
-            [(dataset.serialize_a(0), dataset.serialize_b(0))]
-        )
-        assert probabilities.shape == (1, 2)
+        assert session.store.misses == misses  # warm cache across tasks
+        assert len(session.store) == corpus_size  # fine-tuning cleared nothing
 
     def test_finetune_changes_fingerprint_and_invalidates_cache(
         self, dataset, tmp_path
     ):
-        """The PR 1 invalidation contract: in-place fine-tuning mutates the
-        encoder, so (a) ``encoder_fingerprint()`` changes and (b) a cache
-        saved pre-finetune strict-load-fails into the updated encoder."""
-        pipeline = SudowoodoPipeline(tiny_config(finetune_epochs=1, multiplier=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        fingerprint_before = pipeline.store.encoder_fingerprint()
-        path = pipeline.store.save(tmp_path / "pre_finetune.npz")
+        """The PR 1 invalidation contract of the *store*: fine-tuning the
+        encoder it wraps in place (a) changes ``encoder_fingerprint()`` and
+        (b) makes a cache saved before strict-load-fail."""
+        config = tiny_config(finetune_epochs=1)
+        enc = SudowoodoEncoder(config, build_tokenizer(dataset.all_items(), config))
+        store = EmbeddingStore(enc)
+        store.embed_batch(dataset.all_items())
+        fingerprint_before = store.encoder_fingerprint()
+        path = store.save(tmp_path / "pre_finetune.npz")
 
-        pipeline.train_matcher(label_budget=16)
+        examples = [
+            TrainingExample(*dataset.serialize_pair(pair), pair.label)
+            for pair in dataset.pairs.train[:16]
+        ]
+        finetune_matcher(PairwiseMatcher(enc), examples, examples, config)
 
-        fingerprint_after = pipeline.store.encoder_fingerprint()
-        assert fingerprint_after != fingerprint_before
-        # Stale vectors were dropped by the pipeline...
-        assert len(pipeline.store) == 0
-        # ...and the persisted pre-finetune cache is rejected by a strict
-        # load into the (mutated) encoder.
+        assert store.encoder_fingerprint() != fingerprint_before
+        # The persisted pre-finetune cache is rejected by a strict load
+        # into the (mutated) encoder...
+        store.clear()
         with pytest.raises(ValueError, match="different encoder"):
-            pipeline.store.load(path)
-        # Non-strict load remains possible for callers that accept drift.
-        assert pipeline.store.load(path, strict=False) > 0
+            store.load(path)
+        # ...while a non-strict load remains possible for callers that
+        # accept drift.
+        assert store.load(path, strict=False) > 0
 
     def test_pipeline_lsh_backend(self, dataset):
-        config = tiny_config(ann_backend="lsh", lsh_num_tables=16, lsh_num_bits=2)
-        pipeline = SudowoodoPipeline(config)
-        pipeline.pretrain_on(dataset)
-        candidate_set = pipeline.block(k=3)
-        assert len(candidate_set) > 0
-        assert isinstance(pipeline.blocker.backend, LSHBackend)
+        session = pretrained_session(
+            dataset, ann_backend="lsh", lsh_num_tables=16, lsh_num_bits=2
+        )
+        block = session.task("block").fit(dataset, k=3)
+        assert len(block.predict()) > 0
+        assert isinstance(block.blocker.backend, LSHBackend)

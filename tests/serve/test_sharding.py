@@ -1,6 +1,6 @@
 """Sharded serving tests: shard-equivalence against the single-shard
 service, recall under churn for the approximate backends, the request
-broker as a plain query coalescer, and the config/registry/pipeline
+broker as a plain query coalescer, and the config/registry/session
 routing."""
 
 import threading
@@ -9,12 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
-    SudowoodoConfig,
-    SudowoodoEncoder,
-    SudowoodoPipeline,
-    build_tokenizer,
-)
+from repro.api import SudowoodoSession
+from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from repro.data.generators import load_em_benchmark
 from repro.serve import (
     ExactBackend,
@@ -497,19 +493,19 @@ class TestConfigAndRouting:
         assert sharded.pairs == single.pairs
 
     def test_pipeline_routes_sharded_service(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(num_shards=2))
-        pipeline.pretrain_on(dataset)
-        service = pipeline.match_service()
+        session = SudowoodoSession(tiny_config(num_shards=2))
+        session.pretrain(dataset.all_items())
+        service = session.serve()
         assert isinstance(service, MatchService)
         assert service.num_shards == 2
-        assert service.store is pipeline.store  # shared warm cache
+        assert service.store is session.store  # shared warm cache
 
     def test_pipeline_single_shard_service_gets_locked_backend(self, dataset):
-        """There is one service class: an unsharded pipeline's service
+        """There is one service class: an unsharded session's service
         is thread-safe too, its live index behind a 1-shard wrapper."""
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        service = pipeline.match_service()
+        session = SudowoodoSession(tiny_config())
+        session.pretrain(dataset.all_items())
+        service = session.serve()
         service.index_records(dataset.all_items()[:8])
         assert isinstance(service._live_backend, ShardedBackend)
         assert service._live_backend.num_shards == 1

@@ -1,0 +1,76 @@
+"""Import layering: the workload layers never import the task layer.
+
+``repro.api`` (session + tasks) and ``repro.discovery`` (tasks built on
+it) sit on top; everything below — including function-local imports,
+which is how the removed drivers hid an ``api`` <-> ``core`` cycle — must
+not reach up into them.
+"""
+
+import ast
+from pathlib import Path
+from typing import Iterator, Tuple
+
+import repro
+
+LOWER_PACKAGES = (
+    "nn", "text", "train", "utils", "ml", "data", "augment", "serve",
+    "core", "cleaning", "columns", "baselines", "eval",
+)
+FORBIDDEN = ("repro.api", "repro.discovery")
+ROOT = Path(repro.__file__).parent
+
+
+def imported_modules(source: str, package: Tuple[str, ...]) -> Iterator[Tuple[int, str]]:
+    """(line, absolute module name) of every import in ``source`` — at any
+    nesting depth — with relative imports resolved against ``package``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            yield node.lineno, module
+            # ``from .. import api`` names the submodule in the alias list.
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def is_forbidden(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in FORBIDDEN)
+
+
+def test_lower_layers_do_not_import_the_task_layer():
+    violations = {}  # "file:line" -> first forbidden module named there
+    for package in LOWER_PACKAGES:
+        files = sorted((ROOT / package).rglob("*.py"))
+        assert files, f"repro.{package} has no modules; fix LOWER_PACKAGES"
+        for path in files:
+            parts = ("repro",) + path.relative_to(ROOT).parent.parts
+            for line, module in imported_modules(path.read_text(), parts):
+                if is_forbidden(module):
+                    where = f"{path.relative_to(ROOT.parent)}:{line}"
+                    violations.setdefault(where, module)
+    assert not violations, "\n".join(
+        f"{where} imports {module}" for where, module in violations.items()
+    )
+
+
+def test_walker_resolves_relative_and_function_local_imports():
+    """The shapes the removed drivers used must be visible to the walker."""
+    source = (
+        "import numpy\n"
+        "def f():\n"
+        "    from ..api.session import SudowoodoSession\n"
+        "    from .. import discovery\n"
+        "    from .blocker import Blocker\n"
+    )
+    found = set(imported_modules(source, ("repro", "core")))
+    assert (3, "repro.api.session") in found
+    assert (4, "repro.discovery") in found
+    assert (5, "repro.core.blocker") in found
+    assert [m for _, m in sorted(found) if is_forbidden(m)] == [
+        "repro.api.session",
+        "repro.api.session.SudowoodoSession",
+        "repro.discovery",
+    ]
