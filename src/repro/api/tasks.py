@@ -32,7 +32,7 @@ import numpy as np
 from ..cleaning.candidates import CandidateGenerator
 from ..cleaning.cleaner import cleaning_corpus, score_repairs, serialize_cell
 from ..columns.clustering import ClusterReport, discover_types
-from ..core.blocker import Blocker, CandidateSet, _normalize_rows
+from ..core.blocker import Blocker, CandidateSet
 from ..core.matcher import (
     PairwiseMatcher,
     TrainingExample,
@@ -42,6 +42,7 @@ from ..core.matcher import (
 )
 from ..core.pseudo_label import PseudoLabelSet, generate_pseudo_labels
 from ..serve import ANNBackend, build_backend
+from ..text.similarity import normalize_rows
 from ..utils import RngStream, Timer
 from .registry import TaskNotFittedError, register_task
 from .results import (
@@ -682,7 +683,7 @@ class ColumnMatchTask(SessionTask):
         self.texts = corpus.serialized(max_values=self.max_values)
         with self.timer.section("embed"):
             raw = self.session.embed(self.texts, normalize=False)
-            self._vectors = _normalize_rows(raw - raw.mean(axis=0, keepdims=True))
+            self._vectors = normalize_rows(raw - raw.mean(axis=0, keepdims=True))
         self._backend = build_backend(config).build(self._vectors)
 
         candidates = self.candidate_pairs()

@@ -39,12 +39,8 @@ import numpy as np
 
 from ..data import EMDataset
 from ..serve import ANNBackend, EmbeddingStore, ExactBackend
+from ..text.similarity import normalize_rows
 from .encoder import SudowoodoEncoder
-
-
-def _normalize_rows(matrix: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norms = np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), eps)
-    return matrix / norms
 
 
 @dataclass
@@ -131,8 +127,8 @@ class Blocker:
         self._raw_b = raw_b
         self._alive_b = np.ones(raw_b.shape[0], dtype=bool)
         self._mean = self._compute_mean()
-        self.vectors_a = _normalize_rows(raw_a - self._mean)
-        self.vectors_b = _normalize_rows(raw_b - self._mean)
+        self.vectors_a = normalize_rows(raw_a - self._mean)
+        self.vectors_b = normalize_rows(raw_b - self._mean)
         self.backend.build(self.vectors_b)
 
     def _compute_mean(self) -> np.ndarray:
@@ -182,7 +178,7 @@ class Blocker:
         self._alive_b = np.concatenate(
             [self._alive_b, np.ones(raw.shape[0], dtype=bool)]
         )
-        vectors = _normalize_rows(raw - self._mean)
+        vectors = normalize_rows(raw - self._mean)
         self.vectors_b = np.vstack([self.vectors_b, vectors])
         backend.add(ids, vectors)
         return ids
@@ -214,8 +210,8 @@ class Blocker:
         """
         backend = self._require_mutable_backend()
         self._mean = self._compute_mean()
-        self.vectors_a = _normalize_rows(self._raw_a - self._mean)
-        self.vectors_b = _normalize_rows(self._raw_b - self._mean)
+        self.vectors_a = normalize_rows(self._raw_a - self._mean)
+        self.vectors_b = normalize_rows(self._raw_b - self._mean)
         live = np.flatnonzero(self._alive_b)
         backend.build(np.zeros((0, self.vectors_b.shape[1])))
         if live.size:

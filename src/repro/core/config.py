@@ -122,11 +122,13 @@ class SudowoodoConfig:
     serve_batch_size: int = 64
     embed_cache_capacity: Optional[int] = None
     # In-RAM precision of served vectors (EmbeddingStore cache + backend
-    # corpus rows): float32 halves RSS vs the seed's float64 at ~1e-7
-    # score error; pin "float64" for byte-identical exactness.
+    # corpus rows), and the precision the exact backend scores in:
+    # "float64" byte-equal to the seed (<= 1e-12 once a remove reordered
+    # rows), "float32" half the RSS and within 1e-6 of the float64 cosine
+    # of the stored rows, "float16" within 1e-3 (docs/serving.md).
     store_dtype: str = "float32"
     # Sharded serving (serve.sharding): with num_shards > 1 the ANN index
-    # is hash-partitioned across per-shard backends queried in parallel.
+    # is hash-partitioned across lock-guarded per-shard backends.
     # MatchService's broker (serve.broker) collects concurrent search()
     # callers for up to coalesce_window_ms into one batched encoder /
     # backend call, capped at max_coalesce_batch queries per batch

@@ -25,7 +25,8 @@ backend (the sharded top-k provably equals the single-shard top-k, see
 Lake-scale mechanics: the normalized column matrix is held in
 ``config.store_dtype`` (not forced float64), and backend queries and
 scoring run over **streamed batches** of ``config.discovery_batch_size``
-columns (upcast to float64 per batch).  A batch of candidate pairs is
+columns (scoring upcasts each batch to float64; the backend owns the
+dtype it queries in).  A batch of candidate pairs is
 scored in one shot — one einsum for the cosines, ONE call into the KMV
 pair kernel (:class:`~repro.serve.sketch.SketchTable`, built once per
 ranking) for the containments — and collected as arrays under integer
@@ -51,6 +52,7 @@ from ..core.config import SudowoodoConfig
 from ..data.records import Table, serialize_column
 from ..serve.backends import ANNBackend, build_backend
 from ..serve.sketch import ContainmentSketch, SketchTable
+from ..text.similarity import normalize_rows
 
 #: A column reference: (table name, column name).
 ColumnRef = Tuple[str, str]
@@ -103,18 +105,6 @@ def profile_tables(
                 )
             )
     return profiles
-
-
-def _normalize_rows(
-    vectors: np.ndarray, dtype: np.dtype = np.dtype(np.float64)
-) -> np.ndarray:
-    """Unit-normalize rows (in float64 for stable norms), stored as
-    ``dtype`` — the configured ``store_dtype``, so the full column matrix
-    is never forced into a float64 copy."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    normalized = vectors / np.maximum(norms, 1e-12)
-    return normalized.astype(dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -345,11 +335,11 @@ def iter_candidate_pairs(
 ) -> Iterator[np.ndarray]:
     """Stream canonical candidate index pairs from a built backend.
 
-    Queries run over ``batch_size`` columns at a time (each batch upcast
-    to float64 for the backend), so the neighbour matrix held at any
-    moment is O(batch x k), not O(N x k).  Backend ids must equal
-    profile positions.  Pairs within one batch are deduplicated; a pair
-    surfacing from two different batches is the collector's job.
+    Queries run over ``batch_size`` columns at a time, so the neighbour
+    matrix held at any moment is O(batch x k), not O(N x k).  Backend
+    ids must equal profile positions.  Pairs within one batch are
+    deduplicated; a pair surfacing from two different batches is the
+    collector's job.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -358,8 +348,7 @@ def iter_candidate_pairs(
     kq = min(k + 1, n)  # every column's nearest neighbour is itself
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        block = np.asarray(normalized[start:stop], dtype=np.float64)
-        neighbor_ids, _ = backend.query(block, kq)
+        neighbor_ids, _ = backend.query(normalized[start:stop], kq)
         query_ids = np.repeat(np.arange(start, stop, dtype=np.int64), kq)
         partner_ids = neighbor_ids.reshape(-1).astype(np.int64)
         valid = (partner_ids >= 0) & (partner_ids != query_ids)
@@ -406,7 +395,7 @@ def rank_join_candidates(
     (for the exact backend) independent of the shard count.
 
     The normalized matrix is stored in ``config.store_dtype`` and
-    queried/scored in float64 batches of ``batch_size`` (default
+    queried in batches of ``batch_size``, scored in float64 (default
     ``config.discovery_batch_size``).  ``top`` bounds the result to the
     best ``top`` candidates through a fixed-size heap — identical to
     the full ranking truncated, at O(top + batch) peak memory.
@@ -425,7 +414,7 @@ def rank_join_candidates(
     if len(profiles) < 2:
         return []
 
-    normalized = _normalize_rows(vectors, dtype=np.dtype(config.store_dtype))
+    normalized = normalize_rows(vectors, dtype=config.store_dtype)
     backend = build_backend(config, sharded=True)
     backend.build(normalized)
     batches = iter_candidate_pairs(

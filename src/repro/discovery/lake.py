@@ -60,12 +60,12 @@ from ..data.records import Table, serialize_column
 from ..serve.backends import ANNBackend, build_backend
 from ..serve.sketch import ContainmentSketch
 from ..serve.vecstore import MemmapVectorStore
+from ..text.similarity import normalize_rows
 from ..utils.fingerprint import text_fingerprint
 from .join import (
     ColumnProfile,
     ColumnRef,
     _canonical_pairs,
-    _normalize_rows,
     _table_codes,
     score_candidate_batches,
 )
@@ -344,7 +344,7 @@ class LakeProfile:
     def normalized(self) -> np.ndarray:
         """``vectors`` unit-normalized in float64 — computed once, shared
         by the index update and the ranking of this pass."""
-        return _normalize_rows(self.vectors)
+        return normalize_rows(self.vectors, dtype=np.float64)
 
 
 def profile_lake(
@@ -528,8 +528,7 @@ class LakeIndex:
             return
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
-            block = np.asarray(normalized[start:stop], dtype=np.float64)
-            neighbor_ids, _ = self._backend.query(block, kq)
+            neighbor_ids, _ = self._backend.query(normalized[start:stop], kq)
             flat = neighbor_ids.reshape(-1).astype(np.int64)
             partner_rows = np.where(flat >= 0, self._id_to_row[np.maximum(flat, 0)], -1)
             query_rows = np.repeat(np.arange(start, stop, dtype=np.int64), kq)

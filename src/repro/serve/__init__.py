@@ -30,7 +30,7 @@ discovery.  This package makes that reuse concrete at serving time:
   ``search`` APIs over a shared warm cache.
 * :class:`ShardedBackend` — the service's live index: hash-partitioned
   across ``SudowoodoConfig(num_shards=...)`` per-shard backends
-  (read-write locked, queried in parallel; one shard by default).
+  (read-write locked; one shard by default).
 * :class:`RequestBroker` — the one leader/follower micro-batcher:
   concurrent ``search`` callers are coalesced into single batched
   encoder/backend calls.  The service runs one with no admission

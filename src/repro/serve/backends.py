@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.config import SudowoodoConfig
 from ..text.lsh import LSHIndex
-from ..text.similarity import cosine_matrix
+from ..text.similarity import normalize_rows
 from ..utils import grow_array
 from .hnsw import HNSWIndex
 
@@ -49,8 +49,10 @@ from .hnsw import HNSWIndex
 class ANNBackend(abc.ABC):
     """Protocol for candidate-generating similarity indexes.
 
-    ``build`` indexes a corpus of (ideally unit-norm) vectors, assigning
-    stable ids ``0..N-1``; ``query`` returns per-row top-k
+    ``build`` indexes a corpus of vectors — the exact and IVF-PQ
+    backends unit-normalise what they are given; LSH and HNSW score
+    inner products, so hand those unit rows — assigning stable ids
+    ``0..N-1``; ``query`` returns per-row top-k
     ``(ids, scores)`` arrays of shape ``(num_queries, k)``.  Rows with
     fewer than ``k`` results are padded with ``-1`` ids and ``-inf``
     scores — consumers must skip negative ids.
@@ -106,8 +108,13 @@ class ANNBackend(abc.ABC):
         return vectors
 
 
-def _check_ids_vectors(ids: Sequence[int], vectors: np.ndarray) -> np.ndarray:
-    """Validate an add() request; returns the ids as an int64 array."""
+def _check_ids_vectors(
+    ids: Sequence[int], vectors: np.ndarray, dim: Optional[int] = None
+) -> np.ndarray:
+    """Validate an add() request *before* any mutation (``dim`` is the
+    index's dimension, None while unbuilt); returns the ids as int64."""
+    if vectors.ndim != 2 or dim not in (None, vectors.shape[1]):
+        raise ValueError(f"expected (N, {dim or 'dim'}) vectors")
     id_array = np.asarray(list(ids), dtype=np.int64)
     if id_array.size != vectors.shape[0]:
         raise ValueError(
@@ -129,9 +136,12 @@ def _check_remove_ids(ids: Sequence[int]) -> np.ndarray:
     return id_array
 
 
-#: In-RAM storage dtypes a backend may keep its corpus in.  Scores are
-#: always computed in float64 (``cosine_matrix`` upcasts), so the knob
-#: trades resident memory for (tiny) rounding in the stored vectors.
+#: In-RAM storage dtypes a backend may keep its corpus in.  The exact
+#: backend also *scores* in that precision (float16 rows in float32), so
+#: the knob trades resident memory and scan time for score resolution:
+#: float64 byte-equal to the seed (<= 1e-12 once a ``remove`` has
+#: reordered rows), float32 within 1e-6 of the float64 cosine of the
+#: stored rows, float16 within 1e-3 — the table in ``docs/serving.md``.
 BACKEND_DTYPES = ("float64", "float32", "float16")
 
 
@@ -147,13 +157,25 @@ def _check_backend_dtype(dtype: str) -> np.dtype:
 class ExactBackend(ANNBackend):
     """Brute-force cosine top-k — exact results, O(N) per query.
 
-    Mutations are trivial here: ``add`` appends (or overwrites) rows in
-    a capacity-doubling buffer (amortized O(1) per insert, no full-copy
-    per call), ``remove`` drops them; no index structure exists to patch.
+    Rows are unit-normalised **once**, at ``build``/``add`` time (in
+    float64, rounded once to the store ``dtype``) and kept *in place of*
+    the raw rows, so ``query`` normalises only its own (rows, d) block
+    and scores it with one GEMM — in float64 for a ``float64`` store, in
+    float32 for ``float32``/``float16`` (NumPy has no half GEMM; float16
+    rows upcast once per call).  Scores come back as float64, in the
+    (score desc, id asc) total order at every dtype:
 
-    ``dtype`` selects the in-RAM storage precision of the corpus rows
-    (float64 keeps the seed's byte-identical scores; float32 halves RSS
-    and is the serving default through ``SudowoodoConfig.store_dtype``).
+    * ``float64`` — byte-equal to the seed's ``cosine_matrix`` scan for
+      an index that has seen no ``remove``, <= 1e-12 after;
+    * ``float32`` (the serving default through ``store_dtype``) —
+      within 1e-6 of the float64 cosine of the stored rows and of any
+      other shard count;
+    * ``float16`` — within 1e-3.
+
+    ``add`` appends (or overwrites) rows in a capacity-doubling buffer;
+    ``remove`` moves the last row into the hole — O(removed), and
+    order-safe because ties break on *id*, never on row position; the
+    buffer keeps its capacity until ``rebuild`` trims it to ``len``.
     """
 
     name = "exact"
@@ -161,7 +183,8 @@ class ExactBackend(ANNBackend):
 
     def __init__(self, dtype: str = "float64") -> None:
         self._dtype = _check_backend_dtype(dtype)
-        self._vectors: Optional[np.ndarray] = None  # capacity buffer
+        self._compute_dtype = np.promote_types(self._dtype, np.float32)
+        self._vectors: Optional[np.ndarray] = None  # capacity buffer, unit rows
         self._size = 0
         self._ids: np.ndarray = np.empty(0, dtype=np.int64)  # same capacity
         self._id_to_row: Dict[int, int] = {}
@@ -178,21 +201,21 @@ class ExactBackend(ANNBackend):
         self._ids = grow_array(self._ids, self._size, needed)
 
     def build(self, vectors: np.ndarray) -> "ExactBackend":
-        # Copy: add() may later overwrite rows in place, and the caller's
-        # array must not be mutated through the old aliasing behaviour.
-        self._vectors = np.array(vectors, dtype=self._dtype)
+        # normalize_rows returns a fresh array: add() may later overwrite
+        # rows in place, and the caller's array must not be mutated.
+        self._vectors = normalize_rows(vectors, self._dtype)
         self._size = self._vectors.shape[0]
         self._ids = np.arange(self._size, dtype=np.int64)
         self._id_to_row = {int(i): int(i) for i in range(self._size)}
         return self
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "ExactBackend":
-        vectors = np.asarray(vectors, dtype=self._dtype)
-        if self._vectors is None:
-            if vectors.ndim != 2:
-                raise ValueError("expected (N, dim) vectors")
+        vectors = np.asarray(vectors)
+        dim = None if self._vectors is None else self._vectors.shape[1]
+        id_array = _check_ids_vectors(ids, vectors, dim)
+        if dim is None:
             self.build(np.zeros((0, vectors.shape[1])))
-        id_array = _check_ids_vectors(ids, vectors)
+        unit = normalize_rows(vectors, self._dtype)
         fresh = [
             offset
             for offset, record_id in enumerate(id_array.tolist())
@@ -202,36 +225,35 @@ class ExactBackend(ANNBackend):
         for offset, record_id in enumerate(id_array.tolist()):
             row = self._id_to_row.get(record_id)
             if row is not None:
-                self._vectors[row] = vectors[offset]
+                self._vectors[row] = unit[offset]
             else:
-                self._vectors[self._size] = vectors[offset]
+                self._vectors[self._size] = unit[offset]
                 self._ids[self._size] = record_id
                 self._id_to_row[record_id] = self._size
                 self._size += 1
         return self
 
     def remove(self, ids: Sequence[int]) -> "ExactBackend":
-        vectors = self._view()
+        vectors = self._require_built(self._vectors)
         id_array = _check_remove_ids(ids)
         missing = [int(i) for i in id_array if int(i) not in self._id_to_row]
         if missing:
             raise KeyError(f"unknown record ids: {missing}")
-        rows = np.asarray(
-            [self._id_to_row[int(i)] for i in id_array], dtype=np.int64
-        )
-        keep = np.ones(self._size, dtype=bool)
-        keep[rows] = False
-        self._vectors = vectors[keep]
-        self._ids = self._ids[: self._size][keep]
-        self._size = self._vectors.shape[0]
-        self._id_to_row = {
-            int(record_id): row
-            for row, record_id in enumerate(self._ids.tolist())
-        }
+        for record_id in id_array.tolist():
+            row = self._id_to_row.pop(record_id)
+            self._size -= 1
+            if row != self._size:  # move the last live row into the hole
+                moved = int(self._ids[self._size])
+                vectors[row] = vectors[self._size]
+                self._ids[row] = moved
+                self._id_to_row[moved] = row
         return self
 
     def rebuild(self) -> "ExactBackend":
-        # Rows are always dense; nothing to compact.
+        # Rows are always dense; give back the capacity remove() keeps.
+        if self._vectors is not None:
+            self._vectors = self._vectors[: self._size].copy()
+            self._ids = self._ids[: self._size].copy()
         return self
 
     #: Extra candidates taken past k before the deterministic sort; ties
@@ -243,13 +265,13 @@ class ExactBackend(ANNBackend):
         if k <= 0:
             raise ValueError("k must be positive")
         vectors = self._view()
-        queries = np.asarray(queries, dtype=np.float64)
+        unit = normalize_rows(queries, self._compute_dtype)
         if vectors.shape[0] == 0:
             return (
-                np.full((queries.shape[0], k), -1, dtype=np.int64),
-                np.full((queries.shape[0], k), -np.inf),
+                np.full((unit.shape[0], k), -1, dtype=np.int64),
+                np.full((unit.shape[0], k), -np.inf),
             )
-        sims = cosine_matrix(queries, vectors)
+        sims = unit @ vectors.astype(self._compute_dtype, copy=False).T
         row_ids = self._ids[: self._size]
         n = vectors.shape[0]
         kk = min(k, n)
@@ -287,7 +309,7 @@ class ExactBackend(ANNBackend):
             pad = k - indices.shape[1]
             indices = np.pad(indices, ((0, 0), (0, pad)), constant_values=-1)
             scores = np.pad(scores, ((0, 0), (0, pad)), constant_values=-np.inf)
-        return indices, scores
+        return indices, scores.astype(np.float64, copy=False)
 
 
 class _SlotIdMap:
@@ -389,11 +411,10 @@ class _SlotIndexBackend(ANNBackend):
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "_SlotIndexBackend":
         vectors = np.asarray(vectors, dtype=self._dtype)
-        if self._index is None:
-            if vectors.ndim != 2:
-                raise ValueError("expected (N, dim) vectors")
+        dim = None if self._index is None else self._index.dim
+        id_array = _check_ids_vectors(ids, vectors, dim)
+        if dim is None:
             self.build(np.zeros((0, vectors.shape[1])))
-        id_array = _check_ids_vectors(ids, vectors)
         # Upsert semantics: an id that is already indexed gets its old
         # slot tombstoned before the new vector lands under a new slot.
         existing = [i for i in id_array.tolist() if i in self._ids.id_to_slot]

@@ -46,9 +46,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..text.kmeans import assign_clusters, kmeans, minibatch_kmeans
+from ..text.similarity import normalize_rows
 from ..utils import grow_array
 from .backends import ANNBackend, _check_ids_vectors, _check_remove_ids
-from .store import _normalize_rows
 
 #: Corpus size above which codebook training switches to mini-batch
 #: k-means (full Lloyd iterations would scan every row per iteration).
@@ -266,13 +266,9 @@ class IVFPQBackend(ANNBackend):
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "IVFPQBackend":
         vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("expected (N, dim) vectors")
+        id_array = _check_ids_vectors(ids, vectors, self._dim)
         if not self._built:
             self.build(np.zeros((0, vectors.shape[1])))
-        if self._dim is not None and vectors.shape[1] != self._dim:
-            raise ValueError(f"expected (N, {self._dim}) vectors")
-        id_array = _check_ids_vectors(ids, vectors)
         if not id_array.size:
             return self
         # Upsert semantics: an existing id is dropped before re-insert.
@@ -283,7 +279,7 @@ class IVFPQBackend(ANNBackend):
         ]
         if existing:
             self._delete(existing)
-        unit = _normalize_rows(vectors)
+        unit = normalize_rows(vectors)
         if self.trained:
             self._insert_trained(id_array, unit)
         else:
@@ -324,7 +320,7 @@ class IVFPQBackend(ANNBackend):
         scores = np.full((num_queries, k), -np.inf)
         if len(self) == 0 or num_queries == 0:
             return indices, scores
-        unit = _normalize_rows(queries)
+        unit = normalize_rows(queries)
         for row in range(num_queries):
             if self.trained:
                 found_ids, found_scores = self._query_trained(unit[row], k)

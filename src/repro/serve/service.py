@@ -42,9 +42,10 @@ import numpy as np
 
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
+from ..text.similarity import normalize_rows
 from .backends import ANNBackend, build_backend
 from .broker import RequestBroker
-from .store import EmbeddingStore, _normalize_rows
+from .store import EmbeddingStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocker imports serve)
     from ..core.blocker import CandidateSet
@@ -168,8 +169,8 @@ class MatchService:
             mean = np.vstack([raw_a, raw_b]).mean(axis=0, keepdims=True)
             raw_a = raw_a - mean
             raw_b = raw_b - mean
-        vectors_a = _normalize_rows(raw_a)
-        vectors_b = _normalize_rows(raw_b)
+        vectors_a = normalize_rows(raw_a)
+        vectors_b = normalize_rows(raw_b)
         backend = build_backend(self.config)
         backend.build(vectors_b)
         indices, scores = backend.query(vectors_a, k + 1 if self_join else k)
@@ -230,7 +231,7 @@ class MatchService:
             backend.build(np.zeros((0, self.store.dim)))
             unique_ids, first_rows = np.unique(ids, return_index=True)
             backend.add(
-                unique_ids, _normalize_rows(raw - self._index_mean)[first_rows]
+                unique_ids, normalize_rows(raw - self._index_mean)[first_rows]
             )
             self._live_backend = backend
             self._live_texts = {
@@ -251,7 +252,7 @@ class MatchService:
                 return self.index_records(texts)
             with self._store_lock:
                 ids, raw = self.store.upsert_batch(texts)
-                vectors = _normalize_rows(raw - self._index_mean)
+                vectors = normalize_rows(raw - self._index_mean)
                 unique_ids, first_rows = np.unique(ids, return_index=True)
                 # Texts first: any id a concurrent search can return must
                 # already resolve through record_text().
@@ -342,7 +343,7 @@ class MatchService:
             if backend is None:
                 raise RuntimeError("no live index; call index_records() first")
             raw = self.store.embed_batch(list(texts), cache=False)
-        vectors = _normalize_rows(raw - mean)
+        vectors = normalize_rows(raw - mean)
         return backend.query(vectors, k)
 
     def coalesce_stats(self) -> Dict[str, float]:

@@ -7,10 +7,10 @@ serve concurrent readers and writers without locking.
 :class:`~repro.serve.backends.ANNBackend` that hash-partitions record
 ids across ``num_shards`` inner backends (any of exact / LSH / HNSW /
 IVF-PQ), guards each shard with a :class:`ReadWriteLock`, fans queries
-out to all shards on a thread pool, and merges per-shard top-k into
-global top-k (:func:`_merge_topk`).  Because every id lives in exactly
-one shard (:func:`shard_assignments`), the merged result is the true
-global top-k (no duplicates, no misses) for exact inner backends.
+out to all shards on the caller's thread and merges per-shard top-k
+into global top-k (:func:`_merge_topk`).  Because every id lives in
+exactly one shard (:func:`shard_assignments`), the merged result is the
+true global top-k (no duplicates, no misses) for exact inner backends.
 
 ``SudowoodoConfig(num_shards=4)`` routes the whole stack here:
 ``build_backend`` wraps the configured backend in a
@@ -27,9 +27,7 @@ the locks.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -126,25 +124,6 @@ def _all_locked(locks: Sequence[ReadWriteLock], write: bool) -> Iterator[None]:
 # ----------------------------------------------------------------------
 _KNUTH_MIX = 2654435761  # 2**32 / golden ratio (Fibonacci hashing)
 
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    """Process-wide fan-out pool shared by every sharded backend.
-
-    Shard queries are short numpy calls that release the GIL, so one
-    right-sized pool beats per-backend pools (tests construct dozens of
-    backends; each private pool would leak idle threads)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=min(32, (os.cpu_count() or 2)),
-                thread_name_prefix="repro-shard",
-            )
-        return _pool
-
 
 def shard_assignments(ids: np.ndarray, num_shards: int) -> np.ndarray:
     """Stable hash partition of non-negative record ids onto shards.
@@ -167,20 +146,27 @@ class ShardedBackend(ANNBackend):
     and the merge — sort the union of per-shard candidates by score —
     yields the global top-k whenever the inner backends do (always for
     ``exact``; at their usual recall for LSH / HNSW).  For ``exact``,
-    results are identical to a single backend whenever top-k boundary
-    scores are distinct at float64 resolution — effectively always for
-    real embeddings.  The one caveat: when *bit-identical duplicate
-    vectors* tie at the boundary, both paths pick deterministically
-    (score desc, id asc), but BLAS may round the duplicates' scores
-    differently in different shard shapes, so which duplicates win can
-    differ from the single backend across shard boundaries.
+    ids are identical to a single backend whenever top-k boundary
+    scores are distinct at the resolution of the shards' dtype (scores
+    agree to that dtype's tolerance, see :class:`ExactBackend`) —
+    effectively always for real embeddings.  The one caveat: when
+    *bit-identical duplicate vectors* tie at the boundary, both paths
+    pick deterministically (score desc, id asc), but BLAS may round the
+    duplicates' scores differently in different shard shapes, so which
+    duplicates win can differ from the single backend across shards.
 
     Thread safety: every shard carries a :class:`ReadWriteLock`.
-    Queries hold all read locks for the duration of the fan-out, and
-    mutations hold all write locks — validating the batch under them,
-    *before* touching any shard — so a concurrent reader observes each
-    cross-shard ``add`` / ``remove`` either completely or not at all,
-    and a batch with an unknown id fails atomically.
+    Queries hold all read locks for the duration of the fan-out, which
+    visits the shards one after another on the calling thread: a pool
+    hand-off costs two thread wake-ups per shard and only measured
+    ahead from ~1.7e6 query-row x record scans on two cores, ten times
+    the largest scan any workload here issues.  Concurrent callers
+    still overlap (readers share the locks).  Mutations hold all write
+    locks — validating the batch under them, *before* touching any
+    shard — so a concurrent reader observes each cross-shard ``add`` /
+    ``remove`` either completely or not at all, and a batch with an
+    unknown id or a wrong-dimension block fails atomically.  Queries
+    and vectors are handed to the shards as given: they own the dtype.
 
     Parameters
     ----------
@@ -188,8 +174,7 @@ class ShardedBackend(ANNBackend):
         Zero-argument callable building one inner backend (e.g.
         ``lambda: ExactBackend()``).  Shards must be homogeneous.
     num_shards:
-        Number of partitions; queries fan out across all of them on a
-        shared thread pool.
+        Number of partitions; queries fan out across all of them.
     """
 
     def __init__(self, factory: Callable[[], ANNBackend], num_shards: int) -> None:
@@ -201,7 +186,7 @@ class ShardedBackend(ANNBackend):
         self.name = f"sharded-{self._shards[0].name}"
         self._locks = [ReadWriteLock() for _ in range(num_shards)]
         self._live_ids: set = set()
-        self._built = False
+        self._dim: Optional[int] = None  # None until built
 
     def __len__(self) -> int:
         with _all_locked(self._locks, write=False):
@@ -218,7 +203,7 @@ class ShardedBackend(ANNBackend):
 
     # -- ANNBackend protocol --------------------------------------------
     # Every mutation takes ALL write locks and validates under them:
-    # checking _built / _live_ids outside the locked region would let a
+    # checking _dim / _live_ids outside the locked region would let a
     # concurrent mutation invalidate the check between test and patch,
     # re-creating exactly the torn cross-shard state the validation
     # exists to prevent.
@@ -232,10 +217,10 @@ class ShardedBackend(ANNBackend):
             if rows is not None and rows.size:
                 shard.add(ids[rows], vectors[rows])
         self._live_ids = set(ids.tolist())
-        self._built = True
+        self._dim = vectors.shape[1]
 
     def build(self, vectors: np.ndarray) -> "ShardedBackend":
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors)  # the shards own the dtype
         if vectors.ndim != 2:
             raise ValueError("expected (N, dim) vectors")
         with _all_locked(self._locks, write=True):
@@ -243,13 +228,13 @@ class ShardedBackend(ANNBackend):
         return self
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "ShardedBackend":
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("expected (N, dim) vectors")
-        id_array = _check_ids_vectors(ids, vectors)
-        groups = self._group_by_shard(id_array) if id_array.size else {}
+        vectors = np.asarray(vectors)
         with _all_locked(self._locks, write=True):
-            if not self._built:
+            # A wrong-dimension block must fail here, not inside the one
+            # shard that would drop its record while _live_ids keeps it.
+            id_array = _check_ids_vectors(ids, vectors, self._dim)
+            groups = self._group_by_shard(id_array) if id_array.size else {}
+            if self._dim is None:
                 self._build_locked(np.zeros((0, vectors.shape[1])))
             for shard_index, rows in groups.items():
                 self._shards[shard_index].add(id_array[rows], vectors[rows])
@@ -260,7 +245,7 @@ class ShardedBackend(ANNBackend):
         id_array = _check_remove_ids(ids)
         groups = self._group_by_shard(id_array) if id_array.size else {}
         with _all_locked(self._locks, write=True):
-            if not self._built:
+            if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before remove()"
                 )
@@ -277,7 +262,7 @@ class ShardedBackend(ANNBackend):
 
     def rebuild(self) -> "ShardedBackend":
         with _all_locked(self._locks, write=True):
-            if not self._built:
+            if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before rebuild()"
                 )
@@ -286,23 +271,17 @@ class ShardedBackend(ANNBackend):
         return self
 
     def query(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.asarray(queries)  # the shards own the dtype
         # All read locks for the whole fan-out: the merged answer is a
         # consistent cross-shard snapshot (readers share the locks, so
         # queries still run concurrently with each other).
         with _all_locked(self._locks, write=False):
-            if not self._built:
+            if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before query()"
                 )
-            if self.num_shards == 1:
-                return self._shards[0].query(queries, k)
-            futures = [
-                _shard_pool().submit(shard.query, queries, k)
-                for shard in self._shards
-            ]
-            results = [future.result() for future in futures]
-        return _merge_topk(results, k)
+            results = [shard.query(queries, k) for shard in self._shards]
+        return results[0] if self.num_shards == 1 else _merge_topk(results, k)
 
     def shard_sizes(self) -> List[int]:
         """Live record count per shard (one consistent snapshot)."""

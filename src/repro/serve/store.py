@@ -34,14 +34,10 @@ import numpy as np
 
 from ..core.encoder import SudowoodoEncoder
 from ..core.persistence import load_vector_cache, save_vector_cache
+from ..text.similarity import normalize_rows
 from ..utils import text_fingerprint
 
 PathLike = Union[str, Path]
-
-
-def _normalize_rows(matrix: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norms = np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), eps)
-    return matrix / norms
 
 
 class EmbeddingStore:
@@ -343,7 +339,7 @@ class EmbeddingStore:
         if not keys:
             return np.zeros((0, self.dim), dtype=self.dtype)
         matrix = np.vstack([resolved[key] for key in keys])
-        return _normalize_rows(matrix) if normalize else matrix
+        return normalize_rows(matrix) if normalize else matrix
 
     def _insert(self, key: str, vector: np.ndarray) -> None:
         self._cache[key] = np.asarray(vector, dtype=self.dtype)

@@ -8,6 +8,7 @@ from .similarity import (
     cosine_matrix,
     jaccard,
     levenshtein,
+    normalize_rows,
     overlap_coefficient,
     top_k_cosine,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "levenshtein",
     "minibatch_kmeans",
     "mlm_warm_start",
+    "normalize_rows",
     "overlap_coefficient",
     "top_k_cosine",
     "word_tokenize",

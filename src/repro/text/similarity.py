@@ -39,13 +39,25 @@ def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-12) -> float:
     return float(u @ v / denom)
 
 
+def normalize_rows(
+    matrix: np.ndarray, dtype: np.dtype | str | None = None, eps: float = 1e-12
+) -> np.ndarray:
+    """Unit-normalize the rows of ``matrix`` (all-zero rows stay zero).
+
+    ``dtype=None`` works in, and keeps, the input's own dtype.  A given
+    ``dtype`` normalizes in float64 (stable norms) and rounds *once* to
+    that dtype — how the serving layers turn embeddings into
+    ``store_dtype`` rows without a float64 copy of the result.
+    """
+    if dtype is not None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+    unit = matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), eps)
+    return unit if dtype is None else unit.astype(dtype, copy=False)
+
+
 def cosine_matrix(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Pairwise cosine similarity between rows of two matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a_norm = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), eps)
-    b_norm = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), eps)
-    return a_norm @ b_norm.T
+    return normalize_rows(a, np.float64, eps) @ normalize_rows(b, np.float64, eps).T
 
 
 def levenshtein(left: str, right: str, cap: int | None = None) -> int:

@@ -258,10 +258,10 @@ class TestBatchedScorer:
 
     @pytest.mark.parametrize("store_dtype", ["float64", "float32", "float16"])
     def test_store_dtype_respected_and_paths_agree(self, profiles, store_dtype):
-        from repro.discovery.join import _normalize_rows
+        from repro.text.similarity import normalize_rows
 
         vectors = embed_columns(profiles)
-        normalized = _normalize_rows(vectors, dtype=np.dtype(store_dtype))
+        normalized = normalize_rows(vectors, dtype=store_dtype)
         assert normalized.dtype == np.dtype(store_dtype)
         config = SudowoodoConfig(store_dtype=store_dtype)
         batched = rank_join_candidates(

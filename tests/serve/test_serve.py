@@ -301,6 +301,21 @@ class TestMutableBackends:
         for row, record_id in enumerate(ids[1::2]):
             assert record_id in found[row]
 
+    def test_exact_rebuild_trims_capacity_left_by_remove(self, vectors, extra):
+        """Swap-with-last ``remove`` never shrinks the row buffer; a
+        mostly-deleted index gives the memory back on ``rebuild``."""
+        backend = make_backend("exact").build(vectors)
+        backend.remove(np.arange(10, vectors.shape[0]))
+        assert backend._vectors.shape[0] == vectors.shape[0]  # retained
+        before = backend.query(extra, k=4)
+        backend.rebuild()
+        assert backend._vectors.shape[0] == backend._ids.shape[0] == 10
+        after = backend.query(extra, k=4)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_allclose(after[1], before[1], rtol=0, atol=1e-12)
+        backend.add([700], extra[:1])  # the trimmed buffer still grows
+        assert backend.query(extra[:1], k=1)[0][0, 0] == 700
+
     @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
     def test_remove_unknown_id_raises(self, name, vectors):
         backend = make_backend(name).build(vectors)
@@ -325,6 +340,26 @@ class TestMutableBackends:
         # Nothing was mutated: the id still resolves and can be removed.
         assert len(backend) == vectors.shape[0]
         backend.remove([5])
+        assert len(backend) == vectors.shape[0] - 1
+
+    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("bad_dim", [1, 5])
+    def test_wrong_dimension_add_rejected_before_mutation(
+        self, name, bad_dim, vectors
+    ):
+        """Regression: the slot backends tombstoned already-indexed ids
+        before the wrapped index rejected the block (both records lost),
+        and the exact backend *accepted* a (N, 1) block by broadcasting
+        the scalar across the row."""
+        backend = make_backend(name).build(vectors)
+        before = backend.query(vectors[:3], k=4)
+        with pytest.raises(ValueError, match=r"expected \(N, 16\) vectors"):
+            backend.add([0, 1], np.ones((2, bad_dim)))
+        assert len(backend) == vectors.shape[0]
+        after = backend.query(vectors[:3], k=4)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        backend.remove([0])  # the record is still there to remove
         assert len(backend) == vectors.shape[0] - 1
 
     @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])

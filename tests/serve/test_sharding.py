@@ -147,6 +147,30 @@ class TestShardedBackendEquivalence:
         assert ids[0].tolist() == [0, 80, 81, 82]  # smallest tied ids win
         np.testing.assert_allclose(scores[0], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("extra_duplicates", [7, ExactBackend._TIE_PAD + 20])
+    def test_exact_ties_smallest_id_first_after_swap_removes(
+        self, dtype, extra_duplicates
+    ):
+        """``remove`` fills each hole with the last row, so row order no
+        longer follows id order; ties must still break on *id* — through
+        the argpartition cut (8 duplicates) and through the exact
+        fallback (a tie wider than the pad)."""
+        base = unit_vectors("swap-remove-ties", 80)
+        duplicates = np.tile(base[0], (1 + extra_duplicates, 1))
+        backend = ExactBackend(dtype).build(np.vstack([base, duplicates]))
+        tied = [0] + list(range(80, 81 + extra_duplicates))
+        # Holes early in the buffer pull high-id duplicates to the front;
+        # removing id 0 and id 81 also thins the tie itself.
+        backend.remove([3, 0, 10, 81, 4])
+        backend.add([500], base[:1])  # one more duplicate under a late id
+        survivors = [i for i in tied if i not in (0, 81)] + [500]
+        rows = [backend._id_to_row[i] for i in survivors]
+        assert rows != sorted(rows)  # the tie really sits out of id order
+        ids, scores = backend.query(base[:1], k=5)
+        assert ids[0].tolist() == survivors[:5]
+        np.testing.assert_allclose(scores[0], 1.0, rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
     def test_exact_equivalence_survives_churn(self, vectors, num_shards):
         extra = unit_vectors("sharded-equivalence-extra", 24)
@@ -211,6 +235,18 @@ class TestShardedBackendEquivalence:
         found, _ = sharded.query(vectors[:1], k=1)
         assert found[0, 0] == 0  # id 0 still served
 
+    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    def test_wrong_dimension_add_fails_atomically(self, vectors, name):
+        """Regression: the failing shard dropped its record (a slot
+        backend tombstones before its index checks the shape) while
+        ``_live_ids`` kept it — ``len`` 179 against a live set of 180."""
+        sharded = ShardedBackend(make_inner(name), 3).build(vectors)
+        with pytest.raises(ValueError, match=r"expected \(N, 16\) vectors"):
+            sharded.add([0, 1], np.ones((2, 5)))
+        assert len(sharded) == len(sharded._live_ids) == vectors.shape[0]
+        sharded.remove([0, 1])  # both records are still there to remove
+        assert len(sharded) == vectors.shape[0] - 2
+
     def test_concurrent_overlapping_removes_stay_consistent(self, vectors):
         """Regression: remove() used to validate ids before taking the
         write locks, so two racing removes with overlapping ids could
@@ -257,9 +293,25 @@ class TestShardedServiceEquivalence:
     backend at any shard count (num_shards=1 is the reference)."""
 
     def test_search_identical(self, dataset, encoder, num_shards):
+        """The default float32 store: ids equal, scores to the documented
+        float32 tolerance (docs/serving.md — the backend scores in the
+        precision it stores, so shard shapes may differ by an ulp)."""
+        self.check_search_identical(dataset, encoder, num_shards, "float32", 1e-6)
+
+    def test_search_identical_float64(self, dataset, encoder, num_shards):
+        self.check_search_identical(dataset, encoder, num_shards, "float64", 1e-12)
+
+    def check_search_identical(
+        self, dataset, encoder, num_shards, store_dtype, atol
+    ):
         corpus = dataset.all_items()[:20]
-        single = MatchService(encoder, config=tiny_config(num_shards=1))
-        sharded = MatchService(encoder, config=tiny_config(num_shards=num_shards))
+        single = MatchService(
+            encoder, config=tiny_config(num_shards=1, store_dtype=store_dtype)
+        )
+        sharded = MatchService(
+            encoder,
+            config=tiny_config(num_shards=num_shards, store_dtype=store_dtype),
+        )
         ids_single = single.index_records(corpus)
         ids_sharded = sharded.index_records(corpus)
         np.testing.assert_array_equal(ids_single, ids_sharded)
@@ -269,7 +321,7 @@ class TestShardedServiceEquivalence:
         found_sharded, scores_sharded = sharded.search(corpus[:8], k=4)
         np.testing.assert_array_equal(found_sharded, found_single)
         np.testing.assert_allclose(
-            scores_sharded, scores_single, rtol=0, atol=1e-12
+            scores_sharded, scores_single, rtol=0, atol=atol
         )
 
     def test_upsert_delete_parity(self, dataset, encoder, num_shards):
