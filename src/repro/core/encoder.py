@@ -166,7 +166,8 @@ class SudowoodoEncoder(Module):
         skip tokenization altogether.
         """
         was_training = self.encoder.training
-        self.encoder.eval()
+        if was_training:  # fit and load leave encoders in eval: no tree walk
+            self.encoder.eval()
         try:
             with no_grad():
                 pooled = self.encoder.pooled(
@@ -193,7 +194,9 @@ class SudowoodoEncoder(Module):
         goes through the fingerprint-keyed :meth:`token_cache` (pass
         ``use_token_cache=False`` to force the cold path); warm rows are
         byte-identical to cold ones — tokenization is deterministic and
-        padding fixed-length — just several times faster.
+        both paths stack through ``Encoding.stack`` — just several times
+        faster.  A row depends on its chunk-mates only within that
+        method's padding contract (1e-6 in float32).
         """
         cache = self.token_cache() if use_token_cache else None
         max_len = self.config.max_seq_len

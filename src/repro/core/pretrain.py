@@ -158,8 +158,8 @@ class _PreparedBatch:
 class ContrastivePretrainProgram(StepProgram):
     """Algorithm 1's inner loop as a :class:`~repro.train.StepProgram`.
 
-    Batch preparation — operator sampling, text augmentation, cutoff mask
-    drawing, tokenization (cache-first for the original view) — runs in
+    Batch preparation — operator sampling, text augmentation, tokenization
+    (cache-first for the original view), cutoff mask drawing — runs in
     ``prepare`` so the engine can pipeline it on the background thread;
     the forward pass encodes both views and evaluates Equation 6.  Every
     stochastic choice draws from its own named stream, so preparing ahead
@@ -229,9 +229,6 @@ class ContrastivePretrainProgram(StepProgram):
             permutation, lam = sample_mixup(len(batch), self.da_rng)
             transforms.append(mixup_transform(permutation, lam))
             cross_item = True
-        if self.cutoff_sampler is not None:
-            mask = self.cutoff_sampler(self.config.max_seq_len, self.config.dim)
-            transforms.append(mask_transform(mask))
         ori = self.token_cache.encode_batch(batch, self.config.max_seq_len)
         if operator == "mixup_embed":
             # The text view is the identity — serve it from the cache too.
@@ -240,6 +237,11 @@ class ContrastivePretrainProgram(StepProgram):
             aug = self.tokenizer.encode_batch(
                 augmented, max_len=self.config.max_seq_len
             )
+        if self.cutoff_sampler is not None:
+            # Sampled at the augmented view's own (trimmed) length, so a
+            # cut never lands on columns that are padding in every row.
+            mask = self.cutoff_sampler(aug.token_ids.shape[1], self.config.dim)
+            transforms.append(mask_transform(mask))
         return _PreparedBatch(
             ori=ori,
             aug=aug,

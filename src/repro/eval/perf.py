@@ -60,6 +60,7 @@ TENSOR_METHODS: Dict[str, str] = {
     "layer_norm": "layer_norm",
     "embedding": "embedding",
     "masked_fill": "masked_fill",
+    "dropout": "dropout",
 }
 
 #: Module-level functions in ``repro.nn.tensor`` wrapped by the profiler
@@ -125,6 +126,8 @@ class OpProfiler:
             start = time.perf_counter()
             out = func(*args, **kwargs)
             elapsed = time.perf_counter() - start
+            if args and out is args[0]:
+                return out  # identity (dropout off): nothing computed, no row
             nbytes = out.data.nbytes if isinstance(out, Tensor) else 0
             self.record(name, elapsed, nbytes)
             return out

@@ -799,12 +799,29 @@ class Tensor:
         return out
 
     def dropout(self, p: float, rng: np.random.Generator, training: bool) -> "Tensor":
-        """Inverted dropout. Identity when not training or p == 0."""
+        """Inverted dropout. Identity when not training or p == 0.
+
+        One graph node with the mask in this tensor's dtype; the same
+        ``rng.random(shape)`` draws, bit for bit, as the ``self *
+        Tensor(mask)`` composition kept as the unfused reference.
+        """
         if not training or p <= 0.0:
             return self
         keep = 1.0 - p
-        mask = (rng.random(self.shape) < keep) / keep
-        return self * Tensor(mask)
+        kept = rng.random(self.shape) < keep
+        if not _FUSED_KERNELS:
+            return self * Tensor(kept / keep)
+        mask = np.multiply(kept, 1.0 / keep, dtype=self.data.dtype)
+        out = Tensor(
+            self.data * mask, requires_grad=self._needs_grad(self), _parents=(self,)
+        )
+
+        def _backward() -> None:
+            self._accumulate(out.grad * mask)
+
+        if out.requires_grad:
+            out._backward = _backward
+        return out
 
     # ------------------------------------------------------------------
     # Norms and similarity helpers (similarity-search hot path)

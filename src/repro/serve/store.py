@@ -60,6 +60,9 @@ class EmbeddingStore:
         byte-identical to the seed behaviour), ``"float32"`` (halves
         cache RSS — the serving default via
         ``SudowoodoConfig.store_dtype``), or ``"float16"``.
+
+    A vector is cached as first encoded, next to whichever misses shared
+    its chunk (``Encoding.stack``: equal to 1e-6, not byte for byte).
     """
 
     #: Cache precisions the ``dtype`` knob accepts.

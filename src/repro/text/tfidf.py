@@ -13,7 +13,6 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .tokenizer import word_tokenize
 
@@ -63,6 +62,10 @@ class TfidfVectorizer:
         """Vectorize documents; returns ndarray (dense) or CSR matrix."""
         if self.idf is None:
             raise RuntimeError("TfidfVectorizer must be fit before transform")
+        # Deferred: ``import repro`` should not pay scipy's ~14 MB for a
+        # vectorizer only cluster sampling and three baselines call.
+        from scipy import sparse
+
         rows: List[int] = []
         cols: List[int] = []
         values: List[float] = []

@@ -63,6 +63,30 @@ class Encoding:
     def __len__(self) -> int:
         return int(self.attention_mask.sum())
 
+    @staticmethod
+    def stack(encodings: Sequence["Encoding"]) -> "Encoding":
+        """Stack per-item rows into one batch cut to its longest row.
+
+        Rows come padded to their ``max_len``; the batch is as wide as its
+        longest member (never below ``[CLS] [SEP]``), so every dropped
+        column is ``[PAD]`` with mask 0 in every row.  The one place a
+        batch gets its length — the model reads T off the arrays.  Masked
+        positions contribute exact zeros, so a row's embedding is the same
+        function at any width: across batches it agrees to 1e-6 (float32
+        autograd) / 1e-12 (float64), BLAS reduction shapes being all that
+        differs (``docs/training.md`` has the full table).
+        """
+        ids, mask, segments = (
+            np.stack([getattr(e, name) for e in encodings])
+            for name in ("token_ids", "attention_mask", "segment_ids")
+        )
+        width = max(2, int(mask.sum(axis=1).max()))
+        if width < mask.shape[1]:  # copies, so the wide buffers are not pinned
+            ids, mask, segments = (
+                rows[:, :width].copy() for rows in (ids, mask, segments)
+            )
+        return Encoding(ids, mask, segments)
+
 
 class Tokenizer:
     """Corpus-fitted word vocabulary with special tokens and padding.
@@ -156,22 +180,14 @@ class Tokenizer:
         return self._pad(ids, segments, max_len)
 
     def encode_batch(self, texts: Sequence[str], max_len: int = 64) -> Encoding:
-        """Encode a batch of single items into stacked arrays."""
-        encodings = [self.encode(t, max_len=max_len) for t in texts]
-        return Encoding(
-            token_ids=np.stack([e.token_ids for e in encodings]),
-            attention_mask=np.stack([e.attention_mask for e in encodings]),
-            segment_ids=np.stack([e.segment_ids for e in encodings]),
-        )
+        """Encode a batch of single items, cut to its longest row."""
+        return Encoding.stack([self.encode(t, max_len=max_len) for t in texts])
 
     def encode_pair_batch(
         self, pairs: Sequence[Tuple[str, str]], max_len: int = 64
     ) -> Encoding:
-        encodings = [self.encode_pair(a, b, max_len=max_len) for a, b in pairs]
-        return Encoding(
-            token_ids=np.stack([e.token_ids for e in encodings]),
-            attention_mask=np.stack([e.attention_mask for e in encodings]),
-            segment_ids=np.stack([e.segment_ids for e in encodings]),
+        return Encoding.stack(
+            [self.encode_pair(a, b, max_len=max_len) for a, b in pairs]
         )
 
     def decode(self, token_ids: Sequence[int], skip_pad: bool = True) -> str:

@@ -30,9 +30,10 @@ from ..utils import text_fingerprint
 class TokenCache:
     """Fingerprint-keyed cache of per-item tokenizer encodings.
 
-    Wraps any tokenizer exposing ``encode(text, max_len) -> Encoding``;
-    because the tokenizer pads every item to the fixed ``max_len``, cached
-    rows are batch-independent and can be stacked into any batch shape.
+    Wraps any tokenizer whose ``encode(text, max_len)`` returns an
+    ``Encoding`` (any row type with its ``stack`` staticmethod will do);
+    items are cached padded to ``max_len``, so rows are batch-independent,
+    and :meth:`encode_batch` cuts each batch to its longest row.
     Keys include ``max_len`` so one cache serves single-item and pair-length
     encodings side by side.
 
@@ -95,17 +96,12 @@ class TokenCache:
         """Stacked batch ``Encoding`` assembled from cached per-item rows.
 
         Byte-identical to ``tokenizer.encode_batch(texts, max_len)`` —
-        tokenization is deterministic and padding is fixed-length — but
-        each distinct item pays the tokenizer cost only once per cache
-        lifetime.
+        tokenization is deterministic and both stack through
+        ``Encoding.stack`` — but each distinct item pays the tokenizer
+        cost only once per cache lifetime.
         """
         encodings = [self.encode(t, max_len) for t in texts]
-        first = encodings[0]
-        return type(first)(
-            token_ids=np.stack([e.token_ids for e in encodings]),
-            attention_mask=np.stack([e.attention_mask for e in encodings]),
-            segment_ids=np.stack([e.segment_ids for e in encodings]),
-        )
+        return type(encodings[0]).stack(encodings)
 
     def warm(self, texts: Iterable[str], max_len: int) -> None:
         """Pre-tokenize ``texts`` (the cold pass, amortized up front)."""

@@ -12,10 +12,10 @@ from repro.augment import (
     mixup_transform,
     sample_mixup,
 )
-from repro.core import SudowoodoConfig
-from repro.core.pretrain import pretrain
+from repro.core import SudowoodoConfig, build_tokenizer
+from repro.core.pretrain import ContrastivePretrainProgram, pretrain
 from repro.nn import Tensor
-from repro.utils import spawn_rng
+from repro.utils import RngStream, spawn_rng
 
 CORPUS = [
     f"[COL] name [VAL] probe {i} delta [COL] brand [VAL] vertex "
@@ -64,6 +64,33 @@ class TestCutoffHoistRegression:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             make_cutoff_sampler("bogus", 0.1, spawn_rng(0, "x"))
+
+
+class TestCutoffLandsOnTokens:
+    """Section IV-A cuts *information*: the mask is sampled at the
+    augmented view's own length, so a cut never lands on columns that are
+    padding in every row (at ``config.max_seq_len`` a third of them did)."""
+
+    @pytest.mark.parametrize("kind", ["token", "span"])
+    def test_every_cut_position_is_inside_the_batch(self, kind):
+        config = SudowoodoConfig(
+            dim=8, num_heads=2, max_seq_len=40, pretrain_batch_size=6,
+            num_clusters=2, cutoff_kind=kind, cutoff_ratio=0.1, seed=0,
+        )
+        program = ContrastivePretrainProgram(
+            CORPUS, config, RngStream(0), build_tokenizer(CORPUS, config)
+        )
+        order = np.arange(len(CORPUS))
+        for draw in range(200):
+            prepared = program.prepare(np.roll(order, draw)[:6])
+            batch, seq = prepared.aug.token_ids.shape
+            longest = int(prepared.aug.attention_mask.sum(axis=1).max())
+            assert longest < config.max_seq_len  # the premise: L < max_seq_len
+            probe = Tensor(np.ones((batch, seq, config.dim)))
+            out = prepared.transform(probe, prepared.aug.attention_mask).data
+            positions = np.flatnonzero(out[0, :, 0] == 0.0)
+            assert positions.size > 0
+            assert positions.min() >= 1 and positions.max() < longest
 
 
 class TestMixupOperator:

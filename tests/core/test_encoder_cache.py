@@ -89,6 +89,37 @@ class TestEncodeTokensInference:
         enc.encode_tokens_inference(encoding)
         assert not enc.encoder.training
 
+    def test_restores_training_mode_when_the_forward_raises(self):
+        enc = make_encoder()
+        encoding = enc.tokenizer.encode_batch(
+            CORPUS[:2], max_len=enc.config.max_seq_len
+        )
+        encoding.token_ids[0, 1] = enc.tokenizer.vocab_size  # out of range
+        enc.encoder.train()
+        with pytest.raises(IndexError):
+            enc.encode_tokens_inference(encoding)
+        assert all(module.training for module in enc.encoder.modules())
+
+    def test_eval_mode_encoder_embeds_without_a_tree_walk(self, monkeypatch):
+        """An encoder already in eval mode (after a fit or a load) is not
+        flipped at all; its rows are the train-mode encoder's, byte for byte."""
+        from repro.nn.module import Module
+
+        enc = make_encoder(dropout=0.1)
+        flipped = enc.embed_items(CORPUS, batch_size=4)
+        assert enc.encoder.training
+        served = enc.clone()
+        served.encoder.eval()
+        walks = []
+        walk = Module.modules
+        monkeypatch.setattr(
+            Module, "modules", lambda self: walks.append(self) or walk(self)
+        )
+        np.testing.assert_array_equal(
+            served.embed_items(CORPUS, batch_size=4), flipped
+        )
+        assert not walks and not served.encoder.training
+
     def test_matches_embed_items_unnormalized(self):
         enc = make_encoder()
         encoding = enc.tokenizer.encode_batch(

@@ -73,6 +73,23 @@ class TestOpProfiler:
         # One add producing an (8, 4) float32 output.
         assert prof.stats["add"].bytes == 8 * 4 * 4
 
+    def test_dropout_is_one_call_and_identity_is_none(self, encoder):
+        """A training-mode dropout is one ``dropout`` row (the ``mul`` it
+        used to route through is gone); eval mode draws nothing and is
+        not a primitive call at all."""
+        encoding = encoder.tokenizer.encode_batch(CORPUS, max_len=16)
+        profiles = {}
+        for mode in ("train", "eval"):
+            getattr(encoder.encoder, mode)()
+            with OpProfiler() as prof:
+                encoder.encode_tokens_training(encoding)
+            profiles[mode] = prof.stats
+        encoder.encoder.train()
+        # One layer: embeddings, attention weights, FFN hidden, two residuals.
+        assert profiles["train"]["dropout"].calls == 5
+        assert "dropout" not in profiles["eval"]
+        assert profiles["train"]["mul"].calls == profiles["eval"]["mul"].calls
+
     def test_module_level_kernels_recorded(self):
         x = Tensor(gen(3).normal(size=(2, 4)).astype(np.float32))
         w = Tensor(gen(4).normal(size=(4, 3)).astype(np.float32))

@@ -10,6 +10,7 @@ tests/train/ depend on it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from repro.nn import (
     TransformerConfig,
     TransformerEncoder,
     attention_scores,
+    autograd_dtype,
     bias_gelu,
     fused_kernels,
     fused_kernels_enabled,
     linear,
     no_grad,
+    numerical_gradient,
     set_fused_kernels,
 )
 
@@ -219,6 +222,61 @@ class TestAttentionScores:
         np.testing.assert_array_equal(first.data, snapshot)
 
 
+class TestDropout:
+    """One node vs the ``x * Tensor(mask)`` composition: same draws, same
+    mask bits, same gradients — and an unchanged RNG stream after."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_backward_identical(self, dtype):
+        x0 = gen(30).normal(size=(3, 4, 5, 5)).astype(dtype)
+        states = []
+
+        def build():
+            rng = gen(31)
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = x.dropout(0.3, rng, training=True)
+            states.append(rng.bit_generator.state)
+            return (out * out).sum(), out, (x,)
+
+        with autograd_dtype(dtype):
+            (fused_out, fused_grads), (ref_out, ref_grads) = run_both(
+                build, lambda params: params
+            )
+        assert fused_out.dtype == dtype
+        np.testing.assert_array_equal(fused_out, ref_out)
+        np.testing.assert_array_equal(fused_grads[0], ref_grads[0])
+        assert states[0] == states[1]
+        dropped = fused_out == 0.0
+        assert 0 < dropped.sum() < dropped.size
+        np.testing.assert_array_equal(fused_grads[0][dropped], 0.0)
+
+    def test_identity_when_off(self):
+        x = Tensor(gen(32).normal(size=(2, 3)), requires_grad=True)
+        rng = gen(33)
+        before = rng.bit_generator.state
+        assert x.dropout(0.5, rng, training=False) is x
+        assert x.dropout(0.0, rng, training=True) is x
+        assert rng.bit_generator.state == before
+
+    def test_no_grad_builds_no_graph(self):
+        x = Tensor(gen(34).normal(size=(4, 6)), requires_grad=True)
+        with no_grad():
+            out = x.dropout(0.4, gen(35), training=True)
+        assert not out.requires_grad and out._parents == ()
+
+    def test_gradient_matches_finite_differences_with_mask_held_fixed(self):
+        with autograd_dtype(np.float64):
+            x = Tensor(gen(36).normal(size=(3, 7)), requires_grad=True)
+            weights = gen(37).normal(size=(3, 7))
+
+            def loss_fn(t):  # re-seeded per call: the same mask every time
+                return (t.dropout(0.35, gen(38), training=True) * weights).sum()
+
+            loss_fn(x).backward()
+            numeric = numerical_gradient(loss_fn, x)
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
 class TestLayerNormFastPath:
     def test_no_grad_fast_path_identical(self):
         norm = LayerNorm(16)
@@ -275,12 +333,13 @@ class TestFullEncoder:
                 outs.append(pooled.data.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_training_gradients_identical(self):
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_training_gradients_identical(self, dropout):
         ids, mask, segments = self._inputs()
         grads = []
         for enabled in (True, False):
             with fused_kernels(enabled):
-                model = TransformerEncoder(self._config())
+                model = TransformerEncoder(replace(self._config(), dropout=dropout))
                 model.train()
                 pooled = model.pooled(
                     ids,

@@ -7,6 +7,9 @@ not reach up into them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, Tuple
 
@@ -74,3 +77,17 @@ def test_walker_resolves_relative_and_function_local_imports():
         "repro.api.session.SudowoodoSession",
         "repro.discovery",
     ]
+
+
+def test_importing_the_library_does_not_load_scipy():
+    """scipy (~14 MB resident) backs only ``TfidfVectorizer.transform``;
+    serving and discovery processes never vectorize and must not pay it."""
+    code = (
+        "import sys, repro, repro.serve, repro.discovery\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT.parent)] + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

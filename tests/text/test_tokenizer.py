@@ -15,6 +15,7 @@ from repro.text import (
     Tokenizer,
     word_tokenize,
 )
+from repro.text.tokenizer import Encoding
 
 
 class TestWordTokenize:
@@ -117,8 +118,9 @@ class TestTokenizer:
     def test_encode_batch_shapes(self):
         tok = make_tokenizer()
         enc = tok.encode_batch(["instant", "spanish deluxe"], max_len=6)
-        assert enc.token_ids.shape == (2, 6)
-        assert enc.attention_mask.shape == (2, 6)
+        # Cut to the longest row ([CLS] spanish deluxe [SEP]), not to max_len.
+        assert enc.token_ids.shape == (2, 4)
+        assert enc.attention_mask.shape == (2, 4)
 
     def test_decode_roundtrip(self):
         tok = make_tokenizer()
@@ -160,3 +162,52 @@ def test_property_encoding_invariants(text, max_len):
     # Starts with CLS, last active token is SEP.
     assert enc.token_ids[0] == tok.cls_id
     assert enc.token_ids[active - 1] == tok.sep_id
+
+
+WORDS = st.sampled_from(["instant", "spanish", "deluxe", "immersion", "zzz", "[COL]"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.lists(WORDS, max_size=12), st.lists(WORDS, max_size=12)),
+        min_size=1,
+        max_size=6,
+    ),
+    max_len=st.integers(min_value=4, max_value=24),
+    pairs=st.booleans(),
+)
+def test_property_stack_cuts_to_the_longest_row(rows, max_len, pairs):
+    tok = make_tokenizer()
+    if pairs:
+        items = [
+            tok.encode_pair(" ".join(a), " ".join(b), max_len=max_len) for a, b in rows
+        ]
+    else:
+        items = [tok.encode(" ".join(a + b), max_len=max_len) for a, b in rows]
+    batch = Encoding.stack(items)
+    full = {
+        name: np.stack([getattr(item, name) for item in items])
+        for name in ("token_ids", "attention_mask", "segment_ids")
+    }
+    width = max(len(item) for item in items)
+    assert 2 <= width <= max_len
+    for name, rows_at_max_len in full.items():
+        cut = getattr(batch, name)
+        # Width = the longest row; what stays is what was there, in a
+        # contiguous buffer of its own (at full length: the stacked one).
+        assert cut.shape == (len(items), width)
+        assert cut.flags.c_contiguous and cut.base is None
+        np.testing.assert_array_equal(cut, rows_at_max_len[:, :width])
+    # Every dropped column is [PAD] with mask 0 (and segment 0) in every row.
+    assert (full["token_ids"][:, width:] == tok.pad_id).all()
+    assert not full["attention_mask"][:, width:].any()
+    assert not full["segment_ids"][:, width:].any()
+    assert batch.attention_mask.sum() == full["attention_mask"].sum()
+
+
+def test_stack_never_cuts_below_cls_sep():
+    tok = make_tokenizer()
+    batch = tok.encode_batch(["", ""], max_len=8)
+    assert batch.token_ids.tolist() == [[tok.cls_id, tok.sep_id]] * 2
+    assert batch.attention_mask.tolist() == [[1, 1]] * 2

@@ -339,10 +339,12 @@ class TestTokenCache:
     def test_max_len_is_part_of_the_key(self):
         tokenizer = Tokenizer.fit(CORPUS, vocab_size=200)
         cache = TokenCache(tokenizer)
-        short = cache.encode_batch(CORPUS[:3], max_len=8)
-        long = cache.encode_batch(CORPUS[:3], max_len=16)
-        assert short.token_ids.shape[1] == 8
-        assert long.token_ids.shape[1] == 16
+        short = cache.encode(CORPUS[0], max_len=4)
+        long = cache.encode(CORPUS[0], max_len=16)
+        assert short.token_ids.shape == (4,)
+        assert long.token_ids.shape == (16,)
+        assert len(short) == 4 < len(long)  # truncated vs whole
+        assert len(cache) == 2
 
     def test_capacity_bounds_cache(self):
         tokenizer = Tokenizer.fit(CORPUS, vocab_size=200)
