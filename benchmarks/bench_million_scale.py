@@ -12,9 +12,12 @@ measures what the storage tier of that story costs:
   the index is at least **8x** smaller than dense.
 * **Recall** — IVF-PQ top-10 overlap with the exact backend at the
   configured ``nprobe``.  Acceptance: at least **0.8**.
-* **QPS** — batched query throughput of exact / LSH / HNSW / IVF-PQ on
-  the same corpus (HNSW's per-row insert cost keeps it out of the smoke
-  profile).
+* **QPS and latency** — batched query throughput of exact / HNSW /
+  IVF-PQ on the same corpus, next to the median latency of 1-row and
+  2-row calls (the request sizes a serving front end sees).  The
+  exact-vs-HNSW latency pair is where HNSW's crossover shows
+  (docs/serving.md, "when to pick hnsw"); HNSW's per-row insert cost
+  keeps it out of the smoke profile.
 
 Run as a pytest benchmark for the full-scale numbers, or as a script for
 a quick CI smoke check::
@@ -54,6 +57,16 @@ def _time_queries(backend, queries: np.ndarray) -> float:
     return queries.shape[0] / elapsed
 
 
+def _call_latency_ms(backend, queries: np.ndarray, rows_per_call: int) -> float:
+    """Median wall time of one ``query`` call carrying ``rows_per_call`` rows."""
+    times = []
+    for begin in range(0, queries.shape[0] - rows_per_call + 1, rows_per_call):
+        start = time.perf_counter()
+        backend.query(queries[begin : begin + rows_per_call], K)
+        times.append(time.perf_counter() - start)
+    return 1e3 * float(np.median(times))
+
+
 def _recall(ids: np.ndarray, exact_ids: np.ndarray) -> float:
     overlaps = [
         len(set(a[a >= 0].tolist()) & set(e[e >= 0].tolist())) / K
@@ -83,7 +96,7 @@ def run(
 
     backends = {}
     timings = {}
-    for name in ["exact", "lsh"] + (["hnsw"] if include_hnsw else []) + ["ivfpq"]:
+    for name in ["exact"] + (["hnsw"] if include_hnsw else []) + ["ivfpq"]:
         backend = build_backend(config, name=name, sharded=False)
         start = time.perf_counter()
         backend.build(rows)
@@ -95,11 +108,28 @@ def run(
     rows_out = []
     for name, backend in backends.items():
         qps = _time_queries(backend, queries)
+        one_row_ms = _call_latency_ms(backend, queries, 1)
+        two_row_ms = _call_latency_ms(backend, queries, 2)
         recall = (
             1.0 if name == "exact" else _recall(backend.query(queries, K)[0], exact_ids)
         )
-        results[name] = {"qps": qps, "recall": recall, "build_s": timings[name]}
-        rows_out.append([name, f"{timings[name]:.1f}", f"{qps:.0f}", f"{recall:.3f}"])
+        results[name] = {
+            "qps": qps,
+            "one_row_ms": one_row_ms,
+            "two_row_ms": two_row_ms,
+            "recall": recall,
+            "build_s": timings[name],
+        }
+        rows_out.append(
+            [
+                name,
+                f"{timings[name]:.1f}",
+                f"{qps:.0f}",
+                f"{one_row_ms:.3f}",
+                f"{two_row_ms:.3f}",
+                f"{recall:.3f}",
+            ]
+        )
     results["table"] = rows_out
 
     ivfpq_bytes = backends["ivfpq"].memory_bytes()
@@ -129,7 +159,7 @@ def print_report(results: dict) -> None:
     print(
         "\n"
         + format_table(
-            ["backend", "build s", "QPS", "recall@10 vs exact"],
+            ["backend", "build s", "QPS", "1-row ms", "2-row ms", "recall@10 vs exact"],
             results["table"],
             title=(
                 f"ANN backends on {results['corpus']} synthetic "

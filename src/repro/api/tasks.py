@@ -723,7 +723,7 @@ class ColumnMatchTask(SessionTask):
         self-matches excluded, pairs deduplicated as ``(min, max)``.
 
         Candidate generation goes through the config-selected ANN backend
-        (exact by default, LSH via ``ann_backend="lsh"``).
+        (exact by default, HNSW via ``ann_backend="hnsw"``).
         """
         if self._backend is None:
             raise TaskNotFittedError(self.name, "candidate_pairs()")

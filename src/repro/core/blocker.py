@@ -9,7 +9,7 @@ Embeddings are produced through a :class:`~repro.serve.store.EmbeddingStore`
 (each distinct record is encoded once per process, then served from the
 cache) and candidate search goes through the pluggable
 :class:`~repro.serve.backends.ANNBackend` protocol — exact brute-force by
-default, random-hyperplane LSH or graph-based HNSW for large corpora.
+default, graph-based HNSW for large corpora.
 With ``SudowoodoConfig(num_shards > 1)``, ``build_backend`` hands the
 blocker a :class:`~repro.serve.sharding.ShardedBackend`: table B is
 hash-partitioned across per-shard indexes and every candidate query fans
@@ -17,7 +17,7 @@ out in parallel, with no change to the blocker itself:
 
 >>> from repro.serve import EmbeddingStore, build_backend
 >>> store = EmbeddingStore(encoder)
->>> backend = build_backend(config)  # config.ann_backend: "exact"|"lsh"|"hnsw"
+>>> backend = build_backend(config)  # config.ann_backend: "exact"|"hnsw"|"ivfpq"
 >>> blocker = Blocker(encoder, dataset, store=store, backend=backend)
 >>> candidate_set = blocker.candidates(k=10)
 >>> candidate_set.recall(dataset.matches), candidate_set.cssr()  # doctest: +SKIP
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..data import EMDataset
-from ..serve import ANNBackend, EmbeddingStore, ExactBackend
+from ..serve import ANNBackend, EmbeddingStore, ExactBackend, updatable_backends
 from ..text.similarity import normalize_rows
 from .encoder import SudowoodoEncoder
 
@@ -156,7 +156,7 @@ class Blocker:
         if not self.backend.supports_updates:
             raise RuntimeError(
                 f"backend {self.backend.name!r} does not support incremental "
-                "updates; use exact, lsh, or hnsw"
+                f"updates; use one of {updatable_backends()}"
             )
         return self.backend
 

@@ -98,14 +98,12 @@ class SudowoodoConfig:
     seed: int = 0
 
     # ----------------------------------------------------------- serving
-    # ANN backend for candidate generation ("exact" | "lsh" | "hnsw" |
+    # ANN backend for candidate generation ("exact" | "hnsw" | "ivfpq" |
     # any name registered via repro.serve.register_backend).
     ann_backend: str = "exact"
-    lsh_num_tables: int = 16
-    lsh_num_bits: int = 8
     # HNSW graph knobs: out-degree target, insert beam width, query beam
-    # width (see serve.hnsw — defaults tuned for ~0.95 recall@10 with
-    # sub-exact per-query latency on 10k-vector CPU corpora).
+    # width (see serve.hnsw; the recall/latency they buy against the
+    # exact scan is measured in docs/serving.md, "when to pick hnsw").
     hnsw_m: int = 16
     hnsw_ef_construction: int = 120
     hnsw_ef_search: int = 12
@@ -291,6 +289,8 @@ class SudowoodoConfig:
     def from_dict(cls, mapping: Mapping[str, Any]) -> "SudowoodoConfig":
         """Build a config from a dict of flat fields, nested sections, or
         a mix of both; unknown field or section names raise ``ValueError``.
+        Names in :data:`RETIRED_CONFIG_FIELDS` are dropped, so configs
+        saved before a field was deleted still load.
 
         Round-trip guarantee: ``from_dict(cfg.to_dict()) == cfg``.
         """
@@ -302,6 +302,8 @@ class SudowoodoConfig:
                         f"section {key!r} must map field names to values"
                     )
                 for name, inner in value.items():
+                    if name in RETIRED_CONFIG_FIELDS:
+                        continue
                     if name not in CONFIG_SECTIONS[key]:
                         raise ValueError(
                             f"unknown field {name!r} in section {key!r}; "
@@ -310,7 +312,7 @@ class SudowoodoConfig:
                     values[name] = inner
             elif key in _FIELD_NAMES:
                 values[key] = value
-            else:
+            elif key not in RETIRED_CONFIG_FIELDS:
                 raise ValueError(
                     f"unknown config key {key!r}; expected a field name or "
                     f"one of the sections {sorted(CONFIG_SECTIONS)}"
@@ -367,8 +369,6 @@ class SudowoodoConfig:
             )
         if not self.ann_backend:
             raise ValueError("ann_backend must be a non-empty backend name")
-        if self.lsh_num_tables < 1 or self.lsh_num_bits < 1:
-            raise ValueError("lsh_num_tables and lsh_num_bits must be positive")
         if self.hnsw_m < 2:
             raise ValueError("hnsw_m must be >= 2")
         if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
@@ -477,13 +477,11 @@ class PseudoLabelConfig:
 
 @dataclass
 class ServeConfig:
-    """Serving layer: ANN backend selection, LSH/HNSW knobs, embedding
+    """Serving layer: ANN backend selection, HNSW/IVF-PQ knobs, embedding
     store, sharding/coalescing, and the front-end broker (admission
     control, deadlines, priorities)."""
 
     ann_backend: str = "exact"
-    lsh_num_tables: int = 16
-    lsh_num_bits: int = 8
     hnsw_m: int = 16
     hnsw_ef_construction: int = 120
     hnsw_ef_search: int = 12
@@ -531,6 +529,11 @@ CONFIG_SECTIONS: Dict[str, Tuple[str, ...]] = {
     "train": tuple(f.name for f in fields(TrainConfig)),
     "run": tuple(f.name for f in fields(RunConfig)),
 }
+
+#: Fields earlier versions had and later deleted.  Saved configs (encoder
+#: checkpoints) still carry them; :meth:`SudowoodoConfig.from_dict` drops
+#: them instead of raising.  ``lsh_*`` went with the LSH backend.
+RETIRED_CONFIG_FIELDS = ("lsh_num_tables", "lsh_num_bits")
 
 _FIELD_NAMES_ORDERED = tuple(f.name for f in fields(SudowoodoConfig))
 _FIELD_NAMES = frozenset(_FIELD_NAMES_ORDERED)

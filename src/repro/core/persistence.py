@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..nn import load_checkpoint, save_checkpoint
+from ..nn import load_checkpoint, save_checkpoint, save_state_archive
 from ..text import SPECIAL_TOKENS, Tokenizer
 from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder
@@ -115,7 +115,8 @@ def load_encoder(path: PathLike) -> SudowoodoEncoder:
         metadata = _read_npz_metadata(archive, path)
     if metadata.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint format in {path}")
-    config = SudowoodoConfig(**metadata["config"])
+    # from_dict drops RETIRED_CONFIG_FIELDS: older checkpoints still load.
+    config = SudowoodoConfig.from_dict(metadata["config"])
     vocab = {token: int(index) for token, index in metadata["vocab"].items()}
     for i, token in enumerate(SPECIAL_TOKENS):
         if vocab.get(token) != i:
@@ -142,7 +143,8 @@ def save_vector_cache(
     typically records the embedding dimension and an encoder fingerprint so
     :func:`load_vector_cache` consumers can reject stale caches.  ``ids``
     optionally records the stable record id of each row (the serving
-    layer's incremental-index state); omitted for plain caches.
+    layer's incremental-index state); omitted for plain caches.  The
+    write is atomic: a crash mid-save leaves the previous file intact.
     """
     fingerprints = list(fingerprints)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -150,15 +152,9 @@ def save_vector_cache(
         raise ValueError(
             f"expected ({len(fingerprints)}, dim) vectors, got {vectors.shape}"
         )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "fingerprints": np.asarray(fingerprints, dtype=np.str_),
         "vectors": vectors,
-        "__metadata__": np.frombuffer(
-            json.dumps({"format_version": 1, **(metadata or {})}).encode("utf-8"),
-            dtype=np.uint8,
-        ),
     }
     if ids is not None:
         id_array = np.asarray(list(ids), dtype=np.int64)
@@ -167,8 +163,9 @@ def save_vector_cache(
                 f"expected {len(fingerprints)} ids, got shape {id_array.shape}"
             )
         payload["ids"] = id_array
-    np.savez(path, **payload)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    return save_state_archive(
+        path, payload, {"format_version": 1, **(metadata or {})}, atomic=True
+    )
 
 
 def load_vector_cache(
@@ -214,6 +211,7 @@ def save_ivfpq_index(path: PathLike, backend) -> Path:
     per-cell codes (flattened in cell order with a ``cell_sizes`` split
     vector); a still-flat (untrained) backend stores its raw float32
     buffer instead.  :func:`load_ivfpq_index` round-trips either state.
+    Written atomically, like :func:`save_vector_cache`.
     """
     if backend._dim is None:
         raise ValueError("cannot save an unbuilt IVF-PQ index; call build() first")
@@ -229,11 +227,7 @@ def save_ivfpq_index(path: PathLike, backend) -> Path:
         "train_threshold": backend.train_threshold,
         "trained": backend.trained,
     }
-    payload: Dict[str, np.ndarray] = {
-        "__metadata__": np.frombuffer(
-            json.dumps(metadata).encode("utf-8"), dtype=np.uint8
-        ),
-    }
+    payload: Dict[str, np.ndarray] = {}
     if backend.trained:
         payload["centroids"] = backend._centroids
         payload["codebooks"] = backend._pq.codebooks
@@ -253,10 +247,7 @@ def save_ivfpq_index(path: PathLike, backend) -> Path:
     else:
         payload["raw_ids"] = backend._raw_ids[: backend._raw_size]
         payload["raw_vectors"] = backend._raw[: backend._raw_size]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **payload)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    return save_state_archive(path, payload, metadata, atomic=True)
 
 
 def load_ivfpq_index(path: PathLike):

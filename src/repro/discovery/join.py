@@ -11,7 +11,7 @@ thin:
    embeds) plus a :class:`~repro.serve.sketch.ContainmentSketch` of its
    distinct values (O(k) memory, deterministic).
 2. :func:`rank_join_candidates` indexes the column embeddings into ONE
-   ANN backend (any registered backend — exact, LSH, HNSW, IVF-PQ — via
+   ANN backend (any registered backend — exact, HNSW, IVF-PQ — via
    ``build_backend``), pulls each column's nearest neighbours as
    candidates, and scores every cross-table candidate pair with
    ``alpha * containment + (1 - alpha) * cosine``.

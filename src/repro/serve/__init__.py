@@ -9,8 +9,8 @@ discovery.  This package makes that reuse concrete at serving time:
   caches the vectors keyed by record fingerprint, so a corpus is encoded
   once and shared by every downstream task.  Hands out stable record ids
   (``upsert_batch`` / ``evict``) so streaming consumers can delta-encode.
-* :class:`ANNBackend` / :class:`ExactBackend` / :class:`LSHBackend` /
-  :class:`HNSWBackend` — the pluggable similarity-search protocol behind
+* :class:`ANNBackend` / :class:`ExactBackend` / :class:`HNSWBackend` —
+  the pluggable similarity-search protocol behind
   blocking, selected via ``SudowoodoConfig.ann_backend``.  All built-ins
   are mutable (``add`` / ``remove`` / ``rebuild``), so indexes are
   patched in place instead of rebuilt under churn.
@@ -53,10 +53,10 @@ from .backends import (
     ANNBackend,
     ExactBackend,
     HNSWBackend,
-    LSHBackend,
     available_backends,
     build_backend,
     register_backend,
+    updatable_backends,
 )
 from .broker import (
     DeadlineExceeded,
@@ -91,7 +91,6 @@ __all__ = [
     "HNSWIndex",
     "Histogram",
     "IVFPQBackend",
-    "LSHBackend",
     "MatchService",
     "MemmapVectorStore",
     "ProductQuantizer",
@@ -110,4 +109,5 @@ __all__ = [
     "quantize_rows",
     "register_backend",
     "shard_assignments",
+    "updatable_backends",
 ]

@@ -7,12 +7,13 @@ hard-coded search routine:
 
 * :class:`ExactBackend` — brute-force cosine top-k (the seed behaviour,
   exact and fast at reproduction scale).
-* :class:`LSHBackend` — random-hyperplane LSH via
-  :class:`~repro.text.lsh.LSHIndex`, sub-linear candidate generation for
-  large corpora.
 * :class:`HNSWBackend` — graph-based search via
-  :class:`~repro.serve.hnsw.HNSWIndex`, sublinear per-query latency on
-  the 10k+ corpora the benchmarks generate.
+  :class:`~repro.serve.hnsw.HNSWIndex`, sublinear per-query latency: it
+  overtakes the exact scan somewhere between 10k and 50k rows, at a
+  recall cost ``hnsw_ef_search`` trades against that lead
+  (``docs/serving.md``, "when to pick hnsw").
+* ``"ivfpq"`` — :class:`~repro.serve.ivfpq.IVFPQBackend`, the
+  compressed tier for corpora whose dense rows do not fit in RAM.
 
 Backends are selected by name through ``SudowoodoConfig.ann_backend`` and
 the :func:`build_backend` registry; third-party indexes plug in with
@@ -25,7 +26,7 @@ the index in place instead of rebuilding it — the contract streaming
 upserts rely on.  ``query`` always returns stable ids, never internal
 positions.
 
->>> backend = build_backend(config)          # config.ann_backend == "lsh"
+>>> backend = build_backend(config)          # config.ann_backend == "hnsw"
 >>> backend.build(corpus_vectors)            # records get ids 0..N-1
 >>> indices, scores = backend.query(query_vectors, k=10)
 >>> backend.add(np.array([n]), new_vectors)  # incremental insert
@@ -40,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import SudowoodoConfig
-from ..text.lsh import LSHIndex
 from ..text.similarity import normalize_rows
 from ..utils import grow_array
 from .hnsw import HNSWIndex
@@ -50,8 +50,8 @@ class ANNBackend(abc.ABC):
     """Protocol for candidate-generating similarity indexes.
 
     ``build`` indexes a corpus of vectors — the exact and IVF-PQ
-    backends unit-normalise what they are given; LSH and HNSW score
-    inner products, so hand those unit rows — assigning stable ids
+    backends unit-normalise what they are given; HNSW scores inner
+    products, so hand it unit rows — assigning stable ids
     ``0..N-1``; ``query`` returns per-row top-k
     ``(ids, scores)`` arrays of shape ``(num_queries, k)``.  Rows with
     fewer than ``k`` results are padded with ``-1`` ids and ``-inf``
@@ -304,7 +304,7 @@ class ExactBackend(ANNBackend):
             scores = np.take_along_axis(sims, order, axis=1)
         if indices.shape[1] < k:
             # Honour the protocol shape: pad rows out to k like the
-            # approximate backends do, so "exact" and "lsh" stay
+            # approximate backends do, so "exact" and "hnsw" stay
             # interchangeable for consumers that rely on the contract.
             pad = k - indices.shape[1]
             indices = np.pad(indices, ((0, 0), (0, pad)), constant_values=-1)
@@ -313,11 +313,11 @@ class ExactBackend(ANNBackend):
 
 
 class _SlotIdMap:
-    """Stable-id bookkeeping shared by the slot-based indexes (LSH, HNSW).
+    """Stable-id bookkeeping for :class:`HNSWBackend`.
 
     The wrapped index hands out internal *slots*; this map tracks
-    ``slot -> id`` and ``id -> slot`` so backends can expose stable ids
-    across adds, tombstoned removals, and compactions.
+    ``slot -> id`` and ``id -> slot`` so the backend can expose stable
+    ids across adds, tombstoned removals, and compactions.
     """
 
     def __init__(self) -> None:
@@ -364,30 +364,41 @@ class _SlotIdMap:
         return ids
 
 
-class _SlotIndexBackend(ANNBackend):
-    """Shared machinery for backends over slot-based mutable indexes.
+class HNSWBackend(ANNBackend):
+    """Graph-based search over a :class:`~repro.serve.hnsw.HNSWIndex`.
 
-    LSH and HNSW indexes both speak the same internal dialect — ``build``
-    / ``add(vectors) -> slots`` / ``remove(slots)`` / ``compact`` /
-    ``query_batch`` over positional *slots* with tombstones — so the
-    stable-id bookkeeping (including the tombstone-then-insert upsert
-    dance) lives here exactly once.  Subclasses supply :meth:`_make_index`.
+    Sublinear per-query latency: a beam search walks ``O(log N)`` graph
+    hops instead of scanning the corpus.  ``add`` inserts new nodes
+    without touching unrelated ones; ``remove`` tombstones (removed
+    nodes keep routing but are never returned); ``rebuild`` compacts
+    once churn accumulates.  Deterministic for a fixed ``seed``.
 
-    ``dtype`` is the precision vectors are handed to the wrapped index
-    in (the index stores them as given, so float32 halves its RSS).
+    The index addresses positional *slots*; :class:`_SlotIdMap` maps
+    them to the stable ids callers see.  ``dtype`` is the precision
+    vectors are handed to the index in (it stores them as given, so
+    float32 halves its RSS).
     """
 
+    name = "hnsw"
     supports_updates = True
 
-    def __init__(self, dtype: str = "float64") -> None:
+    def __init__(
+        self,
+        m: int = 16,
+        ef_construction: int = 120,
+        ef_search: int = 12,
+        seed: int = 0,
+        dtype: str = "float64",
+    ) -> None:
         self._dtype = _check_backend_dtype(dtype)
-        self._index = None
+        self.m = m
+        self.ef_construction = ef_construction
+        self.ef_search = ef_search
+        self.seed = seed
+        self._index: Optional[HNSWIndex] = None
         self._ids = _SlotIdMap()
 
-    def _make_index(self, dim: int):
-        raise NotImplementedError
-
-    def _require_index(self, operation: str):
+    def _require_index(self, operation: str) -> HNSWIndex:
         if self._index is None:
             raise RuntimeError(
                 f"{self.name} backend: call build() before {operation}()"
@@ -397,11 +408,17 @@ class _SlotIndexBackend(ANNBackend):
     def __len__(self) -> int:
         return 0 if self._index is None else self._index.num_alive
 
-    def build(self, vectors: np.ndarray) -> "_SlotIndexBackend":
+    def build(self, vectors: np.ndarray) -> "HNSWBackend":
         vectors = np.asarray(vectors, dtype=self._dtype)
         if vectors.ndim != 2:
             raise ValueError("expected (N, dim) vectors")
-        self._index = self._make_index(vectors.shape[1]).build(vectors)
+        self._index = HNSWIndex(
+            dim=vectors.shape[1],
+            m=self.m,
+            ef_construction=self.ef_construction,
+            ef_search=self.ef_search,
+            seed=self.seed,
+        ).build(vectors)
         self._ids = _SlotIdMap()
         self._ids.assign(
             np.arange(vectors.shape[0], dtype=np.int64),
@@ -409,7 +426,7 @@ class _SlotIndexBackend(ANNBackend):
         )
         return self
 
-    def add(self, ids: Sequence[int], vectors: np.ndarray) -> "_SlotIndexBackend":
+    def add(self, ids: Sequence[int], vectors: np.ndarray) -> "HNSWBackend":
         vectors = np.asarray(vectors, dtype=self._dtype)
         dim = None if self._index is None else self._index.dim
         id_array = _check_ids_vectors(ids, vectors, dim)
@@ -425,7 +442,7 @@ class _SlotIndexBackend(ANNBackend):
         self._ids.assign(slots, id_array)
         return self
 
-    def remove(self, ids: Sequence[int]) -> "_SlotIndexBackend":
+    def remove(self, ids: Sequence[int]) -> "HNSWBackend":
         index = self._require_index("remove")
         id_array = _check_remove_ids(ids)
         slots = self._ids.slots_for(id_array)
@@ -433,7 +450,7 @@ class _SlotIndexBackend(ANNBackend):
         self._ids.drop(id_array.tolist())
         return self
 
-    def rebuild(self) -> "_SlotIndexBackend":
+    def rebuild(self) -> "HNSWBackend":
         survivors = self._require_index("rebuild").compact()
         self._ids.remap_after_compact(survivors)
         return self
@@ -442,77 +459,6 @@ class _SlotIndexBackend(ANNBackend):
         index = self._require_index("query")
         slots, scores = index.query_batch(np.asarray(queries, dtype=self._dtype), k)
         return self._ids.translate(slots), scores
-
-
-class LSHBackend(_SlotIndexBackend):
-    """Random-hyperplane LSH with exact re-ranking of bucket candidates.
-
-    Approximate: recall against the exact top-k grows with ``num_tables``
-    and shrinks with ``num_bits`` (bigger buckets = more candidates =
-    higher recall, slower queries).  Deterministic for a fixed ``seed``.
-
-    Mutations are bucket-level patches: ``add`` hashes only the new
-    vectors, ``remove`` edits only the ~``num_tables`` buckets each
-    removed vector occupies — the rest of the corpus is never rehashed.
-    """
-
-    name = "lsh"
-
-    def __init__(
-        self,
-        num_tables: int = 16,
-        num_bits: int = 8,
-        seed: int = 0,
-        dtype: str = "float64",
-    ) -> None:
-        super().__init__(dtype=dtype)
-        self.num_tables = num_tables
-        self.num_bits = num_bits
-        self.seed = seed
-
-    def _make_index(self, dim: int) -> LSHIndex:
-        return LSHIndex(
-            dim=dim,
-            num_tables=self.num_tables,
-            num_bits=self.num_bits,
-            seed=self.seed,
-        )
-
-
-class HNSWBackend(_SlotIndexBackend):
-    """Graph-based search over a :class:`~repro.serve.hnsw.HNSWIndex`.
-
-    Sublinear per-query latency: a beam search walks ``O(log N)`` graph
-    hops instead of scanning the corpus.  ``add`` inserts new nodes
-    without touching unrelated ones; ``remove`` tombstones (removed
-    nodes keep routing but are never returned); ``rebuild`` compacts
-    once churn accumulates.  Deterministic for a fixed ``seed``.
-    """
-
-    name = "hnsw"
-
-    def __init__(
-        self,
-        m: int = 16,
-        ef_construction: int = 120,
-        ef_search: int = 12,
-        seed: int = 0,
-        dtype: str = "float64",
-    ) -> None:
-        super().__init__(dtype=dtype)
-        self.m = m
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self.seed = seed
-
-    def _make_index(self, dim: int) -> HNSWIndex:
-        return HNSWIndex(
-            dim=dim,
-            m=self.m,
-            ef_construction=self.ef_construction,
-            ef_search=self.ef_search,
-            seed=self.seed,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -534,12 +480,6 @@ def _make_ivfpq(config: SudowoodoConfig) -> ANNBackend:
 
 _BACKENDS: Dict[str, BackendFactory] = {
     "exact": lambda config: ExactBackend(dtype=config.store_dtype),
-    "lsh": lambda config: LSHBackend(
-        num_tables=config.lsh_num_tables,
-        num_bits=config.lsh_num_bits,
-        seed=config.seed,
-        dtype=config.store_dtype,
-    ),
     "hnsw": lambda config: HNSWBackend(
         m=config.hnsw_m,
         ef_construction=config.hnsw_ef_construction,
@@ -565,6 +505,17 @@ def register_backend(name: str, factory: BackendFactory) -> None:
 def available_backends() -> List[str]:
     """Names accepted by ``SudowoodoConfig.ann_backend``."""
     return sorted(_BACKENDS)
+
+
+def updatable_backends() -> List[str]:
+    """Registered names whose instances support ``add`` / ``remove`` /
+    ``rebuild`` — the backends streaming consumers can be pointed at."""
+    config = SudowoodoConfig()
+    return [
+        name
+        for name in available_backends()
+        if _BACKENDS[name](config).supports_updates
+    ]
 
 
 def build_backend(

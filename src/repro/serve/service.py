@@ -43,7 +43,7 @@ import numpy as np
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from ..text.similarity import normalize_rows
-from .backends import ANNBackend, build_backend
+from .backends import ANNBackend, build_backend, updatable_backends
 from .broker import RequestBroker
 from .store import EmbeddingStore
 
@@ -220,7 +220,8 @@ class MatchService:
         if not backend.supports_updates:
             raise ValueError(
                 f"ann_backend {backend.name!r} does not support incremental "
-                "updates; choose exact, lsh, or hnsw for streaming serving"
+                f"updates; choose one of {updatable_backends()} "
+                "for streaming serving"
             )
         with self._mutation_lock, self._store_lock:
             ids, raw = self.store.upsert_batch(texts)

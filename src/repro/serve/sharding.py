@@ -5,7 +5,7 @@ corpus does not fit one brute-force scan, and one mutable index cannot
 serve concurrent readers and writers without locking.
 :class:`ShardedBackend` is an
 :class:`~repro.serve.backends.ANNBackend` that hash-partitions record
-ids across ``num_shards`` inner backends (any of exact / LSH / HNSW /
+ids across ``num_shards`` inner backends (any of exact / HNSW /
 IVF-PQ), guards each shard with a :class:`ReadWriteLock`, fans queries
 out to all shards on the caller's thread and merges per-shard top-k
 into global top-k (:func:`_merge_topk`).  Because every id lives in
@@ -145,7 +145,7 @@ class ShardedBackend(ANNBackend):
     (:func:`shard_assignments`), so per-shard top-k results are disjoint
     and the merge — sort the union of per-shard candidates by score —
     yields the global top-k whenever the inner backends do (always for
-    ``exact``; at their usual recall for LSH / HNSW).  For ``exact``,
+    ``exact``; at their usual recall for HNSW / IVF-PQ).  For ``exact``,
     ids are identical to a single backend whenever top-k boundary
     scores are distinct at the resolution of the shards' dtype (scores
     agree to that dtype's tolerance, see :class:`ExactBackend`) —

@@ -2,7 +2,6 @@
 
 from .kmeans import KMeansResult, assign_clusters, kmeans, minibatch_kmeans
 from .lm_pretrain import MLMConfig, MLMResult, mlm_warm_start
-from .lsh import LSHIndex
 from .similarity import (
     cosine,
     cosine_matrix,
@@ -32,7 +31,6 @@ __all__ = [
     "COL",
     "Encoding",
     "KMeansResult",
-    "LSHIndex",
     "MASK",
     "MLMConfig",
     "MLMResult",

@@ -12,7 +12,7 @@ def grow_array(array: np.ndarray, used: int, needed: int) -> np.ndarray:
     buffer of capacity ``max(needed, 2 * capacity, 16)`` with the first
     ``used`` rows copied over and the spare rows zero-initialized.  The
     amortized-O(1) append pattern behind every mutable index here
-    (exact rows, LSH slots, HNSW nodes).
+    (exact rows, HNSW nodes).
     """
     capacity = array.shape[0]
     if needed <= capacity:

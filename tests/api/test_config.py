@@ -79,6 +79,19 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="must map field names"):
             SudowoodoConfig.from_dict({"model": 3})
 
+    def test_retired_fields_dropped_flat_and_nested(self):
+        from repro.core.config import RETIRED_CONFIG_FIELDS
+
+        retired = {name: 1 for name in RETIRED_CONFIG_FIELDS}
+        config = SudowoodoConfig(dim=20)
+        flat = {**config.to_dict(nested=False), **retired}
+        assert SudowoodoConfig.from_dict(flat) == config
+        nested = config.to_dict()
+        nested["serve"].update(retired)
+        assert SudowoodoConfig.from_dict(nested) == config
+        with pytest.raises(ValueError, match="unknown config key"):
+            SudowoodoConfig.from_dict({**flat, "lsh_num_probes": 1})
+
 
 class TestForTask:
     def test_overrides_win(self):

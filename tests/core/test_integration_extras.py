@@ -1,11 +1,12 @@
-"""Extra integration tests: auto-DA pipeline, concat head, LSH blocking."""
+"""Extra integration tests: auto-DA pipeline, concat head, HNSW blocking,
+positive ratio."""
 
 import numpy as np
 import pytest
 
 from repro import SudowoodoConfig, SudowoodoSession
 from repro.data.generators import load_em_benchmark
-from repro.text import LSHIndex
+from repro.serve import ExactBackend, HNSWBackend
 
 
 def tiny_config(**overrides):
@@ -58,25 +59,28 @@ class TestConcatHeadPipeline:
         assert 0.0 <= metrics["f1"] <= 1.0
 
 
-class TestLSHBlockingIntegration:
+class TestHNSWBlockingIntegration:
     @pytest.fixture(scope="class")
     def blocker(self, dataset):
         return pretrained_session(dataset, seed=2).task("block").fit(dataset).blocker
 
-    def test_lsh_over_learned_embeddings(self, blocker):
-        """LSH retrieval over the blocker's embedding space approximates
+    def test_hnsw_over_learned_embeddings(self, blocker):
+        """HNSW retrieval over the blocker's embedding space approximates
         the exact kNN candidates."""
-        index = LSHIndex(
-            dim=blocker.vectors_b.shape[1], num_tables=12, num_bits=4, seed=0
-        ).build(blocker.vectors_b)
-        recall = index.recall_against_exact(blocker.vectors_a[:20], k=3)
-        assert recall > 0.5
+        ids = np.arange(blocker.vectors_b.shape[0])
+        hnsw = HNSWBackend(m=4, seed=0)
+        hnsw.add(ids, blocker.vectors_b)
+        exact = ExactBackend()
+        exact.add(ids, blocker.vectors_b)
+        approx, _ = hnsw.query(blocker.vectors_a[:20], k=3)
+        truth, _ = exact.query(blocker.vectors_a[:20], k=3)
+        hits = sum(len(set(a) & set(t)) for a, t in zip(approx, truth))
+        assert hits / truth.size > 0.5
 
-    def test_lsh_candidates_contain_matches(self, dataset, blocker):
-        index = LSHIndex(
-            dim=blocker.vectors_b.shape[1], num_tables=16, num_bits=3, seed=1
-        ).build(blocker.vectors_b)
-        indices, _ = index.query_batch(blocker.vectors_a, k=10)
+    def test_hnsw_candidates_contain_matches(self, dataset, blocker):
+        hnsw = HNSWBackend(m=4, seed=1)
+        hnsw.add(np.arange(blocker.vectors_b.shape[0]), blocker.vectors_b)
+        indices, _ = hnsw.query(blocker.vectors_a, k=10)
         candidate_pairs = {
             (a, int(b))
             for a in range(indices.shape[0])

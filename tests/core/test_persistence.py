@@ -10,8 +10,15 @@ from repro.core import (
     pretrain,
     save_encoder,
 )
-from repro.core.persistence import load_vector_cache, save_vector_cache
+from repro.core.persistence import (
+    load_ivfpq_index,
+    load_vector_cache,
+    save_ivfpq_index,
+    save_vector_cache,
+)
 from repro.data.generators import load_em_benchmark
+from repro.nn import load_state_archive, save_state_archive
+from repro.serve import IVFPQBackend
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,26 @@ class TestPersistence:
         path = save_encoder(encoder, tmp_path / "encoder.npz")
         restored = load_encoder(path)
         assert restored.tokenizer.vocab == encoder.tokenizer.vocab
+
+    def test_checkpoint_with_retired_config_fields_loads(self, trained, tmp_path):
+        """Checkpoints written while the LSH backend existed carry its
+        two config fields; they still load, to an equal encoder."""
+        dataset, encoder = trained
+        path = save_encoder(encoder, tmp_path / "encoder.npz")
+        arrays, metadata = load_state_archive(path)
+        metadata["config"].update(lsh_num_tables=16, lsh_num_bits=8)
+        save_state_archive(path, arrays, metadata)
+        restored = load_encoder(path)
+        assert restored.config == encoder.config
+        items = dataset.all_items()[:8]
+        np.testing.assert_array_equal(
+            encoder.embed_items(items), restored.embed_items(items)
+        )
+        # Any other unknown field still fails loudly.
+        metadata["config"]["no_such_field"] = 1
+        save_state_archive(path, arrays, metadata)
+        with pytest.raises(ValueError, match="no_such_field"):
+            load_encoder(path)
 
     def test_suffixless_path(self, trained, tmp_path):
         _, encoder = trained
@@ -175,6 +202,58 @@ class TestVectorCache:
         )
         with pytest.raises(ValueError, match="corrupt"):
             load_vector_cache(path)
+
+
+def _vector_cache_saver(path, seed):
+    vectors = np.random.default_rng(seed).normal(size=(6, 8))
+    save_vector_cache(path, [f"fp-{i}" for i in range(6)], vectors, ids=range(6))
+
+
+def _ivfpq_saver(path, seed):
+    rows = np.random.default_rng(seed).normal(size=(64, 16))
+    save_ivfpq_index(path, IVFPQBackend(num_subvectors=4).build(rows))
+
+
+def _ivfpq_answers(path):
+    queries = np.random.default_rng(9).normal(size=(4, 16))
+    return load_ivfpq_index(path).query(queries, k=5)
+
+
+class TestAtomicArchiveSavers:
+    """A crash while an archive saver writes must leave the previous
+    file readable and unchanged."""
+
+    @pytest.mark.parametrize(
+        "save, read",
+        [
+            (_vector_cache_saver, load_vector_cache),
+            (_ivfpq_saver, _ivfpq_answers),
+        ],
+        ids=["vector_cache", "ivfpq"],
+    )
+    def test_crash_mid_write_keeps_the_old_file(
+        self, tmp_path, monkeypatch, save, read
+    ):
+        target = tmp_path / "archive.npz"
+        save(target, seed=0)
+        before = read(target)
+
+        def torn_savez(file, **arrays):
+            with open(file, "wb") as handle:
+                handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save(target, seed=1)
+        monkeypatch.undo()
+        after = read(target)
+        for old, new in zip(before, after):
+            if isinstance(old, np.ndarray):
+                np.testing.assert_array_equal(old, new)
+            else:
+                assert old == new
+        assert [p.name for p in tmp_path.iterdir()] == ["archive.npz"]
 
 
 class TestAtomicWriteText:

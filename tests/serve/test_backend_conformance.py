@@ -17,12 +17,13 @@ exact, float32      <= 1e-6   neighbours exceeds twice that tolerance
 exact, float16      <= 1e-3   (a narrower gap is a tie the dtype cannot
 sharded exact 1/2/3 as the    resolve; the backend's *own* scores must
                     shards'   still come back in the total order)
-lsh, hnsw           —         state integrity only: ``len``, live-id
+hnsw, ivfpq         —         state integrity only: ``len``, live-id
                               membership, rejected operations
 =================== ========= ==========================================
 
-Recall floors for LSH / HNSW and all of IVF-PQ stay with their own
-suites (ROADMAP item 6).
+The IVF-PQ case trains at 24 rows, so examples cross from its exact
+flat buffer into coded search.  Recall floors for HNSW and IVF-PQ stay
+with their own suites (ROADMAP item 6).
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.serve import ExactBackend, HNSWBackend, LSHBackend, ShardedBackend
+from repro.serve import ExactBackend, HNSWBackend, IVFPQBackend, ShardedBackend
 
 DIM = 8
 
@@ -259,5 +260,7 @@ TestSharded2 = conformance_case(
 TestSharded3 = conformance_case(
     lambda: ShardedBackend(lambda: ExactBackend("float64"), 3), atol=1e-12
 )
-TestLSHState = conformance_case(lambda: LSHBackend(num_tables=8, num_bits=4, seed=0))
 TestHNSWState = conformance_case(lambda: HNSWBackend(seed=0))
+TestIVFPQState = conformance_case(
+    lambda: IVFPQBackend(num_cells=2, num_subvectors=4, bits=4, train_threshold=24)
+)

@@ -2,6 +2,8 @@
 parity and mutability, the streaming MatchService APIs, incremental
 blocking, and single-encoding pipeline integration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.serve import (
     EmbeddingStore,
     ExactBackend,
     HNSWBackend,
-    LSHBackend,
+    IVFPQBackend,
     MatchService,
     available_backends,
     build_backend,
@@ -172,45 +174,21 @@ class TestBackends:
         np.testing.assert_array_equal(indices, expected_indices)
         np.testing.assert_allclose(scores, expected_scores)
 
-    def test_lsh_recall_parity(self, vectors):
-        backend = LSHBackend(num_tables=32, num_bits=4, seed=0).build(vectors)
-        approx, _ = backend.query(vectors, k=5)
-        exact, _ = ExactBackend().build(vectors).query(vectors, k=5)
-        hits = sum(
-            len(set(exact[row]) & set(i for i in approx[row] if i >= 0))
-            for row in range(vectors.shape[0])
-        )
-        recall = hits / exact.size
-        assert recall >= 0.95
-
-    def test_lsh_deterministic(self, vectors):
-        first, _ = LSHBackend(num_tables=8, num_bits=6, seed=3).build(vectors).query(
-            vectors[:10], k=4
-        )
-        second, _ = LSHBackend(num_tables=8, num_bits=6, seed=3).build(vectors).query(
-            vectors[:10], k=4
-        )
-        np.testing.assert_array_equal(first, second)
-
-    def test_lsh_pads_short_rows(self, vectors):
-        backend = LSHBackend(num_tables=4, num_bits=2, seed=0).build(vectors[:3])
-        indices, scores = backend.query(vectors[:2], k=5)
-        assert indices.shape == (2, 5)
-        assert (indices[:, 3:] == -1).all()
-        assert np.isneginf(scores[:, 3:]).all()
-
     def test_query_before_build_raises(self, vectors):
         with pytest.raises(RuntimeError):
             ExactBackend().query(vectors[:2], k=3)
         with pytest.raises(RuntimeError):
-            LSHBackend().query(vectors[:2], k=3)
+            HNSWBackend().query(vectors[:2], k=3)
 
     def test_registry(self):
-        assert {"exact", "lsh"} <= set(available_backends())
-        config = SudowoodoConfig(ann_backend="lsh", lsh_num_tables=5, lsh_num_bits=3)
-        backend = build_backend(config)
-        assert isinstance(backend, LSHBackend)
-        assert backend.num_tables == 5 and backend.num_bits == 3
+        assert available_backends() == ["exact", "hnsw", "ivfpq"]
+        # The retired LSH backend fails like any unknown name.
+        config = SudowoodoConfig(ann_backend="lsh")
+        with pytest.raises(
+            ValueError,
+            match=r"unknown ANN backend 'lsh'; available: \['exact', 'hnsw', 'ivfpq'\]",
+        ):
+            build_backend(config)
         with pytest.raises(ValueError):
             build_backend(config, name="no-such-index")
 
@@ -229,8 +207,9 @@ class TestBackends:
 def make_backend(name):
     if name == "exact":
         return ExactBackend()
-    if name == "lsh":
-        return LSHBackend(num_tables=32, num_bits=4, seed=0)
+    if name == "ivfpq":
+        # A threshold under the 120-row fixture: the trained (coded) path.
+        return IVFPQBackend(num_cells=4, num_subvectors=4, train_threshold=64)
     return HNSWBackend(seed=0)
 
 
@@ -249,11 +228,11 @@ class TestMutableBackends:
         matrix = rng.normal(size=(6, 16))
         return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_supports_updates_flag(self, name):
         assert make_backend(name).supports_updates
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_add_new_records_visible(self, name, vectors, extra):
         backend = make_backend(name).build(vectors)
         assert len(backend) == vectors.shape[0]
@@ -265,7 +244,7 @@ class TestMutableBackends:
             assert ids[row] in found[row]  # each new record is its own NN
             assert scores[row, 0] >= scores[row, 1]
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_remove_hides_records(self, name, vectors, extra):
         backend = make_backend(name).build(vectors)
         ids = np.arange(500, 500 + extra.shape[0])
@@ -279,7 +258,7 @@ class TestMutableBackends:
         for row, record_id in enumerate(ids[3:]):
             assert record_id in found_kept[row]
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_upsert_replaces_vector(self, name, vectors, extra):
         backend = make_backend(name).build(vectors)
         backend.add(np.array([900]), extra[:1])
@@ -288,7 +267,7 @@ class TestMutableBackends:
         found, _ = backend.query(extra[1:2], k=3)
         assert 900 in found[0]
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_rebuild_preserves_ids(self, name, vectors, extra):
         backend = make_backend(name).build(vectors)
         ids = np.arange(500, 500 + extra.shape[0])
@@ -316,19 +295,19 @@ class TestMutableBackends:
         backend.add([700], extra[:1])  # the trimmed buffer still grows
         assert backend.query(extra[:1], k=1)[0][0, 0] == 700
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_remove_unknown_id_raises(self, name, vectors):
         backend = make_backend(name).build(vectors)
         with pytest.raises(KeyError):
             backend.remove([10_000])
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_duplicate_ids_in_add_rejected(self, name, vectors, extra):
         backend = make_backend(name).build(vectors)
         with pytest.raises(ValueError):
             backend.add(np.array([7, 7]), extra[:2])
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_duplicate_ids_in_remove_rejected_before_mutation(
         self, name, vectors
     ):
@@ -342,7 +321,7 @@ class TestMutableBackends:
         backend.remove([5])
         assert len(backend) == vectors.shape[0] - 1
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     @pytest.mark.parametrize("bad_dim", [1, 5])
     def test_wrong_dimension_add_rejected_before_mutation(
         self, name, bad_dim, vectors
@@ -362,7 +341,7 @@ class TestMutableBackends:
         backend.remove([0])  # the record is still there to remove
         assert len(backend) == vectors.shape[0] - 1
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_build_from_empty_then_add(self, name, extra):
         backend = make_backend(name).build(np.zeros((0, 16)))
         assert len(backend) == 0
@@ -515,6 +494,35 @@ class TestStableIds:
         found, _ = service.search(corpus[:1], k=2)
         assert ids[0] in found[0]
 
+    def test_no_update_errors_list_the_updatable_registry(self, dataset, encoder):
+        """The service's and the blocker's "does not support updates"
+        errors name exactly the registered backends that do: each
+        listed name builds and supports updates."""
+
+        class Static(ExactBackend):
+            supports_updates = False
+
+        register_backend("static-for-test", lambda config: Static())
+        try:
+            service = MatchService(
+                encoder, config=tiny_config(ann_backend="static-for-test")
+            )
+            with pytest.raises(ValueError) as service_error:
+                service.index_records(dataset.all_items()[:4])
+            blocker = Blocker(encoder, dataset, backend=Static())
+            with pytest.raises(RuntimeError) as blocker_error:
+                blocker.upsert_b(["a new record"])
+        finally:
+            from repro.serve import backends as backends_module
+
+            backends_module._BACKENDS.pop("static-for-test", None)
+        for error in (service_error, blocker_error):
+            listed = re.search(r"one of \[(.*?)\]", str(error.value)).group(1)
+            names = [name.strip(" '") for name in listed.split(",")]
+            assert names == ["exact", "hnsw", "ivfpq"]
+            for name in names:
+                assert build_backend(name=name).supports_updates
+
     def test_search_does_not_grow_store(self, dataset, encoder):
         """Query traffic must not populate (or evict from) the corpus cache."""
         service = MatchService(encoder, config=tiny_config())
@@ -542,7 +550,7 @@ class TestStableIds:
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", ["exact", "lsh", "hnsw"])
+@pytest.mark.parametrize("backend_name", ["exact", "hnsw", "ivfpq"])
 class TestStreamingService:
     """MatchService live index: index / upsert / delete / search."""
 
@@ -690,18 +698,6 @@ class TestBlockerAndService:
         assert store.misses == misses_after_first  # corpus encoded once
         np.testing.assert_allclose(first.vectors_a, second.vectors_a)
 
-    def test_exact_vs_lsh_blocking_parity(self, dataset, encoder):
-        store = EmbeddingStore(encoder)
-        exact = Blocker(encoder, dataset, store=store).candidates(k=3)
-        lsh = Blocker(
-            encoder,
-            dataset,
-            store=store,
-            backend=LSHBackend(num_tables=16, num_bits=2, seed=0),
-        ).candidates(k=3)
-        overlap = len(set(lsh.pairs) & set(exact.pairs)) / len(exact.pairs)
-        assert overlap >= 0.95
-
     def test_match_service_block_warm_cache(self, dataset, encoder):
         service = MatchService(encoder)
         texts_a = [dataset.serialize_a(i) for i in range(len(dataset.table_a))]
@@ -724,6 +720,15 @@ class TestBlockerAndService:
         for a, _ in candidate_set.pairs:
             per_row[a] = per_row.get(a, 0) + 1
         assert max(per_row.values()) <= 2  # budget still k after self-exclusion
+
+    def test_exact_vs_hnsw_blocking_parity(self, dataset, encoder):
+        store = EmbeddingStore(encoder)
+        exact = Blocker(encoder, dataset, store=store).candidates(k=3)
+        hnsw = Blocker(
+            encoder, dataset, store=store, backend=HNSWBackend(seed=0)
+        ).candidates(k=3)
+        overlap = len(set(hnsw.pairs) & set(exact.pairs)) / len(exact.pairs)
+        assert overlap >= 0.95
 
     def test_match_pairs_requires_matcher(self, dataset, encoder):
         service = MatchService(encoder)
@@ -748,7 +753,7 @@ class TestBlockerAndService:
                 enc,
                 dataset,
                 store=store,
-                backend=LSHBackend(num_tables=8, num_bits=4, seed=config.seed),
+                backend=HNSWBackend(seed=config.seed),
             )
             runs.append(blocker.candidates(k=3).pairs)
         assert runs[0] == runs[1]
@@ -776,6 +781,15 @@ class TestPipelineIntegration:
         service.embed_batch(dataset.all_items())
         assert session.store.misses == misses  # warm cache across tasks
         assert len(session.store) == corpus_size  # fine-tuning cleared nothing
+
+    @pytest.mark.parametrize(
+        "name, backend_type", [("hnsw", HNSWBackend), ("ivfpq", IVFPQBackend)]
+    )
+    def test_pipeline_ann_backend(self, dataset, name, backend_type):
+        session = pretrained_session(dataset, ann_backend=name)
+        block = session.task("block").fit(dataset, k=3)
+        assert len(block.predict()) > 0
+        assert isinstance(block.blocker.backend, backend_type)
 
     def test_finetune_changes_fingerprint_and_invalidates_cache(
         self, dataset, tmp_path
@@ -805,11 +819,3 @@ class TestPipelineIntegration:
         # ...while a non-strict load remains possible for callers that
         # accept drift.
         assert store.load(path, strict=False) > 0
-
-    def test_pipeline_lsh_backend(self, dataset):
-        session = pretrained_session(
-            dataset, ann_backend="lsh", lsh_num_tables=16, lsh_num_bits=2
-        )
-        block = session.task("block").fit(dataset, k=3)
-        assert len(block.predict()) > 0
-        assert isinstance(block.blocker.backend, LSHBackend)

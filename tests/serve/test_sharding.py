@@ -15,7 +15,7 @@ from repro.data.generators import load_em_benchmark
 from repro.serve import (
     ExactBackend,
     HNSWBackend,
-    LSHBackend,
+    IVFPQBackend,
     MatchService,
     ReadWriteLock,
     RequestBroker,
@@ -67,8 +67,9 @@ def unit_vectors(seed_name: str, n: int, dim: int = 16) -> np.ndarray:
 def make_inner(name):
     if name == "exact":
         return lambda: ExactBackend()
-    if name == "lsh":
-        return lambda: LSHBackend(num_tables=32, num_bits=4, seed=0)
+    if name == "ivfpq":
+        # A threshold under each shard's share of 300 rows: coded search.
+        return lambda: IVFPQBackend(num_cells=4, num_subvectors=4, train_threshold=64)
     return lambda: HNSWBackend(seed=0)
 
 
@@ -188,9 +189,9 @@ class TestShardedBackendEquivalence:
         np.testing.assert_array_equal(ids, single_ids)
         np.testing.assert_allclose(scores, single_scores, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["hnsw"])
     def test_approximate_recall_after_churn(self, name):
-        """Sharded LSH/HNSW must keep >= 0.9 recall of the exact top-k
+        """Sharded HNSW must keep >= 0.9 recall of the exact top-k
         after a randomized upsert/delete churn sequence."""
         rng = spawn_rng(0, f"sharded-churn-{name}")
         vectors = unit_vectors(f"sharded-churn-base-{name}", 300)
@@ -235,7 +236,7 @@ class TestShardedBackendEquivalence:
         found, _ = sharded.query(vectors[:1], k=1)
         assert found[0, 0] == 0  # id 0 still served
 
-    @pytest.mark.parametrize("name", ["exact", "lsh", "hnsw"])
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_wrong_dimension_add_fails_atomically(self, vectors, name):
         """Regression: the failing shard dropped its record (a slot
         backend tombstones before its index checks the shape) while
