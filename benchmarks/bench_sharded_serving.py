@@ -10,10 +10,10 @@ Scenario: ``num_threads`` closed-loop clients each issue single-query
   encodes its own query and scans the one index, strictly serialized —
   what serving looks like with neither lever pulled.
 * **Sharded + coalesced** — one ``num_shards=4`` :class:`MatchService`
-  driven through ``search``: concurrent callers are micro-batched into
-  single batched encoder/backend calls (batched encoding is ~2.5x
-  faster per record) and each batch fans out across ``num_shards``
-  lock-guarded partitions.
+  driven through ``ServiceFrontend(sharded).search``: concurrent callers
+  are micro-batched by the frontend's broker into single batched
+  encoder/backend calls (batched encoding is ~2.5x faster per record)
+  and each batch fans out across ``num_shards`` lock-guarded partitions.
 
 Acceptance targets: exact-backend results identical to the single-shard
 service, and a coalescer that batches (``mean_batch_size > 1``).  The QPS
@@ -41,7 +41,7 @@ from repro import SudowoodoConfig, SudowoodoEncoder
 from repro.core import build_tokenizer
 from repro.data.generators import load_em_benchmark
 from repro.eval import format_table
-from repro.serve import EmbeddingStore, MatchService
+from repro.serve import EmbeddingStore, MatchService, ServiceFrontend
 
 K = 10
 NUM_THREADS = 8
@@ -131,13 +131,14 @@ def run(
         encoder, config=replace(config, num_shards=num_shards), store=store
     )
     sharded.index_records(corpus)
+    frontend = ServiceFrontend(sharded)
 
     # ------------------------------------------------- correctness gate
     # Sequential spot-check (batches of one query each): the sharded +
     # coalesced path must return exactly the single-shard ids.
     for query in queries[:32]:
         expected, _ = single.search_batch([query], k=K)
-        got, _ = sharded.search([query], k=K)
+        got, _ = frontend.search([query], k=K)
         np.testing.assert_array_equal(got, expected)
 
     # ------------------------------------------------------ throughput
@@ -149,9 +150,9 @@ def run(
 
     baseline_qps, baseline_lat = _drive(baseline_search, queries, num_threads)
     sharded_qps, sharded_lat = _drive(
-        lambda texts, k: sharded.search(texts, k=k), queries, num_threads
+        lambda texts, k: frontend.search(texts, k=k), queries, num_threads
     )
-    stats = sharded.coalesce_stats()
+    stats = frontend.broker.stats()
 
     return {
         "corpus": len(corpus),

@@ -236,7 +236,6 @@ class SudowoodoSession:
         self,
         task: Optional[Union[str, Task]] = None,
         num_shards: Optional[int] = None,
-        coalesce_window_ms: Optional[float] = None,
         index: bool = True,
         frontend: bool = False,
         max_queue_depth: Optional[int] = None,
@@ -249,20 +248,22 @@ class SudowoodoSession:
         sharing this session's encoder and warm store.  With ``task`` (a
         name or a fitted task instance) the task's corpus is loaded into
         the live index — streaming ``upsert_records`` / ``delete_records`` /
-        coalesced ``search`` then work over cleaning cells or serialized
-        columns exactly as over EM records — and the task's fine-tuned
-        matcher (when it has one) backs ``match_pairs``.  ``num_shards``
-        / ``coalesce_window_ms`` override the config per service;
-        ``index=False`` skips corpus indexing (call
+        ``search_batch`` then work over cleaning cells or serialized
+        columns exactly as over EM records.  Match probabilities stay
+        with the task (``task.predict``).  ``num_shards`` overrides the
+        config per service; ``index=False`` skips corpus indexing (call
         ``service.index_records`` yourself).
 
         With ``frontend=True`` the service is wrapped in a
-        :class:`~repro.serve.frontend.ServiceFrontend` — the production
-        broker with bounded admission (``max_queue_depth``), per-request
-        deadlines (``default_deadline_ms``), priority scheduling
+        :class:`~repro.serve.frontend.ServiceFrontend` — the one
+        coalescing ``search`` entry point, with bounded admission
+        (``max_queue_depth``), per-request deadlines
+        (``default_deadline_ms``), priority scheduling
         (``priority_levels``), a streaming metrics registry, and
         zero-downtime blue/green ``reindex``; the three knobs override
-        the config's ``serve`` section per frontend.
+        the config's ``serve`` section per frontend.  The coalescing
+        window comes from the config
+        (``dataclasses.replace(config, coalesce_window_ms=...)``).
         """
         bound: Optional[Task] = None
         if task is not None:
@@ -279,8 +280,6 @@ class SudowoodoSession:
         overrides: Dict[str, Any] = {}
         if num_shards is not None:
             overrides["num_shards"] = num_shards
-        if coalesce_window_ms is not None:
-            overrides["coalesce_window_ms"] = coalesce_window_ms
         if max_queue_depth is not None:
             overrides["max_queue_depth"] = max_queue_depth
         if default_deadline_ms is not None:
@@ -288,12 +287,7 @@ class SudowoodoSession:
         if priority_levels is not None:
             overrides["priority_levels"] = priority_levels
         config = replace(self.config, **overrides) if overrides else self.config
-        service = MatchService(
-            self.encoder,
-            config=config,
-            store=self.store,
-            matcher=getattr(bound, "matcher", None),
-        )
+        service = MatchService(self.encoder, config=config, store=self.store)
         if bound is not None and index:
             corpus = bound.corpus_texts()
             if corpus:

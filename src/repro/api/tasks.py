@@ -189,7 +189,8 @@ class MatchTask(SessionTask):
     @property
     def blocker(self) -> Blocker:
         """The dataset's blocker, built on first use.  Stream table-B
-        changes through ``blocker.upsert_b`` / ``delete_b``."""
+        changes through ``session.serve("match").upsert_records`` /
+        ``delete_records``."""
         dataset = self._require_dataset("blocking")
         if self._blocker is None:
             with self.timer.section("blocking"):
@@ -361,8 +362,7 @@ class BlockTask(SessionTask):
 
     @property
     def blocker(self) -> Blocker:
-        """The fitted blocker (recall/CSSR curves, ``upsert_b`` /
-        ``delete_b`` streaming updates)."""
+        """The fitted blocker (recall/CSSR curves)."""
         self._require_fitted("reading the blocker")
         return self._blocker
 

@@ -13,7 +13,7 @@ default, graph-based HNSW for large corpora.
 With ``SudowoodoConfig(num_shards > 1)``, ``build_backend`` hands the
 blocker a :class:`~repro.serve.sharding.ShardedBackend`: table B is
 hash-partitioned across per-shard indexes and every candidate query fans
-out in parallel, with no change to the blocker itself:
+out across them, with no change to the blocker itself:
 
 >>> from repro.serve import EmbeddingStore, build_backend
 >>> store = EmbeddingStore(encoder)
@@ -22,12 +22,10 @@ out in parallel, with no change to the blocker itself:
 >>> candidate_set = blocker.candidates(k=10)
 >>> candidate_set.recall(dataset.matches), candidate_set.cssr()  # doctest: +SKIP
 
-The blocker is also the incremental path of the streaming pipeline:
-:meth:`Blocker.upsert_b` embeds only the new records (warm store cache)
-and patches the backend in place, :meth:`Blocker.delete_b` retires
-table-B rows without touching anything else, and :meth:`Blocker.rebuild`
-re-centers once drift accumulates.  Candidate generation therefore never
-re-encodes or re-indexes the standing corpus.
+The blocker is batch-only: it embeds both tables once and answers
+candidate queries over that snapshot.  Streaming table-B changes go
+through the live index of ``session.serve("match")`` (``upsert_records``
+/ ``delete_records``), which patches its backend in place.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..data import EMDataset
-from ..serve import ANNBackend, EmbeddingStore, ExactBackend, updatable_backends
+from ..serve import ANNBackend, EmbeddingStore, ExactBackend
 from ..text.similarity import normalize_rows
 from .encoder import SudowoodoEncoder
 
@@ -67,10 +65,6 @@ class CandidateSet:
             return 0.0
         retained = sum(1 for pair in matches if pair in self.scores)
         return retained / len(matches)
-
-    def contains(self, left: int, right: int) -> bool:
-        """Whether the (left, right) pair survived blocking."""
-        return (left, right) in self.scores
 
 
 class Blocker:
@@ -113,110 +107,21 @@ class Blocker:
         self.dataset = dataset
         self.store = store
         self.backend = backend if backend is not None else ExactBackend()
-        self.center = center
-        self.batch_size = batch_size
         items_a = [dataset.serialize_a(i) for i in range(len(dataset.table_a))]
         items_b = [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
         raw_a = store.embed_batch(items_a, chunk_size=batch_size)
         raw_b = store.embed_batch(items_b, chunk_size=batch_size)
-        # Raw (uncentered) vectors and the centering mean are kept so the
-        # incremental path can fold new records in under the *frozen*
-        # mean, and rebuild() can re-derive everything without a single
-        # re-encode (the store cache still holds every fingerprint).
-        self._raw_a = raw_a
-        self._raw_b = raw_b
-        self._alive_b = np.ones(raw_b.shape[0], dtype=bool)
-        self._mean = self._compute_mean()
-        self.vectors_a = normalize_rows(raw_a - self._mean)
-        self.vectors_b = normalize_rows(raw_b - self._mean)
-        self.backend.build(self.vectors_b)
-
-    def _compute_mean(self) -> np.ndarray:
-        if not self.center:
-            return np.zeros((1, self._raw_a.shape[1]))
         # Small Transformers produce anisotropic embeddings (a shared
         # mean direction dominates every vector, so all cosines are
         # high).  Centering by the joint corpus mean restores contrast;
         # the paper's RoBERTa needs no such correction only because its
         # large-scale pre-training already spreads the space.
-        rows = np.vstack([self._raw_a, self._raw_b[self._alive_b]])
-        if rows.shape[0] == 0:
-            return np.zeros((1, self._raw_a.shape[1]))
-        return rows.mean(axis=0, keepdims=True)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance (streaming table-B updates)
-    # ------------------------------------------------------------------
-    @property
-    def num_live_b(self) -> int:
-        """Live table-B rows (initial corpus plus upserts minus deletes)."""
-        return int(self._alive_b.sum())
-
-    def _require_mutable_backend(self) -> ANNBackend:
-        if not self.backend.supports_updates:
-            raise RuntimeError(
-                f"backend {self.backend.name!r} does not support incremental "
-                f"updates; use one of {updatable_backends()}"
-            )
-        return self.backend
-
-    def upsert_b(self, texts: Sequence[str]) -> np.ndarray:
-        """Append records to table B without rebuilding anything.
-
-        Only the new records are encoded (warm cache) and the backend is
-        patched in place under the frozen centering mean.  Returns the
-        new rows' ids — the same id space ``candidates()`` reports in
-        its ``(a, b)`` pairs.
-        """
-        backend = self._require_mutable_backend()
-        raw = self.store.embed_batch(list(texts), chunk_size=self.batch_size)
-        start = self._raw_b.shape[0]
-        ids = np.arange(start, start + raw.shape[0], dtype=np.int64)
-        if raw.shape[0] == 0:
-            return ids
-        self._raw_b = np.vstack([self._raw_b, raw])
-        self._alive_b = np.concatenate(
-            [self._alive_b, np.ones(raw.shape[0], dtype=bool)]
-        )
-        vectors = normalize_rows(raw - self._mean)
-        self.vectors_b = np.vstack([self.vectors_b, vectors])
-        backend.add(ids, vectors)
-        return ids
-
-    def delete_b(self, ids: Sequence[int]) -> None:
-        """Retire table-B rows by id; candidate generation is untouched
-        otherwise (no re-encode, no re-index of the survivors)."""
-        backend = self._require_mutable_backend()
-        id_array = np.asarray(list(ids), dtype=np.int64)
-        if id_array.size == 0:
-            return
-        bad = [
-            int(i)
-            for i in id_array
-            if i < 0 or i >= self._alive_b.size or not self._alive_b[i]
-        ]
-        if bad:
-            raise KeyError(f"unknown or already deleted table-B ids: {bad}")
-        backend.remove(id_array)
-        self._alive_b[id_array] = False
-
-    def rebuild(self) -> "Blocker":
-        """Re-center over the live corpus and rebuild the backend.
-
-        The antidote to mean drift after heavy churn: embeddings come
-        from the store cache (no re-encode), the mean is recomputed over
-        live rows only, and the backend is rebuilt with the same stable
-        ids, so outstanding candidate pairs stay meaningful.
-        """
-        backend = self._require_mutable_backend()
-        self._mean = self._compute_mean()
-        self.vectors_a = normalize_rows(self._raw_a - self._mean)
-        self.vectors_b = normalize_rows(self._raw_b - self._mean)
-        live = np.flatnonzero(self._alive_b)
-        backend.build(np.zeros((0, self.vectors_b.shape[1])))
-        if live.size:
-            backend.add(live, self.vectors_b[live])
-        return self
+        mean = np.zeros((1, raw_a.shape[1]))
+        if center and raw_a.shape[0] + raw_b.shape[0]:
+            mean = np.vstack([raw_a, raw_b]).mean(axis=0, keepdims=True)
+        self.vectors_a = normalize_rows(raw_a - mean)
+        self.vectors_b = normalize_rows(raw_b - mean)
+        self.backend.build(self.vectors_b)
 
     # ------------------------------------------------------------------
     def candidates(self, k: int) -> CandidateSet:
@@ -236,7 +141,7 @@ class Blocker:
             pairs=pairs,
             scores=score_map,
             num_a=self.vectors_a.shape[0],
-            num_b=self.num_live_b,
+            num_b=self.vectors_b.shape[0],
             k=k,
         )
 

@@ -127,7 +127,7 @@ class SudowoodoConfig:
     store_dtype: str = "float32"
     # Sharded serving (serve.sharding): with num_shards > 1 the ANN index
     # is hash-partitioned across lock-guarded per-shard backends.
-    # MatchService's broker (serve.broker) collects concurrent search()
+    # ServiceFrontend's broker (serve.broker) collects concurrent search()
     # callers for up to coalesce_window_ms into one batched encoder /
     # backend call, capped at max_coalesce_batch queries per batch
     # (window 0 = no added latency, only simultaneous callers coalesce).
@@ -478,7 +478,7 @@ class PseudoLabelConfig:
 @dataclass
 class ServeConfig:
     """Serving layer: ANN backend selection, HNSW/IVF-PQ knobs, embedding
-    store, sharding/coalescing, and the front-end broker (admission
+    store, sharding, and the front end's broker (coalescing, admission
     control, deadlines, priorities)."""
 
     ann_backend: str = "exact"

@@ -11,9 +11,9 @@ index freshness measured against the feed.  This module supplies it:
   (deletes only target records the feed has made live, so every event
   is valid by construction);
 * :func:`run_streaming_er` replays a feed against a
-  :class:`~repro.serve.frontend.ServiceFrontend` (or bare service),
-  buffering writes into batches of ``flush_every`` — the realistic
-  ingest pattern that *creates* staleness — and measuring it with
+  :class:`~repro.serve.frontend.ServiceFrontend`, buffering writes into
+  batches of ``flush_every`` — the realistic ingest pattern that
+  *creates* staleness — and measuring it with
   :class:`~repro.serve.metrics.StalenessGauge`, alongside sustained
   QPS and the front end's shed / deadline counters;
 * :func:`iter_match_edges` scores candidate record pairs through a
@@ -158,7 +158,6 @@ def run_streaming_er(
     if registry is None:
         registry = getattr(target, "metrics", None) or MetricsRegistry()
     gauge = StalenessGauge(registry, name="streaming_er", clock=tick)
-    is_frontend = isinstance(target, ServiceFrontend)
 
     buffer: List[FeedEvent] = []
     counts = {"upsert": 0, "delete": 0, "search": 0}
@@ -183,15 +182,12 @@ def run_streaming_er(
         if event.kind == "search":
             counts["search"] += 1
             try:
-                if is_frontend:
-                    target.search(
-                        list(event.texts),
-                        k=event.k,
-                        deadline_ms=deadline_ms,
-                        priority=priority,
-                    )
-                else:
-                    target.search(list(event.texts), k=event.k)
+                target.search(
+                    list(event.texts),
+                    k=event.k,
+                    deadline_ms=deadline_ms,
+                    priority=priority,
+                )
             except Overloaded:
                 shed += 1
             except DeadlineExceeded:

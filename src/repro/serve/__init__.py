@@ -24,17 +24,17 @@ discovery.  This package makes that reuse concrete at serving time:
   same stable-id contract as :class:`EmbeddingStore`, so corpora can
   exceed RAM.  Configured by ``ivf_cells`` / ``pq_subvectors`` /
   ``pq_bits`` / ``nprobe`` / ``store_dtype``.
-* :class:`MatchService` — the one thread-safe, request-level service:
-  ``embed_batch`` / ``block`` / ``match_pairs`` plus the streaming
-  ``index_records`` / ``upsert_records`` / ``delete_records`` /
-  ``search`` APIs over a shared warm cache.
+* :class:`MatchService` — the one thread-safe live index: ``embed_batch``
+  plus the streaming ``index_records`` / ``upsert_records`` /
+  ``delete_records`` / ``search_batch`` APIs over a shared warm cache.
+  Batch blocking belongs to ``core.Blocker`` and matching to the fitted
+  task's ``predict``.
 * :class:`ShardedBackend` — the service's live index: hash-partitioned
   across ``SudowoodoConfig(num_shards=...)`` per-shard backends
   (read-write locked; one shard by default).
 * :class:`RequestBroker` — the one leader/follower micro-batcher:
   concurrent ``search`` callers are coalesced into single batched
-  encoder/backend calls.  The service runs one with no admission
-  policy; the front end runs one with all of it.
+  encoder/backend calls.  Only the front end builds one.
 * :class:`ServiceFrontend` / :class:`MetricsRegistry` — the production
   front end: bounded admission with typed :class:`Overloaded` shedding,
   deadline- and priority-aware batching with typed

@@ -66,9 +66,9 @@ class ANNBackend(abc.ABC):
     """
 
     name: str = "abstract"
-    #: Whether add/remove/rebuild are implemented.  Streaming consumers
-    #: (``Blocker.upsert_b``, ``MatchService.upsert_records``) check this
-    #: before mutating.
+    #: Whether add/remove/rebuild are implemented.  The streaming
+    #: consumer (``MatchService.index_records``) checks this before it
+    #: builds a live index.
     supports_updates: bool = False
 
     @abc.abstractmethod

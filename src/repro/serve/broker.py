@@ -4,20 +4,14 @@ Batched encoding is ~2.5x faster per record than one-at-a-time
 (``bench_serve_throughput``), so collecting concurrent callers into one
 batched encoder + backend call is the biggest multi-threaded throughput
 lever the serving stack has.  :class:`RequestBroker` is the only class
-that does it, and it is used twice:
+that does it, and :class:`~repro.serve.frontend.ServiceFrontend` is the
+only place that builds one: with the whole ``ServeConfig`` batching and
+admission policy (``coalesce_window_ms``, ``max_coalesce_batch``,
+``max_queue_depth``, ``default_deadline_ms``, ``priority_levels``),
+pointed at the service's *unbatched* ``search_batch``.
 
-* :class:`~repro.serve.service.MatchService` builds one from
-  ``coalesce_window_ms`` / ``max_coalesce_batch`` alone — no depth
-  bound, no deadlines, one priority level — which makes it a plain
-  query coalescer for ``service.search``.
-* :class:`~repro.serve.frontend.ServiceFrontend` builds one with the
-  whole ``ServeConfig`` admission policy (``max_queue_depth``,
-  ``default_deadline_ms``, ``priority_levels``) and points it at the
-  service's *unbatched* ``search_batch``, so a frontend request never
-  meets two batchers.
-
-Import direction is ``service -> broker <- frontend``: this module knows
-neither.  The typed request errors and the injectable clock live here
+Import direction is ``broker <- frontend``: this module knows neither
+the frontend nor the service.  The typed request errors and the injectable clock live here
 because the broker is what raises and reads them.
 """
 

@@ -65,10 +65,10 @@ class ServiceFrontend:
     """Deadline-aware, shedding, observable broker over a match service.
 
     Wraps one :class:`~repro.serve.service.MatchService`: ``search``
-    traffic flows through a :class:`~repro.serve.broker.RequestBroker`
-    carrying the admission policy (bounded depth, deadlines, priorities,
-    per-request error isolation) into the service's ``search_batch`` —
-    the path that bypasses the service's own broker, so a request is
+    traffic flows through the serving stack's only
+    :class:`~repro.serve.broker.RequestBroker`, carrying the admission
+    policy (bounded depth, deadlines, priorities, per-request error
+    isolation) into the service's ``search_batch``, so a request is
     batched exactly once.  Mutations (``upsert_records`` /
     ``delete_records``) pass through under the swap lock, and
     :meth:`reindex` performs the blue/green encoder swap.
@@ -202,12 +202,7 @@ class ServiceFrontend:
                         capacity=self.config.embed_cache_capacity,
                         dtype=self.config.store_dtype,
                     )
-                shadow = MatchService(
-                    new_encoder,
-                    config=self.config,
-                    store=store,
-                    matcher=old.matcher,
-                )
+                shadow = MatchService(new_encoder, config=self.config, store=store)
                 if len(corpus):
                     shadow.index_records(list(corpus))
             except BaseException:
@@ -258,8 +253,9 @@ class ServiceFrontend:
 
         Combines the registry (broker counters + latency/batch-size
         histograms + store cache counters) with the current service's
-        component stats: embedding-store cache rates, the service's own
-        batching counters, shard layout, and the index generation.
+        component stats: embedding-store cache rates, shard layout, the
+        index generation, and this frontend's batching counters
+        (``"coalesce"``: requests, batches, mean batch size, isolations).
         """
         snapshot = self.metrics.snapshot()
         service = self._service
@@ -268,7 +264,7 @@ class ServiceFrontend:
             "index_size": service.index_size,
             "num_shards": service.num_shards,
             "store": service.stats(),
-            "coalesce": service.coalesce_stats(),
+            "coalesce": self._broker.stats(),
         }
         return snapshot
 

@@ -1,42 +1,38 @@
-"""Request-level facade over the embedding store and ANN backends.
+"""The live index over the embedding store and ANN backends.
 
 ``MatchService`` is the serving entry point shared by the EM, cleaning,
 and column-matching workloads: callers hand it raw serialized texts and
-get embeddings, blocking candidates, or match probabilities back, while
-the underlying :class:`EmbeddingStore` guarantees each distinct text is
-encoded exactly once per process.
+get embeddings or live-index neighbours back, while the underlying
+:class:`EmbeddingStore` guarantees each distinct text is encoded exactly
+once per process.  :meth:`index_records` + :meth:`upsert_records` /
+:meth:`delete_records` / :meth:`search_batch` form a *live* incremental
+index for streaming traffic: upserts encode only unseen records and
+patch the ANN structure in place, deletes never require a re-encode, and
+results carry the store's stable record ids.
 
-Two candidate-generation styles coexist:
-
-* :meth:`block` — stateless, corpus-at-a-time (build, query, discard);
-  the batch-pipeline path.
-* :meth:`index_records` + :meth:`upsert_records` / :meth:`delete_records`
-  / :meth:`search` — a *live* incremental index for streaming traffic:
-  upserts encode only unseen records and patch the ANN structure in
-  place, deletes never require a re-encode, and results carry the
-  store's stable record ids.
+Each neighbouring job has one other owner: batch blocking is
+:class:`~repro.core.blocker.Blocker` (``session.task("block")``),
+matching is the fitted task's ``predict``, and coalescing concurrent
+searches is :class:`~repro.serve.frontend.ServiceFrontend`, whose
+broker hands each batch to :meth:`search_batch`.
 
 The service is thread-safe at any ``config.num_shards`` (1 included):
 the live index is always a lock-guarded
-:class:`~repro.serve.sharding.ShardedBackend`, cross-shard mutations are
-atomic with respect to concurrent ``search``, and concurrent ``search``
-callers are micro-batched by one
-:class:`~repro.serve.broker.RequestBroker` into single batched encoder +
-backend calls.
+:class:`~repro.serve.sharding.ShardedBackend`, and cross-shard mutations
+are atomic with respect to concurrent ``search_batch`` calls.
 
 >>> service = MatchService(encoder, config)
 >>> vectors = service.embed_batch(corpus)                 # warm the cache
->>> candidates = service.block(texts_a, texts_b, k=10)    # reuses vectors
 >>> ids = service.index_records(corpus)                   # go streaming
 >>> service.upsert_records(new_records)                   # delta-encode
->>> neighbor_ids, scores = service.search(queries, k=10)
->>> probabilities = service.match_pairs(pairs)            # trained matcher
+>>> neighbor_ids, scores = service.search_batch(queries, k=10)
+>>> ids, scores = ServiceFrontend(service).search(queries, k=10)  # coalesced
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,20 +40,14 @@ from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from ..text.similarity import normalize_rows
 from .backends import ANNBackend, build_backend, updatable_backends
-from .broker import RequestBroker
 from .store import EmbeddingStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocker imports serve)
-    from ..core.blocker import CandidateSet
-    from ..core.matcher import PairwiseMatcher
 
 
 class MatchService:
-    """Thread-safe ``embed_batch`` / ``block`` / ``match_pairs`` APIs plus
-    a live, sharded, coalesced streaming index.
+    """Thread-safe ``embed_batch`` plus a live, sharded streaming index.
 
-    For the exact backend ``search`` returns the same ids at any shard
-    count; only the partitioning of the live index changes.
+    For the exact backend ``search_batch`` returns the same ids at any
+    shard count; only the partitioning of the live index changes.
 
     Locking model (acquisition order prevents deadlock):
 
@@ -66,9 +56,8 @@ class MatchService:
        ``rebuild_index``) against each other.
     2. ``_store_lock`` — guards the (not thread-safe)
        :class:`EmbeddingStore`, the encoder behind it, and index
-       metadata; held for the embed step of searches / ``block`` /
-       ``embed_batch``, by mutations, and for the whole of
-       ``match_pairs`` (the matcher drives the shared encoder).
+       metadata; held for the embed step of searches and
+       ``embed_batch``, and by mutations.
     3. per-shard :class:`~repro.serve.sharding.ReadWriteLock`\\ s — inside
        :class:`~repro.serve.sharding.ShardedBackend`; queries share read
        locks, mutations take write locks of every affected shard at once.
@@ -79,15 +68,13 @@ class MatchService:
         The shared representation model.
     config:
         Serving knobs (``serve_batch_size``, ``ann_backend``,
-        ``embed_cache_capacity``, ``num_shards``, ``coalesce_window_ms``,
-        ``max_coalesce_batch``); defaults to the encoder's own config.
-        To vary one per service, pass ``dataclasses.replace(config, ...)``.
+        ``embed_cache_capacity``, ``store_dtype``, ``num_shards``);
+        defaults to the encoder's own config.  To vary one per service,
+        pass ``dataclasses.replace(config, ...)``.
     store:
         Pass an existing :class:`EmbeddingStore` to share its warm cache
         (e.g. ``session.store``, which the session's tasks already
         filled during blocking — what ``session.serve`` passes).
-    matcher:
-        Optional trained pairwise matcher enabling :meth:`match_pairs`.
     """
 
     def __init__(
@@ -95,7 +82,6 @@ class MatchService:
         encoder: SudowoodoEncoder,
         config: Optional[SudowoodoConfig] = None,
         store: Optional[EmbeddingStore] = None,
-        matcher: Optional["PairwiseMatcher"] = None,
     ) -> None:
         self.encoder = encoder
         self.config = config if config is not None else encoder.config
@@ -113,7 +99,6 @@ class MatchService:
                 dtype=self.config.store_dtype,
             )
         self.store = store
-        self.matcher = matcher
         # Streaming state: a live mutable index over store record ids.
         self._live_backend: Optional[ANNBackend] = None
         self._live_texts: Dict[int, str] = {}
@@ -124,11 +109,6 @@ class MatchService:
         # session) must serialize on the same lock, and holding it
         # across embed + metadata keeps both consistent.
         self._store_lock = self.store.lock
-        self._broker = RequestBroker(
-            self.search_batch,
-            window_ms=self.config.coalesce_window_ms,
-            max_batch=self.config.max_coalesce_batch,
-        )
 
     # ------------------------------------------------------------------
     def embed_batch(
@@ -137,53 +117,6 @@ class MatchService:
         """Embed ``texts`` through the shared store (cache-first)."""
         with self._store_lock:
             return self.store.embed_batch(texts, normalize=normalize)
-
-    # ------------------------------------------------------------------
-    def block(
-        self,
-        texts_a: Sequence[str],
-        texts_b: Optional[Sequence[str]] = None,
-        k: int = 10,
-        center: bool = True,
-    ) -> "CandidateSet":
-        """kNN blocking candidates of ``texts_a`` against ``texts_b``.
-
-        ``texts_b=None`` blocks a corpus against itself (column-matching
-        style); trivial self-pairs ``(i, i)`` are excluded and each row
-        still gets up to ``k`` real neighbours.  Embeddings come from the
-        warm cache; centering uses the joint mean of both corpora (see
-        ``core.blocker`` for why small encoders need it).
-        """
-        from ..core.blocker import CandidateSet  # deferred: blocker imports serve
-
-        self_join = texts_b is None
-        if self_join:
-            texts_b = texts_a
-        # Through self.embed_batch (not the store directly): it holds the
-        # store lock, and only the embed step needs it — the backend
-        # build/query below runs on local data, so a long blocking
-        # request stalls searches only while it embeds.
-        raw_a = self.embed_batch(texts_a, normalize=False)
-        raw_b = raw_a if self_join else self.embed_batch(texts_b, normalize=False)
-        if center and (raw_a.size or raw_b.size):
-            mean = np.vstack([raw_a, raw_b]).mean(axis=0, keepdims=True)
-            raw_a = raw_a - mean
-            raw_b = raw_b - mean
-        vectors_a = normalize_rows(raw_a)
-        vectors_b = normalize_rows(raw_b)
-        backend = build_backend(self.config)
-        backend.build(vectors_b)
-        indices, scores = backend.query(vectors_a, k + 1 if self_join else k)
-        pairs, score_map = _collect_pairs(
-            indices, scores, exclude_self=self_join, per_row_cap=k
-        )
-        return CandidateSet(
-            pairs=pairs,
-            scores=score_map,
-            num_a=vectors_a.shape[0],
-            num_b=vectors_b.shape[0],
-            k=k,
-        )
 
     # ------------------------------------------------------------------
     # Streaming index: upsert / delete / search over stable record ids
@@ -302,10 +235,11 @@ class MatchService:
             self.store.evict(doomed_texts)
             return id_array
 
-    def search(
+    def search_batch(
         self, texts: Sequence[str], k: int = 10
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k live-index neighbours for each query text.
+        """Top-k live-index neighbours for one already-formed batch of
+        query texts: a single encode and a single fan-out query.
 
         Returns ``(ids, scores)`` arrays of shape ``(len(texts), k)``;
         ids are the stable record ids (``-1`` padding for short rows)
@@ -314,26 +248,10 @@ class MatchService:
         but are *not* cached themselves — unbounded query traffic must
         neither grow the store nor evict the indexed corpus.
 
-        Concurrent callers are micro-batched by the service's broker:
-        queries in one batch are answered at the maximum requested ``k``
-        and each caller's rows are trimmed back to its own ``k``, which
-        is exact for prefix-stable backends such as ``exact``.
-        """
-        if self._live_backend is None:
-            raise RuntimeError("no live index; call index_records() first")
-        return self._broker.submit(texts, k)
-
-    def search_batch(
-        self, texts: Sequence[str], k: int = 10
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Serve one already-formed batch: single encode, single fan-out
-        query, no broker.
-
-        What the service's own broker runs per batch, and the hook for
-        callers that batch *upstream* — notably
-        :class:`~repro.serve.frontend.ServiceFrontend`, whose
-        deadline-aware batches must not queue a second time behind the
-        coalescing window.  Thread-safe like :meth:`search`.
+        Thread-safe, but uncoalesced: concurrent callers that should
+        share one batch go through
+        :class:`~repro.serve.frontend.ServiceFrontend`, whose broker
+        calls this once per batch.
         """
         with self._store_lock:
             # Snapshot backend and mean together: index_records() swaps
@@ -346,11 +264,6 @@ class MatchService:
             raw = self.store.embed_batch(list(texts), cache=False)
         vectors = normalize_rows(raw - mean)
         return backend.query(vectors, k)
-
-    def coalesce_stats(self) -> Dict[str, float]:
-        """The broker's batching counters (requests, batches, mean batch
-        size, isolations) for traffic that came through :meth:`search`."""
-        return self._broker.stats()
 
     def live_texts(self) -> List[str]:
         """The live corpus in ascending record-id order (a snapshot
@@ -368,60 +281,7 @@ class MatchService:
         return self
 
     # ------------------------------------------------------------------
-    def match_pairs(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        batch_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Match probabilities (``(N, 2)`` softmax rows) for text pairs.
-
-        Requires a trained matcher — either passed at construction or
-        attached later via :meth:`attach_matcher`.
-        """
-        if self.matcher is None:
-            raise RuntimeError(
-                "no matcher attached; pass matcher= or call attach_matcher()"
-            )
-        # Fully serialized: the matcher drives the shared encoder, whose
-        # forward pass (train/eval toggling) is not safe to interleave
-        # with the broker's embeds.
-        with self._store_lock:
-            return self.matcher.predict_proba(
-                list(pairs), batch_size=batch_size or self.config.serve_batch_size
-            )
-
-    def attach_matcher(self, matcher: "PairwiseMatcher") -> "MatchService":
-        """Bind a (fine-tuned) pairwise matcher for :meth:`match_pairs`."""
-        self.matcher = matcher
-        return self
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Cache statistics of the underlying embedding store."""
         with self._store_lock:
             return self.store.stats()
-
-
-def _collect_pairs(
-    indices: np.ndarray,
-    scores: np.ndarray,
-    exclude_self: bool = False,
-    per_row_cap: Optional[int] = None,
-):
-    """Flatten backend output into (pairs, score map), skipping -1 padding
-    (and, for self-joins, the trivial ``(i, i)`` matches)."""
-    pairs = []
-    score_map = {}
-    for a_index in range(indices.shape[0]):
-        kept = 0
-        for rank in range(indices.shape[1]):
-            b_index = int(indices[a_index, rank])
-            if b_index < 0 or (exclude_self and b_index == a_index):
-                continue
-            if per_row_cap is not None and kept >= per_row_cap:
-                break
-            pair = (a_index, b_index)
-            pairs.append(pair)
-            score_map[pair] = float(scores[a_index, rank])
-            kept += 1
-    return pairs, score_map

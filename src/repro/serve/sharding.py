@@ -21,8 +21,8 @@ the locks.
 
 >>> config = SudowoodoConfig(num_shards=4, ann_backend="exact")
 >>> service = MatchService(encoder, config=config)
->>> service.index_records(corpus)          # partitioned across 4 shards
->>> ids, scores = service.search(queries)  # coalesced + fanned out
+>>> service.index_records(corpus)                # partitioned across 4 shards
+>>> ids, scores = service.search_batch(queries)  # fanned out and merged
 """
 
 from __future__ import annotations

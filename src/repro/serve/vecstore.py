@@ -141,7 +141,10 @@ class MemmapVectorStore:
         """Reattach to a store directory written by :meth:`create`.
 
         Corrupt, truncated, or wrong-format stores raise ``ValueError``
-        naming the path — never an opaque JSON/numpy traceback.
+        naming the path — never an opaque JSON/numpy traceback.  Opening
+        never writes: data past the committed row count (an append that
+        crashed before its :meth:`flush`) is ignored, and the next
+        :meth:`append` overwrites it.
         """
         path = Path(path)
         meta_path = path / _META
@@ -233,12 +236,13 @@ class MemmapVectorStore:
             return
         if self.dtype == "int8":
             codes, scales = quantize_rows(vectors)
-            self._append_file(_SCALES, scales.tobytes())
+            self._append_file(_SCALES, scales.tobytes(), 4)
             payload = codes
         else:
             payload = vectors.astype(STORE_DTYPES[self.dtype])
-        self._append_file(_VECTORS, np.ascontiguousarray(payload).tobytes())
-        self._append_file(_IDS, id_array.tobytes())
+        row_bytes = self.dim * STORE_DTYPES[self.dtype].itemsize
+        self._append_file(_VECTORS, np.ascontiguousarray(payload).tobytes(), row_bytes)
+        self._append_file(_IDS, id_array.tobytes(), 8)
         start = self._size
         self._size += id_array.size
         self._ids = np.concatenate([self._ids, id_array])
@@ -307,8 +311,12 @@ class MemmapVectorStore:
             return np.zeros(shape, dtype=dtype)
         return np.memmap(self.path / name, dtype=dtype, mode="r", shape=shape)
 
-    def _append_file(self, name: str, payload: bytes) -> None:
-        with open(self.path / name, "ab") as handle:
+    def _append_file(self, name: str, payload: bytes, row_bytes: int) -> None:
+        # Write right after the committed rows: bytes past them are a
+        # torn append (written, never flushed) and must not sit in front.
+        with open(self.path / name, "r+b") as handle:
+            handle.seek(self._size * row_bytes)
+            handle.truncate()
             handle.write(payload)
 
     def _remap(self) -> None:

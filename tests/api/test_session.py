@@ -177,11 +177,11 @@ class TestServe:
         assert isinstance(service, MatchService)
         assert service.num_shards == 2
         assert service.index_size == len(em_dataset.table_b)
-        ids, scores = service.search([em_dataset.serialize_b(0)], k=3)
+        ids, scores = service.search_batch([em_dataset.serialize_b(0)], k=3)
         assert ids.shape == (1, 3)
         # The indexed record retrieves itself first.
         assert service.record_text(int(ids[0, 0])) == em_dataset.serialize_b(0)
-        probabilities = service.match_pairs(
+        probabilities = match.predict(
             [(em_dataset.serialize_a(0), em_dataset.serialize_b(0))]
         )
         assert probabilities.shape == (1, 2)

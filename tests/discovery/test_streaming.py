@@ -23,8 +23,8 @@ class ManualClock:
 
 
 class RecordingTarget:
-    """An in-memory stand-in for the service: a set of live texts plus an
-    operation log, with an optional clock advanced per operation so
+    """An in-memory stand-in for the front end: a set of live texts plus
+    an operation log, with an optional clock advanced per operation so
     staleness is exactly computable."""
 
     def __init__(self, initial=(), clock=None, cost_s=1.0):
@@ -50,7 +50,7 @@ class RecordingTarget:
         self.log.append(("delete", tuple(texts)))
         return np.arange(len(texts))
 
-    def search(self, texts, k=5):
+    def search(self, texts, k=5, deadline_ms=None, priority=0):
         self._tick()
         self.log.append(("search", tuple(texts)))
         return np.zeros((len(texts), k), dtype=int), np.zeros((len(texts), k))

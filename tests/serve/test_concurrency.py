@@ -1,7 +1,8 @@
 """Concurrency stress test for the sharded serving layer.
 
-Eight threads hammer one :class:`MatchService` with a bounded mix
-of ``search`` / ``upsert_records`` / ``delete_records`` operations, then
+Eight threads hammer one :class:`MatchService` with a bounded mix of
+``search`` (coalesced by a :class:`ServiceFrontend`) / ``upsert_records``
+/ ``delete_records`` operations (straight on the service), then
 the index invariants are checked: no duplicate ids in any result row,
 ``index_size`` equals the number of live records, and every surviving
 record is findable by its own text.  Marked ``stress`` so the bounded
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
-from repro.serve import MatchService
+from repro.serve import MatchService, ServiceFrontend
 from repro.utils import spawn_rng
 
 NUM_THREADS = 8
@@ -66,6 +67,7 @@ def test_mixed_search_upsert_delete_stress(encoder, backend_name):
         encoder, config=tiny_config(ann_backend=backend_name)
     )
     service.index_records(BASE_CORPUS)
+    frontend = ServiceFrontend(service)
     errors = []
     live_by_thread = {t: set() for t in range(NUM_THREADS)}
 
@@ -90,7 +92,7 @@ def test_mixed_search_upsert_delete_stress(encoder, backend_name):
                     live.difference_update(texts)
                 else:
                     query = BASE_CORPUS[int(rng.integers(len(BASE_CORPUS)))]
-                    found, scores = service.search([query], k=5)
+                    found, scores = frontend.search([query], k=5)
                     assert found.shape == (1, 5) and scores.shape == (1, 5)
                     returned = found[0][found[0] >= 0]
                     # Invariant: no duplicate ids within a result row.
@@ -131,11 +133,11 @@ def test_mixed_search_upsert_delete_stress(encoder, backend_name):
     # the exact backend and within top-5 for the approximate graph).
     rank = 1 if backend_name == "exact" else 5
     for record_id, text in sorted(service._live_texts.items()):
-        found, _ = service.search([text], k=rank)
+        found, _ = frontend.search([text], k=rank)
         assert record_id in found[0], (
             f"record {record_id} ({text!r}) not findable by its own vector"
         )
 
-    stats = service.coalesce_stats()
+    stats = frontend.broker.stats()
     assert stats["requests"] >= 1.0
     assert stats["batches"] <= stats["requests"]

@@ -12,7 +12,7 @@ passed, and :class:`FaultyStore` kills shadow builds mid-flight:
 * mid-reindex fault: the blue/green build dies and the old index keeps
   serving, byte-for-byte.
 * per-item error channel: one poisoned query in a coalesced batch fails
-  alone (broker level and end-to-end through ``MatchService.search``).
+  alone (broker level and end-to-end through ``ServiceFrontend.search``).
 * priority scheduling, metrics threading, and the session entry point.
 
 The stress half — blue/green swap under 8-thread query load with a
@@ -425,6 +425,7 @@ class TestErrorIsolation:
             fail_batch_larger_than=1,
         )
         service._live_backend = faulty
+        frontend = ServiceFrontend(service)
 
         outcomes = []
 
@@ -434,7 +435,7 @@ class TestErrorIsolation:
 
             def run():
                 try:
-                    outcome["result"] = service.search([text], k=3)
+                    outcome["result"] = frontend.search([text], k=3)
                 except BaseException as exc:  # noqa: BLE001
                     outcome["error"] = exc
 
@@ -446,7 +447,7 @@ class TestErrorIsolation:
         assert entered.wait(timeout=10.0)
         threads.append(query(CORPUS[1]))
         threads.append(query(CORPUS[2]))
-        wait_until(lambda: service._broker.pending_requests == 2)
+        wait_until(lambda: frontend.broker.pending_requests == 2)
         gate.set()
         for thread in threads:
             thread.join(timeout=10.0)
@@ -454,13 +455,13 @@ class TestErrorIsolation:
             assert "result" in outcome, outcome.get("error")
             assert int(outcome["result"][0][0, 0]) == row  # self is top-1
         # The 2-query batch failed once, then each ran alone.
-        assert service.coalesce_stats()["isolations"] == 1
+        assert frontend.broker.stats()["isolations"] == 1
         assert faulty.query_calls == 4  # leader + failed pair + 2 solos
 
     def test_coalescer_isolation_end_to_end(self, encoder):
-        """Regression for the per-item error channel of the service's
-        own broker: a poisoned query in a coalesced service batch fails
-        alone while its batch-mates get answers."""
+        """Regression for the per-item error channel of the frontend's
+        broker: a poisoned query in a coalesced batch fails alone while
+        its batch-mates get answers."""
         gate = threading.Event()
         entered = threading.Event()
         store = FaultyStore(
@@ -474,6 +475,7 @@ class TestErrorIsolation:
         service.index_records(CORPUS)
         gate.clear()
         entered.clear()
+        frontend = ServiceFrontend(service)
 
         outcomes = []
 
@@ -483,7 +485,7 @@ class TestErrorIsolation:
 
             def run():
                 try:
-                    outcome["result"] = service.search([text], k=3)
+                    outcome["result"] = frontend.search([text], k=3)
                 except BaseException as exc:  # noqa: BLE001
                     outcome["error"] = exc
 
@@ -495,7 +497,7 @@ class TestErrorIsolation:
         assert entered.wait(timeout=10.0)
         threads.append(query("POISON"))
         threads.append(query(CORPUS[1]))
-        wait_until(lambda: service._broker.pending_requests == 2)
+        wait_until(lambda: frontend.broker.pending_requests == 2)
         gate.set()
         for thread in threads:
             thread.join(timeout=10.0)
@@ -508,7 +510,7 @@ class TestErrorIsolation:
         np.testing.assert_array_equal(
             results[CORPUS[1]]["result"][0], expected_ids
         )
-        assert service.coalesce_stats()["isolations"] >= 1
+        assert frontend.broker.stats()["isolations"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -601,6 +603,16 @@ class TestServiceFrontend:
         assert service_stats["num_shards"] == 3
         assert 0.0 <= service_stats["store"]["hit_rate"] <= 1.0
         assert snapshot["gauges"]["frontend.index_generation"] == 0.0
+
+    def test_snapshot_coalesce_counts_frontend_traffic(self, encoder):
+        """Regression: ``service.coalesce`` used to report the service's
+        own idle broker, so it read 0 requests under any frontend load."""
+        frontend = make_frontend(encoder)
+        for text in CORPUS[:5]:
+            frontend.search([text], k=2)
+        coalesce = frontend.metrics_snapshot()["service"]["coalesce"]
+        assert coalesce["requests"] == 5
+        assert coalesce == frontend.broker.stats()
 
     def test_mutations_pass_through(self, encoder):
         frontend = make_frontend(encoder)

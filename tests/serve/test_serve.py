@@ -1,6 +1,6 @@
 """Serving-layer tests: EmbeddingStore caching + persistence, ANN backend
-parity and mutability, the streaming MatchService APIs, incremental
-blocking, and single-encoding pipeline integration."""
+parity and mutability, the streaming MatchService APIs, blocking over a
+shared store, and single-encoding pipeline integration."""
 
 import re
 
@@ -491,13 +491,13 @@ class TestStableIds:
             backends_module._BACKENDS.pop("static-for-test", None)
         # Old index still serves, under the unchanged mean.
         np.testing.assert_array_equal(service._index_mean, mean_before)
-        found, _ = service.search(corpus[:1], k=2)
+        found, _ = service.search_batch(corpus[:1], k=2)
         assert ids[0] in found[0]
 
     def test_no_update_errors_list_the_updatable_registry(self, dataset, encoder):
-        """The service's and the blocker's "does not support updates"
-        errors name exactly the registered backends that do: each
-        listed name builds and supports updates."""
+        """The service's "does not support updates" error names exactly
+        the registered backends that do: each listed name builds and
+        supports updates."""
 
         class Static(ExactBackend):
             supports_updates = False
@@ -507,21 +507,17 @@ class TestStableIds:
             service = MatchService(
                 encoder, config=tiny_config(ann_backend="static-for-test")
             )
-            with pytest.raises(ValueError) as service_error:
+            with pytest.raises(ValueError) as error:
                 service.index_records(dataset.all_items()[:4])
-            blocker = Blocker(encoder, dataset, backend=Static())
-            with pytest.raises(RuntimeError) as blocker_error:
-                blocker.upsert_b(["a new record"])
         finally:
             from repro.serve import backends as backends_module
 
             backends_module._BACKENDS.pop("static-for-test", None)
-        for error in (service_error, blocker_error):
-            listed = re.search(r"one of \[(.*?)\]", str(error.value)).group(1)
-            names = [name.strip(" '") for name in listed.split(",")]
-            assert names == ["exact", "hnsw", "ivfpq"]
-            for name in names:
-                assert build_backend(name=name).supports_updates
+        listed = re.search(r"one of \[(.*?)\]", str(error.value)).group(1)
+        names = [name.strip(" '") for name in listed.split(",")]
+        assert names == ["exact", "hnsw", "ivfpq"]
+        for name in names:
+            assert build_backend(name=name).supports_updates
 
     def test_search_does_not_grow_store(self, dataset, encoder):
         """Query traffic must not populate (or evict from) the corpus cache."""
@@ -529,7 +525,7 @@ class TestStableIds:
         corpus = dataset.all_items()[:8]
         service.index_records(corpus)
         size_before = len(service.store)
-        service.search(["transient query one", "transient query two"], k=3)
+        service.search_batch(["transient query one", "transient query two"], k=3)
         assert len(service.store) == size_before
 
     def test_id_state_persists_across_save_load(self, dataset, encoder, tmp_path):
@@ -571,7 +567,7 @@ class TestStreamingService:
         expected_new = len(set(new_records) - set(corpus))
         assert service.store.misses == misses + expected_new  # delta only
 
-        found, scores = service.search(new_records, k=3)
+        found, scores = service.search_batch(new_records, k=3)
         assert found.shape == (len(new_records), 3)
         for row in range(len(new_records)):
             assert new_ids[row] in found[row]
@@ -579,13 +575,13 @@ class TestStreamingService:
 
         retired = service.delete_records(new_records[:1])
         assert retired[0] == new_ids[0]
-        found_after, _ = service.search(new_records[:1], k=5)
+        found_after, _ = service.search_batch(new_records[:1], k=5)
         assert new_ids[0] not in found_after[0]
 
     def test_search_without_index_raises(self, dataset, encoder, backend_name):
         service = self.service(encoder, backend_name)
         with pytest.raises(RuntimeError):
-            service.search(["x"], k=2)
+            service.search_batch(["x"], k=2)
         with pytest.raises(RuntimeError):
             service.delete_records(["x"])
 
@@ -626,7 +622,7 @@ class TestStreamingService:
         old_id = int(service.delete_records(corpus[:1])[0])
         new_id = int(service.upsert_records(corpus[:1])[0])
         assert new_id != old_id  # fresh identity for the re-added record
-        found, _ = service.search(corpus[:1], k=3)
+        found, _ = service.search_batch(corpus[:1], k=3)
         assert new_id in found[0] and old_id not in found[0]
 
     def test_rebuild_index_keeps_serving(self, dataset, encoder, backend_name):
@@ -636,56 +632,26 @@ class TestStreamingService:
         service.delete_records(corpus[:3])
         service.rebuild_index()
         assert service.index_size == len(set(corpus)) - 3
-        found, _ = service.search(corpus[3:4], k=2)
+        found, _ = service.search_batch(corpus[3:4], k=2)
         assert ids[3] in found[0]
 
-
-# ----------------------------------------------------------------------
-class TestIncrementalBlocker:
-    def test_upsert_b_encodes_only_new(self, dataset, encoder):
-        store = EmbeddingStore(encoder)
-        blocker = Blocker(encoder, dataset, store=store)
-        misses = store.misses
-        new_texts = ["[COL] name [VAL] streaming gadget x"]
-        ids = blocker.upsert_b(new_texts)
-        assert store.misses == misses + 1
-        assert blocker.num_live_b == len(dataset.table_b) + 1
-        candidate_set = blocker.candidates(k=3)
-        assert candidate_set.num_b == blocker.num_live_b
-        assert ids[0] == len(dataset.table_b)
-
-    def test_new_record_appears_in_candidates(self, dataset, encoder):
-        store = EmbeddingStore(encoder)
-        blocker = Blocker(encoder, dataset, store=store)
-        # Upsert a clone of A record 0: it must become a top candidate.
-        clone = dataset.serialize_a(0)
-        ids = blocker.upsert_b([clone])
-        candidate_set = blocker.candidates(k=3)
-        assert candidate_set.contains(0, int(ids[0]))
-
-    def test_delete_b_hides_candidates(self, dataset, encoder):
-        blocker = Blocker(encoder, dataset, store=EmbeddingStore(encoder))
-        before = blocker.candidates(k=2)
-        target_b = before.pairs[0][1]
-        blocker.delete_b([target_b])
-        after = blocker.candidates(k=2)
-        assert all(b != target_b for _, b in after.pairs)
-        assert after.num_b == before.num_b - 1
-        with pytest.raises(KeyError):
-            blocker.delete_b([target_b])  # already deleted
-
-    def test_rebuild_recenters_without_reencoding(self, dataset, encoder):
-        store = EmbeddingStore(encoder)
-        blocker = Blocker(encoder, dataset, store=store)
-        blocker.upsert_b(["[COL] name [VAL] churn item"])
-        ids = blocker.upsert_b(["[COL] name [VAL] second churn item"])
-        blocker.delete_b(ids)
-        misses = store.misses
-        blocker.rebuild()
-        assert store.misses == misses  # cache-only rebuild
-        candidate_set = blocker.candidates(k=2)
-        assert candidate_set.num_b == blocker.num_live_b
-        assert all(b != ids[0] for _, b in candidate_set.pairs)
+    def test_rebuild_index_does_not_reencode(self, dataset, encoder, backend_name):
+        """Churn (upserts, then deletes) followed by a rebuild compacts the
+        index from the cache: no record is encoded again, surviving ids
+        still retrieve themselves and deleted ids stay gone."""
+        service = self.service(encoder, backend_name)
+        corpus = dataset.all_items()[:10]
+        service.index_records(corpus)
+        churn = dataset.all_items()[10:12]
+        kept_id, dropped_id = (int(i) for i in service.upsert_records(churn))
+        service.delete_records(churn[1:])
+        misses = service.store.misses
+        service.rebuild_index()
+        assert service.store.misses == misses  # cache-only rebuild
+        assert service.index_size == len(set(corpus)) + 1
+        found, _ = service.search_batch(churn, k=3)
+        assert kept_id in found[0]
+        assert dropped_id not in found.ravel()
 
 
 # ----------------------------------------------------------------------
@@ -698,28 +664,21 @@ class TestBlockerAndService:
         assert store.misses == misses_after_first  # corpus encoded once
         np.testing.assert_allclose(first.vectors_a, second.vectors_a)
 
-    def test_match_service_block_warm_cache(self, dataset, encoder):
-        service = MatchService(encoder)
-        texts_a = [dataset.serialize_a(i) for i in range(len(dataset.table_a))]
-        texts_b = [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
-        candidate_set = service.block(texts_a, texts_b, k=3)
-        assert candidate_set.num_a == len(texts_a)
-        assert candidate_set.num_b == len(texts_b)
-        assert all(b >= 0 for _, b in candidate_set.pairs)
-        misses = service.store.misses
-        service.block(texts_a, texts_b, k=5)  # second request: pure cache hits
-        assert service.store.misses == misses
-
-    def test_match_service_self_block(self, dataset, encoder):
-        service = MatchService(encoder)
-        texts = [dataset.serialize_a(i) for i in range(8)]
-        candidate_set = service.block(texts, k=2)
-        assert candidate_set.num_a == candidate_set.num_b == len(texts)
-        assert all(a != b for a, b in candidate_set.pairs)  # no trivial matches
+    def test_blocker_candidates_warm_cache(self, dataset, encoder):
+        """Batch blocking covers both tables with at most k valid B ids per
+        A row, and a second run over the same store is pure cache hits."""
+        store = EmbeddingStore(encoder)
+        candidate_set = Blocker(encoder, dataset, store=store).candidates(k=3)
+        assert candidate_set.num_a == len(dataset.table_a)
+        assert candidate_set.num_b == len(dataset.table_b)
+        assert all(0 <= b < candidate_set.num_b for _, b in candidate_set.pairs)
         per_row = {}
         for a, _ in candidate_set.pairs:
             per_row[a] = per_row.get(a, 0) + 1
-        assert max(per_row.values()) <= 2  # budget still k after self-exclusion
+        assert max(per_row.values()) <= 3
+        misses = store.misses
+        Blocker(encoder, dataset, store=store).candidates(k=5)
+        assert store.misses == misses
 
     def test_exact_vs_hnsw_blocking_parity(self, dataset, encoder):
         store = EmbeddingStore(encoder)
@@ -729,11 +688,6 @@ class TestBlockerAndService:
         ).candidates(k=3)
         overlap = len(set(hnsw.pairs) & set(exact.pairs)) / len(exact.pairs)
         assert overlap >= 0.95
-
-    def test_match_pairs_requires_matcher(self, dataset, encoder):
-        service = MatchService(encoder)
-        with pytest.raises(RuntimeError):
-            service.match_pairs([("a", "b")])
 
     def test_match_service_shares_an_empty_store(self, encoder):
         """Regression: an empty store is falsy (defines __len__); the

@@ -290,8 +290,8 @@ class TestShardedBackendEquivalence:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
 class TestShardedServiceEquivalence:
-    """MatchService.search must return byte-identical ids for the exact
-    backend at any shard count (num_shards=1 is the reference)."""
+    """MatchService.search_batch must return byte-identical ids for the
+    exact backend at any shard count (num_shards=1 is the reference)."""
 
     def test_search_identical(self, dataset, encoder, num_shards):
         """The default float32 store: ids equal, scores to the documented
@@ -318,8 +318,8 @@ class TestShardedServiceEquivalence:
         np.testing.assert_array_equal(ids_single, ids_sharded)
         assert single.index_size == sharded.index_size
 
-        found_single, scores_single = single.search(corpus[:8], k=4)
-        found_sharded, scores_sharded = sharded.search(corpus[:8], k=4)
+        found_single, scores_single = single.search_batch(corpus[:8], k=4)
+        found_sharded, scores_sharded = sharded.search_batch(corpus[:8], k=4)
         np.testing.assert_array_equal(found_sharded, found_single)
         np.testing.assert_allclose(
             scores_sharded, scores_single, rtol=0, atol=atol
@@ -335,15 +335,15 @@ class TestShardedServiceEquivalence:
             service.upsert_records(extra)
             service.delete_records(corpus[:3])
         assert single.index_size == sharded.index_size
-        found_single, _ = single.search(extra, k=5)
-        found_sharded, _ = sharded.search(extra, k=5)
+        found_single, _ = single.search_batch(extra, k=5)
+        found_sharded, _ = sharded.search_batch(extra, k=5)
         np.testing.assert_array_equal(found_sharded, found_single)
 
 
 # ----------------------------------------------------------------------
 class TestQueryCoalescer:
     """RequestBroker at its defaults (no depth bound, no deadlines, one
-    priority level) is the query coalescer MatchService.search runs."""
+    priority level) is a plain query coalescer."""
 
     def run_batch_spy(self):
         calls = []

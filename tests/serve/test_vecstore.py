@@ -140,3 +140,28 @@ class TestCorruptStores:
         np.asarray([1, 1, 2, 3, 4], dtype=np.int64).tofile(path / "ids.dat")
         with pytest.raises(ValueError, match="ids"):
             MemmapVectorStore.open(path)
+
+    @pytest.mark.parametrize("dtype", ["float32", "int8"])
+    def test_torn_append_is_overwritten(self, tmp_path, monkeypatch, dtype):
+        """Regression: a crash between an append's data writes and its
+        flush() leaves bytes past meta.json's size.  The next append used
+        to land behind them, so get() returned the torn row and a second
+        reopen listed the torn id instead."""
+        path = tmp_path / "s"
+        store = MemmapVectorStore.create(path, dim=4, dtype=dtype)
+        committed = unit_rows(2, dim=4)
+        store.append([0, 1], committed)
+        monkeypatch.setattr(store, "flush", lambda: None)  # crash before meta
+        store.append([9], np.full((1, 4), 7.0))
+        torn_bytes = (path / "vectors.dat").stat().st_size
+
+        reopened = MemmapVectorStore.open(path)
+        assert (path / "vectors.dat").stat().st_size == torn_bytes  # open() writes nothing
+        np.testing.assert_array_equal(reopened.ids, [0, 1])
+        reopened.append([2], np.full((1, 4), 3.0))
+        np.testing.assert_allclose(reopened.get([2]), 3.0, atol=1e-5)
+
+        again = MemmapVectorStore.open(path)
+        np.testing.assert_array_equal(again.ids, [0, 1, 2])
+        np.testing.assert_allclose(again.get([2]), 3.0, atol=1e-5)
+        np.testing.assert_allclose(again.get([0, 1]), committed, atol=0.01)

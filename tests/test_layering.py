@@ -3,7 +3,8 @@
 ``repro.api`` (session + tasks) and ``repro.discovery`` (tasks built on
 it) sit on top; everything below — including function-local imports,
 which is how the removed drivers hid an ``api`` <-> ``core`` cycle — must
-not reach up into them.
+not reach up into them.  Inside the serving layer, each job has one
+owner module (see :func:`test_one_owner_per_serving_job`).
 """
 
 import ast
@@ -77,6 +78,31 @@ def test_walker_resolves_relative_and_function_local_imports():
         "repro.api.session.SudowoodoSession",
         "repro.discovery",
     ]
+
+
+def test_one_owner_per_serving_job():
+    """The live index (``serve/service.py``) neither batches requests nor
+    blocks nor matches: coalescing belongs to the frontend, the only
+    place a ``RequestBroker`` is built; batch blocking to ``Blocker``;
+    matching to the fitted task."""
+    builders = set()
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "RequestBroker":
+                    builders.add(path.relative_to(ROOT).as_posix())
+    assert builders == {"serve/frontend.py"}
+
+    service = ROOT / "serve" / "service.py"
+    owned_elsewhere = ("repro.serve.broker", "repro.core.blocker", "repro.core.matcher")
+    imported = {
+        module
+        for _, module in imported_modules(service.read_text(), ("repro", "serve"))
+        if any(module == name or module.startswith(name + ".") for name in owned_elsewhere)
+    }
+    assert not imported, f"serve/service.py imports {sorted(imported)}"
 
 
 def test_importing_the_library_does_not_load_scipy():
