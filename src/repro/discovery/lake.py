@@ -35,6 +35,8 @@ through this path and asserts the incremental floors.
 from __future__ import annotations
 
 import json
+import re
+import shutil
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,7 +75,8 @@ from .join import (
 _FORMAT_VERSION = 1
 _JOURNAL_FILE = "profiles.jsonl"
 _PROFILES_FILE = "profiles.json"  # pre-journal stores: one JSON document
-_VECTORS_DIR = "vectors"
+_VECTORS_DIR = "vectors"  # compactions move to "vectors-1", "vectors-2", ...
+_VECTORS_NAME = re.compile(r"vectors(-[0-9]+)?")
 
 #: How values are joined before hashing — a non-printable separator so
 #: value boundaries cannot be forged by cell content.
@@ -139,7 +142,8 @@ class ProfileStore:
     table/column identity is re-attached at read time.
 
     Entries persist in an append-only journal, ``profiles.jsonl``: a
-    header line (``format_version``, ``store_dtype``) then one JSON line
+    header line (``format_version``, ``store_dtype``, and ``vectors``, the
+    vector directory — plain ``vectors/`` when absent) then one JSON line
     per entry, so :meth:`put_many` writes O(new entries) bytes whatever
     the store holds.  Vectors are appended *before* their journal lines;
     reopening replays the journal and drops only what a crash between
@@ -147,7 +151,8 @@ class ProfileStore:
     was never recorded — compacting the journal when it does.  Anything
     else malformed raises ``ValueError``.  A store written before the
     journal existed (one ``profiles.json`` document) is still read, and
-    moves to the journal on its first write.
+    moves to the journal on its first write.  :meth:`retain` compacts
+    the store to the entries a lake still references.
     """
 
     def __init__(self, path: Union[str, Path], store_dtype: str = "float32") -> None:
@@ -156,27 +161,35 @@ class ProfileStore:
         self.store_dtype = store_dtype
         self._entries: Dict[str, _CachedColumn] = {}
         self._vectors: Optional[MemmapVectorStore] = None
+        self._vectors_dir = _VECTORS_DIR
         self._load()
 
     def _load(self) -> None:
-        vectors_dir = self.path / _VECTORS_DIR
-        if vectors_dir.is_dir():
-            self._vectors = MemmapVectorStore.open(vectors_dir)
         journal = self.path / _JOURNAL_FILE
         source = journal if journal.is_file() else self.path / _PROFILES_FILE
-        if not source.is_file():
-            return
-        parse = _parse_journal if source is journal else _parse_legacy
-        try:
-            header, payloads, torn = parse(source.read_text(encoding="utf-8"))
-        except (OSError, TypeError, ValueError) as error:  # bad bytes, bad JSON
-            raise ValueError(f"corrupt profile store {source}: {error}") from error
+        header, payloads, torn = {"format_version": _FORMAT_VERSION}, [], False
+        if source.is_file():
+            parse = _parse_journal if source is journal else _parse_legacy
+            try:
+                header, payloads, torn = parse(source.read_text(encoding="utf-8"))
+            except (OSError, TypeError, ValueError) as error:  # bad bytes, bad JSON
+                raise ValueError(f"corrupt profile store {source}: {error}") from error
         if (
             not isinstance(header, dict)
             or header.get("format_version") != _FORMAT_VERSION
+            or not _VECTORS_NAME.fullmatch(str(header.get("vectors", _VECTORS_DIR)))
         ):
             raise ValueError(f"unsupported profile store format in {source}")
         self.store_dtype = str(header.get("store_dtype", self.store_dtype))
+        self._vectors_dir = str(header.get("vectors", _VECTORS_DIR))
+        # A compaction writes its vector directory before the journal that
+        # names it and deletes the old one after: any other is a leftover.
+        vectors_dir = self.path / self._vectors_dir
+        for leftover in self.path.glob(_VECTORS_DIR + "*"):
+            if _VECTORS_NAME.fullmatch(leftover.name) and leftover != vectors_dir:
+                shutil.rmtree(leftover)
+        if vectors_dir.is_dir():
+            self._vectors = MemmapVectorStore.open(vectors_dir)
         try:
             for payload in payloads:
                 fingerprint = str(payload["fingerprint"])
@@ -198,7 +211,7 @@ class ProfileStore:
         for fingerprint in orphaned:
             del self._entries[fingerprint]
         if source is journal and (torn or orphaned):
-            self._rewrite_journal()
+            self._rewrite_journal(self._entries, self._vectors_dir)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -261,7 +274,7 @@ class ProfileStore:
             raise ValueError(f"fingerprints already cached: {known[:3]}")
         if self._vectors is None:
             self._vectors = MemmapVectorStore.create(
-                self.path / _VECTORS_DIR,
+                self.path / self._vectors_dir,
                 dim=int(vectors.shape[1]),
                 dtype=self.store_dtype,
             )
@@ -276,20 +289,45 @@ class ProfileStore:
         }
         self._entries.update(fresh)
         journal = self.path / _JOURNAL_FILE
-        if not journal.is_file():
-            self._rewrite_journal()  # a new store, or one moving off profiles.json
+        if not journal.is_file():  # a new store, or one moving off profiles.json
+            self._rewrite_journal(self._entries, self._vectors_dir)
             return
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write(_journal_lines(fresh))
 
-    def _rewrite_journal(self) -> None:
-        """Write header + every live entry, atomically."""
-        header = json.dumps(
-            {"format_version": _FORMAT_VERSION, "store_dtype": self.store_dtype}
+    def retain(self, fingerprints: Sequence[str]) -> None:
+        """Drop every entry (journal line and vector row too) whose
+        fingerprint is not in ``fingerprints``; unknown ones are ignored.
+
+        Kept rows are copied, as stored, into a new vector directory; one
+        atomic journal rewrite naming it commits; the old one is deleted
+        last.  A crash anywhere reopens to the store before or after.
+        """
+        wanted = set(fingerprints)
+        kept = [fp for fp in self._entries if fp in wanted]
+        if len(kept) == len(self._entries):
+            return
+        assert self._vectors is not None  # entries exist, so their rows do
+        name = f"{_VECTORS_DIR}-{int(self._vectors_dir.partition('-')[2] or 0) + 1}"
+        shutil.rmtree(self.path / name, ignore_errors=True)  # a failed attempt's
+        vectors = self._vectors._copy_rows(
+            self.path / name, [self._entries[fp].vector_id for fp in kept]
         )
-        atomic_write_text(
-            self.path / _JOURNAL_FILE, header + "\n" + _journal_lines(self._entries)
-        )
+        entries = {
+            fp: self._entries[fp]._replace(vector_id=row) for row, fp in enumerate(kept)
+        }
+        self._rewrite_journal(entries, name)
+        old = self._vectors.path
+        self._entries, self._vectors, self._vectors_dir = entries, vectors, name
+        shutil.rmtree(old, ignore_errors=True)  # else the next open removes it
+
+    def _rewrite_journal(self, entries: Dict[str, _CachedColumn], vectors: str) -> None:
+        """Write header (naming the ``vectors`` directory) + ``entries``,
+        atomically."""
+        header = {"format_version": _FORMAT_VERSION, "store_dtype": self.store_dtype}
+        header["vectors"] = vectors
+        text = json.dumps(header) + "\n" + _journal_lines(entries)
+        atomic_write_text(self.path / _JOURNAL_FILE, text)
 
 
 def _journal_lines(entries: Dict[str, _CachedColumn]) -> str:
@@ -364,7 +402,8 @@ def profile_lake(
     and are appended to the store before profiles are assembled, so the
     returned vectors always come off the memmap.  Two identical columns
     (same values, anywhere in the lake) share one cache entry and one
-    embedding row.
+    embedding row.  When the store holds more than twice the lake's
+    distinct fingerprints it is compacted to them (:meth:`ProfileStore.retain`).
     """
     refs: List[ColumnRef] = []
     fingerprints: List[str] = []
@@ -399,6 +438,9 @@ def profile_lake(
             for start in range(0, len(texts), batch_size)
         ]
         store.put_many(fresh_fps, [fresh[fp] for fp in fresh_fps], np.vstack(chunks))
+    if len(store) > 2 * len(set(fingerprints)):
+        # O(live), after at least a lake's worth of new entries: amortised O(1).
+        store.retain(fingerprints)
     profiles = [
         store.profile(fingerprint, table_name, attribute)
         for (table_name, attribute), fingerprint in zip(refs, fingerprints)
@@ -429,8 +471,10 @@ class LakeIndex:
         self._ref_to_id: Dict[ColumnRef, int] = {}
         self._ref_fp: Dict[ColumnRef, str] = {}
         self._next_id = 0
-        # Of the lake last synced: stable id -> row, and table id per row.
-        self._id_to_row = np.empty(0, dtype=np.int64)
+        # Of the lake last synced: the live stable ids (sorted), the row of
+        # each, and table id per row — O(live), however many ids were issued.
+        self._live_ids = np.empty(0, dtype=np.int64)
+        self._live_rows = np.empty(0, dtype=np.int64)
         self._table_codes = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -493,10 +537,10 @@ class LakeIndex:
         """Once per synced lake, what the candidate stream needs of it:
         every indexed ref is in ``current`` now, so stable id -> row is a
         total map."""
-        self._id_to_row = np.full(self._next_id, -1, dtype=np.int64)
-        self._id_to_row[list(self._ref_to_id.values())] = [
-            current[ref] for ref in self._ref_to_id
-        ]
+        ids = np.fromiter(self._ref_to_id.values(), np.int64, len(self._ref_to_id))
+        rows = np.array([current[ref] for ref in self._ref_to_id], dtype=np.int64)
+        order = np.argsort(ids)
+        self._live_ids, self._live_rows = ids[order], rows[order]
         self._table_codes = _table_codes(lake.profiles)
 
     def iter_candidate_pairs(
@@ -530,7 +574,9 @@ class LakeIndex:
             stop = min(start + batch_size, n)
             neighbor_ids, _ = self._backend.query(normalized[start:stop], kq)
             flat = neighbor_ids.reshape(-1).astype(np.int64)
-            partner_rows = np.where(flat >= 0, self._id_to_row[np.maximum(flat, 0)], -1)
+            # The backend answers live ids only (-1 pads land on slot 0).
+            slots = np.searchsorted(self._live_ids, flat)
+            partner_rows = np.where(flat >= 0, self._live_rows[slots], -1)
             query_rows = np.repeat(np.arange(start, stop, dtype=np.int64), kq)
             valid = (partner_rows >= 0) & (partner_rows != query_rows)
             query_rows, partner_rows = query_rows[valid], partner_rows[valid]

@@ -256,9 +256,9 @@ class ExactBackend(ANNBackend):
             self._ids = self._ids[: self._size].copy()
         return self
 
-    #: Extra candidates taken past k before the deterministic sort; ties
-    #: spanning more than this many boundary candidates trigger an exact
-    #: per-row fallback.
+    #: Extra candidates taken past k before the deterministic sort; rows
+    #: whose k-th score ties past this many boundary candidates have
+    #: that tied tail re-picked exactly.
     _TIE_PAD = 32
 
     def query(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -281,7 +281,7 @@ class ExactBackend(ANNBackend):
         # Fast path: argpartition down to kk + _TIE_PAD candidates, then
         # lexsort only those.  That is exact unless a score tie spans
         # the partition boundary (a dropped record could then deserve a
-        # kept record's slot by id); such rows fall back to a full sort.
+        # kept record's slot by id); such rows are repaired below.
         take = kk + self._TIE_PAD
         if n > take:
             cand = np.argpartition(-sims, kth=take - 1, axis=1)[:, :take]
@@ -292,11 +292,11 @@ class ExactBackend(ANNBackend):
             scores = np.take_along_axis(cand_scores, order, axis=1)
             # Every dropped score <= the worst retained candidate; a tie
             # can only cross when the kk-th kept score reaches it.
-            unsafe = scores[:, -1] <= cand_scores.min(axis=1)
-            for row in np.flatnonzero(unsafe):
-                full = np.lexsort((row_ids, -sims[row]))[:kk]
-                indices[row] = row_ids[full]
-                scores[row] = sims[row][full]
+            unsafe = np.flatnonzero(scores[:, -1] <= cand_scores.min(axis=1))
+            if unsafe.size:
+                indices[unsafe], scores[unsafe] = _repair_ties(
+                    sims[unsafe], row_ids, indices[unsafe], scores[unsafe]
+                )
         else:
             ids = np.broadcast_to(row_ids, sims.shape)
             order = np.lexsort((ids, -sims), axis=-1)[:, :kk]
@@ -310,6 +310,31 @@ class ExactBackend(ANNBackend):
             indices = np.pad(indices, ((0, 0), (0, pad)), constant_values=-1)
             scores = np.pad(scores, ((0, 0), (0, pad)), constant_values=-np.inf)
         return indices, scores.astype(np.float64, copy=False)
+
+
+def _repair_ties(
+    sims: np.ndarray, row_ids: np.ndarray, indices: np.ndarray, scores: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact (score desc, id asc) top-k for rows whose k-th score tied past
+    the argpartition cut, given their (rows, N) ``sims`` and fast-path
+    answer.  Records above the k-th score all survived the cut, in order;
+    only the tail tied *at* it must become the smallest tied ids.  Scores
+    are gathered from ``sims``: byte-identical to a full sort, zero signs
+    included."""
+    k = indices.shape[1]
+    threshold = scores[:, -1:]
+    above = (scores > threshold).sum(axis=1, keepdims=True)
+    keys = np.where(sims == threshold, row_ids, np.iinfo(np.int64).max)
+    picks = np.argpartition(keys, kth=k - 1, axis=1)[:, :k]
+    order = np.argsort(np.take_along_axis(keys, picks, axis=1), axis=1)
+    picks = np.take_along_axis(picks, order, axis=1)  # tied, smallest id first
+    slot = np.arange(k) - above  # output column j takes tied pick j - above
+    source = np.take_along_axis(picks, np.maximum(slot, 0), axis=1)
+    kept = slot < 0
+    return (
+        np.where(kept, indices, row_ids[source]),
+        np.where(kept, scores, np.take_along_axis(sims, source, axis=1)),
+    )
 
 
 class _SlotIdMap:

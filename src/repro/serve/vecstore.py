@@ -265,6 +265,24 @@ class MemmapVectorStore:
             ),
         )
 
+    def _copy_rows(self, path: PathLike, ids: Sequence[int]) -> "MemmapVectorStore":
+        """A new store at ``path`` with the rows of ``ids`` under ids 0..n-1,
+        copied as stored (int8 codes and scales are never requantized), so
+        they read back byte-equal; ``meta.json`` is written last."""
+        rows = np.asarray([self._id_to_row[int(i)] for i in ids], dtype=np.int64)
+        path = Path(path)
+        path.mkdir(parents=True)
+        payloads = {
+            _VECTORS: self._vectors[rows],
+            _IDS: np.arange(rows.size, dtype=np.int64),
+            _SCALES: self._scales[rows] if self._scales is not None else rows[:0],
+        }
+        for name, payload in payloads.items():
+            (path / name).write_bytes(np.ascontiguousarray(payload).tobytes())
+        copy = MemmapVectorStore(path, self.dim, self.dtype, rows.size, payloads[_IDS])
+        copy.flush()
+        return copy
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
