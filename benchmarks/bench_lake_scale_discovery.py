@@ -14,10 +14,14 @@ Acceptance targets:
 * warm incremental re-profile is >= 5x faster than the cold re-profile
   (>= 2x in ``--smoke``), and recomputes *exactly* the mutated tables'
   columns;
-* the bounded-memory batch scorer ranks byte-identically to the legacy
+* the batch scorer ranks byte-identically to the legacy
   per-pair path over the delta-maintained live index, and scores the
   same candidate batches >= 5x faster (ANN queries excluded) — the floor
   that fails CI if per-pair work creeps back into the batch path;
+* after the churn, a ranking on an index whose memo holds the pre-churn
+  ranking equals one on a twin index that never ranked (the same two
+  updates), and scores only the pairs that ranking lacked — both walls
+  printed, no floor;
 * streaming dedupe (union-find over an edge *generator*) peaks below
   the materializing networkx oracle and stays near-flat as the edge
   count quadruples.
@@ -30,6 +34,7 @@ quick CI smoke check::
 """
 
 import argparse
+import contextlib
 import gc
 import time
 import tracemalloc
@@ -49,6 +54,7 @@ from repro.discovery import (
 from repro.discovery.dedupe import _networkx_clusters
 from repro.discovery.join import profile_tables
 from repro.eval import format_table
+from repro.serve.sketch import SketchTable
 
 SPEEDUP_FLOOR = 5.0
 SMOKE_SPEEDUP_FLOOR = 2.0
@@ -118,6 +124,46 @@ def _scorer_seconds(lake, index, k):
     return {scorer: float(np.median(samples)) for scorer, samples in seconds.items()}
 
 
+@contextlib.contextmanager
+def _counted_pairs():
+    """Pairs through the containment kernel inside the block: ``[count]``."""
+    counted, kernel = [0], SketchTable.intersections
+
+    def intersections(table, left, right):
+        counted[0] += left.size
+        return kernel(table, left, right)
+
+    SketchTable.intersections = intersections
+    try:
+        yield counted
+    finally:
+        SketchTable.intersections = kernel
+
+
+def _timed_rank(lake, index, k):
+    """``(ranking, seconds, pairs scored)`` of one batched ranking."""
+    gc.collect()
+    with _counted_pairs() as scored:
+        started = time.perf_counter()
+        ranked = rank_lake_candidates(lake, index, k=k)
+        seconds = time.perf_counter() - started
+    return ranked, seconds, scored[0]
+
+
+def _values(candidates):
+    return [(c.pair, c.score, c.containment, c.cosine) for c in candidates]
+
+
+def _pair_identities(lake, candidates):
+    """Each candidate's two columns as (ref, fingerprint): the same
+    identity for a pair of columns the churn left untouched."""
+    fingerprints = {p.ref: fp for p, fp in zip(lake.profiles, lake.fingerprints)}
+    return {
+        tuple((ref, fingerprints[ref]) for ref in candidate.pair)
+        for candidate in candidates
+    }
+
+
 def _edge_feed(num_records, num_edges, seed, chunk=2048):
     # Chunked draws keep the feed itself O(chunk) — the point of the
     # memory comparison is that *nothing* holds all edges at once.
@@ -171,7 +217,7 @@ def run(
     tables = generate_lake(num_tables=num_tables, rows=rows, seed=1).tables
     session = _session(tables)
     store = ProfileStore(root / "cache")
-    _, cold_s = _profile(tables, store, session)
+    cold_lake, cold_s = _profile(tables, store, session)
 
     mutated, names = mutate_lake(tables, fraction=mutate_fraction, seed=2)
     changed_columns = sum(len(mutated[name].schema) for name in names)
@@ -189,8 +235,21 @@ def run(
         f"expected exactly the {changed_columns} mutated ones"
     )
 
-    index = LakeIndex(SudowoodoConfig())
-    index.update(warm_lake)
+    # The live index ranks the lake before the churn (filling its memo),
+    # then syncs the churn as a delta; its twin takes the same two updates
+    # and never ranks, so it meets the churned lake with a cold memo.
+    index, twin = LakeIndex(SudowoodoConfig()), LakeIndex(SudowoodoConfig())
+    for live in (index, twin):
+        live.update(cold_lake)
+    before = rank_lake_candidates(cold_lake, index, k=k)
+    for live in (index, twin):
+        live.update(warm_lake)
+    cold_rank, cold_rank_s, cold_scored = _timed_rank(warm_lake, twin, k)
+    warm_rank, warm_rank_s, warm_scored = _timed_rank(warm_lake, index, k)
+    new_pairs = _pair_identities(warm_lake, warm_rank) - _pair_identities(
+        cold_lake, before
+    )
+
     batched = rank_lake_candidates(warm_lake, index, k=k, scorer="batched")
     pairwise = rank_lake_candidates(warm_lake, index, k=k, scorer="pairwise")
     scorer_identical = [(c.pair, c.score) for c in batched] == [
@@ -223,19 +282,27 @@ def run(
         "streaming_peak_4x_mb": stream_4 / 2**20,
         "networkx_peak_4x_mb": nx_4 / 2**20,
         "streaming_growth": stream_4 / max(stream_1, 1),
+        "memo_identical": _values(warm_rank) == _values(cold_rank),
+        "cold_rank_s": cold_rank_s,
+        "warm_rank_s": warm_rank_s,
+        "cold_scored": cold_scored,
+        "warm_scored": warm_scored,
+        "new_pairs": len(new_pairs),
     }
 
 
 def print_report(results: dict) -> None:
     print(
         format_table(
-            ["pass", "seconds", "columns"],
+            ["pass", "seconds", "columns / pairs scored"],
             [
                 ["cold profile", results["cold_s"], results["num_columns"]],
                 ["full re-profile", results["full_s"], results["num_columns"]],
                 ["warm incremental", results["warm_s"], results["recomputed"]],
                 ["score, per pair", results["pairwise_score_s"], results["num_candidates"]],
                 ["score, batched", results["batched_score_s"], results["num_candidates"]],
+                ["rank, cold memo", results["cold_rank_s"], results["cold_scored"]],
+                ["rank, warm memo", results["warm_rank_s"], results["warm_scored"]],
             ],
             title=(
                 f"lake profile cache ({results['num_tables']} tables, "
@@ -289,6 +356,14 @@ def _check(results: dict, smoke: bool) -> None:
         f"oracle (floor {SCORER_SPEEDUP_FLOOR:.1f}x)"
     )
     assert results["num_candidates"] > 0, "no candidates proposed"
+    assert results["memo_identical"], "warm-memo ranking diverged from cold"
+    assert results["cold_scored"] == results["num_candidates"], (
+        "a cold memo must score every pair"
+    )
+    assert results["warm_scored"] == results["new_pairs"], (
+        f"warm memo scored {results['warm_scored']} pairs, but only "
+        f"{results['new_pairs']} are new since the last ranking"
+    )
     assert results["streaming_peak_mb"] < results["networkx_peak_mb"], (
         "streaming dedupe peaked above the materializing oracle"
     )

@@ -149,7 +149,7 @@ class SudowoodoConfig:
     # Lake-scale discovery (discovery.lake): where the persistent profile
     # cache lives (None = the lake task keeps a private temporary store),
     # and how many columns each backend-query / scoring batch holds —
-    # the O(batch) knob of the bounded-memory candidate scorer.
+    # the O(batch) knob of candidate generation.
     profile_cache_dir: Optional[str] = None
     discovery_batch_size: int = 256
 
@@ -503,7 +503,7 @@ class ServeConfig:
 @dataclass
 class DiscoveryConfig:
     """Lake-scale discovery: profile-cache location and the candidate
-    batch size of the bounded-memory scorer."""
+    batch size of the backend queries."""
 
     profile_cache_dir: Optional[str] = None
     discovery_batch_size: int = 256

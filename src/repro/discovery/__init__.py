@@ -9,8 +9,8 @@ conflict-resolution merging (:mod:`~repro.discovery.dedupe`), and
 first-class staleness metrics (:mod:`~repro.discovery.streaming`).
 :mod:`~repro.discovery.lake` scales the join tier to thousands of
 tables: a persistent fingerprint-keyed profile cache with memmapped
-column vectors, delta-maintained ANN indexing, and the bounded-memory
-batch scorer.
+column vectors, delta-maintained ANN indexing, and the memoised batch
+scorer.
 
 Importing the package registers the session tasks —
 ``join_discovery``, ``lake_discovery``, ``dedupe``, and

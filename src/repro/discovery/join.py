@@ -25,15 +25,16 @@ backend (the sharded top-k provably equals the single-shard top-k, see
 Lake-scale mechanics: the normalized column matrix is held in
 ``config.store_dtype`` (not forced float64), and backend queries and
 scoring run over **streamed batches** of ``config.discovery_batch_size``
-columns (scoring upcasts each batch to float64; the backend owns the
-dtype it queries in).  A batch of candidate pairs is
-scored in one shot — one einsum for the cosines, ONE call into the KMV
-pair kernel (:class:`~repro.serve.sketch.SketchTable`, built once per
-ranking) for the containments — and collected as arrays under integer
-pair keys; with ``top`` set the held rows are cut to the best ``top``
-after every batch, so peak memory is O(top + batch) instead of O(all
-candidate pairs), and ``JoinCandidate`` objects exist only for the final
-survivors.  The batched scorer is byte-identical to the preserved
+columns (scoring upcasts to float64; the backend owns the dtype it
+queries in).  The scorer takes a memo of the last ranking's pairs keyed
+by the columns' stable ids; what it has no entry for is scored in one
+shot — one einsum for the cosines, ONE call into the KMV pair kernel
+(:class:`~repro.serve.sketch.SketchTable`, over just those pairs'
+columns) for the containments.  Pairs are held as arrays and ranked
+with one lexsort, and ``JoinCandidate`` objects are built only for the
+returned pairs the memo holds none for.  :func:`rank_join_candidates`
+hands the scorer a fresh memo; the lake path keeps one per
+``LakeIndex``.  The batched scorer is byte-identical to the preserved
 per-pair scorer (``scorer="pairwise"``, which shares none of that code)
 — the determinism/shard-invariance contract above is the regression
 oracle, and ``benchmarks/bench_lake_scale_discovery.py`` asserts the
@@ -110,88 +111,58 @@ def profile_tables(
 # ----------------------------------------------------------------------
 # Candidate scoring (shared by the table path and the lake path)
 # ----------------------------------------------------------------------
-class _CandidateCollector:
-    """Accumulates scored pairs as arrays, deduplicated across batches.
+class _ScoreMemo:
+    """The pairs the last batched ranking scored, keyed by the stable ids
+    of their two columns, as arrays, plus the ``JoinCandidate`` of each
+    pair it returned.  An entry is reused only while ``alpha`` and the
+    vector dtype are the last call's and both columns still carry the
+    vector bytes and the very sketch object it was scored with — an
+    O(live) check per call, so no reused score is stale whatever store
+    or embedder the ids were pointed at since."""
 
-    A pair's key is ``rank_a * N + rank_b`` over the profiles' refs in
-    sorted order, so one integer carries both the dedup identity and the
-    ranking's tie-break.  A pair proposed by both of its endpoints'
-    neighbour lists scores identically; the first occurrence is kept.
-    With ``top`` set the held rows are cut back to the ``top`` best after
-    every batch — O(top + batch) peak memory however many pairs stream
-    through — and ``JoinCandidate`` objects are only built by
-    :meth:`ranked`, for the survivors.
-    """
+    def __init__(self) -> None:
+        self.setting: Optional[Tuple[float, np.dtype]] = None
+        self.ids = np.empty(0, dtype=np.int64)  # sorted
+        self.bytes = np.empty((0, 0), dtype=np.uint8)  # vector bytes per id
+        self.sketches: List[ContainmentSketch] = []  # sketch object per id
+        self.pairs = np.empty((0, 2), dtype=np.int64)  # sorted (low, high)
+        self.values = np.empty((0, 3))  # score, containment, cosine
+        self.objects = np.empty(0, dtype=object)  # None unless returned
 
-    def __init__(self, profiles: Sequence[ColumnProfile], top: Optional[int]) -> None:
-        self.top = top
-        self._profiles = profiles
-        order = {
-            ref: rank
-            for rank, ref in enumerate(sorted({p.ref for p in profiles}))
-        }
-        self._ref_rank = np.fromiter(
-            (order[p.ref] for p in profiles), np.int64, count=len(profiles)
-        )
-        # Columns: key, first row, second row, score, containment, cosine.
-        self._held: List[Tuple[np.ndarray, ...]] = []
+    def __len__(self) -> int:
+        return len(self.pairs)
 
-    def offer(
-        self,
-        pairs: np.ndarray,
-        scores: np.ndarray,
-        containments: np.ndarray,
-        cosines: np.ndarray,
-    ) -> None:
-        left, right = pairs[:, 0], pairs[:, 1]
-        rank_left, rank_right = self._ref_rank[left], self._ref_rank[right]
-        swapped = rank_left > rank_right
-        keys = np.minimum(rank_left, rank_right) * len(self._profiles) + np.maximum(
-            rank_left, rank_right
-        )
-        self._held.append(
-            (
-                keys,
-                np.where(swapped, right, left),
-                np.where(swapped, left, right),
-                scores,
-                containments,
-                cosines,
-            )
-        )
-        if self.top is not None:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Merge the held batches: first occurrence per key, sorted by
-        descending score then ascending key, cut to ``top``."""
-        columns = [np.concatenate(column) for column in zip(*self._held)]
-        _, keep = np.unique(columns[0], return_index=True)  # key order
-        best = keep[np.argsort(-columns[3][keep], kind="stable")][: self.top]
-        self._held = [tuple(column[best] for column in columns)]
-
-    def ranked(self) -> List[JoinCandidate]:
-        if not self._held:
-            return []
-        self._compact()
-        _, first, second, scores, containments, cosines = (
-            column.tolist() for column in self._held[0]
-        )
-        profiles = self._profiles
-        return [
-            JoinCandidate(
-                table_a=profiles[a].table,
-                column_a=profiles[a].column,
-                table_b=profiles[b].table,
-                column_b=profiles[b].column,
-                score=score,
-                containment=containment,
-                cosine=cosine,
-            )
-            for a, b, score, containment, cosine in zip(
-                first, second, scores, containments, cosines
-            )
+    def clean(self, setting, ids, profiles, vector_bytes) -> np.ndarray:
+        """Per row: may entries touching its column be reused?"""
+        same = setting == self.setting and vector_bytes.shape[1] == self.bytes.shape[1]
+        if not (same and self.ids.size):
+            return np.zeros(len(ids), dtype=bool)
+        slots = np.minimum(np.searchsorted(self.ids, ids), self.ids.size - 1)
+        clean = (self.ids[slots] == ids) & (vector_bytes == self.bytes[slots]).all(1)
+        rows = np.flatnonzero(clean)
+        clean[rows] = [
+            profiles[row].sketch is self.sketches[slot]
+            for row, slot in zip(rows.tolist(), slots[rows].tolist())
         ]
+        return clean
+
+    def find(self, low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(held, slot)`` of each ``(low, high)`` id pair."""
+        if not len(self.pairs):
+            return np.zeros(low.size, dtype=bool), np.zeros(low.size, dtype=np.int64)
+        base = max(int(high.max(initial=0)), int(self.pairs[:, 1].max())) + 1
+        keys = self.pairs[:, 0] * base + self.pairs[:, 1]
+        wanted = low * base + high
+        slots = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return keys[slots] == wanted, slots
+
+    def replace(self, setting, ids, profiles, vector_bytes, low, high, values, objects):
+        """Forget everything; hold this call's columns and pairs."""
+        by_id, by_pair = np.argsort(ids), np.lexsort((high, low))
+        self.setting, self.ids, self.bytes = setting, ids[by_id], vector_bytes[by_id]
+        self.sketches = [profiles[row].sketch for row in by_id.tolist()]
+        self.pairs = np.stack([low, high], axis=1)[by_pair]
+        self.values, self.objects = values[by_pair], objects[by_pair]
 
 
 def _batch_containments(
@@ -213,6 +184,27 @@ def _batch_containments(
     )
 
 
+def _score_pairs(
+    profiles: Sequence[ColumnProfile],
+    normalized: np.ndarray,
+    pairs: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """``(P, 3)`` score, containment and cosine of row ``pairs`` in one
+    shot: a single float64 einsum for the cosines, one containment kernel
+    call over a sketch table of just the pairs' columns, elementwise
+    blending."""
+    left_rows = normalized[pairs[:, 0]].astype(np.float64, copy=False)
+    right_rows = normalized[pairs[:, 1]].astype(np.float64, copy=False)
+    cosines = np.einsum("ij,ij->i", left_rows, right_rows)
+    rows, slots = np.unique(pairs, return_inverse=True)
+    slots = slots.reshape(pairs.shape)
+    table = SketchTable([profiles[row].sketch for row in rows.tolist()])
+    containments = _batch_containments(table, slots[:, 0], slots[:, 1])
+    scores = alpha * containments + (1.0 - alpha) * np.maximum(cosines, 0.0)
+    return np.stack([scores, containments, cosines], axis=1)
+
+
 def _rank_batched(
     profiles: Sequence[ColumnProfile],
     normalized: np.ndarray,
@@ -220,25 +212,69 @@ def _rank_batched(
     alpha: float,
     min_score: float,
     top: Optional[int],
+    memo: _ScoreMemo,
+    ids: np.ndarray,
 ) -> List[JoinCandidate]:
-    """Score each ``(B, 2)`` batch in one shot — a single float64 einsum
-    for every cosine, one containment kernel call over the ranking's
-    sketch table, elementwise blending and the ``min_score`` mask — and
-    collect the survivors as arrays."""
-    collector = _CandidateCollector(profiles, top)
-    table = SketchTable([profile.sketch for profile in profiles])
-    for pairs in pair_batches:
-        left, right = pairs[:, 0], pairs[:, 1]
-        left_rows = normalized[left].astype(np.float64, copy=False)
-        right_rows = normalized[right].astype(np.float64, copy=False)
-        cosines = np.einsum("ij,ij->i", left_rows, right_rows)
-        containments = _batch_containments(table, left, right)
-        scores = alpha * containments + (1.0 - alpha) * np.maximum(cosines, 0.0)
-        keep = ~(scores < min_score)
-        collector.offer(
-            pairs[keep], scores[keep], containments[keep], cosines[keep]
+    """Rank the streamed pairs against ``memo`` (``ids[i]`` is the stable
+    id of ``profiles[i]``): pairs it holds a reusable entry for take its
+    values and ``JoinCandidate``, the rest go through
+    :func:`_score_pairs`.  One lexsort on (-score, sorted-ref key) orders
+    the survivors of ``min_score``, ``top`` cuts them, and
+    ``JoinCandidate`` objects are built only for returned pairs that have
+    none.  The memo is then replaced by this call's pairs."""
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *pair_batches])
+    # One integer per pair over the sorted refs: the dedupe identity (the
+    # first occurrence is kept) and the ranking's tie-break at once.
+    ranks = _ref_ranks(profiles)
+    rank_left, rank_right = ranks[pairs[:, 0]], ranks[pairs[:, 1]]
+    ref_keys = np.minimum(rank_left, rank_right) * len(profiles) + np.maximum(
+        rank_left, rank_right
+    )
+    ref_keys, first = np.unique(ref_keys, return_index=True)
+    pairs, rank_left, rank_right = pairs[first], rank_left[first], rank_right[first]
+    left_ids, right_ids = ids[pairs[:, 0]], ids[pairs[:, 1]]
+    low, high = np.minimum(left_ids, right_ids), np.maximum(left_ids, right_ids)
+    setting = (alpha, normalized.dtype)
+    vector_bytes = np.ascontiguousarray(normalized).view(np.uint8)
+    clean = memo.clean(setting, ids, profiles, vector_bytes)
+    hit, slots = memo.find(low, high)
+    hit &= clean[pairs[:, 0]] & clean[pairs[:, 1]]
+    values = np.empty((len(pairs), 3))
+    values[hit] = memo.values[slots[hit]]
+    if not hit.all():
+        values[~hit] = _score_pairs(profiles, normalized, pairs[~hit], alpha)
+    kept = np.flatnonzero(~(values[:, 0] < min_score))
+    order = kept[np.lexsort((ref_keys[kept], -values[kept, 0]))][:top]
+    reused = np.empty(len(pairs), dtype=object)
+    reused[hit] = memo.objects[slots[hit]]
+    ranked = reused[order].tolist()
+    missing = [position for position, known in enumerate(ranked) if known is None]
+    build = order[missing]
+    swapped = rank_left[build] > rank_right[build]
+    firsts = np.where(swapped, pairs[build, 1], pairs[build, 0]).tolist()
+    seconds = np.where(swapped, pairs[build, 0], pairs[build, 1]).tolist()
+    for position, a, b, (score, containment, cosine) in zip(
+        missing, firsts, seconds, values[build].tolist()
+    ):
+        ranked[position] = JoinCandidate(
+            table_a=profiles[a].table,
+            column_a=profiles[a].column,
+            table_b=profiles[b].table,
+            column_b=profiles[b].column,
+            score=score,
+            containment=containment,
+            cosine=cosine,
         )
-    return collector.ranked()
+    returned = np.empty(len(pairs), dtype=object)
+    returned[order] = ranked
+    memo.replace(setting, ids, profiles, vector_bytes, low, high, values, returned)
+    return ranked
+
+
+def _ref_ranks(profiles: Sequence[ColumnProfile]) -> np.ndarray:
+    """Each profile's rank among the sorted distinct refs."""
+    order = {ref: rank for rank, ref in enumerate(sorted({p.ref for p in profiles}))}
+    return np.fromiter((order[p.ref] for p in profiles), np.int64, count=len(profiles))
 
 
 def _rank_pairwise(
@@ -252,7 +288,8 @@ def _rank_pairwise(
     """The legacy per-pair path — scalar set-based containments, a dict
     keyed by the sorted ref pair, a Python sort — preserved as the
     byte-identity oracle for :func:`_rank_batched` (it shares none of its
-    scoring or collecting code, and holds every candidate in memory)."""
+    scoring or collecting code, keeps no memo, and holds every candidate
+    in memory)."""
     seen: Dict[Tuple[ColumnRef, ColumnRef], JoinCandidate] = {}
     for pairs in pair_batches:
         for i, j in pairs.tolist():
@@ -294,11 +331,33 @@ def score_candidate_batches(
     """Rank candidate column pairs streamed as ``(B, 2)`` index batches.
 
     This is the scoring half of :func:`rank_join_candidates`, exposed so
-    the lake path (``repro.discovery.lake``) can feed candidates from a
-    *live* incrementally-maintained index through the identical scorer.
-    Pairs must be canonical ``(min, max)`` rows; duplicates within or
-    across batches are deduplicated (they score identically).
+    a caller holding its own candidate stream scores it through the
+    identical scorer.  Pairs must be canonical ``(min, max)`` rows;
+    duplicates within or across batches are deduplicated (they score
+    identically).  Every call scores every pair: its memo starts empty
+    (:func:`~repro.discovery.lake.rank_lake_candidates` keeps one per
+    index).
     """
+    memo, ids = _ScoreMemo(), np.arange(len(profiles), dtype=np.int64)
+    return _score_candidates(
+        profiles, normalized, pair_batches, alpha, min_score, top, scorer, memo, ids
+    )
+
+
+def _score_candidates(
+    profiles: Sequence[ColumnProfile],
+    normalized: np.ndarray,
+    pair_batches: Iterable[np.ndarray],
+    alpha: float,
+    min_score: float,
+    top: Optional[int],
+    scorer: str,
+    memo: _ScoreMemo,
+    ids: np.ndarray,
+) -> List[JoinCandidate]:
+    """:func:`score_candidate_batches` against ``memo``, where ``ids[i]``
+    is the stable id of ``profiles[i]``'s column; ``scorer="pairwise"``
+    neither reads nor writes the memo."""
     if scorer not in SCORERS:
         raise ValueError(
             f"unknown scorer {scorer!r}; valid options: {', '.join(SCORERS)}"
@@ -307,10 +366,19 @@ def score_candidate_batches(
         raise ValueError("alpha must be in [0, 1]")
     if top is not None and top < 1:
         raise ValueError("top must be positive or None")
-    rank = _rank_batched if scorer == "batched" else _rank_pairwise
     batches = (np.asarray(pairs, dtype=np.int64) for pairs in pair_batches)
     nonempty = (pairs for pairs in batches if pairs.size)
-    return rank(profiles, normalized, nonempty, alpha, min_score, top)
+    if scorer == "pairwise":
+        return _rank_pairwise(profiles, normalized, nonempty, alpha, min_score, top)
+    return _rank_batched(
+        profiles, normalized, nonempty, alpha, min_score, top, memo, ids
+    )
+
+
+def _check_k(k: int) -> None:
+    """``k < 1`` neighbours would propose no candidates: an error."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def _canonical_pairs(
@@ -339,7 +407,7 @@ def iter_candidate_pairs(
     matrix held at any moment is O(batch x k), not O(N x k).  Backend
     ids must equal profile positions.  Pairs within one batch are
     deduplicated; a pair surfacing from two different batches is the
-    collector's job.
+    scorer's job.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -387,7 +455,8 @@ def rank_join_candidates(
     ``vectors`` are the column embeddings (row i belongs to
     ``profiles[i]``); the backend named by ``config.ann_backend`` (with
     ``num_shards`` optionally overridden) proposes each column's ``k``
-    nearest columns, and every surviving cross-table pair is scored
+    nearest columns (``k < 1`` raises ``ValueError``), and every
+    surviving cross-table pair is scored
     ``alpha * containment + (1 - alpha) * max(cosine, 0)`` from the
     exact sketches and embeddings.  Pairs scoring below ``min_score``
     are dropped; the result is sorted by descending score with ties
@@ -396,12 +465,13 @@ def rank_join_candidates(
 
     The normalized matrix is stored in ``config.store_dtype`` and
     queried in batches of ``batch_size``, scored in float64 (default
-    ``config.discovery_batch_size``).  ``top`` bounds the result to the
-    best ``top`` candidates through a fixed-size heap — identical to
-    the full ranking truncated, at O(top + batch) peak memory.
+    ``config.discovery_batch_size``).  ``top`` cuts the result to the
+    best ``top`` candidates — identical to the full ranking truncated,
+    with ``JoinCandidate`` objects built for those alone.
     ``scorer="pairwise"`` runs the legacy per-pair loop, kept as the
     byte-identity oracle for the batched default.
     """
+    _check_k(k)
     if len(profiles) != vectors.shape[0]:
         raise ValueError(
             f"{len(profiles)} profiles but {vectors.shape[0]} vectors"

@@ -24,9 +24,10 @@ tables.  This module makes discovery *incremental* end to end:
   unchanged columns are never re-indexed — the incremental-index lever
   the serving tier already proved is ~10x cheaper than rebuild.
 * :func:`rank_lake_candidates` streams candidate pairs out of the live
-  index through the *same* bounded-memory batch scorer as
+  index through the *same* batch scorer as
   :func:`~repro.discovery.join.rank_join_candidates`, so lake rankings
-  inherit the determinism contract (and its byte-identity oracle).
+  inherit the determinism contract (and its byte-identity oracle); the
+  index's memo of its last ranking limits scoring to the new pairs.
 
 ``benchmarks/bench_lake_scale_discovery.py`` drives a ~1,000-table lake
 through this path and asserts the incremental floors.
@@ -68,8 +69,10 @@ from .join import (
     ColumnProfile,
     ColumnRef,
     _canonical_pairs,
+    _check_k,
+    _score_candidates,
+    _ScoreMemo,
     _table_codes,
-    score_candidate_batches,
 )
 
 _FORMAT_VERSION = 1
@@ -458,11 +461,13 @@ def profile_lake(
 class LakeIndex:
     """A live ANN index over the lake's columns, maintained by deltas.
 
-    The first :meth:`update` builds the configured sharded backend from
-    the full column matrix (IVF-PQ trains its codebooks here); every
-    later update diffs fingerprints against what is indexed and only
-    **adds** new/changed columns and **removes** vanished/stale ones —
-    unchanged columns keep their stable ids and are never re-indexed.
+    The first :meth:`update` of a non-empty lake builds the configured
+    sharded backend from the full column matrix (IVF-PQ trains its
+    codebooks here); every later update diffs fingerprints against what
+    is indexed and only **adds** new/changed columns and **removes**
+    vanished/stale ones — unchanged columns keep their stable ids and
+    are never re-indexed.  The index also holds the memo of its last
+    ranking (see :func:`rank_lake_candidates`).
     """
 
     def __init__(self, config: Optional[SudowoodoConfig] = None) -> None:
@@ -472,10 +477,13 @@ class LakeIndex:
         self._ref_fp: Dict[ColumnRef, str] = {}
         self._next_id = 0
         # Of the lake last synced: the live stable ids (sorted), the row of
-        # each, and table id per row — O(live), however many ids were issued.
+        # each, the id of each row and table id per row — O(live), however
+        # many ids were issued.
         self._live_ids = np.empty(0, dtype=np.int64)
         self._live_rows = np.empty(0, dtype=np.int64)
+        self._row_ids = np.empty(0, dtype=np.int64)
         self._table_codes = np.empty(0, dtype=np.int64)
+        self._memo = _ScoreMemo()
 
     def __len__(self) -> int:
         return len(self._ref_to_id)
@@ -489,7 +497,7 @@ class LakeIndex:
         }
         if len(current) != len(lake.profiles):
             raise ValueError("duplicate column refs in lake profile")
-        if self._backend is None:
+        if self._backend is None and lake.profiles:  # an empty lake has no dim
             self._backend = build_backend(self.config, sharded=True)
             self._backend.build(normalized)  # ids 0..N-1, trains IVF-PQ
             self._ref_to_id = dict(current)
@@ -541,6 +549,8 @@ class LakeIndex:
         rows = np.array([current[ref] for ref in self._ref_to_id], dtype=np.int64)
         order = np.argsort(ids)
         self._live_ids, self._live_rows = ids[order], rows[order]
+        self._row_ids = np.empty_like(ids)
+        self._row_ids[rows] = ids
         self._table_codes = _table_codes(lake.profiles)
 
     def iter_candidate_pairs(
@@ -557,11 +567,11 @@ class LakeIndex:
         :meth:`update`: the backend answers in stable ids, which that
         update mapped to the lake's row positions, so callers score
         against the *exact* current vectors and sketches."""
-        if self._backend is None:
+        n = len(profiles)
+        if self._backend is None and n:
             raise RuntimeError("lake index is empty; call update() first")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        n = len(profiles)
         if n != self._table_codes.size:
             raise ValueError(
                 f"{n} profiles but the index was last updated with "
@@ -606,7 +616,12 @@ def rank_lake_candidates(
     (:func:`~repro.discovery.join.score_candidate_batches`), so lake
     rankings obey the same contract: exact scores, deterministic
     tie-breaks, batched output byte-identical to ``scorer="pairwise"``.
+    Every call re-queries the whole index, but the batched scorer keeps
+    ``index``'s memo of its last ranking, keyed by stable-id pair (an
+    update gives a changed column a fresh id), and scores only the pairs
+    it lacks.  ``k < 1`` raises ``ValueError``.
     """
+    _check_k(k)
     config = config or index.config
     normalized = lake.normalized.astype(np.dtype(config.store_dtype), copy=False)
     batches = index.iter_candidate_pairs(
@@ -616,14 +631,9 @@ def rank_lake_candidates(
         batch_size=batch_size or config.discovery_batch_size,
         include_intra_table=include_intra_table,
     )
-    return score_candidate_batches(
-        lake.profiles,
-        normalized,
-        batches,
-        alpha=alpha,
-        min_score=min_score,
-        top=top,
-        scorer=scorer,
+    memo, ids = index._memo, index._row_ids
+    return _score_candidates(
+        lake.profiles, normalized, batches, alpha, min_score, top, scorer, memo, ids
     )
 
 

@@ -83,7 +83,9 @@ class JoinDiscoveryTask(SessionTask):
         ground truth then powers :meth:`evaluate`) or a plain
         ``{name: Table}`` dict.  ``num_shards`` overrides the config's
         shard count for the candidate backend — rankings are invariant
-        to it (scores come from exact embeddings and sketches)."""
+        to it (scores come from exact embeddings and sketches); ``k < 1``
+        raises ``ValueError`` before any work."""
+        k = self._resolve_k(k, 10)
         if isinstance(data, JoinableTables):
             self._tables = dict(data.tables)
             self._truth = {tuple(pair) for pair in data.joinable}
@@ -160,7 +162,7 @@ class LakeDiscoveryTask(SessionTask):
     """Join discovery at lake scale: incremental profiling against a
     persistent fingerprint-keyed :class:`~repro.discovery.lake.ProfileStore`
     (memmapped vectors), a delta-maintained live ANN index, and the
-    bounded-memory batch scorer.  Re-fitting the *same task instance*
+    memoised batch scorer.  Re-fitting the *same task instance*
     after tables mutate only recomputes and re-indexes the changed
     columns — the whole point of the lake path."""
 
@@ -207,9 +209,11 @@ class LakeDiscoveryTask(SessionTask):
         (e.g. from ``generate_lake``; its truth powers :meth:`evaluate`)
         or a plain ``{name: Table}`` dict.  An explicit ``store``
         overrides the config's ``profile_cache_dir`` (and the private
-        temporary store used when neither is set).  ``top`` bounds the
-        ranking through the fixed-size heap.
+        temporary store used when neither is set).  ``top`` cuts the
+        ranking to its best ``top``; ``k < 1`` raises ``ValueError``
+        before any work.
         """
+        k = self._resolve_k(k, 10)
         if isinstance(data, JoinableTables):
             self._tables = dict(data.tables)
             self._truth = {tuple(pair) for pair in data.joinable}

@@ -207,6 +207,24 @@ class TestLakeDiscoveryTask:
         service = session.serve(task)
         assert service.index_size == len(task.corpus_texts())
 
+    def test_refit_after_an_empty_lake(self, session, lake):
+        task = session.task("lake_discovery", fresh=True).fit({})
+        assert task.predict() == []
+        task.fit(lake, k=5)
+        assert task.evaluate()["index_added"] == lake.num_columns
+        flat = session.task("join_discovery", fresh=True).fit(lake, k=5)
+        assert [(c.pair, c.score) for c in task.predict()] == [
+            (c.pair, c.score) for c in flat.predict()
+        ]
+
+    @pytest.mark.parametrize("name", ["join_discovery", "lake_discovery"])
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fit_rejects_k_below_one(self, session, lake, name, k):
+        task = session.task(name, fresh=True)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            task.fit(lake, k=k)
+        assert not task.fitted
+
     def test_explicit_store_persists_across_task_instances(
         self, session, lake, tmp_path
     ):

@@ -310,6 +310,20 @@ class TestLakeIndex:
         assert delta["removed"] == len(lake_tables.tables[names[0]].schema)
         assert len(index) == len(warm.profiles)
 
+    def test_an_empty_first_lake_does_not_pin_the_dimension(self, store, lake_tables):
+        index = LakeIndex(SudowoodoConfig())
+        empty = profile_lake({}, store, EMBED)
+        assert index.update(empty) == {
+            "added": 0, "updated": 0, "removed": 0, "unchanged": 0
+        }
+        assert rank_lake_candidates(empty, index, k=3) == []
+        lake = profile_lake(lake_tables.tables, store, EMBED)
+        assert index.update(lake)["added"] == len(lake.profiles)
+        flat = rank_join_candidates(lake.profiles, lake.vectors, SudowoodoConfig(), k=5)
+        assert [(c.pair, c.score) for c in rank_lake_candidates(lake, index, k=5)] == [
+            (c.pair, c.score) for c in flat
+        ]
+
     def test_query_before_update_raises(self, store, lake_tables):
         lake = profile_lake(lake_tables.tables, store, EMBED)
         index = LakeIndex(SudowoodoConfig())
@@ -350,6 +364,18 @@ class TestLakeRanking:
         n = len(lake_tables.joinable)
         top = {c.pair for c in candidates[:n]}
         assert len(top & lake_tables.joinable) / n >= 0.5
+
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("path", ["lake", "flat"])
+    def test_k_below_one_raises(self, store, lake_tables, path, k):
+        lake = profile_lake(lake_tables.tables, store, EMBED)
+        index = LakeIndex(SudowoodoConfig())
+        index.update(lake)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            if path == "lake":
+                rank_lake_candidates(lake, index, k=k)
+            else:
+                rank_join_candidates(lake.profiles, lake.vectors, k=k)
 
     def test_top_bound_and_stability_after_mutation(self, store, lake_tables):
         lake = profile_lake(lake_tables.tables, store, EMBED)
