@@ -165,7 +165,7 @@ def _overridable(config: SudowoodoConfig) -> dict:
         "finetune_epochs", "finetune_batch_size", "num_clusters",
         "corpus_cap", "multiplier", "blocking_k", "seed",
     )
-    flat = config.to_dict(nested=False)
+    flat = config.to_dict()
     return {key: flat[key] for key in keys}
 
 

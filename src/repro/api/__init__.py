@@ -22,15 +22,7 @@ pre-session drivers are gone (``docs/api.md`` maps each removed name to
 its session spelling).
 """
 
-from ..core.config import (
-    FinetuneConfig,
-    ModelConfig,
-    PretrainConfig,
-    PseudoLabelConfig,
-    RunConfig,
-    ServeConfig,
-    SudowoodoConfig,
-)
+from ..core.config import SudowoodoConfig
 from .registry import (
     Task,
     TaskNotFittedError,
@@ -75,16 +67,10 @@ __all__ = [
     "ColumnMatchResult",
     "ColumnMatchTask",
     "DedupeResult",
-    "FinetuneConfig",
     "JoinCandidate",
     "JoinDiscoveryResult",
     "MatchResult",
     "MatchTask",
-    "ModelConfig",
-    "PretrainConfig",
-    "PseudoLabelConfig",
-    "RunConfig",
-    "ServeConfig",
     "SessionTask",
     "StreamingERResult",
     "SudowoodoConfig",

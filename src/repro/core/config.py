@@ -12,23 +12,19 @@ switches mirror the ablation names of Table V:
 With all four off, the pipeline degenerates to plain SimCLR — the paper's
 base ablation row.
 
-The flat :class:`SudowoodoConfig` dataclass remains the single source of
-truth (every existing call site keeps working), but its fields are also
-grouped into **namespaced sections** — :class:`ModelConfig`,
-:class:`PretrainConfig`, :class:`FinetuneConfig`,
-:class:`PseudoLabelConfig`, :class:`ServeConfig`,
-:class:`~repro.train.engine.TrainConfig` (the shared training engine's
-knobs), :class:`RunConfig` —
-readable via the ``config.model`` / ``config.pretrain`` / ... properties,
-composable via :meth:`SudowoodoConfig.from_parts`, and round-trippable
-via :meth:`SudowoodoConfig.to_dict` / :meth:`SudowoodoConfig.from_dict`.
-Per-task presets (the defaults the cleaning and column drivers used to
-duplicate) live in :meth:`SudowoodoConfig.for_task`.
+The flat :class:`SudowoodoConfig` dataclass is the one shape of the
+configuration: every knob is a field, written once with its default.
+:meth:`SudowoodoConfig.to_dict` / :meth:`SudowoodoConfig.from_dict`
+round-trip it as a flat mapping (the shape encoder checkpoints store),
+and :attr:`SudowoodoConfig.train` hands the shared training engine its
+:class:`~repro.train.engine.TrainConfig`.  Per-task presets (the defaults
+the cleaning and column drivers used to duplicate) live in
+:meth:`SudowoodoConfig.for_task`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..train.engine import TrainConfig
@@ -186,136 +182,38 @@ class SudowoodoConfig:
             use_barlow_twins=False,
         )
 
-    # ------------------------------------------------------------------
-    # Namespaced sections (views over the flat fields)
-    # ------------------------------------------------------------------
-    @property
-    def model(self) -> "ModelConfig":
-        """The encoder-architecture section as a :class:`ModelConfig`."""
-        return ModelConfig(**self._section_values("model"))
-
-    @property
-    def pretrain(self) -> "PretrainConfig":
-        """The contrastive pre-training section as a :class:`PretrainConfig`."""
-        return PretrainConfig(**self._section_values("pretrain"))
-
-    @property
-    def finetune(self) -> "FinetuneConfig":
-        """The matcher fine-tuning section as a :class:`FinetuneConfig`."""
-        return FinetuneConfig(**self._section_values("finetune"))
-
-    @property
-    def pseudo(self) -> "PseudoLabelConfig":
-        """The pseudo-labeling section as a :class:`PseudoLabelConfig`."""
-        return PseudoLabelConfig(**self._section_values("pseudo"))
-
-    @property
-    def serve(self) -> "ServeConfig":
-        """The serving/ANN section as a :class:`ServeConfig`."""
-        return ServeConfig(**self._section_values("serve"))
-
-    @property
-    def discovery(self) -> "DiscoveryConfig":
-        """The lake-scale discovery section as a :class:`DiscoveryConfig`."""
-        return DiscoveryConfig(**self._section_values("discovery"))
-
     @property
     def train(self) -> TrainConfig:
-        """The training-engine section as a
+        """The training-engine knobs as a
         :class:`~repro.train.engine.TrainConfig` (the object the shared
         :class:`~repro.train.engine.Trainer` consumes directly)."""
-        return TrainConfig(**self._section_values("train"))
-
-    @property
-    def run(self) -> "RunConfig":
-        """The cross-cutting run section (seed, blocking k)."""
-        return RunConfig(**self._section_values("run"))
-
-    def _section_values(self, section: str) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in CONFIG_SECTIONS[section]}
-
-    @classmethod
-    def from_parts(
-        cls,
-        model: Optional["ModelConfig"] = None,
-        pretrain: Optional["PretrainConfig"] = None,
-        finetune: Optional["FinetuneConfig"] = None,
-        pseudo: Optional["PseudoLabelConfig"] = None,
-        serve: Optional["ServeConfig"] = None,
-        discovery: Optional["DiscoveryConfig"] = None,
-        train: Optional[TrainConfig] = None,
-        run: Optional["RunConfig"] = None,
-        **overrides: Any,
-    ) -> "SudowoodoConfig":
-        """Compose a flat config from namespaced sub-configs.
-
-        Omitted sections use their defaults; flat ``overrides`` are
-        applied last and win over section values.
-        """
-        values: Dict[str, Any] = {}
-        for part in (model, pretrain, finetune, pseudo, serve, discovery, train, run):
-            if part is not None:
-                values.update(
-                    {f.name: getattr(part, f.name) for f in fields(part)}
-                )
-        unknown = set(overrides) - _FIELD_NAMES
-        if unknown:
-            raise ValueError(
-                f"unknown config fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(_FIELD_NAMES)}"
-            )
-        values.update(overrides)
-        return cls(**values)
+        return TrainConfig(
+            **{f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        )
 
     # ------------------------------------------------------------------
     # Dict round-tripping
     # ------------------------------------------------------------------
-    def to_dict(self, nested: bool = True) -> Dict[str, Any]:
-        """Serialize to a plain dict.
-
-        With ``nested`` (default) fields are grouped by section —
-        ``{"model": {...}, "pretrain": {...}, ...}`` — the shape
-        :meth:`from_dict` round-trips; ``nested=False`` returns the flat
-        field mapping.
-        """
-        if not nested:
-            return {name: getattr(self, name) for name in _FIELD_NAMES_ORDERED}
-        return {
-            section: dict(self._section_values(section))
-            for section in CONFIG_SECTIONS
-        }
+    def to_dict(self) -> Dict[str, Any]:
+        """Serialize to the flat field mapping :meth:`from_dict` reads."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "SudowoodoConfig":
-        """Build a config from a dict of flat fields, nested sections, or
-        a mix of both; unknown field or section names raise ``ValueError``.
-        Names in :data:`RETIRED_CONFIG_FIELDS` are dropped, so configs
-        saved before a field was deleted still load.
+        """Build a config from a flat field mapping; any other key raises
+        ``ValueError``.  Names in :data:`RETIRED_CONFIG_FIELDS` are
+        dropped, so configs saved before a field was deleted still load.
 
         Round-trip guarantee: ``from_dict(cfg.to_dict()) == cfg``.
         """
         values: Dict[str, Any] = {}
         for key, value in mapping.items():
-            if key in CONFIG_SECTIONS:
-                if not isinstance(value, Mapping):
-                    raise ValueError(
-                        f"section {key!r} must map field names to values"
-                    )
-                for name, inner in value.items():
-                    if name in RETIRED_CONFIG_FIELDS:
-                        continue
-                    if name not in CONFIG_SECTIONS[key]:
-                        raise ValueError(
-                            f"unknown field {name!r} in section {key!r}; "
-                            f"valid fields: {sorted(CONFIG_SECTIONS[key])}"
-                        )
-                    values[name] = inner
-            elif key in _FIELD_NAMES:
+            if key in _FIELD_NAMES:
                 values[key] = value
             elif key not in RETIRED_CONFIG_FIELDS:
                 raise ValueError(
-                    f"unknown config key {key!r}; expected a field name or "
-                    f"one of the sections {sorted(CONFIG_SECTIONS)}"
+                    f"unknown config key {key!r}; "
+                    f"valid fields: {sorted(_FIELD_NAMES)}"
                 )
         return cls(**values)
 
@@ -351,6 +249,10 @@ class SudowoodoConfig:
             raise ValueError("positive_ratio must be in (0, 1)")
         if self.multiplier < 1:
             raise ValueError("multiplier must be >= 1")
+        if not 0.0 <= self.cutoff_ratio < 1.0:
+            raise ValueError("cutoff_ratio must be in [0, 1)")
+        if self.blocking_k < 1:
+            raise ValueError("blocking_k must be >= 1")
         if self.pooling not in VALID_POOLINGS:
             raise ValueError(
                 f"unknown pooling {self.pooling!r}; "
@@ -410,147 +312,12 @@ class SudowoodoConfig:
         self.train.validate()
 
 
-# ----------------------------------------------------------------------
-# Namespaced sub-configs
-# ----------------------------------------------------------------------
-@dataclass
-class ModelConfig:
-    """Encoder architecture: Transformer dimensions, pooling, projector."""
-
-    dim: int = 48
-    num_layers: int = 2
-    num_heads: int = 4
-    ffn_dim: int = 96
-    max_seq_len: int = 48
-    pair_max_seq_len: int = 64
-    vocab_size: int = 1500
-    dropout: float = 0.05
-    projector_dim: int = 48
-    pooling: str = "mean"
-
-
-@dataclass
-class PretrainConfig:
-    """Contrastive pre-training: epochs, DA operators, cutoff, loss mix,
-    and the Cls/Cut/RR optimization switches of Table V."""
-
-    pretrain_epochs: int = 3
-    pretrain_batch_size: int = 16
-    pretrain_lr: float = 5e-4
-    temperature: float = 0.07
-    da_operator: str = "token_del"
-    cutoff_kind: str = "span"
-    cutoff_ratio: float = 0.05
-    num_clusters: int = 10
-    alpha_bt: float = 1e-3
-    lambda_bt: float = 3.9e-3
-    corpus_cap: Optional[int] = 10_000
-    mlm_warm_start_epochs: int = 1
-    use_cluster_sampling: bool = True
-    use_cutoff: bool = True
-    use_barlow_twins: bool = True
-
-
-@dataclass
-class FinetuneConfig:
-    """Pairwise-matcher fine-tuning: step budget, learning rates, class
-    balancing."""
-
-    finetune_epochs: int = 15
-    finetune_batch_size: int = 16
-    finetune_lr: float = 1e-4
-    head_lr: float = 5e-2
-    pseudo_label_weight: float = 0.5
-    class_balance: bool = True
-
-
-@dataclass
-class PseudoLabelConfig:
-    """Pseudo-labeling (Section III-C): positive ratio rho, the label
-    multiplier, and the PL switch."""
-
-    positive_ratio: float = 0.10
-    multiplier: int = 8
-    pseudo_positive_fraction: float = 0.3
-    use_pseudo_labeling: bool = True
-
-
-@dataclass
-class ServeConfig:
-    """Serving layer: ANN backend selection, HNSW/IVF-PQ knobs, embedding
-    store, sharding, and the front end's broker (coalescing, admission
-    control, deadlines, priorities)."""
-
-    ann_backend: str = "exact"
-    hnsw_m: int = 16
-    hnsw_ef_construction: int = 120
-    hnsw_ef_search: int = 12
-    ivf_cells: int = 64
-    pq_subvectors: int = 8
-    pq_bits: int = 8
-    nprobe: int = 8
-    serve_batch_size: int = 64
-    embed_cache_capacity: Optional[int] = None
-    store_dtype: str = "float32"
-    num_shards: int = 1
-    coalesce_window_ms: float = 2.0
-    max_coalesce_batch: int = 64
-    max_queue_depth: Optional[int] = None
-    default_deadline_ms: Optional[float] = None
-    priority_levels: int = 1
-
-
-@dataclass
-class DiscoveryConfig:
-    """Lake-scale discovery: profile-cache location and the candidate
-    batch size of the backend queries."""
-
-    profile_cache_dir: Optional[str] = None
-    discovery_batch_size: int = 256
-
-
-@dataclass
-class RunConfig:
-    """Cross-cutting run parameters: root seed and default blocking k."""
-
-    blocking_k: int = 10
-    seed: int = 0
-
-
-#: Section name -> the flat :class:`SudowoodoConfig` fields it owns.
-#: Derived from the sub-config dataclasses so the two can never drift.
-CONFIG_SECTIONS: Dict[str, Tuple[str, ...]] = {
-    "model": tuple(f.name for f in fields(ModelConfig)),
-    "pretrain": tuple(f.name for f in fields(PretrainConfig)),
-    "finetune": tuple(f.name for f in fields(FinetuneConfig)),
-    "pseudo": tuple(f.name for f in fields(PseudoLabelConfig)),
-    "serve": tuple(f.name for f in fields(ServeConfig)),
-    "discovery": tuple(f.name for f in fields(DiscoveryConfig)),
-    "train": tuple(f.name for f in fields(TrainConfig)),
-    "run": tuple(f.name for f in fields(RunConfig)),
-}
-
 #: Fields earlier versions had and later deleted.  Saved configs (encoder
 #: checkpoints) still carry them; :meth:`SudowoodoConfig.from_dict` drops
 #: them instead of raising.  ``lsh_*`` went with the LSH backend.
 RETIRED_CONFIG_FIELDS = ("lsh_num_tables", "lsh_num_bits")
 
-_FIELD_NAMES_ORDERED = tuple(f.name for f in fields(SudowoodoConfig))
-_FIELD_NAMES = frozenset(_FIELD_NAMES_ORDERED)
-
-# Every flat field must belong to exactly one section (checked at import
-# so a new field cannot silently fall out of the namespaced API).
-_sectioned = [name for names in CONFIG_SECTIONS.values() for name in names]
-if sorted(_sectioned) != sorted(_FIELD_NAMES_ORDERED):
-    _missing = set(_FIELD_NAMES_ORDERED) - set(_sectioned)
-    _extra = set(_sectioned) - set(_FIELD_NAMES_ORDERED)
-    _dupes = {name for name in _sectioned if _sectioned.count(name) > 1}
-    raise RuntimeError(
-        "CONFIG_SECTIONS out of sync with SudowoodoConfig: "
-        f"missing={sorted(_missing)} extra={sorted(_extra)} "
-        f"duplicated={sorted(_dupes)}"
-    )
-del _sectioned
+_FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))
 
 
 #: Valid ``pooling`` strategies (see ``nn.transformer.TransformerEncoder``).

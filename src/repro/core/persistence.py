@@ -20,7 +20,6 @@ path on corrupt, truncated, or wrong-format input — never an opaque
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import zipfile
@@ -99,7 +98,7 @@ def _read_npz_metadata(archive, path: Path) -> Dict[str, Any]:
 def save_encoder(encoder: SudowoodoEncoder, path: PathLike) -> Path:
     """Write weights + tokenizer + config to a single ``.npz`` checkpoint."""
     metadata = {
-        "config": dataclasses.asdict(encoder.config),
+        "config": encoder.config.to_dict(),
         "vocab": encoder.tokenizer.vocab,
         "format_version": 1,
     }

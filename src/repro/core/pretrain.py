@@ -54,11 +54,6 @@ class PretrainResult:
     corpus_size: int = 0
     operator_weights: Optional[dict] = None
 
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last pre-training epoch (NaN when untrained)."""
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
-
 
 class OperatorScheduler:
     """Adaptive DA-operator selection (``da_operator="auto"``).

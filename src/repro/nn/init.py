@@ -17,20 +17,6 @@ def xavier_uniform(
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(
-    shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = _fans(shape)
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def normal(
     shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.02
 ) -> np.ndarray:

@@ -105,10 +105,6 @@ class Module:
                 )
             param.data = np.array(value, dtype=param.data.dtype)
 
-    def copy_weights_from(self, other: "Module") -> None:
-        """Copy parameter values from a module with identical structure."""
-        self.load_state_dict(other.state_dict())
-
     # ------------------------------------------------------------------
     # Call protocol
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ Batched encoding is ~2.5x faster per record than one-at-a-time
 batched encoder + backend call is the biggest multi-threaded throughput
 lever the serving stack has.  :class:`RequestBroker` is the only class
 that does it, and :class:`~repro.serve.frontend.ServiceFrontend` is the
-only place that builds one: with the whole ``ServeConfig`` batching and
+only place that builds one: with the config's whole batching and
 admission policy (``coalesce_window_ms``, ``max_coalesce_batch``,
 ``max_queue_depth``, ``default_deadline_ms``, ``priority_levels``),
 pointed at the service's *unbatched* ``search_batch``.

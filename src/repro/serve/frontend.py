@@ -13,7 +13,7 @@ deployment also has to survive *overload* and *change*:
   signal and the requests that *were* admitted keep meeting their SLO
   (measured by ``benchmarks/bench_service_slo.py``).
 * **Deadline/priority-aware coalescing.**  Requests carry an absolute
-  deadline (defaulted from ``ServeConfig.default_deadline_ms``) and a
+  deadline (defaulted from the config's ``default_deadline_ms``) and a
   priority level.  The batching leader flushes when ``window_ms``
   elapses **or** the earliest admitted deadline would otherwise be
   missed; requests whose deadline already passed are dropped with a
@@ -73,8 +73,8 @@ class ServiceFrontend:
     ``delete_records``) pass through under the swap lock, and
     :meth:`reindex` performs the blue/green encoder swap.
 
-    Configuration comes from the
-    :class:`~repro.core.config.ServeConfig` section:
+    Configuration comes from the service's
+    :class:`~repro.core.config.SudowoodoConfig`:
     ``max_queue_depth`` (None = never shed), ``default_deadline_ms``
     (None = no implicit deadline), ``priority_levels``, plus the shared
     ``coalesce_window_ms`` / ``max_coalesce_batch`` batching knobs.

@@ -153,11 +153,6 @@ class ProductQuantizer:
         blocks = query.reshape(self.num_subvectors, 1, sub_dim)
         return ((codebooks - blocks) ** 2).sum(axis=2)
 
-    @property
-    def code_bytes(self) -> int:
-        """Bytes per encoded vector."""
-        return self.num_subvectors
-
 
 class IVFPQBackend(ANNBackend):
     """Inverted-file + product-quantization ANN backend.

@@ -200,13 +200,10 @@ class StalenessGauge:
     feed; this helper makes that lag a first-class metric.  Callers
     :meth:`ingested` each write when it *arrives* (enters the pending
     buffer) and :meth:`applied` it when it becomes *searchable* (the
-    buffer flushes into the index); the gauge then answers two questions:
-
-    * :meth:`age` — the age of the oldest still-pending write, i.e. how
-      stale the index is right now (0 when fully caught up);
-    * per-write staleness — recorded into the ``<name>.staleness_s``
-      histogram at apply time (arrival -> visible latency), with the
-      pending backlog mirrored on the ``<name>.pending_writes`` gauge.
+    buffer flushes into the index).  Each write's staleness is recorded
+    into the ``<name>.staleness_s`` histogram at apply time (arrival ->
+    visible latency), with the pending backlog mirrored on the
+    ``<name>.pending_writes`` gauge.
 
     Single-writer by design: the streaming scenarios drive one ingest
     loop, so the FIFO needs no lock of its own — cross-thread visibility
@@ -253,13 +250,6 @@ class StalenessGauge:
             histogram.record(max(0.0, stamp - arrival))
         del self._pending[:count]
         self.metrics.gauge(f"{self.name}.pending_writes").set(len(self._pending))
-
-    def age(self, now: Optional[float] = None) -> float:
-        """Age of the oldest pending write in seconds (0 when caught up)."""
-        if not self._pending:
-            return 0.0
-        stamp = self._clock() if now is None else float(now)
-        return max(0.0, stamp - self._pending[0])
 
 
 class MetricsRegistry:

@@ -283,11 +283,6 @@ class ShardedBackend(ANNBackend):
             results = [shard.query(queries, k) for shard in self._shards]
         return results[0] if self.num_shards == 1 else _merge_topk(results, k)
 
-    def shard_sizes(self) -> List[int]:
-        """Live record count per shard (one consistent snapshot)."""
-        with _all_locked(self._locks, write=False):
-            return [len(shard) for shard in self._shards]
-
 
 def _merge_topk(
     results: Sequence[Tuple[np.ndarray, np.ndarray]], k: int

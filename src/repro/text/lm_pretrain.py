@@ -49,10 +49,6 @@ class MLMConfig:
 class MLMResult:
     losses: List[float]
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 class _MLMModel(Module):
     """Encoder + LM head trained jointly during the warm start."""

@@ -50,8 +50,8 @@ class TrainConfig:
     """Engine knobs shared by every training path.
 
     Field names are flat (``train_``-prefixed where ambiguous) because
-    they double as the ``train`` section of
-    :class:`~repro.core.config.SudowoodoConfig`.  The defaults reproduce
+    they are also fields of :class:`~repro.core.config.SudowoodoConfig`,
+    whose ``train`` property builds this object.  The defaults reproduce
     the pre-engine loops exactly; every speed/robustness feature is
     opt-in.
     """

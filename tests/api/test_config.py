@@ -1,96 +1,67 @@
-"""Tests for the namespaced config decomposition and per-task presets."""
+"""Tests for the flat config shape, its dict round-trip and per-task presets."""
+
+from dataclasses import asdict, fields
 
 import pytest
 
-from repro.api import (
-    FinetuneConfig,
-    ModelConfig,
-    PretrainConfig,
-    PseudoLabelConfig,
-    RunConfig,
-    ServeConfig,
-    SudowoodoConfig,
-)
-from repro.core.config import CONFIG_SECTIONS, TASK_CONFIG_DEFAULTS
-
-
-class TestSections:
-    def test_sections_cover_every_field_once(self):
-        from dataclasses import fields
-
-        sectioned = [n for names in CONFIG_SECTIONS.values() for n in names]
-        flat = [f.name for f in fields(SudowoodoConfig)]
-        assert sorted(sectioned) == sorted(flat)
-        assert len(sectioned) == len(set(sectioned))
-
-    def test_section_views_reflect_flat_fields(self):
-        config = SudowoodoConfig(dim=24, pretrain_epochs=7, num_shards=3)
-        assert isinstance(config.model, ModelConfig)
-        assert config.model.dim == 24
-        assert isinstance(config.pretrain, PretrainConfig)
-        assert config.pretrain.pretrain_epochs == 7
-        assert isinstance(config.serve, ServeConfig)
-        assert config.serve.num_shards == 3
-        assert isinstance(config.finetune, FinetuneConfig)
-        assert isinstance(config.pseudo, PseudoLabelConfig)
-        assert isinstance(config.run, RunConfig)
-
-    def test_from_parts_composes_sections(self):
-        config = SudowoodoConfig.from_parts(
-            model=ModelConfig(dim=20),
-            serve=ServeConfig(num_shards=4),
-            seed=9,
-        )
-        assert config.dim == 20
-        assert config.num_shards == 4
-        assert config.seed == 9
-        # untouched sections keep defaults
-        assert config.pretrain_epochs == SudowoodoConfig().pretrain_epochs
-
-    def test_from_parts_rejects_unknown_override(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
-            SudowoodoConfig.from_parts(bogus=1)
+from repro.api import SudowoodoConfig
+from repro.core.config import TASK_CONFIG_DEFAULTS
+from repro.train.engine import TrainConfig
 
 
 class TestRoundTrip:
-    def test_nested_round_trip(self):
-        config = SudowoodoConfig(dim=20, num_shards=2, da_operator="span_del")
-        assert SudowoodoConfig.from_dict(config.to_dict()) == config
-
     def test_flat_round_trip(self):
         config = SudowoodoConfig(dim=20, temperature=0.2)
-        assert SudowoodoConfig.from_dict(config.to_dict(nested=False)) == config
-
-    def test_mixed_flat_and_nested(self):
-        config = SudowoodoConfig.from_dict(
-            {"model": {"dim": 20}, "seed": 5}
-        )
-        assert config.dim == 20 and config.seed == 5
+        assert SudowoodoConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             SudowoodoConfig.from_dict({"bogus": 1})
-
-    def test_unknown_field_in_section_rejected(self):
-        with pytest.raises(ValueError, match="unknown field"):
-            SudowoodoConfig.from_dict({"model": {"num_shards": 2}})
-
-    def test_non_mapping_section_rejected(self):
-        with pytest.raises(ValueError, match="must map field names"):
-            SudowoodoConfig.from_dict({"model": 3})
 
     def test_retired_fields_dropped_flat_and_nested(self):
         from repro.core.config import RETIRED_CONFIG_FIELDS
 
         retired = {name: 1 for name in RETIRED_CONFIG_FIELDS}
         config = SudowoodoConfig(dim=20)
-        flat = {**config.to_dict(nested=False), **retired}
+        flat = {**config.to_dict(), **retired}
         assert SudowoodoConfig.from_dict(flat) == config
-        nested = config.to_dict()
-        nested["serve"].update(retired)
-        assert SudowoodoConfig.from_dict(nested) == config
         with pytest.raises(ValueError, match="unknown config key"):
             SudowoodoConfig.from_dict({**flat, "lsh_num_probes": 1})
+
+    def test_to_dict_is_flat_asdict(self):
+        config = SudowoodoConfig(dim=20, num_shards=2, grad_clip=1.0)
+        assert config.to_dict() == asdict(config)
+
+    @pytest.mark.parametrize("task", sorted(TASK_CONFIG_DEFAULTS))
+    def test_every_preset_round_trips(self, task):
+        config = SudowoodoConfig.for_task(task)
+        assert SudowoodoConfig.from_dict(config.to_dict()) == config
+
+    def test_section_name_rejected_listing_fields(self):
+        with pytest.raises(ValueError, match="'model'") as error:
+            SudowoodoConfig.from_dict({"model": {"dim": 20}})
+        assert "valid fields" in str(error.value)
+        assert "'dim'" in str(error.value)
+
+    def test_encoder_checkpoint_keeps_config(self, tmp_path):
+        from repro.core.encoder import SudowoodoEncoder
+        from repro.core.persistence import load_encoder, save_encoder
+        from repro.text.tokenizer import Tokenizer
+
+        config = SudowoodoConfig(
+            dim=16, num_heads=2, ffn_dim=32, projector_dim=16,
+            vocab_size=64, seed=3, grad_clip=1.5, num_shards=2,
+        )
+        tokenizer = Tokenizer.fit(["alpha beta gamma", "delta epsilon"])
+        path = save_encoder(SudowoodoEncoder(config, tokenizer), tmp_path / "enc")
+        assert load_encoder(path).config == config
+
+
+def test_train_view_reads_the_train_config_fields():
+    config = SudowoodoConfig(grad_accum_steps=3, train_prefetch=0)
+    assert config.train == TrainConfig(
+        **{f.name: getattr(config, f.name) for f in fields(TrainConfig)}
+    )
 
 
 class TestForTask:
@@ -134,3 +105,21 @@ class TestValidation:
 
         for name in ALL_OPERATORS:
             SudowoodoConfig(da_operator=name).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cutoff_ratio", 1.0),
+            ("cutoff_ratio", 1.5),
+            ("cutoff_ratio", -0.1),
+            ("blocking_k", 0),
+            ("blocking_k", -3),
+        ],
+    )
+    def test_rejects_out_of_range_cutoff_ratio_and_blocking_k(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SudowoodoConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.01, 0.05, 0.08, 0.1])
+    def test_accepts_in_range_cutoff_ratio(self, ratio):
+        SudowoodoConfig(cutoff_ratio=ratio, blocking_k=1).validate()
