@@ -6,12 +6,14 @@ Scenario: a lake of tables with planted joinable column groups
 names, plus per-table noise columns).  One pre-trained session profiles
 every column (serialized text + containment sketch), embeds through the
 shared store, and ranks cross-table pairs with the blended
-containment/cosine score — the ``join_discovery`` task end to end.
+containment/cosine score — the ``join_discovery`` task (one round of the
+lake pipeline) end to end.
 
 Acceptance targets: recall@T of the ranking (T = number of true
 joinable pairs) meets the floor, and the ranking is byte-identical
-across ``num_shards`` in {1, 2, 3} — the shard-invariance contract of
-the exact backend.  Run as a pytest benchmark for full-scale numbers, or
+across ``num_shards`` in {1, 2, 3} (one session per shard count, each
+adopting the pre-trained encoder) — the shard-invariance contract of the
+exact backend.  Run as a pytest benchmark for full-scale numbers, or
 as a script for a quick CI smoke check::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_join_discovery.py -q -s
@@ -20,6 +22,7 @@ as a script for a quick CI smoke check::
 
 import argparse
 import time
+from dataclasses import replace
 
 from repro.api import SudowoodoConfig, SudowoodoSession
 from repro.data.generators import generate_joinable_tables
@@ -68,9 +71,9 @@ def run(num_tables: int = 5, rows: int = 40, k: int = 8) -> dict:
 
     rankings = []
     for num_shards in (1, 2, 3):
-        sharded = session.task("join_discovery", fresh=True).fit(
-            bundle, k=k, num_shards=num_shards
-        )
+        config = replace(session.config, num_shards=num_shards)
+        sharded = SudowoodoSession(config).adopt(session.encoder)
+        sharded = sharded.task("join_discovery").fit(bundle, k=k)
         rankings.append(
             [(c.pair, round(c.score, 12)) for c in sharded.predict()]
         )

@@ -14,10 +14,11 @@ Acceptance targets:
 * warm incremental re-profile is >= 5x faster than the cold re-profile
   (>= 2x in ``--smoke``), and recomputes *exactly* the mutated tables'
   columns;
-* the batch scorer ranks byte-identically to the legacy
-  per-pair path over the delta-maintained live index, and scores the
-  same candidate batches >= 5x faster (ANN queries excluded) — the floor
-  that fails CI if per-pair work creeps back into the batch path;
+* the batch scorer ranks byte-identically to the per-pair oracle
+  (``join._rank_pairwise``) over the delta-maintained live index, and
+  scores the same candidate batches >= 5x faster (ANN queries excluded,
+  a fresh memo per round) — the floor that fails CI if per-pair work
+  creeps back into the batch path;
 * after the churn, a ranking on an index whose memo holds the pre-churn
   ranking equals one on a twin index that never ranked (the same two
   updates), and scores only the pairs that ranking lacked — both walls
@@ -49,10 +50,14 @@ from repro.discovery import (
     iter_duplicate_clusters,
     profile_lake,
     rank_lake_candidates,
-    score_candidate_batches,
 )
 from repro.discovery.dedupe import _networkx_clusters
-from repro.discovery.join import profile_tables
+from repro.discovery.join import (
+    _rank_batched,
+    _rank_pairwise,
+    _ScoreMemo,
+    profile_tables,
+)
 from repro.eval import format_table
 from repro.serve.sketch import SketchTable
 
@@ -103,21 +108,30 @@ def _profile(tables, store, session):
 def _scorer_seconds(lake, index, k):
     """Median seconds to score the lake's candidate batches per scorer,
     rounds interleaved; the batches are drawn once, so neither side's
-    time includes an ANN query.  The collector is off while timing, as
-    in ``timeit``: a full collection of the session's heap landing in
-    one 5 ms sample otherwise swings the ratio 2x between runs."""
+    time includes an ANN query, and the batch scorer gets a fresh memo
+    every round, so it scores every pair.  The collector is off while
+    timing, as in ``timeit``: a full collection of the session's heap
+    landing in one 5 ms sample otherwise swings the ratio 2x between
+    runs."""
     normalized = lake.normalized.astype(index.config.store_dtype)
     batches = list(index.iter_candidate_pairs(lake.profiles, normalized, k))
-    seconds = {"batched": [], "pairwise": []}
+    ids = np.arange(len(lake.profiles), dtype=np.int64)
+    scorers = {
+        "batched": lambda: _rank_batched(
+            lake.profiles, normalized, batches, 0.5, 0.0, None, _ScoreMemo(), ids
+        ),
+        "pairwise": lambda: _rank_pairwise(
+            lake.profiles, normalized, batches, 0.5, 0.0, None
+        ),
+    }
+    seconds = {scorer: [] for scorer in scorers}
     gc.collect()
     gc.disable()
     try:
         for _ in range(SCORER_ROUNDS):
             for scorer, samples in seconds.items():
                 started = time.perf_counter()
-                score_candidate_batches(
-                    lake.profiles, normalized, batches, scorer=scorer
-                )
+                scorers[scorer]()
                 samples.append(time.perf_counter() - started)
     finally:
         gc.enable()
@@ -250,8 +264,10 @@ def run(
         cold_lake, before
     )
 
-    batched = rank_lake_candidates(warm_lake, index, k=k, scorer="batched")
-    pairwise = rank_lake_candidates(warm_lake, index, k=k, scorer="pairwise")
+    batched = rank_lake_candidates(warm_lake, index, k=k)
+    normalized = warm_lake.normalized.astype(index.config.store_dtype)
+    batches = index.iter_candidate_pairs(warm_lake.profiles, normalized, k)
+    pairwise = _rank_pairwise(warm_lake.profiles, normalized, batches, 0.5, 0.0, None)
     scorer_identical = [(c.pair, c.score) for c in batched] == [
         (c.pair, c.score) for c in pairwise
     ]

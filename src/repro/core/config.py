@@ -343,6 +343,16 @@ def _valid_da_operators() -> Tuple[str, ...]:
     return tuple(ALL_OPERATORS) + ("auto",)
 
 
+#: The preset of every task that embeds serialized columns: the two
+#: column tasks and join discovery.
+_COLUMN_TASK_DEFAULTS: Dict[str, Any] = dict(
+    da_operator="cell_shuffle",
+    cutoff_kind="span",
+    use_pseudo_labeling=False,
+    max_seq_len=40,
+    pair_max_seq_len=72,
+)
+
 #: Per-task configuration presets behind :meth:`SudowoodoConfig.for_task`
 #: (Sections V-A and V-B of the paper).  ``match`` / ``block`` use the EM
 #: defaults unchanged; cleaning swaps in span_shuffle DA and disables
@@ -356,40 +366,13 @@ TASK_CONFIG_DEFAULTS: Dict[str, Dict[str, Any]] = {
         use_pseudo_labeling=False,
         positive_ratio=0.10,
     ),
-    "column_match": dict(
-        da_operator="cell_shuffle",
-        cutoff_kind="span",
-        use_pseudo_labeling=False,
-        max_seq_len=40,
-        pair_max_seq_len=72,
-    ),
-    "column_cluster": dict(
-        da_operator="cell_shuffle",
-        cutoff_kind="span",
-        use_pseudo_labeling=False,
-        max_seq_len=40,
-        pair_max_seq_len=72,
-    ),
-    # Discovery tier: join discovery embeds serialized columns (same
-    # regime as the column tasks); dedupe is a self-join of the EM
-    # pipeline; streaming ER replays a feed through the serving stack.
-    "join_discovery": dict(
-        da_operator="cell_shuffle",
-        cutoff_kind="span",
-        use_pseudo_labeling=False,
-        max_seq_len=40,
-        pair_max_seq_len=72,
-    ),
-    # Lake discovery embeds serialized columns exactly like join
-    # discovery; the backend stays config-selected (exact by default,
-    # "ivfpq" for real lakes) because scoring is exact either way.
-    "lake_discovery": dict(
-        da_operator="cell_shuffle",
-        cutoff_kind="span",
-        use_pseudo_labeling=False,
-        max_seq_len=40,
-        pair_max_seq_len=72,
-    ),
+    "column_match": _COLUMN_TASK_DEFAULTS,
+    "column_cluster": _COLUMN_TASK_DEFAULTS,
+    # Discovery tier: join_discovery and lake_discovery are one task
+    # under two names; dedupe is a self-join of the EM pipeline;
+    # streaming ER replays a feed through the serving stack.
+    "join_discovery": _COLUMN_TASK_DEFAULTS,
+    "lake_discovery": _COLUMN_TASK_DEFAULTS,
     "dedupe": {},
     "streaming_er": {},
 }

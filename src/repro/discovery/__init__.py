@@ -2,15 +2,17 @@
 
 The package adds the *integration pipeline* tier to the repo: with one
 pre-trained session you can now **discover** joinable columns across a
-lake of tables (:mod:`~repro.discovery.join`), **consolidate** a dirty
-table into canonical records via self-join entity matching plus
+lake of tables (:mod:`~repro.discovery.lake`, over the column profiles
+and pair scorer of :mod:`~repro.discovery.join`), **consolidate** a
+dirty table into canonical records via self-join entity matching plus
 conflict-resolution merging (:mod:`~repro.discovery.dedupe`), and
 **stress** the result under a live upsert/delete/search feed with
 first-class staleness metrics (:mod:`~repro.discovery.streaming`).
-:mod:`~repro.discovery.lake` scales the join tier to thousands of
-tables: a persistent fingerprint-keyed profile cache with memmapped
-column vectors, delta-maintained ANN indexing, and the memoised batch
-scorer.
+Join discovery has one implementation, the lake path: a persistent
+fingerprint-keyed profile cache with memmapped column vectors,
+delta-maintained ANN indexing, and the memoised batch scorer.
+``join_discovery`` is its first round; ``lake_discovery`` names the
+same task for a lake refreshed by re-fits.
 
 Importing the package registers the session tasks —
 ``join_discovery``, ``lake_discovery``, ``dedupe``, and
@@ -31,13 +33,7 @@ from .dedupe import (
     pairwise_metrics,
     self_match_dataset,
 )
-from .join import (
-    ColumnProfile,
-    group_by_table,
-    profile_tables,
-    rank_join_candidates,
-    score_candidate_batches,
-)
+from .join import ColumnProfile, group_by_table, profile_tables
 from .lake import (
     LakeIndex,
     LakeProfile,
@@ -79,9 +75,7 @@ __all__ = [
     "pairwise_metrics",
     "profile_lake",
     "profile_tables",
-    "rank_join_candidates",
     "rank_lake_candidates",
     "run_streaming_er",
-    "score_candidate_batches",
     "self_match_dataset",
 ]

@@ -1,20 +1,15 @@
-"""Joinable-column discovery: ANN candidates + containment-blended scores.
+"""Joinable-column discovery: column profiles and the pair scorer.
 
 Discovery is the stage *before* matching: given many tables, find the
-column pairs a join could run over.  The repo already owns every
-ingredient — column serialization, the shared embedding store, and the
-pluggable (sharded) ANN backends — so the engine here is deliberately
-thin:
+column pairs a join could run over.  This module holds the pieces the
+lake path (:mod:`~repro.discovery.lake`) is built from:
 
 1. :func:`profile_tables` reduces each column to a
    :class:`ColumnProfile`: its serialized text (what the session encoder
    embeds) plus a :class:`~repro.serve.sketch.ContainmentSketch` of its
    distinct values (O(k) memory, deterministic).
-2. :func:`rank_join_candidates` indexes the column embeddings into ONE
-   ANN backend (any registered backend — exact, HNSW, IVF-PQ — via
-   ``build_backend``), pulls each column's nearest neighbours as
-   candidates, and scores every cross-table candidate pair with
-   ``alpha * containment + (1 - alpha) * cosine``.
+2. :func:`_rank_batched` scores canonical candidate pairs with
+   ``alpha * containment + (1 - alpha) * max(cosine, 0)`` and ranks them.
 
 Scores are computed from the *exact* embeddings and sketches (never from
 backend-reported distances), and ties break on the sorted column refs —
@@ -22,47 +17,30 @@ which is why the ranking is invariant to ``num_shards`` for the exact
 backend (the sharded top-k provably equals the single-shard top-k, see
 ``repro.serve.sharding``) and fully deterministic everywhere else.
 
-Lake-scale mechanics: the normalized column matrix is held in
-``config.store_dtype`` (not forced float64), and backend queries and
-scoring run over **streamed batches** of ``config.discovery_batch_size``
-columns (scoring upcasts to float64; the backend owns the dtype it
-queries in).  The scorer takes a memo of the last ranking's pairs keyed
-by the columns' stable ids; what it has no entry for is scored in one
-shot — one einsum for the cosines, ONE call into the KMV pair kernel
+The scorer takes a memo of the last ranking's pairs keyed by the
+columns' stable ids; what it has no entry for is scored in one shot —
+one float64 einsum for the cosines, ONE call into the KMV pair kernel
 (:class:`~repro.serve.sketch.SketchTable`, over just those pairs'
 columns) for the containments.  Pairs are held as arrays and ranked
 with one lexsort, and ``JoinCandidate`` objects are built only for the
-returned pairs the memo holds none for.  :func:`rank_join_candidates`
-hands the scorer a fresh memo; the lake path keeps one per
-``LakeIndex``.  The batched scorer is byte-identical to the preserved
-per-pair scorer (``scorer="pairwise"``, which shares none of that code)
-— the determinism/shard-invariance contract above is the regression
-oracle, and ``benchmarks/bench_lake_scale_discovery.py`` asserts the
-parity and a speed floor between the two.
+returned pairs the memo holds none for.  :func:`_rank_pairwise`, which
+shares none of that code, is the byte-identity oracle the tests and
+``benchmarks/bench_lake_scale_discovery.py`` hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.results import JoinCandidate
-from ..core.config import SudowoodoConfig
 from ..data.records import Table, serialize_column
-from ..serve.backends import ANNBackend, build_backend
 from ..serve.sketch import ContainmentSketch, SketchTable
-from ..text.similarity import normalize_rows
 
 #: A column reference: (table name, column name).
 ColumnRef = Tuple[str, str]
-
-#: Scorer implementations accepted by :func:`rank_join_candidates` /
-#: :func:`score_candidate_batches`.  ``"batched"`` is the production
-#: path; ``"pairwise"`` is the legacy per-pair loop kept as the
-#: byte-identity regression oracle.
-SCORERS: Tuple[str, ...] = ("batched", "pairwise")
 
 
 @dataclass(frozen=True)
@@ -109,7 +87,7 @@ def profile_tables(
 
 
 # ----------------------------------------------------------------------
-# Candidate scoring (shared by the table path and the lake path)
+# Candidate scoring
 # ----------------------------------------------------------------------
 class _ScoreMemo:
     """The pairs the last batched ranking scored, keyed by the stable ids
@@ -319,68 +297,6 @@ def _rank_pairwise(
     return ranked[:top]
 
 
-def score_candidate_batches(
-    profiles: Sequence[ColumnProfile],
-    normalized: np.ndarray,
-    pair_batches: Iterable[np.ndarray],
-    alpha: float = 0.5,
-    min_score: float = 0.0,
-    top: Optional[int] = None,
-    scorer: str = "batched",
-) -> List[JoinCandidate]:
-    """Rank candidate column pairs streamed as ``(B, 2)`` index batches.
-
-    This is the scoring half of :func:`rank_join_candidates`, exposed so
-    a caller holding its own candidate stream scores it through the
-    identical scorer.  Pairs must be canonical ``(min, max)`` rows;
-    duplicates within or across batches are deduplicated (they score
-    identically).  Every call scores every pair: its memo starts empty
-    (:func:`~repro.discovery.lake.rank_lake_candidates` keeps one per
-    index).
-    """
-    memo, ids = _ScoreMemo(), np.arange(len(profiles), dtype=np.int64)
-    return _score_candidates(
-        profiles, normalized, pair_batches, alpha, min_score, top, scorer, memo, ids
-    )
-
-
-def _score_candidates(
-    profiles: Sequence[ColumnProfile],
-    normalized: np.ndarray,
-    pair_batches: Iterable[np.ndarray],
-    alpha: float,
-    min_score: float,
-    top: Optional[int],
-    scorer: str,
-    memo: _ScoreMemo,
-    ids: np.ndarray,
-) -> List[JoinCandidate]:
-    """:func:`score_candidate_batches` against ``memo``, where ``ids[i]``
-    is the stable id of ``profiles[i]``'s column; ``scorer="pairwise"``
-    neither reads nor writes the memo."""
-    if scorer not in SCORERS:
-        raise ValueError(
-            f"unknown scorer {scorer!r}; valid options: {', '.join(SCORERS)}"
-        )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if top is not None and top < 1:
-        raise ValueError("top must be positive or None")
-    batches = (np.asarray(pairs, dtype=np.int64) for pairs in pair_batches)
-    nonempty = (pairs for pairs in batches if pairs.size)
-    if scorer == "pairwise":
-        return _rank_pairwise(profiles, normalized, nonempty, alpha, min_score, top)
-    return _rank_batched(
-        profiles, normalized, nonempty, alpha, min_score, top, memo, ids
-    )
-
-
-def _check_k(k: int) -> None:
-    """``k < 1`` neighbours would propose no candidates: an error."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-
-
 def _canonical_pairs(
     query_rows: np.ndarray, partner_rows: np.ndarray, num_rows: int
 ) -> np.ndarray:
@@ -393,41 +309,6 @@ def _canonical_pairs(
     return np.stack([keys // num_rows, keys % num_rows], axis=1)
 
 
-def iter_candidate_pairs(
-    profiles: Sequence[ColumnProfile],
-    normalized: np.ndarray,
-    backend: ANNBackend,
-    k: int,
-    batch_size: int = 256,
-    include_intra_table: bool = False,
-) -> Iterator[np.ndarray]:
-    """Stream canonical candidate index pairs from a built backend.
-
-    Queries run over ``batch_size`` columns at a time, so the neighbour
-    matrix held at any moment is O(batch x k), not O(N x k).  Backend
-    ids must equal profile positions.  Pairs within one batch are
-    deduplicated; a pair surfacing from two different batches is the
-    scorer's job.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    n = len(profiles)
-    table_codes = _table_codes(profiles)
-    kq = min(k + 1, n)  # every column's nearest neighbour is itself
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        neighbor_ids, _ = backend.query(normalized[start:stop], kq)
-        query_ids = np.repeat(np.arange(start, stop, dtype=np.int64), kq)
-        partner_ids = neighbor_ids.reshape(-1).astype(np.int64)
-        valid = (partner_ids >= 0) & (partner_ids != query_ids)
-        query_ids, partner_ids = query_ids[valid], partner_ids[valid]
-        if not include_intra_table:
-            cross = table_codes[query_ids] != table_codes[partner_ids]
-            query_ids, partner_ids = query_ids[cross], partner_ids[cross]
-        if query_ids.size:
-            yield _canonical_pairs(query_ids, partner_ids, n)
-
-
 def _table_codes(profiles: Sequence[ColumnProfile]) -> np.ndarray:
     """Integer table id per profile (vectorized intra-table filtering)."""
     codes: Dict[str, int] = {}
@@ -435,75 +316,6 @@ def _table_codes(profiles: Sequence[ColumnProfile]) -> np.ndarray:
     for position, profile in enumerate(profiles):
         out[position] = codes.setdefault(profile.table, len(codes))
     return out
-
-
-def rank_join_candidates(
-    profiles: Sequence[ColumnProfile],
-    vectors: np.ndarray,
-    config: Optional[SudowoodoConfig] = None,
-    k: int = 10,
-    alpha: float = 0.5,
-    min_score: float = 0.0,
-    include_intra_table: bool = False,
-    num_shards: Optional[int] = None,
-    top: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    scorer: str = "batched",
-) -> List[JoinCandidate]:
-    """Ranked joinable column pairs over profiled columns.
-
-    ``vectors`` are the column embeddings (row i belongs to
-    ``profiles[i]``); the backend named by ``config.ann_backend`` (with
-    ``num_shards`` optionally overridden) proposes each column's ``k``
-    nearest columns (``k < 1`` raises ``ValueError``), and every
-    surviving cross-table pair is scored
-    ``alpha * containment + (1 - alpha) * max(cosine, 0)`` from the
-    exact sketches and embeddings.  Pairs scoring below ``min_score``
-    are dropped; the result is sorted by descending score with ties
-    broken on the sorted column refs, so rankings are reproducible and
-    (for the exact backend) independent of the shard count.
-
-    The normalized matrix is stored in ``config.store_dtype`` and
-    queried in batches of ``batch_size``, scored in float64 (default
-    ``config.discovery_batch_size``).  ``top`` cuts the result to the
-    best ``top`` candidates — identical to the full ranking truncated,
-    with ``JoinCandidate`` objects built for those alone.
-    ``scorer="pairwise"`` runs the legacy per-pair loop, kept as the
-    byte-identity oracle for the batched default.
-    """
-    _check_k(k)
-    if len(profiles) != vectors.shape[0]:
-        raise ValueError(
-            f"{len(profiles)} profiles but {vectors.shape[0]} vectors"
-        )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    config = config or SudowoodoConfig()
-    if num_shards is not None:
-        config = replace(config, num_shards=num_shards)
-    if len(profiles) < 2:
-        return []
-
-    normalized = normalize_rows(vectors, dtype=config.store_dtype)
-    backend = build_backend(config, sharded=True)
-    backend.build(normalized)
-    batches = iter_candidate_pairs(
-        profiles,
-        normalized,
-        backend,
-        k,
-        batch_size=batch_size or config.discovery_batch_size,
-        include_intra_table=include_intra_table,
-    )
-    return score_candidate_batches(
-        profiles,
-        normalized,
-        batches,
-        alpha=alpha,
-        min_score=min_score,
-        top=top,
-        scorer=scorer,
-    )
 
 
 def group_by_table(

@@ -1,9 +1,9 @@
 """Lake-scale join discovery: incremental profiling over a persistent cache.
 
-:func:`~repro.discovery.join.profile_tables` re-serializes, re-sketches,
-and re-embeds every column on every call — fine for a handful of tables,
-hopeless for a lake where a nightly sync touches 5% of a thousand
-tables.  This module makes discovery *incremental* end to end:
+This module is join discovery's one implementation; a one-shot fit is
+the first round of the refresh pipeline below.  A nightly sync of a lake
+touches 5% of a thousand tables, so discovery is *incremental* end to
+end:
 
 * :class:`ProfileStore` persists every :class:`ColumnProfile` and its
   embedding keyed by a **content fingerprint** of the column's values
@@ -24,10 +24,9 @@ tables.  This module makes discovery *incremental* end to end:
   unchanged columns are never re-indexed — the incremental-index lever
   the serving tier already proved is ~10x cheaper than rebuild.
 * :func:`rank_lake_candidates` streams candidate pairs out of the live
-  index through the *same* batch scorer as
-  :func:`~repro.discovery.join.rank_join_candidates`, so lake rankings
-  inherit the determinism contract (and its byte-identity oracle); the
-  index's memo of its last ranking limits scoring to the new pairs.
+  index through the batch scorer of :mod:`~repro.discovery.join`, whose
+  byte-identity oracle is ``join._rank_pairwise``; the index's memo of
+  its last ranking limits scoring to the new pairs.
 
 ``benchmarks/bench_lake_scale_discovery.py`` drives a ~1,000-table lake
 through this path and asserts the incremental floors.
@@ -69,8 +68,7 @@ from .join import (
     ColumnProfile,
     ColumnRef,
     _canonical_pairs,
-    _check_k,
-    _score_candidates,
+    _rank_batched,
     _ScoreMemo,
     _table_codes,
 )
@@ -246,8 +244,9 @@ class ProfileStore:
         )
 
     def vectors(self, fingerprints: Sequence[str]) -> np.ndarray:
-        """The cached embeddings for ``fingerprints``, row-aligned
-        (float32, straight off the memmap)."""
+        """The cached embeddings for ``fingerprints``, row-aligned,
+        straight off the memmap (float64 for a float64 store, else
+        float32)."""
         if not fingerprints:
             return np.zeros((0, 0), dtype=np.float32)
         if self._vectors is None:
@@ -607,21 +606,29 @@ def rank_lake_candidates(
     include_intra_table: bool = False,
     top: Optional[int] = None,
     batch_size: Optional[int] = None,
-    scorer: str = "batched",
 ) -> List[JoinCandidate]:
     """Ranked joinable pairs over a lake, candidates from the live index.
 
-    The scoring half is *shared* with
-    :func:`~repro.discovery.join.rank_join_candidates`
-    (:func:`~repro.discovery.join.score_candidate_batches`), so lake
-    rankings obey the same contract: exact scores, deterministic
-    tie-breaks, batched output byte-identical to ``scorer="pairwise"``.
-    Every call re-queries the whole index, but the batched scorer keeps
-    ``index``'s memo of its last ranking, keyed by stable-id pair (an
-    update gives a changed column a fresh id), and scores only the pairs
-    it lacks.  ``k < 1`` raises ``ValueError``.
+    Each column's ``k`` nearest indexed columns are its candidates (``k <
+    1`` raises ``ValueError``); every surviving cross-table pair is scored
+    ``alpha * containment + (1 - alpha) * max(cosine, 0)`` from the exact
+    sketches and embeddings (in ``config.store_dtype``, scored in
+    float64).  Pairs below ``min_score`` are dropped; the result is
+    sorted by descending score with ties broken on the sorted column
+    refs, so rankings are reproducible and, for the exact backend,
+    independent of the shard count.  ``top`` cuts the ranking to its
+    best ``top`` — identical to the full ranking truncated.  Every call
+    re-queries the whole index, ``batch_size`` columns at a time, but the
+    scorer keeps ``index``'s memo of its last ranking, keyed by stable-id
+    pair (an update gives a changed column a fresh id), and scores only
+    the pairs it lacks.
     """
-    _check_k(k)
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    if top is not None and top < 1:
+        raise ValueError("top must be positive or None")
     config = config or index.config
     normalized = lake.normalized.astype(np.dtype(config.store_dtype), copy=False)
     batches = index.iter_candidate_pairs(
@@ -632,8 +639,8 @@ def rank_lake_candidates(
         include_intra_table=include_intra_table,
     )
     memo, ids = index._memo, index._row_ids
-    return _score_candidates(
-        lake.profiles, normalized, batches, alpha, min_score, top, scorer, memo, ids
+    return _rank_batched(
+        lake.profiles, normalized, batches, alpha, min_score, top, memo, ids
     )
 
 

@@ -39,7 +39,7 @@ from .dedupe import (
     pairwise_metrics,
     self_match_dataset,
 )
-from .join import ColumnProfile, group_by_table, profile_tables, rank_join_candidates
+from .join import group_by_table
 from .lake import (
     LakeIndex,
     LakeProfile,
@@ -54,109 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.frontend import ServiceFrontend
 
 
-@register_task("join_discovery")
-class JoinDiscoveryTask(SessionTask):
-    """Joinable-column discovery across many tables: profile every column
-    (serialized text + containment sketch), embed through the shared
-    store, index into one ANN backend, and rank cross-table pairs by
-    blended containment/cosine score."""
-
-    def __init__(self, session: Any) -> None:
-        super().__init__(session)
-        self._tables: Dict[str, Table] = {}
-        self._truth: Optional[set] = None
-        self._profiles: List[ColumnProfile] = []
-        self._candidates: List[JoinCandidate] = []
-
-    def fit(
-        self,
-        data: Union[JoinableTables, Dict[str, Table]],
-        k: int = 10,
-        alpha: float = 0.5,
-        max_values: int = 12,
-        sketch_k: int = 256,
-        min_score: float = 0.0,
-        num_shards: Optional[int] = None,
-    ) -> "JoinDiscoveryTask":
-        """Profile, embed, and rank.  ``data`` is either a generated
-        :class:`~repro.data.generators.discovery.JoinableTables` (its
-        ground truth then powers :meth:`evaluate`) or a plain
-        ``{name: Table}`` dict.  ``num_shards`` overrides the config's
-        shard count for the candidate backend — rankings are invariant
-        to it (scores come from exact embeddings and sketches); ``k < 1``
-        raises ``ValueError`` before any work."""
-        k = self._resolve_k(k, 10)
-        if isinstance(data, JoinableTables):
-            self._tables = dict(data.tables)
-            self._truth = {tuple(pair) for pair in data.joinable}
-        else:
-            self._tables = dict(data)
-            self._truth = None
-        self._profiles = profile_tables(
-            self._tables, max_values=max_values, sketch_k=sketch_k
-        )
-        vectors = self.session.embed(
-            [profile.text for profile in self._profiles], normalize=True
-        )
-        self._candidates = rank_join_candidates(
-            self._profiles,
-            vectors,
-            config=self.session.config,
-            k=k,
-            alpha=alpha,
-            min_score=min_score,
-            num_shards=num_shards,
-        )
-        self.fitted = True
-        return self
-
-    def predict(
-        self, top: Optional[int] = None, table: Optional[str] = None
-    ) -> List[JoinCandidate]:
-        """The ranked candidates — optionally only those touching
-        ``table``, optionally truncated to the ``top`` best."""
-        self._require_fitted("predict()")
-        candidates = self._candidates
-        if table is not None:
-            candidates = group_by_table(candidates).get(table, [])
-        return candidates[:top] if top is not None else list(candidates)
-
-    def evaluate(
-        self, at: Optional[int] = None, **_: Any
-    ) -> Dict[str, float]:
-        """Recall / precision of the top-``at`` ranking against the
-        generator's ground truth (``at`` defaults to the number of true
-        joinable pairs); empty when no truth is available."""
-        self._require_fitted("evaluate()")
-        if not self._truth:
-            return {"num_candidates": float(len(self._candidates))}
-        n = at if at is not None else len(self._truth)
-        top = {candidate.pair for candidate in self._candidates[:n]}
-        hits = len(top & self._truth)
-        return {
-            "recall_at": hits / len(self._truth),
-            "precision_at": hits / n if n else 0.0,
-            "num_candidates": float(len(self._candidates)),
-        }
-
-    def corpus_texts(self) -> List[str]:
-        """The serialized columns — served as a live column index."""
-        return [profile.text for profile in self._profiles]
-
-    def report(self) -> JoinDiscoveryResult:
-        """Ranked candidates plus the per-table grouping."""
-        self._require_fitted("report()")
-        return JoinDiscoveryResult(
-            task=self.name,
-            metrics=self.evaluate(),
-            timings=self.session.timer.summary(),
-            num_tables=len(self._tables),
-            num_columns=len(self._profiles),
-            candidates=list(self._candidates),
-            by_table=group_by_table(self._candidates),
-        )
-
-
 @register_task("lake_discovery")
 class LakeDiscoveryTask(SessionTask):
     """Join discovery at lake scale: incremental profiling against a
@@ -164,7 +61,7 @@ class LakeDiscoveryTask(SessionTask):
     (memmapped vectors), a delta-maintained live ANN index, and the
     memoised batch scorer.  Re-fitting the *same task instance*
     after tables mutate only recomputes and re-indexes the changed
-    columns — the whole point of the lake path."""
+    columns."""
 
     def __init__(self, session: Any) -> None:
         super().__init__(session)
@@ -201,7 +98,6 @@ class LakeDiscoveryTask(SessionTask):
         min_score: float = 0.0,
         top: Optional[int] = None,
         store: Optional[ProfileStore] = None,
-        scorer: str = "batched",
     ) -> "LakeDiscoveryTask":
         """Profile incrementally, sync the live index, and rank.
 
@@ -222,7 +118,6 @@ class LakeDiscoveryTask(SessionTask):
             self._truth = None
         if store is not None:
             self._store = store
-            self._tempdir = None
         config = self.session.config
         self._lake = profile_lake(
             self._tables,
@@ -243,7 +138,6 @@ class LakeDiscoveryTask(SessionTask):
             alpha=alpha,
             min_score=min_score,
             top=top,
-            scorer=scorer,
         )
         self._stats = {
             "profiles_reused": float(self._lake.reused),
@@ -298,6 +192,16 @@ class LakeDiscoveryTask(SessionTask):
             candidates=list(self._candidates),
             by_table=group_by_table(self._candidates),
         )
+
+
+@register_task("join_discovery")
+class JoinDiscoveryTask(LakeDiscoveryTask):
+    """Joinable-column discovery across many tables: the lake pipeline's
+    first round.  Each column is profiled (serialized text + containment
+    sketch), embedded through the shared store, indexed into the
+    config's ANN backend, and cross-table pairs are ranked by blended
+    containment/cosine score; a re-fit of the same instance is
+    incremental."""
 
 
 @register_task("dedupe")

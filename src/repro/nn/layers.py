@@ -90,19 +90,6 @@ class Dropout(Module):
         return x.dropout(self.p, self.rng, self.training)
 
 
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.steps = list(modules)
-
-    def forward(self, x):
-        for step in self.steps:
-            x = step(x)
-        return x
-
-
 class MLP(Module):
     """A feed-forward block: Linear -> activation -> (dropout) -> Linear."""
 

@@ -230,11 +230,6 @@ class ServiceFrontend:
         return self._generation
 
     @property
-    def queue_depth(self) -> int:
-        """Admitted-but-unfinished requests right now."""
-        return self._broker.queue_depth
-
-    @property
     def broker(self) -> RequestBroker:
         """The underlying broker (exposed for tests and tuning)."""
         return self._broker

@@ -90,10 +90,6 @@ class ProductQuantizer:
         self.train_iterations = train_iterations
         self.codebooks: Optional[np.ndarray] = None  # (M, K, dim // M)
 
-    @property
-    def trained(self) -> bool:
-        return self.codebooks is not None
-
     def train(self, vectors: np.ndarray) -> "ProductQuantizer":
         """Fit the ``num_subvectors`` codebooks on ``vectors``."""
         vectors = np.asarray(vectors, dtype=np.float64)

@@ -82,14 +82,6 @@ class ReadWriteLock:
             self._cond.notify_all()
 
     @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
     def write_locked(self) -> Iterator[None]:
         self.acquire_write()
         try:

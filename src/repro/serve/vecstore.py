@@ -86,8 +86,8 @@ class MemmapVectorStore:
 
     Use :meth:`create` for a new store and :meth:`open` to reattach to an
     existing one; the constructor is internal.  Rows are read back as
-    float32 regardless of the storage dtype (dequantized for ``int8``),
-    which is what every ANN backend here consumes.
+    float32 (dequantized for ``int8``), except that a ``float64`` store
+    returns its rows exactly, as float64.
     """
 
     def __init__(
@@ -194,10 +194,6 @@ class MemmapVectorStore:
     def __len__(self) -> int:
         return self._size
 
-    def has_id(self, record_id: int) -> bool:
-        """Whether ``record_id`` is stored."""
-        return int(record_id) in self._id_to_row
-
     @property
     def ids(self) -> np.ndarray:
         """Stable ids in row order (a copy; rows never shift)."""
@@ -287,8 +283,8 @@ class MemmapVectorStore:
     # Reads
     # ------------------------------------------------------------------
     def get(self, ids: Sequence[int]) -> np.ndarray:
-        """Dequantized float32 rows for ``ids`` (unknown ids raise
-        ``KeyError``)."""
+        """The rows for ``ids``: float64 for a float64 store, dequantized
+        float32 otherwise (unknown ids raise ``KeyError``)."""
         rows = []
         for record_id in ids:
             row = self._id_to_row.get(int(record_id))
@@ -316,13 +312,14 @@ class MemmapVectorStore:
     # Internals
     # ------------------------------------------------------------------
     def _rows(self, rows: np.ndarray) -> np.ndarray:
+        dtype = np.float64 if self.dtype == "float64" else np.float32
         if rows.size == 0:
-            return np.zeros((0, self.dim), dtype=np.float32)
+            return np.zeros((0, self.dim), dtype=dtype)
         raw = self._vectors[rows]
         if self.dtype == "int8":
             assert self._scales is not None
             return dequantize_rows(raw, self._scales[rows])
-        return np.asarray(raw, dtype=np.float32)
+        return np.asarray(raw, dtype=dtype)
 
     def _map(self, name: str, dtype: np.dtype, shape: Tuple[int, ...]):
         if 0 in shape or self._size == 0:

@@ -108,11 +108,6 @@ class TokenCache:
         for text in texts:
             self.encode(text, max_len)
 
-    def clear(self) -> None:
-        """Drop every cached encoding (e.g. after swapping tokenizers)."""
-        with self._lock:
-            self._cache.clear()
-
 
 def permutation_batches(
     rng: np.random.Generator, num_items: int, batch_size: int

@@ -2,6 +2,8 @@
 lake_discovery, dedupe, streaming_er — lifecycle, typed unfitted errors,
 shard invariance, incremental re-fits, and serving exports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.data.generators import (
 from repro.data.records import serialize_record
 from repro.discovery.join import profile_tables
 from repro.serve import ServiceFrontend
+from repro.text.similarity import normalize_rows
 
 
 def discovery_config(**overrides):
@@ -58,6 +61,18 @@ def joinable():
 @pytest.fixture(scope="module")
 def dirty():
     return generate_dirty_duplicates(num_entities=12, hardness=0.15, seed=2)
+
+
+def adopting_session(session, **overrides):
+    """A fresh session on ``session``'s encoder, its config overridden —
+    no second pre-train."""
+    return SudowoodoSession(replace(session.config, **overrides)).adopt(
+        session.encoder
+    )
+
+
+def ranking(task):
+    return [(c.pair, c.score, c.containment, c.cosine) for c in task.predict()]
 
 
 def pretrained_session(joinable, dirty, **overrides):
@@ -141,13 +156,36 @@ class TestJoinDiscoveryTask:
     def test_rankings_invariant_across_shard_counts(self, session, joinable):
         rankings = []
         for num_shards in (1, 2, 3):
-            task = session.task("join_discovery", fresh=True).fit(
-                joinable, k=5, num_shards=num_shards
-            )
+            sharded = adopting_session(session, num_shards=num_shards)
+            task = sharded.task("join_discovery").fit(joinable, k=5)
             rankings.append(
                 [(c.pair, round(c.score, 12)) for c in task.predict()]
             )
         assert rankings[0] == rankings[1] == rankings[2]
+
+    def test_refit_of_a_cached_instance_equals_a_fresh_fit(self, session):
+        lake = generate_lake(num_tables=6, rows=14, tables_per_pod=3, seed=4)
+        task = session.task("join_discovery", fresh=True).fit(lake, k=5)
+        tables = lake.tables
+        for seed in (6, 7):
+            tables, _ = mutate_lake(tables, fraction=0.4, seed=seed)
+            task.fit(tables, k=5)
+        assert task.evaluate()["profiles_reused"] > 0.0  # incremental
+        fresh = session.task("join_discovery", fresh=True).fit(tables, k=5)
+        assert ranking(task) and ranking(task) == ranking(fresh)
+
+    @pytest.mark.parametrize("name", ["join_discovery", "lake_discovery"])
+    def test_float64_cosines_are_the_embeddings_exactly(self, session, joinable, name):
+        """Regression: a float64 profile store read its vectors back as
+        float32, so ``lake_discovery`` ranked rounded embeddings."""
+        exact = adopting_session(session, store_dtype="float64")
+        task = exact.task(name).fit(joinable, k=5)
+        texts = {p.ref: p.text for p in profile_tables(joinable.tables)}
+        for candidate in task.predict():
+            pair = [texts[ref] for ref in candidate.pair]
+            vectors = normalize_rows(exact.embed(pair), dtype=np.float64)
+            cosine = np.einsum("ij,ij->i", vectors[:1], vectors[1:])[0]
+            assert candidate.cosine == float(cosine)
 
     def test_predict_filters(self, fitted):
         top = fitted.predict(top=3)
@@ -190,13 +228,15 @@ class TestLakeDiscoveryTask:
         )
 
     def test_matches_join_discovery_ranking(self, session, lake):
-        # Same encoder, same exact backend: the lake path ranks exactly
-        # like the one-shot join_discovery path over the same tables.
-        flat = session.task("join_discovery", fresh=True).fit(lake, k=5)
+        # Warm equals cold: after churn re-fits, the lake ranks exactly
+        # like a fresh one-round join_discovery fit over the same tables.
         incremental = session.task("lake_discovery", fresh=True).fit(lake, k=5)
-        assert [(c.pair, c.score) for c in incremental.predict()] == [
-            (c.pair, c.score) for c in flat.predict()
-        ]
+        tables = lake.tables
+        for seed in (8, 9, 10):
+            tables, _ = mutate_lake(tables, fraction=0.3, seed=seed)
+            incremental.fit(tables, k=5)
+        fresh = session.task("join_discovery", fresh=True).fit(tables, k=5)
+        assert ranking(incremental) and ranking(incremental) == ranking(fresh)
 
     def test_report_shape_and_serving(self, session, lake):
         task = session.task("lake_discovery", fresh=True).fit(lake, k=5)
@@ -212,10 +252,8 @@ class TestLakeDiscoveryTask:
         assert task.predict() == []
         task.fit(lake, k=5)
         assert task.evaluate()["index_added"] == lake.num_columns
-        flat = session.task("join_discovery", fresh=True).fit(lake, k=5)
-        assert [(c.pair, c.score) for c in task.predict()] == [
-            (c.pair, c.score) for c in flat.predict()
-        ]
+        cold = session.task("lake_discovery", fresh=True).fit(lake, k=5)
+        assert ranking(task) == ranking(cold)
 
     @pytest.mark.parametrize("name", ["join_discovery", "lake_discovery"])
     @pytest.mark.parametrize("k", [0, -2])

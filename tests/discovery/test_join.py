@@ -1,19 +1,23 @@
 """Join-discovery engine tests: containment sketches, candidate ranking,
-and shard-count invariance of the rankings."""
-
-import zlib
+and shard-count invariance of the rankings.  Rankings run on the one
+path: ``profile_lake`` -> ``LakeIndex.update`` -> ``rank_lake_candidates``."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import SudowoodoConfig
 from repro.data.generators import generate_joinable_tables
+from repro.data.records import Table
 from repro.discovery import (
-    ColumnProfile,
+    LakeIndex,
+    ProfileStore,
     group_by_table,
+    hashed_embedder,
+    profile_lake,
     profile_tables,
-    rank_join_candidates,
+    rank_lake_candidates,
 )
+from repro.discovery.join import _rank_pairwise
 from repro.serve import ContainmentSketch
 
 
@@ -127,22 +131,36 @@ def profiles(bundle):
     return profile_tables(bundle.tables)
 
 
-def embed_columns(profiles):
-    """Cheap deterministic stand-in embeddings: hashed bag-of-values.
+@pytest.fixture(scope="module")
+def profile(bundle, tmp_path_factory):
+    """``profile(tables, store_dtype)``: a ``LakeProfile`` embedded by the
+    hashed bag-of-values stand-in.  Columns drawing from the same pool
+    share values, hence similar vectors — enough signal for the ANN
+    candidate stage without a trained encoder."""
+    embed = hashed_embedder(dim=64)
 
-    Columns drawing from the same pool share values, hence similar
-    vectors — enough signal for the ANN candidate stage without a
-    trained encoder.
-    """
-    dim = 64
-    vectors = np.zeros((len(profiles), dim))
-    for row, profile in enumerate(profiles):
-        for token in profile.text.split():
-            if token == "[VAL]":
-                continue
-            vectors[row, zlib.crc32(token.encode()) % dim] += 1.0
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors / np.maximum(norms, 1e-12)
+    def build(tables=bundle.tables, store_dtype="float32"):
+        directory = tmp_path_factory.mktemp("profiles")
+        return profile_lake(tables, ProfileStore(directory, store_dtype), embed)
+
+    return build
+
+
+def rank(lake, config=None, k=6, **options):
+    """A fresh index over ``lake`` (one update), then its ranking."""
+    index = LakeIndex(config or SudowoodoConfig())
+    index.update(lake)
+    return rank_lake_candidates(lake, index, k=k, **options)
+
+
+def rank_pairwise(lake, config=None, k=6, alpha=0.5, min_score=0.0, top=None):
+    """The per-pair oracle over the candidate stream a fresh index proposes."""
+    config = config or SudowoodoConfig()
+    index = LakeIndex(config)
+    index.update(lake)
+    normalized = lake.normalized.astype(np.dtype(config.store_dtype), copy=False)
+    batches = index.iter_candidate_pairs(lake.profiles, normalized, k)
+    return _rank_pairwise(lake.profiles, normalized, batches, alpha, min_score, top)
 
 
 class TestRanking:
@@ -151,11 +169,8 @@ class TestRanking:
         refs = {profile.ref for profile in profiles}
         assert refs == set(bundle.columns())
 
-    def test_truth_pairs_rank_above_noise(self, bundle, profiles):
-        vectors = embed_columns(profiles)
-        candidates = rank_join_candidates(
-            profiles, vectors, k=6, alpha=0.6
-        )
+    def test_truth_pairs_rank_above_noise(self, bundle, profile):
+        candidates = rank(profile(), alpha=0.6)
         assert candidates, "expected at least one candidate"
         n = len(bundle.joinable)
         top = {candidate.pair for candidate in candidates[:n]}
@@ -165,44 +180,29 @@ class TestRanking:
         keys = [(-c.score, c.pair) for c in candidates]
         assert keys == sorted(keys)
 
-    def test_no_intra_table_pairs_by_default(self, profiles):
-        vectors = embed_columns(profiles)
-        for candidate in rank_join_candidates(profiles, vectors, k=6):
+    def test_no_intra_table_pairs_by_default(self, profile):
+        for candidate in rank(profile()):
             assert candidate.table_a != candidate.table_b
 
-    def test_scores_blend_containment_and_cosine(self, profiles):
-        vectors = embed_columns(profiles)
-        for candidate in rank_join_candidates(profiles, vectors, k=6, alpha=0.5):
+    def test_scores_blend_containment_and_cosine(self, profile):
+        for candidate in rank(profile(), alpha=0.5):
             expected = 0.5 * candidate.containment + 0.5 * max(
                 candidate.cosine, 0.0
             )
             assert candidate.score == pytest.approx(expected)
 
-    def test_ranking_invariant_across_shard_counts(self, profiles):
-        vectors = embed_columns(profiles)
+    def test_ranking_invariant_across_shard_counts(self, profile):
+        lake = profile()
         rankings = []
         for num_shards in (1, 2, 3):
-            config = SudowoodoConfig(num_shards=num_shards)
-            candidates = rank_join_candidates(
-                profiles, vectors, config=config, k=6
-            )
+            candidates = rank(lake, SudowoodoConfig(num_shards=num_shards))
             rankings.append(
                 [(c.pair, round(c.score, 12)) for c in candidates]
             )
         assert rankings[0] == rankings[1] == rankings[2]
 
-    def test_num_shards_argument_overrides_config(self, profiles):
-        vectors = embed_columns(profiles)
-        base = rank_join_candidates(profiles, vectors, k=6)
-        for num_shards in (2, 3):
-            override = rank_join_candidates(
-                profiles, vectors, k=6, num_shards=num_shards
-            )
-            assert [c.pair for c in override] == [c.pair for c in base]
-
-    def test_group_by_table_preserves_rank_order(self, profiles):
-        vectors = embed_columns(profiles)
-        candidates = rank_join_candidates(profiles, vectors, k=6)
+    def test_group_by_table_preserves_rank_order(self, profile):
+        candidates = rank(profile())
         grouped = group_by_table(candidates)
         order = {id(c): rank for rank, c in enumerate(candidates)}
         for table, members in grouped.items():
@@ -212,18 +212,22 @@ class TestRanking:
             ranks = [order[id(c)] for c in members]
             assert ranks == sorted(ranks)
 
-    def test_mismatched_inputs_raise(self, profiles):
+    def test_mismatched_inputs_raise(self, bundle, profile):
+        lake = profile()
+        index = LakeIndex(SudowoodoConfig())
+        index.update(lake)
+        first = sorted(bundle.tables)[0]
+        smaller = profile({first: bundle.tables[first]})
         with pytest.raises(ValueError, match="profiles"):
-            rank_join_candidates(profiles, np.zeros((1, 4)))
+            rank_lake_candidates(smaller, index)
         with pytest.raises(ValueError, match="alpha"):
-            rank_join_candidates(
-                profiles, embed_columns(profiles), alpha=1.5
-            )
+            rank_lake_candidates(lake, index, alpha=1.5)
 
-    def test_fewer_than_two_columns_yields_nothing(self, profiles):
-        vectors = embed_columns(profiles)
-        assert rank_join_candidates(profiles[:1], vectors[:1]) == []
-        assert rank_join_candidates([], vectors[:0]) == []
+    def test_fewer_than_two_columns_yields_nothing(self, bundle, profile):
+        table = bundle.tables[sorted(bundle.tables)[0]]
+        single = Table(table.name, table.schema[:1], table.records)
+        assert rank(profile({table.name: single})) == []
+        assert rank(profile({})) == []
 
 
 class TestBatchedScorer:
@@ -234,60 +238,40 @@ class TestBatchedScorer:
             (c.pair, c.score, c.containment, c.cosine) for c in candidates
         ]
 
-    def test_batched_identical_to_pairwise(self, profiles):
-        vectors = embed_columns(profiles)
-        batched = rank_join_candidates(profiles, vectors, k=6, scorer="batched")
-        pairwise = rank_join_candidates(profiles, vectors, k=6, scorer="pairwise")
+    def test_batched_identical_to_pairwise(self, profile):
+        lake = profile()
         # Byte-identical: same pairs, same float scores, no tolerance.
-        assert self._key(batched) == self._key(pairwise)
+        assert self._key(rank(lake)) == self._key(rank_pairwise(lake))
 
-    def test_batch_size_does_not_change_ranking(self, profiles):
-        vectors = embed_columns(profiles)
-        baseline = rank_join_candidates(profiles, vectors, k=6, batch_size=1024)
+    def test_batch_size_does_not_change_ranking(self, profile):
+        lake = profile()
+        baseline = rank(lake, batch_size=1024)
         for batch_size in (1, 3, 7):
-            assert self._key(
-                rank_join_candidates(profiles, vectors, k=6, batch_size=batch_size)
-            ) == self._key(baseline)
+            assert self._key(rank(lake, batch_size=batch_size)) == self._key(
+                baseline
+            )
 
-    def test_top_heap_equals_truncated_full_ranking(self, profiles):
-        vectors = embed_columns(profiles)
-        full = rank_join_candidates(profiles, vectors, k=6)
+    def test_top_heap_equals_truncated_full_ranking(self, profile):
+        lake = profile()
+        full = rank(lake)
         for top in (1, 3, 10, len(full), len(full) + 5):
-            bounded = rank_join_candidates(profiles, vectors, k=6, top=top)
+            bounded = rank(lake, top=top)
             assert self._key(bounded) == self._key(full[:top])
 
     @pytest.mark.parametrize("store_dtype", ["float64", "float32", "float16"])
-    def test_store_dtype_respected_and_paths_agree(self, profiles, store_dtype):
+    def test_store_dtype_respected_and_paths_agree(self, profile, store_dtype):
         from repro.text.similarity import normalize_rows
 
-        vectors = embed_columns(profiles)
-        normalized = normalize_rows(vectors, dtype=store_dtype)
+        lake = profile(store_dtype=store_dtype)
+        normalized = normalize_rows(lake.vectors, dtype=store_dtype)
         assert normalized.dtype == np.dtype(store_dtype)
         config = SudowoodoConfig(store_dtype=store_dtype)
-        batched = rank_join_candidates(
-            profiles, vectors, config=config, k=6, scorer="batched"
-        )
-        pairwise = rank_join_candidates(
-            profiles, vectors, config=config, k=6, scorer="pairwise"
-        )
-        assert self._key(batched) == self._key(pairwise)
+        assert self._key(rank(lake, config)) == self._key(rank_pairwise(lake, config))
 
-    def test_unknown_scorer_raises(self, profiles):
-        vectors = embed_columns(profiles)
-        with pytest.raises(ValueError, match="scorer"):
-            rank_join_candidates(profiles, vectors, scorer="magic")
-
-    def test_min_score_filters_both_paths_identically(self, profiles):
-        vectors = embed_columns(profiles)
-        for scorer in ("batched", "pairwise"):
-            kept = rank_join_candidates(
-                profiles, vectors, k=6, min_score=0.4, scorer=scorer
-            )
-            assert all(c.score >= 0.4 for c in kept)
-        batched, pairwise = (
-            rank_join_candidates(
-                profiles, vectors, k=6, min_score=0.4, scorer=scorer
-            )
-            for scorer in ("batched", "pairwise")
-        )
+    def test_min_score_filters_both_paths_identically(self, profile):
+        lake = profile()
+        batched = rank(lake, min_score=0.4)
+        pairwise = rank_pairwise(lake, min_score=0.4)
+        assert batched and all(c.score >= 0.4 for c in batched)
+        assert all(c.score >= 0.4 for c in pairwise)
         assert self._key(batched) == self._key(pairwise)

@@ -17,9 +17,9 @@ from repro.discovery import (
     hashed_embedder,
     profile_lake,
     profile_tables,
-    rank_join_candidates,
     rank_lake_candidates,
 )
+from repro.discovery.join import _rank_pairwise
 from repro.serve import ContainmentSketch
 
 EMBED = hashed_embedder(dim=32)
@@ -319,9 +319,10 @@ class TestLakeIndex:
         assert rank_lake_candidates(empty, index, k=3) == []
         lake = profile_lake(lake_tables.tables, store, EMBED)
         assert index.update(lake)["added"] == len(lake.profiles)
-        flat = rank_join_candidates(lake.profiles, lake.vectors, SudowoodoConfig(), k=5)
+        cold = LakeIndex(SudowoodoConfig())
+        cold.update(lake)
         assert [(c.pair, c.score) for c in rank_lake_candidates(lake, index, k=5)] == [
-            (c.pair, c.score) for c in flat
+            (c.pair, c.score) for c in rank_lake_candidates(lake, cold, k=5)
         ]
 
     def test_query_before_update_raises(self, store, lake_tables):
@@ -339,22 +340,34 @@ class TestLakeRanking:
         lake = profile_lake(lake_tables.tables, store, EMBED)
         index = LakeIndex(SudowoodoConfig())
         index.update(lake)
-        batched = rank_lake_candidates(lake, index, k=5, scorer="batched")
-        pairwise = rank_lake_candidates(lake, index, k=5, scorer="pairwise")
+        batched = rank_lake_candidates(lake, index, k=5)
+        normalized = lake.normalized.astype(np.float32)
+        batches = index.iter_candidate_pairs(lake.profiles, normalized, 5)
+        pairwise = _rank_pairwise(lake.profiles, normalized, batches, 0.5, 0.0, None)
         assert self._key(batched) == self._key(pairwise)
         assert batched, "expected candidates on a planted lake"
 
-    def test_lake_ranking_matches_flat_path(self, store, lake_tables):
-        # Same columns, same exact backend: the incremental path must
-        # rank exactly like the one-shot rank_join_candidates path.
-        lake = profile_lake(lake_tables.tables, store, EMBED)
-        index = LakeIndex(SudowoodoConfig())
-        index.update(lake)
-        incremental = rank_lake_candidates(lake, index, k=5)
-        flat = rank_join_candidates(
-            lake.profiles, lake.vectors, SudowoodoConfig(), k=5
-        )
-        assert self._key(incremental) == self._key(flat)
+    @pytest.mark.parametrize("store_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_warm_index_ranks_like_a_cold_one(
+        self, tmp_path, lake_tables, num_shards, store_dtype
+    ):
+        """After churn rounds, the incrementally updated index (ids issued
+        over every round, the memo of the last ranking) ranks byte-equal
+        to a fresh index updated once with the same lake."""
+        config = SudowoodoConfig(num_shards=num_shards, store_dtype=store_dtype)
+        store = ProfileStore(tmp_path / "cache", store_dtype=store_dtype)
+        index, tables = LakeIndex(config), lake_tables.tables
+        for number in range(6):
+            if number:
+                tables, _ = mutate_lake(tables, fraction=0.2, seed=number)
+            lake = profile_lake(tables, store, EMBED)
+            index.update(lake)
+            warm = rank_lake_candidates(lake, index, k=5)
+        cold = LakeIndex(config)
+        cold.update(lake)
+        assert warm, "expected candidates on a planted lake"
+        assert self._key(warm) == self._key(rank_lake_candidates(lake, cold, k=5))
 
     def test_ranking_finds_planted_joins(self, store, lake_tables):
         lake = profile_lake(lake_tables.tables, store, EMBED)
@@ -366,16 +379,12 @@ class TestLakeRanking:
         assert len(top & lake_tables.joinable) / n >= 0.5
 
     @pytest.mark.parametrize("k", [0, -2])
-    @pytest.mark.parametrize("path", ["lake", "flat"])
-    def test_k_below_one_raises(self, store, lake_tables, path, k):
+    def test_k_below_one_raises(self, store, lake_tables, k):
         lake = profile_lake(lake_tables.tables, store, EMBED)
         index = LakeIndex(SudowoodoConfig())
         index.update(lake)
         with pytest.raises(ValueError, match="k must be a positive integer"):
-            if path == "lake":
-                rank_lake_candidates(lake, index, k=k)
-            else:
-                rank_join_candidates(lake.profiles, lake.vectors, k=k)
+            rank_lake_candidates(lake, index, k=k)
 
     def test_top_bound_and_stability_after_mutation(self, store, lake_tables):
         lake = profile_lake(lake_tables.tables, store, EMBED)

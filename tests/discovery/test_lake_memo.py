@@ -17,7 +17,6 @@ from repro.discovery import (
     hashed_embedder,
     profile_lake,
     rank_lake_candidates,
-    score_candidate_batches,
 )
 from repro.discovery import join
 from repro.serve import ContainmentSketch
@@ -51,8 +50,9 @@ def _memo_free(lake, index, include_intra_table=False, **options):
     """The per-pair oracle, which keeps no memo, over the candidate
     stream the index proposes."""
     normalized, batches = _stream(lake, index, include_intra_table)
-    return score_candidate_batches(
-        lake.profiles, normalized, batches, scorer="pairwise", **options
+    alpha, min_score = options.get("alpha", 0.5), options.get("min_score", 0.0)
+    return join._rank_pairwise(
+        lake.profiles, normalized, batches, alpha, min_score, options.get("top")
     )
 
 

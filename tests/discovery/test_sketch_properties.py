@@ -26,6 +26,7 @@ from repro.discovery import (
     profile_lake,
     rank_lake_candidates,
 )
+from repro.discovery.join import _rank_pairwise
 from repro.serve import ContainmentSketch
 
 MAX_HASH = 2**64 - 1
@@ -125,11 +126,13 @@ def test_lake_ranking_parity_with_truncated_sketches(seed, sketch_k, num_shards)
         assert any(not profile.sketch.is_exact for profile in lake.profiles)
         index = LakeIndex(SudowoodoConfig(num_shards=num_shards))
         index.update(lake)
+        normalized = lake.normalized.astype(np.float32)
+        batches = index.iter_candidate_pairs(lake.profiles, normalized, 4)
         batched, pairwise = (
-            [
-                (c.pair, c.score, c.containment, c.cosine)
-                for c in rank_lake_candidates(lake, index, k=4, scorer=scorer)
-            ]
-            for scorer in ("batched", "pairwise")
+            [(c.pair, c.score, c.containment, c.cosine) for c in ranked]
+            for ranked in (
+                rank_lake_candidates(lake, index, k=4),
+                _rank_pairwise(lake.profiles, normalized, batches, 0.5, 0.0, None),
+            )
         )
     assert batched and batched == pairwise

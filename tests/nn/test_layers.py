@@ -13,7 +13,6 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
-    Sequential,
     Tensor,
     TransformerConfig,
     TransformerEncoder,
@@ -127,11 +126,11 @@ class TestModuleProtocol:
             model.load_state_dict({"bogus": np.ones(3)})
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(3, 3, rng()), Dropout(0.5, rng()))
+        model = MLP(3, 4, 3, rng(), dropout=0.5)
         model.eval()
-        assert not model.steps[1].training
+        assert not model.drop.training
         model.train()
-        assert model.steps[1].training
+        assert model.drop.training
 
     def test_num_parameters(self):
         model = Linear(3, 4, rng())

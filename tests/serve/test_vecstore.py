@@ -43,6 +43,16 @@ class TestMemmapVectorStore:
         assert len(store) == 10
         np.testing.assert_allclose(store.get([104, 100]), rows[[4, 0]], atol=1e-6)
 
+    def test_float64_rows_read_back_exactly(self, tmp_path):
+        """Regression: a float64 store read its rows back through float32."""
+        store = MemmapVectorStore.create(tmp_path / "s", dim=16, dtype="float64")
+        rows = unit_rows(10, dim=16)
+        store.append(np.arange(10), rows)
+        for reader in (store, MemmapVectorStore.open(tmp_path / "s")):
+            got = reader.get(list(range(10)))
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, rows)
+
     def test_int8_rows_dequantize_close(self, tmp_path):
         store = MemmapVectorStore.create(tmp_path / "s", dim=32, dtype="int8")
         rows = unit_rows(20)

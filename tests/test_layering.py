@@ -40,6 +40,20 @@ def imported_modules(source: str, package: Tuple[str, ...]) -> Iterator[Tuple[in
                 yield node.lineno, f"{module}.{alias.name}"
 
 
+def callers(directory: Path, callee: str) -> set:
+    """Paths (relative to ``repro``) of the files under ``directory`` that
+    call ``callee``, as a function or as a method."""
+    found = set()
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == callee:
+                    found.add(path.relative_to(ROOT).as_posix())
+    return found
+
+
 def is_forbidden(module: str) -> bool:
     return any(module == name or module.startswith(name + ".") for name in FORBIDDEN)
 
@@ -85,15 +99,7 @@ def test_one_owner_per_serving_job():
     blocks nor matches: coalescing belongs to the frontend, the only
     place a ``RequestBroker`` is built; batch blocking to ``Blocker``;
     matching to the fitted task."""
-    builders = set()
-    for path in sorted(ROOT.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "RequestBroker":
-                    builders.add(path.relative_to(ROOT).as_posix())
-    assert builders == {"serve/frontend.py"}
+    assert callers(ROOT, "RequestBroker") == {"serve/frontend.py"}
 
     service = ROOT / "serve" / "service.py"
     owned_elsewhere = ("repro.serve.broker", "repro.core.blocker", "repro.core.matcher")
@@ -103,6 +109,19 @@ def test_one_owner_per_serving_job():
         if any(module == name or module.startswith(name + ".") for name in owned_elsewhere)
     }
     assert not imported, f"serve/service.py imports {sorted(imported)}"
+
+
+def test_one_owner_per_discovery_job():
+    """Join discovery has one implementation, the lake path: inside
+    ``discovery/`` only ``lake.py`` builds an ANN backend, and the package
+    exports one ranking entry point."""
+    assert callers(ROOT / "discovery", "build_backend") == {"discovery/lake.py"}
+    import repro.discovery
+
+    rankers = [
+        name for name in repro.discovery.__all__ if name.startswith(("rank_", "score_"))
+    ]
+    assert rankers == ["rank_lake_candidates"]
 
 
 def test_importing_the_library_does_not_load_scipy():
