@@ -3,7 +3,6 @@ embedding-level mixup views (Contrastive Mixup)."""
 
 from .cutoff import (
     CUTOFF_KINDS,
-    apply_cutoff_to_matrix,
     make_cutoff_sampler,
     make_cutoff_transform,
     mask_transform,
@@ -35,7 +34,6 @@ __all__ = [
     "CUTOFF_KINDS",
     "EM_OPERATORS",
     "MIXUP_ALPHA",
-    "apply_cutoff_to_matrix",
     "augment",
     "augment_batch",
     "cell_shuffle",

@@ -39,7 +39,7 @@ def make_cutoff_sampler(
     batch loop and draws one mask per batch — the same RNG consumption
     sequence as the historical per-batch ``make_cutoff_transform``
     construction, but with the mask available ahead of the forward pass
-    (background batch preparation and gradient workers both need that).
+    (gradient workers need that).
     Returns None for kind="none" or ratio<=0 (no cutoff).
     """
     if kind not in CUTOFF_KINDS:
@@ -107,29 +107,3 @@ def make_cutoff_transform(
         return embeddings * Tensor(mask.astype(embeddings.data.dtype, copy=False))
 
     return transform
-
-
-def apply_cutoff_to_matrix(
-    matrix: np.ndarray, kind: str, ratio: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Pure-numpy cutoff on a (T, D) matrix — mirrors Figure 5 for tests
-    and for non-autograd consumers."""
-    if kind not in CUTOFF_KINDS:
-        raise ValueError(f"unknown cutoff kind {kind!r}; known: {CUTOFF_KINDS}")
-    out = matrix.copy()
-    if kind == "none" or ratio <= 0:
-        return out
-    seq_len, dim = matrix.shape
-    if kind == "token":
-        count = max(1, int(round(seq_len * ratio)))
-        positions = rng.choice(seq_len, size=min(count, seq_len), replace=False)
-        out[positions, :] = 0.0
-    elif kind == "feature":
-        count = max(1, int(round(dim * ratio)))
-        features = rng.choice(dim, size=count, replace=False)
-        out[:, features] = 0.0
-    elif kind == "span":
-        count = max(1, int(round(seq_len * ratio)))
-        start = int(rng.integers(0, max(1, seq_len - count + 1)))
-        out[start : start + count, :] = 0.0
-    return out

@@ -159,7 +159,6 @@ class SudowoodoConfig:
     grad_clip: Optional[float] = None
     early_stop_patience: Optional[int] = None
     checkpoint_every: int = 1
-    train_prefetch: int = 2
 
     # ------------------------------------------------- optimization flags
     use_pseudo_labeling: bool = True
@@ -314,8 +313,9 @@ class SudowoodoConfig:
 
 #: Fields earlier versions had and later deleted.  Saved configs (encoder
 #: checkpoints) still carry them; :meth:`SudowoodoConfig.from_dict` drops
-#: them instead of raising.  ``lsh_*`` went with the LSH backend.
-RETIRED_CONFIG_FIELDS = ("lsh_num_tables", "lsh_num_bits")
+#: them instead of raising.  ``lsh_*`` went with the LSH backend, the
+#: last one with background batch preparation.
+RETIRED_CONFIG_FIELDS = ("lsh_num_tables", "lsh_num_bits", "train_prefetch")
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))
 

@@ -85,9 +85,9 @@ class SudowoodoEncoder(Module):
         """Pooled (B, dim) representations from a pre-tokenized batch.
 
         The training engine tokenizes ahead of the forward pass (through
-        its :class:`~repro.train.data.TokenCache` and background batch
-        preparation), so the hot path enters here; results are
-        byte-identical to :meth:`encode_training` on the same texts.
+        its :class:`~repro.train.data.TokenCache`), so the hot path
+        enters here; results are byte-identical to
+        :meth:`encode_training` on the same texts.
         """
         return self.encoder.pooled(
             encoding.token_ids,

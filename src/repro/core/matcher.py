@@ -129,11 +129,10 @@ class FinetuneProgram(StepProgram):
     """Matcher fine-tuning as a :class:`~repro.train.StepProgram`.
 
     Epoch permutations come from the dedicated ``finetune`` stream; batch
-    preparation consumes no randomness, so background preparation and
-    gradient workers are both safe.  Validation (a few times across
-    training — it costs as much as several training steps at this scale)
-    and best-F1 model selection run at epoch boundaries, matching the
-    paper's per-epoch protocol.
+    preparation consumes no randomness, so gradient workers are safe.
+    Validation (a few times across training — it costs as much as several
+    training steps at this scale) and best-F1 model selection run at epoch
+    boundaries, matching the paper's per-epoch protocol.
     """
 
     def __init__(
@@ -243,8 +242,8 @@ def finetune_matcher(
     enlarge the training set, so extra labels don't buy extra compute.
 
     The step loop runs on the shared training engine, so the config's
-    ``train`` section (gradient clipping, accumulation, workers,
-    background preparation) applies here as it does to pre-training.
+    ``train`` section (gradient clipping, accumulation, workers) applies
+    here as it does to pre-training.
     """
     config = config or matcher.encoder.config
     if not train_examples:

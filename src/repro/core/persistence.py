@@ -21,7 +21,6 @@ path on corrupt, truncated, or wrong-format input — never an opaque
 from __future__ import annotations
 
 import json
-import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..nn import load_checkpoint, save_checkpoint, save_state_archive
+from ..nn.serialization import atomic_replace
 from ..text import SPECIAL_TOKENS, Tokenizer
 from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder
@@ -40,22 +40,13 @@ PathLike = Union[str, Path]
 def atomic_write_text(path: PathLike, text: str) -> None:
     """Replace ``path``'s content with ``text`` all-or-nothing.
 
-    The text goes to a temp file beside ``path`` (same filesystem),
-    is synced, and ``os.replace`` swaps it in — a reader, or a reopen
-    after a crash mid-write, sees the old file or the new one, never a
-    torn mix.  For small metadata files rewritten in place.
+    Written through :func:`~repro.nn.serialization.atomic_replace`: a
+    reader, or a reopen after a crash mid-write, sees the old file or the
+    new one, never a torn mix.  For small metadata files rewritten in
+    place.
     """
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    finally:
-        if temp.exists():  # only on failure before the rename
-            temp.unlink()
+    with atomic_replace(Path(path)) as temp:
+        temp.write_text(text, encoding="utf-8")
 
 
 def _resolve_npz(path: PathLike) -> Path:
@@ -163,7 +154,7 @@ def save_vector_cache(
             )
         payload["ids"] = id_array
     return save_state_archive(
-        path, payload, {"format_version": 1, **(metadata or {})}, atomic=True
+        path, payload, {"format_version": 1, **(metadata or {})}
     )
 
 
@@ -246,7 +237,7 @@ def save_ivfpq_index(path: PathLike, backend) -> Path:
     else:
         payload["raw_ids"] = backend._raw_ids[: backend._raw_size]
         payload["raw_vectors"] = backend._raw[: backend._raw_size]
-    return save_state_archive(path, payload, metadata, atomic=True)
+    return save_state_archive(path, payload, metadata)
 
 
 def load_ivfpq_index(path: PathLike):

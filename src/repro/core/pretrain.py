@@ -12,9 +12,9 @@ The epoch/step loop itself runs on the shared training engine
 (:class:`repro.train.Trainer`): this module contributes only the
 :class:`StepProgram` adapter — batch drawing, augmentation, and the
 contrastive loss — while the engine owns optimizer stepping, gradient
-accumulation/clipping, callbacks, tokenization caching, background batch
-preparation, data-parallel gradient workers, and full-state
-checkpoint/resume (``checkpoint_dir=`` / ``resume=``).
+accumulation/clipping, callbacks, tokenization caching, data-parallel
+gradient workers, and full-state checkpoint/resume (``checkpoint_dir=`` /
+``resume=``).
 """
 
 from __future__ import annotations
@@ -155,10 +155,8 @@ class ContrastivePretrainProgram(StepProgram):
 
     Batch preparation — operator sampling, text augmentation, tokenization
     (cache-first for the original view), cutoff mask drawing — runs in
-    ``prepare`` so the engine can pipeline it on the background thread;
-    the forward pass encodes both views and evaluates Equation 6.  Every
-    stochastic choice draws from its own named stream, so preparing ahead
-    consumes the exact sequences of the serial loop.
+    ``prepare``; the forward pass encodes both views and evaluates
+    Equation 6.  Every stochastic choice draws from its own named stream.
     """
 
     def __init__(
@@ -196,10 +194,6 @@ class ContrastivePretrainProgram(StepProgram):
             if config.da_operator == "auto"
             else None
         )
-        # The adaptive scheduler observes each batch's loss before sampling
-        # the next operator — inherently sequential, so preparation must
-        # not run ahead.
-        self.prepare_in_background = self.scheduler is None
 
     # ------------------------------------------------------------------
     def epoch_batches(self, epoch: int) -> Sequence[np.ndarray]:

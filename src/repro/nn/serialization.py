@@ -9,9 +9,11 @@ Two layers:
 * :func:`save_checkpoint` / :func:`load_checkpoint` — the module-level
   convenience wrappers (weights + metadata only).
 
-Loading is defensive: a corrupt, truncated, or non-checkpoint file
-raises :class:`ValueError` naming the path — never an opaque ``zipfile``
-traceback and never a silently garbage state dict.
+Every save is atomic (:func:`atomic_replace`): a crash mid-write leaves
+the previous file in place.  Loading is defensive: a corrupt, truncated,
+or non-checkpoint file raises :class:`ValueError` naming the path —
+never an opaque ``zipfile`` traceback and never a silently garbage state
+dict.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,19 +39,41 @@ def _npz_path(path: Path) -> Path:
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
+@contextmanager
+def atomic_replace(path: Path) -> Iterator[Path]:
+    """Yield a sibling temp path to write ``path``'s new content to.
+
+    When the block returns, the temp file is synced and ``os.replace``
+    swaps it in (same filesystem), so a reader — or a reopen after a
+    crash mid-write — sees the old file or the complete new one, never a
+    torn mix.  If the block raises, the temp file is removed and ``path``
+    is untouched.  The temp name keeps ``path``'s suffix, so writers that
+    append one (``np.savez``) write where they are told.
+    """
+    temp = path.with_name(path.name + ".tmp" + path.suffix)
+    try:
+        yield temp
+        descriptor = os.open(temp, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
+        os.replace(temp, path)
+    finally:
+        if temp.exists():  # only on failure before the rename
+            temp.unlink()
+
+
 def save_state_archive(
     path: PathLike,
     arrays: Dict[str, np.ndarray],
     metadata: Optional[Dict[str, Any]] = None,
-    atomic: bool = False,
 ) -> Path:
     """Write named arrays plus a JSON ``metadata`` dict to one ``.npz``.
 
-    Array names must not collide with the reserved metadata key.  With
-    ``atomic`` the archive is written to a sibling temp file and moved
-    into place, so a crash mid-write can never leave a truncated
-    checkpoint under the final name — readers either see the old file or
-    the complete new one.
+    Array names must not collide with the reserved metadata key.  The
+    write goes through :func:`atomic_replace`, so a crash mid-write never
+    leaves a truncated archive under the final name.
     """
     path = _npz_path(Path(path))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,16 +83,8 @@ def save_state_archive(
     payload[_METADATA_KEY] = np.frombuffer(
         json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8
     )
-    if not atomic:
-        np.savez(path, **payload)
-        return path
-    temp = path.with_name(path.name + ".tmp.npz")
-    try:
+    with atomic_replace(path) as temp:
         np.savez(temp, **payload)
-        os.replace(temp, path)
-    finally:
-        if temp.exists():  # only on failure before the rename
-            temp.unlink()
     return path
 
 

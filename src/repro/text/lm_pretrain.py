@@ -63,8 +63,7 @@ class MLMProgram(StepProgram):
     """BERT-style masked-token prediction as a step program.
 
     Epoch order and the 80/10/10 masking both draw from one generator in
-    strict batch order, so background preparation and the serial loop
-    consume identical sequences.
+    strict batch order.
     """
 
     def __init__(

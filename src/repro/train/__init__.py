@@ -6,8 +6,8 @@ used to carry hand-rolled epoch/step loops; they now run on one
 engine owns optimizer/schedule stepping, gradient accumulation and
 clipping, callbacks (loss trace, early stopping, periodic checkpoints),
 full-state checkpoint/resume (byte-identical continuation), a
-fingerprint-keyed :class:`TokenCache`, background batch preparation, and
-data-parallel gradient workers.  See ``docs/training.md``.
+fingerprint-keyed :class:`TokenCache`, and data-parallel gradient
+workers.  See ``docs/training.md``.
 """
 
 from .callbacks import Callback, Checkpointer, EarlyStopping, LossTrace
@@ -17,7 +17,7 @@ from .checkpoint import (
     restore_module_rng_states,
     save_trainer_state,
 )
-from .data import TokenCache, permutation_batches, prefetched
+from .data import TokenCache, permutation_batches
 from .engine import StepProgram, TrainConfig, Trainer, TrainState
 from .parallel import GradientWorkerPool, shard_bounds
 
@@ -35,7 +35,6 @@ __all__ = [
     "load_trainer_state",
     "module_rng_states",
     "permutation_batches",
-    "prefetched",
     "restore_module_rng_states",
     "save_trainer_state",
     "shard_bounds",

@@ -129,7 +129,7 @@ def save_trainer_state(
         "callbacks": list(callback_values or []),
         "metadata": dict(metadata or {}),
     }
-    save_state_archive(path, arrays, meta, atomic=True)
+    save_state_archive(path, arrays, meta)
 
 
 def load_trainer_state(

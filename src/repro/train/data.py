@@ -1,26 +1,21 @@
-"""Batch-preparation pipeline: tokenization caching and background prep.
-
-Two speed layers for the step loop:
+"""Batch-preparation helpers for the step loop.
 
 * :class:`TokenCache` — tokenize each corpus item **once** and serve every
   later epoch from an id-cache keyed by the library-wide text fingerprint
   (:func:`repro.utils.text_fingerprint`).  Tokenization is deterministic,
   so cached batches are byte-identical to freshly encoded ones.
-* :func:`prefetched` — run a program's ``prepare`` (tokenize / augment /
-  mask) for the *next* batches on a background thread while the current
-  step's forward/backward runs.  Because every stochastic component draws
-  from its own named generator (see ``repro.utils.rng``) and the producer
-  prepares batches strictly in order, the RNG streams consume exactly the
-  sequences the serial loop would — prefetching changes wall-clock, never
-  results.
+* :func:`permutation_batches` — the shuffled epoch order the MLM and
+  fine-tuning programs draw.
+
+The :class:`~repro.train.Trainer` calls a program's ``prepare`` inline,
+in order, on the training thread; nothing here runs in the background.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -123,78 +118,3 @@ def permutation_batches(
         order[start : start + batch_size]
         for start in range(0, num_items, batch_size)
     ]
-
-
-# ----------------------------------------------------------------------
-# Background batch preparation
-# ----------------------------------------------------------------------
-_DONE = object()
-
-
-def prefetched(
-    batches: Sequence[Any],
-    prepare: Callable[[Any], Any],
-    depth: int,
-) -> Iterator[Any]:
-    """Yield ``prepare(batch)`` for each batch, prepared ``depth`` ahead.
-
-    With ``depth <= 0`` preparation runs inline (the serial loop).
-    Otherwise a single producer thread prepares batches strictly in order
-    — preserving every RNG stream's consumption sequence — and a bounded
-    queue hands them to the training step.  Producer exceptions re-raise
-    in the consumer; abandoning the iterator (early ``break``) stops the
-    producer promptly.
-    """
-    if depth <= 0:
-        for batch in batches:
-            yield prepare(batch)
-        return
-
-    work: "queue.Queue" = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-
-    def producer() -> None:
-        try:
-            for batch in batches:
-                if stop.is_set():
-                    return
-                item = prepare(batch)
-                while not stop.is_set():
-                    try:
-                        work.put(("item", item), timeout=0.05)
-                        break
-                    except queue.Full:
-                        continue
-                else:
-                    return
-            _put_final(("done", None))
-        except BaseException as error:  # noqa: BLE001 - re-raised in consumer
-            _put_final(("error", error))
-
-    def _put_final(message: Any) -> None:
-        while not stop.is_set():
-            try:
-                work.put(message, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-
-    thread = threading.Thread(target=producer, name="train-prefetch", daemon=True)
-    thread.start()
-    try:
-        while True:
-            kind, payload = work.get()
-            if kind == "done":
-                return
-            if kind == "error":
-                raise payload
-            yield payload
-    finally:
-        stop.set()
-        # Drain so a producer blocked on put() can observe the stop flag.
-        while True:
-            try:
-                work.get_nowait()
-            except queue.Empty:
-                break
-        thread.join(timeout=5.0)

@@ -11,9 +11,13 @@ cross-cutting machinery exactly once:
 * full-state checkpoint/resume — model weights, optimizer moments, and
   RNG stream states, so a resumed run reproduces the uninterrupted run's
   weights byte-identically;
-* background batch preparation (:func:`repro.train.data.prefetched`) and
-  data-parallel gradient workers
+* data-parallel gradient workers
   (:class:`repro.train.parallel.GradientWorkerPool`).
+
+Batches are prepared inline, in order, on the training thread: a
+program's ``prepare(batch)`` for step ``i + 1`` runs after
+``on_batch_end`` of step ``i``, so preparation may observe per-step
+feedback (the adaptive DA-operator scheduler does).
 
 Equivalence contract: with ``TrainConfig()`` defaults (one worker, no
 accumulation, no clipping) the engine executes the exact operation
@@ -39,7 +43,6 @@ from .checkpoint import (
     restore_module_rng_states,
     save_trainer_state,
 )
-from .data import prefetched
 from .parallel import GradientWorkerPool
 
 PathLike = Union[str, Path]
@@ -67,8 +70,6 @@ class TrainConfig:
     early_stop_patience: Optional[int] = None
     #: Checkpoint cadence in epochs (active only with a checkpoint dir).
     checkpoint_every: int = 1
-    #: Batches prepared ahead on the background thread (0 = inline).
-    train_prefetch: int = 2
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range engine knobs."""
@@ -82,8 +83,6 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1 or None")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.train_prefetch < 0:
-            raise ValueError("train_prefetch must be >= 0")
 
 
 @dataclass
@@ -120,16 +119,10 @@ class StepProgram:
     """Task adapter the :class:`Trainer` drives.
 
     Subclasses define how an epoch's batches are drawn, how a batch is
-    prepared (tokenization, augmentation, masking — anything that can run
-    on the background thread), and how a prepared batch becomes a loss
-    tensor on a given model (the main model in serial mode, a replica
-    inside a gradient worker).
+    prepared (tokenization, augmentation, masking), and how a prepared
+    batch becomes a loss tensor on a given model (the main model in
+    serial mode, a replica inside a gradient worker).
     """
-
-    #: Whether ``prepare`` may run ahead on the background thread.  Set
-    #: False when preparation observes per-step feedback (e.g. the
-    #: adaptive DA-operator scheduler) and must stay in lock-step.
-    prepare_in_background: bool = True
 
     def epoch_batches(self, epoch: int) -> Sequence[Any]:
         """Draw the epoch's batch descriptors (may consume RNG)."""
@@ -351,20 +344,14 @@ class Trainer:
         self._restored_replica_rngs = None
         for callback in self.callbacks:
             callback.on_fit_begin(self, self.state)
-        prefetch = (
-            self.config.train_prefetch
-            if self.program.prepare_in_background
-            else 0
-        )
         try:
             while not self._done(max_epochs, max_steps):
                 epoch = self.state.epoch
                 batches = self.program.epoch_batches(epoch)
                 losses: List[float] = []
                 pending = 0  # micro-batches since the last optimizer step
-                for prepared in prefetched(
-                    batches, self.program.prepare, prefetch
-                ):
+                for batch in batches:
+                    prepared = self.program.prepare(batch)
                     if prepared is None:
                         continue
                     if pending == 0:

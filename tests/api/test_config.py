@@ -58,7 +58,7 @@ class TestRoundTrip:
 
 
 def test_train_view_reads_the_train_config_fields():
-    config = SudowoodoConfig(grad_accum_steps=3, train_prefetch=0)
+    config = SudowoodoConfig(grad_accum_steps=3)
     assert config.train == TrainConfig(
         **{f.name: getattr(config, f.name) for f in fields(TrainConfig)}
     )

@@ -66,6 +66,31 @@ class TestCutoffHoistRegression:
             make_cutoff_sampler("bogus", 0.1, spawn_rng(0, "x"))
 
 
+class TestCutoffSamplerMasks:
+    """What each cutoff kind zeroes in the sampler's ``(1, T, D)`` mask
+    (Figure 5): rows, columns or one contiguous row span — never row 0,
+    the [CLS] position the pooled output reads."""
+
+    def test_token_cutoff_zeroes_rows_but_never_cls(self):
+        sampler = make_cutoff_sampler("token", 0.2, spawn_rng(0, "x"))
+        for _ in range(50):
+            rows = np.flatnonzero(sampler(10, 6)[0].sum(axis=1) == 0)
+            assert len(rows) == 2 and 0 not in rows
+
+    def test_feature_cutoff_zeroes_columns(self):
+        sampler = make_cutoff_sampler("feature", 0.3, spawn_rng(1, "x"))
+        mask = sampler(10, 10)[0]
+        assert int((mask.sum(axis=0) == 0).sum()) == 3
+        assert (mask.sum(axis=1) == 7).all()
+
+    def test_span_cutoff_is_contiguous_after_cls(self):
+        sampler = make_cutoff_sampler("span", 0.3, spawn_rng(2, "x"))
+        for _ in range(50):
+            rows = np.flatnonzero(sampler(10, 4)[0].sum(axis=1) == 0)
+            assert len(rows) == 3 and rows[0] >= 1
+            assert (np.diff(rows) == 1).all()
+
+
 class TestCutoffLandsOnTokens:
     """Section IV-A cuts *information*: the mask is sampled at the
     augmented view's own length, so a cut never lands on columns that are

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.augment import (
     EM_OPERATORS,
-    apply_cutoff_to_matrix,
     augment,
     augment_batch,
     cell_shuffle,
@@ -117,35 +116,7 @@ class TestRegistry:
 
 
 class TestCutoff:
-    def test_token_cutoff_zeroes_rows(self):
-        matrix = np.ones((10, 6))
-        out = apply_cutoff_to_matrix(matrix, "token", 0.2, rng(0))
-        zero_rows = int((out.sum(axis=1) == 0).sum())
-        assert zero_rows == 2
-        # Untouched rows intact.
-        assert (out.sum(axis=1) != 0).sum() == 8
-
-    def test_feature_cutoff_zeroes_columns(self):
-        matrix = np.ones((10, 10))
-        out = apply_cutoff_to_matrix(matrix, "feature", 0.3, rng(1))
-        zero_cols = int((out.sum(axis=0) == 0).sum())
-        assert zero_cols == 3
-
-    def test_span_cutoff_contiguous(self):
-        matrix = np.ones((10, 4))
-        out = apply_cutoff_to_matrix(matrix, "span", 0.3, rng(2))
-        zero_rows = np.flatnonzero(out.sum(axis=1) == 0)
-        assert len(zero_rows) == 3
-        assert (np.diff(zero_rows) == 1).all()
-
-    def test_none_kind_identity(self):
-        matrix = np.ones((4, 4))
-        out = apply_cutoff_to_matrix(matrix, "none", 0.5, rng(3))
-        np.testing.assert_array_equal(out, matrix)
-
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            apply_cutoff_to_matrix(np.ones((2, 2)), "bogus", 0.1, rng())
         with pytest.raises(ValueError):
             make_cutoff_transform("bogus", 0.1, rng())
 

@@ -1,6 +1,8 @@
 """Tests for encoder checkpointing (weights + tokenizer + config) and
 the serving layer's vector caches (fingerprint-keyed embedding files)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,11 @@ from repro.core.persistence import (
     save_vector_cache,
 )
 from repro.data.generators import load_em_benchmark
-from repro.nn import load_state_archive, save_state_archive
+from repro.nn import AdamW, load_state_archive, save_state_archive
+from repro.nn.layers import Linear
 from repro.serve import IVFPQBackend
+from repro.train import StepProgram, Trainer
+from repro.utils import spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +71,15 @@ class TestPersistence:
         assert restored.tokenizer.vocab == encoder.tokenizer.vocab
 
     def test_checkpoint_with_retired_config_fields_loads(self, trained, tmp_path):
-        """Checkpoints written while the LSH backend existed carry its
-        two config fields; they still load, to an equal encoder."""
+        """Checkpoints written before a config field was retired still
+        carry it (the LSH backend's two, ``train_prefetch``); they load,
+        to an equal encoder."""
         dataset, encoder = trained
         path = save_encoder(encoder, tmp_path / "encoder.npz")
         arrays, metadata = load_state_archive(path)
-        metadata["config"].update(lsh_num_tables=16, lsh_num_bits=8)
+        metadata["config"].update(
+            lsh_num_tables=16, lsh_num_bits=8, train_prefetch=2
+        )
         save_state_archive(path, arrays, metadata)
         restored = load_encoder(path)
         assert restored.config == encoder.config
@@ -84,6 +92,31 @@ class TestPersistence:
         save_state_archive(path, arrays, metadata)
         with pytest.raises(ValueError, match="no_such_field"):
             load_encoder(path)
+
+    def test_crash_mid_save_keeps_the_old_encoder(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """Saving over a checkpoint that fails mid-write leaves the old
+        file byte-identical and loadable, and no temp file behind."""
+        dataset, encoder = trained
+        path = save_encoder(encoder, tmp_path / "encoder.npz")
+        before = path.read_bytes()
+
+        def torn_savez(file, **arrays):
+            with open(file, "wb") as handle:
+                handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_encoder(encoder, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["encoder.npz"]
+        items = dataset.all_items()[:8]
+        np.testing.assert_array_equal(
+            encoder.embed_items(items), load_encoder(path).embed_items(items)
+        )
 
     def test_suffixless_path(self, trained, tmp_path):
         _, encoder = trained
@@ -219,6 +252,16 @@ def _ivfpq_answers(path):
     return load_ivfpq_index(path).query(queries, k=5)
 
 
+def _trainer_state_saver(path, seed):
+    model = Linear(6, 3, spawn_rng(seed, "checkpoint"))
+    Trainer(model, StepProgram(), AdamW(model.parameters())).save_state(path)
+
+
+def _archive_contents(path):
+    arrays, metadata = load_state_archive(path)
+    return [metadata] + [arrays[name] for name in sorted(arrays)]
+
+
 class TestAtomicArchiveSavers:
     """A crash while an archive saver writes must leave the previous
     file readable and unchanged."""
@@ -228,8 +271,9 @@ class TestAtomicArchiveSavers:
         [
             (_vector_cache_saver, load_vector_cache),
             (_ivfpq_saver, _ivfpq_answers),
+            (_trainer_state_saver, _archive_contents),
         ],
-        ids=["vector_cache", "ivfpq"],
+        ids=["vector_cache", "ivfpq", "trainer_state"],
     )
     def test_crash_mid_write_keeps_the_old_file(
         self, tmp_path, monkeypatch, save, read
@@ -255,6 +299,25 @@ class TestAtomicArchiveSavers:
                 assert old == new
         assert [p.name for p in tmp_path.iterdir()] == ["archive.npz"]
 
+    def test_archive_is_synced_before_it_is_renamed(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(descriptor):
+            calls.append("fsync")
+            fsync(descriptor)
+
+        def recording_replace(source, target):
+            calls.append("replace")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_state_archive(tmp_path / "archive.npz", {"x": np.arange(3)})
+        assert calls == ["fsync", "replace"]
+        arrays, _ = load_state_archive(tmp_path / "archive.npz")
+        np.testing.assert_array_equal(arrays["x"], np.arange(3))
+
 
 class TestAtomicWriteText:
     def test_replaces_content_and_leaves_no_temp_file(self, tmp_path):
@@ -275,7 +338,7 @@ class TestAtomicWriteText:
         def crash(descriptor):
             raise OSError("disk full")
 
-        monkeypatch.setattr(persistence.os, "fsync", crash)
+        monkeypatch.setattr("os.fsync", crash)
         with pytest.raises(OSError, match="disk full"):
             persistence.atomic_write_text(target, "new, never completed")
         assert target.read_text(encoding="utf-8") == "old"

@@ -1,5 +1,7 @@
 """Engine unit tests: knob validation, accumulation, clipping, callbacks,
-token cache, and background preparation."""
+token cache, and inline batch preparation."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from repro.train import (
     TokenCache,
     TrainConfig,
     Trainer,
-    prefetched,
 )
 from repro.utils import spawn_rng
 
@@ -68,7 +69,6 @@ class TestTrainConfigValidation:
             {"grad_clip": -1.0},
             {"early_stop_patience": 0},
             {"checkpoint_every": 0},
-            {"train_prefetch": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -94,13 +94,69 @@ class TestEngineLoop:
             model,
             QuadraticProgram(make_data()),
             AdamW(model.parameters(), lr=5e-2),
-            config=TrainConfig(train_prefetch=0),
         )
         state = trainer.fit(max_epochs=5)
         assert state.epoch == 5
         assert state.step == 10  # 8 rows / batch 4 = 2 steps per epoch
         assert state.epoch_losses[-1] < state.epoch_losses[0]
         assert state.stop_reason == "max_epochs"
+
+    def test_prepare_runs_inline_after_the_previous_step(self):
+        """Batch ``i + 1`` is prepared after ``on_batch_end(i)``, on the
+        thread that called ``fit`` — preparation may see every earlier
+        step's feedback."""
+        events = []
+
+        class RecordingProgram(QuadraticProgram):
+            def prepare(self, batch):
+                events.append(("prepare", threading.get_ident()))
+                return batch
+
+            def on_batch_end(self, prepared, loss):
+                events.append(("end", threading.get_ident()))
+
+        model = make_model()
+        Trainer(
+            model, RecordingProgram(make_data()), AdamW(model.parameters())
+        ).fit(max_epochs=3)
+        assert {thread for _, thread in events} == {threading.get_ident()}
+        assert [kind for kind, _ in events] == ["prepare", "end"] * 6
+
+    def test_max_steps_prepares_no_batch_past_the_cap(self):
+        """Stopping at ``max_steps`` leaves the batches after the cap
+        unprepared, so no preparation RNG is drawn for them."""
+        prepared = []
+
+        class CountingProgram(QuadraticProgram):
+            def prepare(self, batch):
+                prepared.append(len(batch))
+                return batch
+
+        model = make_model()
+        Trainer(
+            model,
+            CountingProgram(make_data(rows=40)),
+            AdamW(model.parameters()),
+        ).fit(max_steps=3)
+        assert len(prepared) == 3
+
+    def test_prepare_error_surfaces_from_fit_after_earlier_steps(self):
+        class FailingProgram(QuadraticProgram):
+            calls = 0
+
+            def prepare(self, batch):
+                if self.calls == 2:
+                    raise RuntimeError("boom")
+                self.calls += 1
+                return batch
+
+        model = make_model()
+        trainer = Trainer(
+            model, FailingProgram(make_data(rows=40)), AdamW(model.parameters())
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            trainer.fit(max_epochs=1)
+        assert trainer.state.step == 2
 
     def test_max_steps_caps_optimizer_steps(self):
         model = make_model()
@@ -356,36 +412,3 @@ class TestTokenCache:
         tokenizer = Tokenizer.fit(CORPUS, vocab_size=200)
         with pytest.raises(ValueError):
             TokenCache(tokenizer, capacity=0)
-
-
-class TestPrefetched:
-    def test_yields_in_order(self):
-        items = list(range(20))
-        assert list(prefetched(items, lambda x: x * 2, depth=3)) == [
-            2 * x for x in items
-        ]
-
-    def test_propagates_producer_errors(self):
-        def prepare(x):
-            if x == 3:
-                raise RuntimeError("boom")
-            return x
-
-        consumed = []
-        with pytest.raises(RuntimeError, match="boom"):
-            for item in prefetched(list(range(6)), prepare, depth=2):
-                consumed.append(item)
-        assert consumed == [0, 1, 2]
-
-    def test_early_break_stops_producer(self):
-        prepared = []
-
-        def prepare(x):
-            prepared.append(x)
-            return x
-
-        for item in prefetched(list(range(1000)), prepare, depth=2):
-            if item == 5:
-                break
-        # The producer ran at most a few batches ahead of the break.
-        assert len(prepared) < 20

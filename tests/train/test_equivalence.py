@@ -256,14 +256,6 @@ class TestPretrainEquivalence:
             result.encoder.state_dict(), legacy_encoder.state_dict()
         )
 
-    def test_prefetch_does_not_change_results(self):
-        inline = pretrain(list(CORPUS), tiny_config(train_prefetch=0))
-        ahead = pretrain(list(CORPUS), tiny_config(train_prefetch=4))
-        assert inline.epoch_losses == ahead.epoch_losses
-        assert states_equal(
-            inline.encoder.state_dict(), ahead.encoder.state_dict()
-        )
-
 
 class TestMLMEquivalence:
     def test_engine_matches_legacy_loop(self):
