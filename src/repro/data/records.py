@@ -13,7 +13,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 @dataclass(frozen=True)
 class Record:
-    """One entity entry: an id plus attribute name -> string value."""
+    """One entity entry: an id plus attribute name -> string value.
+
+    Frozen, and nothing writes into ``attributes`` in place: a changed
+    row is a new record (:meth:`with_value`).  ``profile_lake`` relies on
+    this to tell an unchanged table by comparing its records lists.
+    """
 
     record_id: int
     attributes: Dict[str, str]

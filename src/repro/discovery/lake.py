@@ -17,7 +17,9 @@ end:
 * :func:`profile_lake` walks the current tables and recomputes **only**
   columns whose fingerprint is not already cached; everything else is
   byte-identical cache hits (sketches round-trip exactly, vectors come
-  back from the same memmap rows either way).
+  back from the same memmap rows either way).  A table whose rows have
+  not changed since the store's last pass is not even read: its column
+  fingerprints and profiles are handed back from that pass.
 * :class:`LakeIndex` keeps a live sharded ANN backend (any registered
   backend — ``"ivfpq"`` for real lakes) in sync by **upserting the
   delta**: changed columns are removed/re-added under fresh stable ids,
@@ -58,7 +60,7 @@ import numpy as np
 from ..api.results import JoinCandidate
 from ..core.config import SudowoodoConfig
 from ..core.persistence import atomic_write_text
-from ..data.records import Table, serialize_column
+from ..data.records import Record, Table, serialize_column
 from ..serve.backends import ANNBackend, build_backend
 from ..serve.sketch import ContainmentSketch
 from ..serve.vecstore import MemmapVectorStore
@@ -79,8 +81,7 @@ _PROFILES_FILE = "profiles.json"  # pre-journal stores: one JSON document
 _VECTORS_DIR = "vectors"  # compactions move to "vectors-1", "vectors-2", ...
 _VECTORS_NAME = re.compile(r"vectors(-[0-9]+)?")
 
-#: How values are joined before hashing — a non-printable separator so
-#: value boundaries cannot be forged by cell content.
+#: How values are joined before hashing: a non-printable separator.
 _FP_SEPARATOR = "\x1f"
 
 
@@ -92,9 +93,14 @@ def column_fingerprint(
     Hashes the ordered non-empty values *and* the parameters that shape
     the profile (``max_values`` caps the serialized text, ``sketch_k``
     sizes the sketch), so a cache entry can never be served under
-    settings it was not computed with.
+    settings it was not computed with.  Values are joined on
+    ``_FP_SEPARATOR``; a column with a cell holding it is hashed as a JSON
+    list instead, which starts with ``[`` where a joined payload starts
+    with ``max_values``, so cell content cannot forge a value boundary.
     """
     payload = _FP_SEPARATOR.join([str(max_values), str(sketch_k), *values])
+    if payload.count(_FP_SEPARATOR) != len(values) + 1:
+        payload = json.dumps([max_values, sketch_k, *values])
     return text_fingerprint(payload)
 
 
@@ -131,6 +137,17 @@ class _CachedColumn(NamedTuple):
         )
 
 
+class _TablePass(NamedTuple):
+    """What :func:`profile_lake` read of one table (records: a shallow
+    copy of the list), and what it made of it."""
+
+    setting: Tuple[int, int]  # (max_values, sketch_k)
+    schema: List[str]
+    records: List[Record]
+    fingerprints: List[str]
+    profiles: List[ColumnProfile]
+
+
 class ProfileStore:
     """Persistent, content-addressed column-profile cache.
 
@@ -154,6 +171,8 @@ class ProfileStore:
     journal existed (one ``profiles.json`` document) is still read, and
     moves to the journal on its first write.  :meth:`retain` compacts
     the store to the entries a lake still references.
+    In memory only, it keeps :func:`profile_lake`'s last pass per table
+    name (:class:`_TablePass`); a reopened store starts without it.
     """
 
     def __init__(self, path: Union[str, Path], store_dtype: str = "float32") -> None:
@@ -163,6 +182,7 @@ class ProfileStore:
         self._entries: Dict[str, _CachedColumn] = {}
         self._vectors: Optional[MemmapVectorStore] = None
         self._vectors_dir = _VECTORS_DIR
+        self._tables: Dict[str, _TablePass] = {}
         self._load()
 
     def _load(self) -> None:
@@ -406,13 +426,38 @@ def profile_lake(
     (same values, anywhere in the lake) share one cache entry and one
     embedding row.  When the store holds more than twice the lake's
     distinct fingerprints it is compacted to them (:meth:`ProfileStore.retain`).
+
+    A table is not read when the store's last pass saw it under the same
+    name and parameters with an equal schema and records list, and all
+    its fingerprints are still cached: that pass's fingerprints and very
+    ``ColumnProfile`` objects are reused.  Records are frozen; a write
+    into a record's ``attributes`` in place is the one change unseen.
     """
+    setting = (max_values, sketch_k)
     refs: List[ColumnRef] = []
     fingerprints: List[str] = []
+    # Per column, its last pass's profile for an unchanged table, else None.
+    profiles: List[Optional[ColumnProfile]] = []
     computed_refs: List[ColumnRef] = []
     fresh: Dict[str, ColumnProfile] = {}
     reused = 0
+    cached = store._entries.__contains__
+    unchanged: Dict[str, _TablePass] = {}
     for table_name, table in tables.items():
+        last = store._tables.get(table_name)
+        if (
+            last is not None
+            and last.setting == setting
+            and last.schema == table.schema
+            and last.records == table.records
+            and all(map(cached, last.fingerprints))
+        ):
+            unchanged[table_name] = last
+            refs.extend((table_name, attribute) for attribute in last.schema)
+            fingerprints.extend(last.fingerprints)
+            profiles.extend(last.profiles)
+            reused += len(last.fingerprints)
+            continue
         for attribute in table.schema:
             values = [v for v in table.column_values(attribute) if v]
             fingerprint = column_fingerprint(
@@ -420,6 +465,7 @@ def profile_lake(
             )
             refs.append((table_name, attribute))
             fingerprints.append(fingerprint)
+            profiles.append(None)
             if fingerprint in store:
                 reused += 1
                 continue
@@ -443,12 +489,24 @@ def profile_lake(
     if len(store) > 2 * len(set(fingerprints)):
         # O(live), after at least a lake's worth of new entries: amortised O(1).
         store.retain(fingerprints)
-    profiles = [
-        store.profile(fingerprint, table_name, attribute)
-        for (table_name, attribute), fingerprint in zip(refs, fingerprints)
+    assembled = [
+        store.profile(fingerprint, *ref) if profile is None else profile
+        for profile, ref, fingerprint in zip(profiles, refs, fingerprints)
     ]
+    passes, start = {}, 0
+    for table_name, table in tables.items():
+        stop = start + len(table.schema)
+        passes[table_name] = unchanged.get(table_name) or _TablePass(
+            setting,
+            list(table.schema),
+            list(table.records),
+            fingerprints[start:stop],
+            assembled[start:stop],
+        )
+        start = stop
+    store._tables = passes  # this lake's tables only: O(live)
     return LakeProfile(
-        profiles=profiles,
+        profiles=assembled,
         vectors=store.vectors(fingerprints),
         fingerprints=fingerprints,
         reused=reused,

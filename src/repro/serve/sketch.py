@@ -166,44 +166,16 @@ class ContainmentSketch:
         return min(1.0, self.intersection(other) / mine)
 
     # ------------------------------------------------------------------
-    # Batched estimators (the join-discovery scoring hot path)
+    # Batched estimator (join scoring indexes a SketchTable directly)
     # ------------------------------------------------------------------
-    @staticmethod
-    def intersection_pairs(
-        lefts: Sequence["ContainmentSketch"],
-        rights: Sequence["ContainmentSketch"],
-    ) -> np.ndarray:
-        """``|lefts[p] ∩ rights[p]|`` estimates for every pair at once.
-
-        Bit-identical to ``lefts[p].intersection(rights[p])`` — the same
-        bottom-k, the same exactness check, the same KMV formula — which
-        is what keeps batch-scored join rankings byte-equal to the
-        per-pair scorer.  Callers scoring many pairs over few sketches
-        build one :class:`SketchTable` and index into it instead.
-        """
-        if len(lefts) != len(rights):
-            raise ValueError("lefts and rights must pair up")
-        table = SketchTable([*lefts, *rights])
-        pairs = np.arange(len(lefts), dtype=np.int64)
-        return table.intersections(pairs, pairs + len(lefts))
-
     def intersection_many(
         self, others: Sequence["ContainmentSketch"]
     ) -> np.ndarray:
-        """``|self ∩ other|`` estimates against many sketches at once."""
+        """``|self ∩ other|`` estimates against many sketches at once,
+        bit-identical to :meth:`intersection`."""
         table = SketchTable([self, *others])
         rights = np.arange(1, len(others) + 1, dtype=np.int64)
         return table.intersections(np.zeros_like(rights), rights)
-
-    def containment_many(
-        self, others: Sequence["ContainmentSketch"]
-    ) -> np.ndarray:
-        """Directional containments ``|self ∩ other| / |self|`` against
-        many sketches — the batched form of :meth:`containment`."""
-        mine = self.cardinality()
-        if mine <= 0:
-            return np.zeros(len(others), dtype=np.float64)
-        return np.minimum(1.0, self.intersection_many(others) / mine)
 
     # ------------------------------------------------------------------
     # Serialization (the discovery profile cache persists sketches)

@@ -19,8 +19,10 @@ from repro.discovery import (
     profile_tables,
     rank_lake_candidates,
 )
+from repro.data.records import Table, serialize_column
 from repro.discovery.join import _rank_pairwise
 from repro.serve import ContainmentSketch
+from repro.utils.fingerprint import text_fingerprint
 
 EMBED = hashed_embedder(dim=32)
 
@@ -49,6 +51,25 @@ class TestColumnFingerprint:
         assert column_fingerprint(values, sketch_k=256) != column_fingerprint(
             values, sketch_k=64
         )
+
+    def test_a_separator_in_a_cell_cannot_forge_a_boundary(self, store):
+        assert column_fingerprint(["x\x1fy"]) != column_fingerprint(["x", "y"])
+        assert column_fingerprint(["x\x1f", "y"]) != column_fingerprint(["x", "\x1fy"])
+        one, two = Table(name="one", schema=["c"]), Table(name="two", schema=["c"])
+        one.append({"c": "x\x1fy"})
+        for value in ("x", "y"):
+            two.append({"c": value})
+        lake = profile_lake({"one": one, "two": two}, store, EMBED)
+        assert [p.num_values for p in lake.profiles] == [1, 2]
+        assert lake.profiles[1].text == serialize_column(["x", "y"], max_values=12)
+        assert lake.computed == 2 and len(store) == 2
+
+    def test_columns_without_the_separator_keep_their_fingerprint(self):
+        """What on-disk stores are keyed by: the values joined on \\x1f."""
+        assert column_fingerprint(["a", "b"], max_values=8, sketch_k=64) == (
+            text_fingerprint("8\x1f64\x1fa\x1fb")
+        )
+        assert column_fingerprint([]) == text_fingerprint("12\x1f256")
 
 
 class TestProfileStore:
@@ -239,8 +260,6 @@ class TestProfileLake:
         target = names[3]
         mutated = dict(lake_tables.tables)
         source = mutated[target]
-        from repro.data.records import Table
-
         copy = Table(name=target, schema=list(source.schema))
         for row in range(len(source)):
             record = source[row]
@@ -264,8 +283,6 @@ class TestProfileLake:
         assert list(mutated) == list(lake_tables.tables)
 
     def test_identical_columns_share_one_entry(self, store):
-        from repro.data.records import Table
-
         one = Table(name="one", schema=["c"])
         two = Table(name="two", schema=["c"])
         for table in (one, two):
