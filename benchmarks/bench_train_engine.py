@@ -96,7 +96,7 @@ def measure_steps_per_second(corpus, config: SudowoodoConfig) -> float:
         encoder,
         program,
         AdamW(encoder.parameters(), lr=config.pretrain_lr),
-        config=config.train,
+        workers=config.train_workers,
         rngs=rngs,
     )
     start = time.perf_counter()

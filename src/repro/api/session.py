@@ -90,7 +90,7 @@ class SudowoodoSession:
         store and drops cached task instances.
 
         With ``checkpoint_dir`` the training engine writes a full-state
-        checkpoint every ``config.checkpoint_every`` epochs;
+        checkpoint after every epoch;
         ``resume=True`` continues from the latest checkpoint in that
         directory (byte-identical to the uninterrupted run — see
         ``docs/training.md``).

@@ -15,19 +15,15 @@ base ablation row.
 The flat :class:`SudowoodoConfig` dataclass is the one shape of the
 configuration: every knob is a field, written once with its default.
 :meth:`SudowoodoConfig.to_dict` / :meth:`SudowoodoConfig.from_dict`
-round-trip it as a flat mapping (the shape encoder checkpoints store),
-and :attr:`SudowoodoConfig.train` hands the shared training engine its
-:class:`~repro.train.engine.TrainConfig`.  Per-task presets (the defaults
-the cleaning and column drivers used to duplicate) live in
-:meth:`SudowoodoConfig.for_task`.
+round-trip it as a flat mapping (the shape encoder checkpoints store).
+Per-task presets (the defaults the cleaning and column drivers used to
+duplicate) live in :meth:`SudowoodoConfig.for_task`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
-
-from ..train.engine import TrainConfig
 
 
 @dataclass
@@ -150,15 +146,12 @@ class SudowoodoConfig:
     discovery_batch_size: int = 256
 
     # ----------------------------------------------------- training engine
-    # Knobs of the shared step-loop runtime (repro.train.Trainer), used by
-    # every training path: contrastive pre-training, MLM warm start, and
-    # matcher fine-tuning (EM, cleaning, columns).  Defaults reproduce the
-    # pre-engine loops byte-identically; see docs/training.md.
+    # Data-parallel gradient workers of the shared step-loop runtime
+    # (repro.train.Trainer) on every training path: contrastive
+    # pre-training, MLM warm start, and matcher fine-tuning (EM, cleaning,
+    # columns).  1 is the serial loop, byte-identical to the pre-engine
+    # loops; see docs/training.md.
     train_workers: int = 1
-    grad_accum_steps: int = 1
-    grad_clip: Optional[float] = None
-    early_stop_patience: Optional[int] = None
-    checkpoint_every: int = 1
 
     # ------------------------------------------------- optimization flags
     use_pseudo_labeling: bool = True
@@ -179,15 +172,6 @@ class SudowoodoConfig:
             use_cluster_sampling=False,
             use_cutoff=False,
             use_barlow_twins=False,
-        )
-
-    @property
-    def train(self) -> TrainConfig:
-        """The training-engine knobs as a
-        :class:`~repro.train.engine.TrainConfig` (the object the shared
-        :class:`~repro.train.engine.Trainer` consumes directly)."""
-        return TrainConfig(
-            **{f.name: getattr(self, f.name) for f in fields(TrainConfig)}
         )
 
     # ------------------------------------------------------------------
@@ -307,15 +291,25 @@ class SudowoodoConfig:
             raise ValueError("priority_levels must be >= 1")
         if self.discovery_batch_size < 1:
             raise ValueError("discovery_batch_size must be >= 1")
-        # Training-engine knobs share TrainConfig's own validation.
-        self.train.validate()
+        if self.train_workers < 1:
+            raise ValueError("train_workers must be >= 1")
 
 
 #: Fields earlier versions had and later deleted.  Saved configs (encoder
 #: checkpoints) still carry them; :meth:`SudowoodoConfig.from_dict` drops
-#: them instead of raising.  ``lsh_*`` went with the LSH backend, the
-#: last one with background batch preparation.
-RETIRED_CONFIG_FIELDS = ("lsh_num_tables", "lsh_num_bits", "train_prefetch")
+#: them instead of raising.  ``lsh_*`` went with the LSH backend,
+#: ``train_prefetch`` with background batch preparation, and the last four
+#: with the training engine's accumulation, clipping, early stopping and
+#: checkpoint cadence.
+RETIRED_CONFIG_FIELDS = (
+    "lsh_num_tables",
+    "lsh_num_bits",
+    "train_prefetch",
+    "grad_accum_steps",
+    "grad_clip",
+    "early_stop_patience",
+    "checkpoint_every",
+)
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))
 

@@ -10,7 +10,7 @@ difference.  The baseline Ditto head (concat-only) is available via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,23 +205,6 @@ class FinetuneProgram(StepProgram):
             self.matcher.load_state_dict(self._best_state)
         self.result.epoch_losses = list(trainer.state.epoch_losses)
 
-    # -- checkpoint participation --------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "best_valid_f1": self.result.best_valid_f1,
-            "best_epoch": self.result.best_epoch,
-        }
-
-    def load_state_dict(self, values: Dict[str, Any]) -> None:
-        self.result.best_valid_f1 = float(values.get("best_valid_f1", 0.0))
-        self.result.best_epoch = int(values.get("best_epoch", -1))
-
-    def array_state(self) -> Dict[str, np.ndarray]:
-        return dict(self._best_state or {})
-
-    def load_array_state(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._best_state = dict(arrays)
-
 
 def finetune_matcher(
     matcher: PairwiseMatcher,
@@ -241,9 +224,8 @@ def finetune_matcher(
     optimizer steps — the paper fixes the step count when pseudo labels
     enlarge the training set, so extra labels don't buy extra compute.
 
-    The step loop runs on the shared training engine, so the config's
-    ``train`` section (gradient clipping, accumulation, workers) applies
-    here as it does to pre-training.
+    The step loop runs on the shared training engine, so
+    ``config.train_workers`` applies here as it does to pre-training.
     """
     config = config or matcher.encoder.config
     if not train_examples:
@@ -275,7 +257,7 @@ def finetune_matcher(
         program,
         [head_optimizer, encoder_optimizer],
         schedules=[encoder_schedule],
-        config=config.train,
+        workers=config.train_workers,
     )
     trainer.fit(max_steps=total_steps)
     return program.result

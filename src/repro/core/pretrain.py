@@ -11,10 +11,9 @@ NT-Xent optionally blended with Barlow Twins.
 The epoch/step loop itself runs on the shared training engine
 (:class:`repro.train.Trainer`): this module contributes only the
 :class:`StepProgram` adapter — batch drawing, augmentation, and the
-contrastive loss — while the engine owns optimizer stepping, gradient
-accumulation/clipping, callbacks, tokenization caching, data-parallel
-gradient workers, and full-state checkpoint/resume (``checkpoint_dir=`` /
-``resume=``).
+contrastive loss — while the engine owns optimizer stepping, tokenization
+caching, data-parallel gradient workers, and full-state checkpoint/resume
+(``checkpoint_dir=`` / ``resume=``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,13 @@ from ..augment import (
 )
 from ..nn import AdamW
 from ..text import MLMConfig, mlm_warm_start
-from ..train import Checkpointer, StepProgram, TokenCache, Trainer, shard_bounds
+from ..train import (
+    TRAINER_STATE_FILE,
+    StepProgram,
+    TokenCache,
+    Trainer,
+    shard_bounds,
+)
 from ..utils import RngStream
 from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder, build_tokenizer
@@ -337,12 +342,11 @@ def pretrain(
     pre-trained LM — Algorithm 1, line 1).
 
     With ``checkpoint_dir`` the engine writes a full-state checkpoint
-    (model + optimizer moments + RNG stream states) every
-    ``config.checkpoint_every`` epochs; ``resume=True`` restores the
-    latest checkpoint from that directory — when one exists — and
-    continues, reproducing the uninterrupted run's weights and
-    ``epoch_losses`` byte-identically.  A corrupt checkpoint raises
-    ``ValueError`` rather than silently restarting.
+    (model + optimizer moments + RNG stream states) after every epoch;
+    ``resume=True`` restores the latest checkpoint from that directory —
+    when one exists — and continues, reproducing the uninterrupted run's
+    weights and ``epoch_losses`` byte-identically.  A corrupt checkpoint
+    raises ``ValueError`` rather than silently restarting.
     """
     config = config or SudowoodoConfig()
     config.validate()
@@ -354,7 +358,7 @@ def pretrain(
     rngs = RngStream(config.seed)
     corpus = prepare_corpus(corpus, config, rngs.get("corpus"))
 
-    resuming = resume and (Path(checkpoint_dir) / Checkpointer.FILENAME).exists()
+    resuming = resume and (Path(checkpoint_dir) / TRAINER_STATE_FILE).exists()
     token_cache: Optional[TokenCache] = None
     if encoder is None:
         tokenizer = build_tokenizer(corpus, config)
@@ -384,7 +388,7 @@ def pretrain(
                     max_seq_len=config.pair_max_seq_len,
                     seed=config.seed,
                 ),
-                engine=config.train,
+                workers=config.train_workers,
             )
     else:
         tokenizer = encoder.tokenizer
@@ -397,7 +401,7 @@ def pretrain(
         encoder,
         program,
         optimizer,
-        config=config.train,
+        workers=config.train_workers,
         rngs=rngs,
         checkpoint_dir=checkpoint_dir,
     )

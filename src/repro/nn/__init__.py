@@ -12,15 +12,7 @@ from .functional import (
 )
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear
 from .module import Module, Parameter
-from .optim import (
-    SGD,
-    Adam,
-    AdamW,
-    ConstantSchedule,
-    LinearWarmupDecay,
-    LRSchedule,
-    Optimizer,
-)
+from .optim import AdamW, LinearWarmupDecay, LRSchedule, Optimizer
 from .serialization import (
     load_checkpoint,
     load_state_archive,
@@ -51,9 +43,7 @@ from .transformer import (
 )
 
 __all__ = [
-    "Adam",
     "AdamW",
-    "ConstantSchedule",
     "Dropout",
     "Embedding",
     "LMHead",
@@ -66,7 +56,6 @@ __all__ = [
     "MultiHeadSelfAttention",
     "Optimizer",
     "Parameter",
-    "SGD",
     "Tensor",
     "TransformerConfig",
     "TransformerEncoder",

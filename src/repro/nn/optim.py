@@ -1,14 +1,14 @@
-"""Optimizers (SGD, Adam, AdamW) and learning-rate schedules.
+"""The paper's optimizer (AdamW) and learning-rate schedules.
 
-The paper trains with AdamW; SGD and Adam are provided for the baselines and
-tests.  Weight decay in :class:`AdamW` is decoupled, following Loshchilov &
-Hutter, which matches the HuggingFace AdamW used by the original system.
+Weight decay in :class:`AdamW` is decoupled, following Loshchilov & Hutter,
+which matches the HuggingFace AdamW used by the original system.
+:class:`Optimizer` and :class:`LRSchedule` are the base types trainer
+checkpoints name.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -49,107 +49,34 @@ class Optimizer:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore state produced by :meth:`state_dict` (same param list)."""
         self.lr = float(state["values"]["lr"])
-        self._load_arrays(state.get("arrays", {}))
-
-    def _load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if arrays:
-            raise ValueError(
-                f"{type(self).__name__} carries no array state but the "
-                f"checkpoint provides {sorted(arrays)}"
-            )
-
-    @staticmethod
-    def _pack_slots(**slots: List[np.ndarray]) -> Dict[str, np.ndarray]:
-        return {
-            f"{name}.{i}": buffer
-            for name, buffers in slots.items()
-            for i, buffer in enumerate(buffers)
-        }
-
-    def _unpack_slot(
-        self, arrays: Dict[str, np.ndarray], name: str, buffers: List[np.ndarray]
-    ) -> None:
-        for i, buffer in enumerate(buffers):
-            key = f"{name}.{i}"
-            if key not in arrays:
-                raise ValueError(f"optimizer checkpoint missing buffer {key!r}")
-            value = arrays[key]
-            if value.shape != buffer.shape:
-                raise ValueError(
-                    f"optimizer buffer {key!r} shape mismatch: "
-                    f"saved {value.shape}, expected {buffer.shape}"
-                )
-            buffer[...] = value
-
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """Clip gradients in place to a global L2 norm; returns the norm."""
-        total = 0.0
-        for param in self.params:
-            if param.grad is not None:
-                total += float((param.grad**2).sum())
-        norm = math.sqrt(total)
-        if norm > max_norm and norm > 0:
-            scale = max_norm / norm
-            for param in self.params:
-                if param.grad is not None:
-                    param.grad *= scale
-        return norm
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self, params: Sequence[Parameter], lr: float, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            param.data -= self.lr * update
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["values"]["momentum"] = float(self.momentum)
-        state["arrays"] = self._pack_slots(velocity=self._velocity)
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state["values"]["momentum"])
-
-    def _load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._unpack_slot(arrays, "velocity", self._velocity)
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
+class AdamW(Optimizer):
+    """Adam with bias correction and decoupled weight decay (the paper's
+    optimizer)."""
 
     def __init__(
         self,
         params: Sequence[Parameter],
-        lr: float = 1e-3,
+        lr: float = 5e-5,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
+        weight_decay: float = 0.01,
     ) -> None:
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
+        self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        if self.weight_decay > 0:
+            for param in self.params:
+                if param.grad is not None and param.data.ndim > 1:
+                    # Decay matrices only (skip biases / layernorm gains).
+                    param.data -= self.lr * self.weight_decay * param.data
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
@@ -164,42 +91,37 @@ class Adam(Optimizer):
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
+    def _slots(self):
+        return (("m", self._m), ("v", self._v))
+
     def state_dict(self) -> Dict[str, Any]:
         state = super().state_dict()
         state["values"]["step_count"] = int(self._step_count)
-        state["arrays"] = self._pack_slots(m=self._m, v=self._v)
+        state["arrays"] = {
+            f"{name}.{i}": buffer
+            for name, buffers in self._slots()
+            for i, buffer in enumerate(buffers)
+        }
         return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         super().load_state_dict(state)
         self._step_count = int(state["values"]["step_count"])
-
-    def _load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._unpack_slot(arrays, "m", self._m)
-        self._unpack_slot(arrays, "v", self._v)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (the paper's optimizer)."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 5e-5,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ) -> None:
-        super().__init__(params, lr=lr, betas=betas, eps=eps)
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        if self.weight_decay > 0:
-            for param in self.params:
-                if param.grad is not None and param.data.ndim > 1:
-                    # Decay matrices only (skip biases / layernorm gains).
-                    param.data -= self.lr * self.weight_decay * param.data
-        super().step()
+        arrays = state.get("arrays", {})
+        for name, buffers in self._slots():
+            for i, buffer in enumerate(buffers):
+                key = f"{name}.{i}"
+                if key not in arrays:
+                    raise ValueError(
+                        f"optimizer checkpoint missing buffer {key!r}"
+                    )
+                value = arrays[key]
+                if value.shape != buffer.shape:
+                    raise ValueError(
+                        f"optimizer buffer {key!r} shape mismatch: "
+                        f"saved {value.shape}, expected {buffer.shape}"
+                    )
+                buffer[...] = value
 
 
 class LRSchedule:
@@ -224,15 +146,6 @@ class LRSchedule:
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.step_count = int(state["step_count"])
-
-
-class ConstantSchedule(LRSchedule):
-    def __init__(self, optimizer: Optimizer, lr: Optional[float] = None) -> None:
-        super().__init__(optimizer)
-        self.lr = lr if lr is not None else optimizer.lr
-
-    def compute_lr(self, step: int) -> float:
-        return self.lr
 
 
 class LinearWarmupDecay(LRSchedule):

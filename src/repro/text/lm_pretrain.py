@@ -9,9 +9,8 @@ tables map to this warm-started encoder *without* contrastive pre-training.
 
 The epoch loop runs on the shared training engine
 (:class:`repro.train.Trainer`); this module contributes the masking
-program.  Callers may pass an engine :class:`~repro.train.TrainConfig`
-to enable gradient clipping, accumulation, or workers for the warm
-start too.
+program.  Callers may pass ``workers`` to run the warm start on gradient
+workers too.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import AdamW, LMHead, Module, TransformerEncoder, cross_entropy
-from ..train import (
-    StepProgram,
-    TrainConfig,
-    Trainer,
-    permutation_batches,
-    shard_bounds,
-)
+from ..train import StepProgram, Trainer, permutation_batches, shard_bounds
 from ..utils import spawn_rng
 from .tokenizer import Tokenizer
 
@@ -136,14 +129,13 @@ def mlm_warm_start(
     tokenizer: Tokenizer,
     corpus: Sequence[str],
     config: Optional[MLMConfig] = None,
-    engine: Optional[TrainConfig] = None,
+    workers: int = 1,
 ) -> MLMResult:
     """Train ``encoder`` in place with masked token prediction.
 
     80% of selected positions become ``[MASK]``, 10% a random token, 10% are
     kept, following BERT.  Returns the per-epoch mean loss trace.
-    ``engine`` passes training-engine knobs (gradient clipping,
-    accumulation, workers) through to the step loop.  The corpus is
+    ``workers`` sets the engine's gradient workers.  The corpus is
     tokenized exactly once up front (no per-epoch re-tokenization), so no
     token cache is involved here.
     """
@@ -155,7 +147,7 @@ def mlm_warm_start(
     encoded = tokenizer.encode_batch(list(corpus), max_len=config.max_seq_len)
 
     program = MLMProgram(encoded, tokenizer, config, rng)
-    trainer = Trainer(model, program, optimizer, config=engine)
+    trainer = Trainer(model, program, optimizer, workers=workers)
     state = trainer.fit(max_epochs=config.epochs)
     return MLMResult(losses=list(state.epoch_losses))
 

@@ -25,9 +25,11 @@ from ..utils import RngStream
 #: Archive format tag; bumped on incompatible layout changes.
 FORMAT = "sudowoodo-trainer-v1"
 
+#: The file a trainer with a ``checkpoint_dir`` writes after every epoch.
+TRAINER_STATE_FILE = "trainer_state.npz"
+
 _MODEL_PREFIX = "model::"
 _OPT_PREFIX = "optimizer{index}::"
-_PROGRAM_PREFIX = "program::"
 
 
 def _named_modules(module: Module, prefix: str = "") -> Iterator[Tuple[str, Module]]:
@@ -41,19 +43,28 @@ def _named_modules(module: Module, prefix: str = "") -> Iterator[Tuple[str, Modu
                     yield from _named_modules(element, f"{prefix}{name}.{index}.")
 
 
+def module_generators(module: Module) -> Dict[str, np.random.Generator]:
+    """Every ``np.random.Generator`` attribute in the module tree (e.g.
+    dropout noise generators), keyed by dotted path.  A generator shared
+    between submodules appears once per path."""
+    return {
+        f"{path}{name}": value
+        for path, submodule in _named_modules(module)
+        for name, value in vars(submodule).items()
+        if isinstance(value, np.random.Generator)
+    }
+
+
 def module_rng_states(module: Module) -> Dict[str, Any]:
-    """Bit-generator states of every ``np.random.Generator`` attribute in
-    the module tree (e.g. dropout noise generators), keyed by dotted path.
+    """Bit-generator states of :func:`module_generators`, keyed by path.
 
     Generators shared between submodules appear once per path with equal
     states, so restoring is idempotent.
     """
-    states: Dict[str, Any] = {}
-    for path, submodule in _named_modules(module):
-        for name, value in vars(submodule).items():
-            if isinstance(value, np.random.Generator):
-                states[f"{path}{name}"] = value.bit_generator.state
-    return states
+    return {
+        path: generator.bit_generator.state
+        for path, generator in module_generators(module).items()
+    }
 
 
 def restore_module_rng_states(module: Module, states: Dict[str, Any]) -> None:
@@ -63,11 +74,7 @@ def restore_module_rng_states(module: Module, states: Dict[str, Any]) -> None:
     the snapshot — a structural drift that would silently desynchronize
     the noise streams.
     """
-    own: Dict[str, np.random.Generator] = {}
-    for path, submodule in _named_modules(module):
-        for name, value in vars(submodule).items():
-            if isinstance(value, np.random.Generator):
-                own[f"{path}{name}"] = value
+    own = module_generators(module)
     if set(own) != set(states):
         missing = sorted(set(own) - set(states))
         unexpected = sorted(set(states) - set(own))
@@ -91,18 +98,13 @@ def save_trainer_state(
     state_values: Dict[str, Any],
     rngs: Optional[RngStream] = None,
     program_values: Optional[Dict[str, Any]] = None,
-    program_arrays: Optional[Dict[str, np.ndarray]] = None,
-    callback_values: Optional[List[Dict[str, Any]]] = None,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Write the full training state to ``path`` (atomically).
 
     ``state_values`` carries the engine counters (epoch, step, losses);
-    ``program_values`` / ``program_arrays`` carry task-adapter state
-    (e.g. the DA-operator scheduler's scores or a best-validation weight
-    snapshot); ``callback_values`` carries per-callback state in
-    registration order (e.g. early-stopping counters); ``metadata`` is
-    free-form extra JSON.
+    ``program_values`` carries task-adapter state (e.g. the DA-operator
+    scheduler's scores); ``metadata`` is free-form extra JSON.
     """
     arrays: Dict[str, np.ndarray] = {
         f"{_MODEL_PREFIX}{name}": value
@@ -115,8 +117,6 @@ def save_trainer_state(
         prefix = _OPT_PREFIX.format(index=index)
         for key, value in opt_state["arrays"].items():
             arrays[f"{prefix}{key}"] = value
-    for key, value in (program_arrays or {}).items():
-        arrays[f"{_PROGRAM_PREFIX}{key}"] = value
 
     meta: Dict[str, Any] = {
         "format": FORMAT,
@@ -126,7 +126,6 @@ def save_trainer_state(
         "model_rngs": module_rng_states(model),
         "rng_stream": rngs.state_dict() if rngs is not None else None,
         "program": dict(program_values or {}),
-        "callbacks": list(callback_values or []),
         "metadata": dict(metadata or {}),
     }
     save_state_archive(path, arrays, meta)
@@ -142,11 +141,13 @@ def load_trainer_state(
 ) -> Dict[str, Any]:
     """Restore a :func:`save_trainer_state` archive in place.
 
-    Returns ``{"state": ..., "program": ..., "program_arrays": ...,
-    "metadata": ...}`` for the caller (the engine restores its counters,
-    the program restores its own state).  Raises ``FileNotFoundError``
-    when the file is absent and ``ValueError`` when it is corrupt, has a
-    different format tag, or does not match the trainer's structure.
+    Returns ``{"state": ..., "program": ..., "metadata": ...}`` for the
+    caller (the engine restores its counters, the program restores its
+    own state).  Entries this version no longer writes (the
+    ``callbacks`` list of older archives) are ignored.  Raises
+    ``FileNotFoundError`` when the file is absent and ``ValueError`` when
+    it is corrupt, has a different format tag, or does not match the
+    trainer's structure.
     """
     arrays, meta = load_state_archive(path)
     if meta.get("format") != FORMAT:
@@ -194,11 +195,5 @@ def load_trainer_state(
     return {
         "state": meta.get("state", {}),
         "program": meta.get("program", {}),
-        "program_arrays": {
-            key[len(_PROGRAM_PREFIX) :]: value
-            for key, value in arrays.items()
-            if key.startswith(_PROGRAM_PREFIX)
-        },
-        "callbacks": meta.get("callbacks", []),
         "metadata": meta.get("metadata", {}),
     }

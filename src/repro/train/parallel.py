@@ -12,7 +12,9 @@ pre-engine code.  At ``worker_count>1`` results are deterministic (stable
 shard → replica assignment, per-replica RNG streams) but not identical to
 the serial run: dropout noise is drawn per replica, and batch-global
 losses (e.g. NT-Xent in-batch negatives) see shard-local batches — the
-standard data-parallel semantics.
+standard data-parallel semantics.  Replica ``i`` starts each of its
+generators at the main model's state jumped ``i + 1`` times, so no two
+replicas draw the same noise and the main model's streams do not move.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.module import Module
+from .checkpoint import module_generators
 
 LossFn = Callable[[Module, Any], Any]
 
@@ -49,6 +52,22 @@ def shard_bounds(
     ]
 
 
+def _replica(model: Module, index: int) -> Module:
+    """A deep copy of ``model`` whose generators are jumped ``index + 1``
+    times from the model's (generators shared inside the model stay
+    shared inside the copy; the model's own states are not advanced)."""
+    replica = copy.deepcopy(model)
+    sources = module_generators(model)
+    forked = set()
+    for path, generator in module_generators(replica).items():
+        if id(generator) not in forked:
+            forked.add(id(generator))
+            generator.bit_generator.state = (
+                sources[path].bit_generator.jumped(index + 1).state
+            )
+    return replica
+
+
 class GradientWorkerPool:
     """A fixed pool of model replicas plus the threads that drive them.
 
@@ -63,7 +82,7 @@ class GradientWorkerPool:
         self.worker_count = worker_count
         self._params = model.parameters()
         self._replicas: List[Module] = [
-            copy.deepcopy(model) for _ in range(worker_count)
+            _replica(model, index) for index in range(worker_count)
         ]
         self._replica_params = [replica.parameters() for replica in self._replicas]
         self._executor = ThreadPoolExecutor(
@@ -85,8 +104,8 @@ class GradientWorkerPool:
         ``shards`` holds ``(prepared, num_items)`` pairs (at most
         ``worker_count`` of them).  Shard gradients are averaged into the
         main model's ``param.grad`` — *accumulated* when a gradient is
-        already present, so gradient accumulation composes.  Returns the
-        item-weighted mean loss.
+        already present, as ``backward`` does.  Returns the item-weighted
+        mean loss.
         """
         if not shards or len(shards) > self.worker_count:
             raise ValueError(

@@ -1,12 +1,11 @@
 """Tests for the flat config shape, its dict round-trip and per-task presets."""
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import pytest
 
 from repro.api import SudowoodoConfig
 from repro.core.config import TASK_CONFIG_DEFAULTS
-from repro.train.engine import TrainConfig
 
 
 class TestRoundTrip:
@@ -29,7 +28,7 @@ class TestRoundTrip:
             SudowoodoConfig.from_dict({**flat, "lsh_num_probes": 1})
 
     def test_to_dict_is_flat_asdict(self):
-        config = SudowoodoConfig(dim=20, num_shards=2, grad_clip=1.0)
+        config = SudowoodoConfig(dim=20, num_shards=2, train_workers=2)
         assert config.to_dict() == asdict(config)
 
     @pytest.mark.parametrize("task", sorted(TASK_CONFIG_DEFAULTS))
@@ -50,18 +49,11 @@ class TestRoundTrip:
 
         config = SudowoodoConfig(
             dim=16, num_heads=2, ffn_dim=32, projector_dim=16,
-            vocab_size=64, seed=3, grad_clip=1.5, num_shards=2,
+            vocab_size=64, seed=3, train_workers=2, num_shards=2,
         )
         tokenizer = Tokenizer.fit(["alpha beta gamma", "delta epsilon"])
         path = save_encoder(SudowoodoEncoder(config, tokenizer), tmp_path / "enc")
         assert load_encoder(path).config == config
-
-
-def test_train_view_reads_the_train_config_fields():
-    config = SudowoodoConfig(grad_accum_steps=3)
-    assert config.train == TrainConfig(
-        **{f.name: getattr(config, f.name) for f in fields(TrainConfig)}
-    )
 
 
 class TestForTask:
@@ -114,6 +106,7 @@ class TestValidation:
             ("cutoff_ratio", -0.1),
             ("blocking_k", 0),
             ("blocking_k", -3),
+            ("train_workers", 0),
         ],
     )
     def test_rejects_out_of_range_cutoff_ratio_and_blocking_k(self, field, value):

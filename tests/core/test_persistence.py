@@ -2,6 +2,7 @@
 the serving layer's vector caches (fingerprint-keyed embedding files)."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core import (
     pretrain,
     save_encoder,
 )
+from repro.core.config import RETIRED_CONFIG_FIELDS
 from repro.core.persistence import (
     load_ivfpq_index,
     load_vector_cache,
@@ -22,7 +24,7 @@ from repro.data.generators import load_em_benchmark
 from repro.nn import AdamW, load_state_archive, save_state_archive
 from repro.nn.layers import Linear
 from repro.serve import IVFPQBackend
-from repro.train import StepProgram, Trainer
+from repro.train import TRAINER_STATE_FILE, StepProgram, Trainer
 from repro.utils import spawn_rng
 
 
@@ -72,14 +74,12 @@ class TestPersistence:
 
     def test_checkpoint_with_retired_config_fields_loads(self, trained, tmp_path):
         """Checkpoints written before a config field was retired still
-        carry it (the LSH backend's two, ``train_prefetch``); they load,
-        to an equal encoder."""
+        carry it (every name in ``RETIRED_CONFIG_FIELDS``); they load, to
+        an equal encoder."""
         dataset, encoder = trained
         path = save_encoder(encoder, tmp_path / "encoder.npz")
         arrays, metadata = load_state_archive(path)
-        metadata["config"].update(
-            lsh_num_tables=16, lsh_num_bits=8, train_prefetch=2
-        )
+        metadata["config"].update({name: 2 for name in RETIRED_CONFIG_FIELDS})
         save_state_archive(path, arrays, metadata)
         restored = load_encoder(path)
         assert restored.config == encoder.config
@@ -92,6 +92,30 @@ class TestPersistence:
         save_state_archive(path, arrays, metadata)
         with pytest.raises(ValueError, match="no_such_field"):
             load_encoder(path)
+
+    def test_trainer_archive_with_a_callbacks_entry_resumes(
+        self, trained, tmp_path
+    ):
+        """Trainer archives written while the engine had callbacks carry
+        a ``callbacks`` list (early-stop counters); a pre-training run
+        resumed from one matches the uninterrupted run."""
+        dataset, encoder = trained
+        items = dataset.all_items()
+        config = replace(encoder.config, pretrain_epochs=2)
+        full = pretrain(items, config)
+        pretrain(
+            items, replace(config, pretrain_epochs=1), checkpoint_dir=tmp_path
+        )
+        path = tmp_path / TRAINER_STATE_FILE
+        arrays, metadata = load_state_archive(path)
+        assert "callbacks" not in metadata
+        metadata["callbacks"] = [{"best": 0.5, "stale": 1}]
+        save_state_archive(path, arrays, metadata)
+        resumed = pretrain(items, config, checkpoint_dir=tmp_path, resume=True)
+        assert resumed.epoch_losses == full.epoch_losses
+        resumed_state = resumed.encoder.state_dict()
+        for name, value in full.encoder.state_dict().items():
+            np.testing.assert_array_equal(resumed_state[name], value)
 
     def test_crash_mid_save_keeps_the_old_encoder(
         self, trained, tmp_path, monkeypatch

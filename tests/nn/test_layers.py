@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     MLP,
-    SGD,
     AdamW,
     Dropout,
     Embedding,
@@ -74,7 +73,7 @@ class TestEmbedding:
 
     def test_padding_row_stays_zero_after_optimizer_step(self):
         emb = Embedding(10, 4, rng(), padding_idx=0)
-        optimizer = SGD(emb.parameters(), lr=0.5)
+        optimizer = AdamW(emb.parameters(), lr=0.5, weight_decay=0.0)
         for _ in range(3):
             optimizer.zero_grad()
             out = emb(np.array([[0, 1, 2, 0]]))

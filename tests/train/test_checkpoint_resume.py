@@ -17,7 +17,7 @@ from repro.core import SudowoodoConfig, pretrain
 from repro.nn import AdamW, save_state_archive
 from repro.nn.layers import Linear
 from repro.train import (
-    Checkpointer,
+    TRAINER_STATE_FILE,
     module_rng_states,
     restore_module_rng_states,
 )
@@ -66,7 +66,7 @@ class TestResumeDeterminism:
             tiny_config(pretrain_epochs=kill_epoch),
             checkpoint_dir=tmp_path,
         )
-        assert (tmp_path / Checkpointer.FILENAME).exists()
+        assert (tmp_path / TRAINER_STATE_FILE).exists()
 
         resumed = pretrain(
             list(CORPUS),
@@ -100,58 +100,6 @@ class TestResumeDeterminism:
         assert full.operator_weights is not None
         assert resumed.operator_weights == pytest.approx(full.operator_weights)
 
-    def test_resume_with_early_stopping_state(self, tmp_path):
-        # Early-stop counters (best/stale) are part of the checkpoint, so
-        # a resumed run stops at the same epoch with the same weights as
-        # the uninterrupted run.
-        config_kwargs = dict(
-            early_stop_patience=1, pretrain_epochs=8, mlm_warm_start_epochs=0
-        )
-        full = pretrain(list(CORPUS), tiny_config(**config_kwargs))
-        assert len(full.epoch_losses) < 8  # the patience actually fired
-
-        pretrain(
-            list(CORPUS),
-            tiny_config(
-                pretrain_epochs=min(3, len(full.epoch_losses) - 1),
-                early_stop_patience=1,
-                mlm_warm_start_epochs=0,
-            ),
-            checkpoint_dir=tmp_path,
-        )
-        resumed = pretrain(
-            list(CORPUS),
-            tiny_config(**config_kwargs),
-            checkpoint_dir=tmp_path,
-            resume=True,
-        )
-        assert resumed.epoch_losses == full.epoch_losses
-        assert states_equal(
-            resumed.encoder.state_dict(), full.encoder.state_dict()
-        )
-
-    def test_resume_of_early_stopped_run_is_a_noop(self, tmp_path):
-        # A run that *finished* by early stopping must not train further
-        # on resume: the restored patience counters re-request the stop,
-        # keeping the resumed result byte-identical to the first run.
-        config_kwargs = dict(
-            early_stop_patience=1, pretrain_epochs=8, mlm_warm_start_epochs=0
-        )
-        first = pretrain(
-            list(CORPUS), tiny_config(**config_kwargs), checkpoint_dir=tmp_path
-        )
-        assert len(first.epoch_losses) < 8  # the patience actually fired
-        resumed = pretrain(
-            list(CORPUS),
-            tiny_config(**config_kwargs),
-            checkpoint_dir=tmp_path,
-            resume=True,
-        )
-        assert resumed.epoch_losses == first.epoch_losses
-        assert states_equal(
-            resumed.encoder.state_dict(), first.encoder.state_dict()
-        )
-
     def test_resume_without_checkpoint_dir_raises(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             pretrain(list(CORPUS), tiny_config(), resume=True)
@@ -164,7 +112,7 @@ class TestResumeDeterminism:
             resume=True,  # nothing to resume from yet
         )
         assert len(result.epoch_losses) == 1
-        assert (tmp_path / Checkpointer.FILENAME).exists()
+        assert (tmp_path / TRAINER_STATE_FILE).exists()
 
     def test_completed_run_resumes_to_noop(self, tmp_path):
         first = pretrain(
@@ -203,7 +151,7 @@ class TestCorruptCheckpoints:
             tiny_config(pretrain_epochs=1),
             checkpoint_dir=tmp_path,
         )
-        return tmp_path / Checkpointer.FILENAME
+        return tmp_path / TRAINER_STATE_FILE
 
     def test_truncated_file_raises_value_error(self, tmp_path):
         path = self._checkpoint(tmp_path)
@@ -218,7 +166,7 @@ class TestCorruptCheckpoints:
             )
 
     def test_garbage_file_raises_value_error(self, tmp_path):
-        path = tmp_path / Checkpointer.FILENAME
+        path = tmp_path / TRAINER_STATE_FILE
         path.write_bytes(b"this is not an npz archive at all")
         with pytest.raises(ValueError, match="corrupt or unreadable"):
             pretrain(
@@ -229,7 +177,7 @@ class TestCorruptCheckpoints:
             )
 
     def test_wrong_format_archive_raises_value_error(self, tmp_path):
-        path = tmp_path / Checkpointer.FILENAME
+        path = tmp_path / TRAINER_STATE_FILE
         save_state_archive(path, {"weights": np.zeros(3)}, {"format": "other"})
         with pytest.raises(ValueError, match="trainer state"):
             pretrain(

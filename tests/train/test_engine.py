@@ -1,4 +1,4 @@
-"""Engine unit tests: knob validation, accumulation, clipping, callbacks,
+"""Engine unit tests: the step loop, checkpoint timing, gradient workers,
 token cache, and inline batch preparation."""
 
 import threading
@@ -6,16 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn import AdamW, SGD
+from repro.nn import AdamW
 from repro.nn.layers import Linear
 from repro.text import Tokenizer
-from repro.train import (
-    LossTrace,
-    StepProgram,
-    TokenCache,
-    TrainConfig,
-    Trainer,
-)
+from repro.train import StepProgram, TokenCache, Trainer
 from repro.utils import spawn_rng
 
 CORPUS = [f"[COL] name [VAL] item {i} [COL] kind [VAL] sample" for i in range(12)]
@@ -59,26 +53,6 @@ def make_data(rows=8, seed=1):
     return spawn_rng(seed, "engine-data").normal(size=(rows, 6))
 
 
-class TestTrainConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"train_workers": 0},
-            {"grad_accum_steps": 0},
-            {"grad_clip": 0.0},
-            {"grad_clip": -1.0},
-            {"early_stop_patience": 0},
-            {"checkpoint_every": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            TrainConfig(**kwargs).validate()
-
-    def test_defaults_valid(self):
-        TrainConfig().validate()
-
-
 class TestEngineLoop:
     def test_requires_some_limit(self):
         model = make_model()
@@ -87,6 +61,16 @@ class TestEngineLoop:
         )
         with pytest.raises(ValueError):
             trainer.fit()
+
+    def test_rejects_fewer_than_one_worker(self):
+        model = make_model()
+        with pytest.raises(ValueError, match="train_workers"):
+            Trainer(
+                model,
+                QuadraticProgram(make_data()),
+                AdamW(model.parameters()),
+                workers=0,
+            )
 
     def test_loss_decreases_and_counters_advance(self):
         model = make_model()
@@ -169,85 +153,6 @@ class TestEngineLoop:
         assert state.step == 3
         assert state.stop_reason == "max_steps"
 
-    def test_grad_accumulation_matches_larger_batch(self):
-        data = make_data(rows=8)
-        # Two micro-batches of 4 with accumulation == one batch of 8: the
-        # loss is a mean, so averaged micro-gradients equal the full-batch
-        # gradient.  SGD makes the comparison exact (no moment rescaling).
-        model_a = make_model()
-        trainer_a = Trainer(
-            model_a,
-            QuadraticProgram(data, batch_size=4),
-            SGD(model_a.parameters(), lr=1e-2),
-            config=TrainConfig(grad_accum_steps=2),
-        )
-        trainer_a.fit(max_epochs=1)
-
-        model_b = make_model()
-        trainer_b = Trainer(
-            model_b,
-            QuadraticProgram(data, batch_size=8),
-            SGD(model_b.parameters(), lr=1e-2),
-        )
-        trainer_b.fit(max_epochs=1)
-        # float32 forward passes accumulate in different orders; the match
-        # is exact up to that rounding.
-        np.testing.assert_allclose(
-            model_a.weight.data, model_b.weight.data, rtol=1e-5, atol=1e-7
-        )
-
-    def test_grad_clip_bounds_update_norm(self):
-        data = 100.0 * make_data()  # huge loss -> huge gradients
-        clipped = make_model()
-        optimizer = SGD(clipped.parameters(), lr=1.0)
-        trainer = Trainer(
-            clipped,
-            QuadraticProgram(data),
-            optimizer,
-            config=TrainConfig(grad_clip=1e-3),
-        )
-        before = clipped.weight.data.copy()
-        trainer.fit(max_steps=1)
-        # ||update|| = lr * ||clipped grad|| <= lr * grad_clip.
-        delta = np.concatenate(
-            [(clipped.weight.data - before).ravel(), clipped.bias.data.ravel()]
-        )
-        assert np.linalg.norm(delta) <= 1e-3 + 1e-9
-
-    def test_early_stop_epoch_reaches_program_as_last(self):
-        # The stopping epoch must reach the program hook with
-        # is_last=True so final validation/model selection still runs.
-        seen = []
-
-        class Recording(QuadraticProgram):
-            def on_epoch_end(self, trainer, epoch, epoch_loss, is_last):
-                seen.append((epoch, is_last))
-
-        model = make_model()
-        trainer = Trainer(
-            model,
-            Recording(make_data()),
-            SGD(model.parameters(), lr=0.0),  # loss never improves
-            config=TrainConfig(early_stop_patience=1),
-        )
-        state = trainer.fit(max_epochs=50)
-        assert "early stop" in state.stop_reason
-        assert seen[-1][1] is True  # the stopping epoch was flagged last
-        assert all(not is_last for _, is_last in seen[:-1])
-
-    def test_early_stopping_requests_stop(self):
-        model = make_model()
-        trainer = Trainer(
-            model,
-            QuadraticProgram(make_data()),
-            # lr=0: the loss never improves, so patience expires.
-            SGD(model.parameters(), lr=0.0),
-            config=TrainConfig(early_stop_patience=2),
-        )
-        state = trainer.fit(max_epochs=50)
-        assert state.epoch < 50
-        assert "early stop" in state.stop_reason
-
     def test_mid_run_checkpoint_includes_epoch_end_program_state(self, tmp_path):
         # The epoch-cadence checkpoint must snapshot program state from
         # *after* the epoch's on_epoch_end hook (validation / model
@@ -291,54 +196,6 @@ class TestEngineLoop:
         # epoch-0 hook's effect.
         assert fresh_program.validated == [0]
 
-    def test_loss_trace_records_each_step(self):
-        model = make_model()
-        trace = LossTrace()
-        trainer = Trainer(
-            model,
-            QuadraticProgram(make_data()),
-            AdamW(model.parameters(), lr=1e-2),
-            callbacks=[trace],
-        )
-        state = trainer.fit(max_epochs=2)
-        assert len(trace.step_losses) == state.step
-
-    def test_trailing_accumulation_group_is_a_true_mean(self):
-        # One batch under grad_accum_steps=2 is a trailing group of one:
-        # its gradient must be rescaled back to the full mean, making the
-        # step identical to the same batch at grad_accum_steps=1.
-        data = make_data(rows=4)
-
-        def run(accum):
-            model = make_model()
-            trainer = Trainer(
-                model,
-                QuadraticProgram(data, batch_size=4),
-                SGD(model.parameters(), lr=1e-2),
-                config=TrainConfig(grad_accum_steps=accum),
-            )
-            trainer.fit(max_epochs=1)
-            return model.weight.data
-
-        np.testing.assert_array_equal(run(2), run(1))
-
-    def test_trailing_accumulation_flush_fires_on_step(self):
-        # 3 batches with grad_accum_steps=2: one full group plus a flushed
-        # trailing group = 2 optimizer steps, both visible to callbacks.
-        model = make_model()
-        trace = LossTrace()
-        trainer = Trainer(
-            model,
-            QuadraticProgram(make_data(rows=12), batch_size=4),
-            AdamW(model.parameters(), lr=1e-2),
-            config=TrainConfig(grad_accum_steps=2),
-            callbacks=[trace],
-        )
-        state = trainer.fit(max_epochs=1)
-        assert state.step == 2
-        assert len(trace.step_losses) == state.step
-
-
 class TestGradientWorkers:
     def test_workers_deterministic_and_finite(self):
         def run():
@@ -347,7 +204,7 @@ class TestGradientWorkers:
                 model,
                 QuadraticProgram(make_data(rows=16)),
                 AdamW(model.parameters(), lr=1e-2),
-                config=TrainConfig(train_workers=2),
+                workers=2,
             )
             state = trainer.fit(max_epochs=3)
             return model.weight.data.copy(), state.epoch_losses
@@ -369,8 +226,8 @@ class TestGradientWorkers:
             trainer = Trainer(
                 model,
                 QuadraticProgram(data),
-                SGD(model.parameters(), lr=1e-2),
-                config=TrainConfig(train_workers=workers),
+                AdamW(model.parameters(), lr=1e-2, weight_decay=0.0),
+                workers=workers,
             )
             trainer.fit(max_epochs=2)
             return model.weight.data

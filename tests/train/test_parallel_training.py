@@ -18,6 +18,7 @@ from repro.core import (
     pretrain,
 )
 from repro.text import Tokenizer
+from repro.train import GradientWorkerPool, module_rng_states
 
 CORPUS = [
     f"[COL] name [VAL] sensor {i} gamma [COL] brand [VAL] orbit "
@@ -108,3 +109,41 @@ class TestParallelFinetune:
         assert all(np.isfinite(loss) for loss in result.epoch_losses)
         predictions = matcher.predict([(CORPUS[0], CORPUS[0])])
         assert predictions.shape == (1,)
+
+
+class TestReplicaStreams:
+    """Each gradient-worker replica draws its own dropout noise."""
+
+    def test_replicas_draw_distinct_dropout_streams(self):
+        config = tiny_config(dropout=0.3)
+        tokenizer = Tokenizer.fit(CORPUS, vocab_size=400)
+        encoder = SudowoodoEncoder(config, tokenizer)
+        encoder.train()
+        before = module_rng_states(encoder)
+        shard = tokenizer.encode_batch(CORPUS[:4], max_len=config.max_seq_len)
+        losses = {}
+
+        def loss_fn(model, prepared):
+            z = model.project(model.encode_tokens_training(prepared))
+            loss = (z * z).sum()
+            losses[id(model)] = float(loss.item())
+            return loss
+
+        with GradientWorkerPool(encoder, 2) as pool:
+            states = [module_rng_states(replica) for replica in pool.replicas]
+            # Forking the replicas leaves the main model's streams alone.
+            assert module_rng_states(encoder) == before
+            for path in before:
+                assert states[0][path] != states[1][path], path
+            # Paths that share one generator in the model (equal states)
+            # share one in each replica; the others stay apart.
+            paths = sorted(before)
+            for replica_states in states:
+                for left in paths:
+                    for right in paths:
+                        assert (before[left] == before[right]) == (
+                            replica_states[left] == replica_states[right]
+                        ), (left, right)
+            pool.run_step(loss_fn, [(shard, 4), (shard, 4)])
+            first, second = (losses[id(replica)] for replica in pool.replicas)
+        assert first != second
