@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.api import SudowoodoConfig
-from repro.core.config import TASK_CONFIG_DEFAULTS
+from repro.core.config import RETIRED_CONFIG_FIELDS, TASK_CONFIG_DEFAULTS
 
 
 class TestRoundTrip:
@@ -26,6 +26,13 @@ class TestRoundTrip:
         assert SudowoodoConfig.from_dict(flat) == config
         with pytest.raises(ValueError, match="unknown config key"):
             SudowoodoConfig.from_dict({**flat, "lsh_num_probes": 1})
+
+    @pytest.mark.parametrize("name", RETIRED_CONFIG_FIELDS)
+    def test_retired_field_is_no_longer_a_keyword(self, name):
+        # A retired name loads from a saved dict but cannot be set.
+        assert SudowoodoConfig.from_dict({name: 1}) == SudowoodoConfig()
+        with pytest.raises(TypeError, match=name):
+            SudowoodoConfig(**{name: 1})
 
     def test_to_dict_is_flat_asdict(self):
         config = SudowoodoConfig(dim=20, num_shards=2, train_workers=2)
@@ -107,6 +114,7 @@ class TestValidation:
             ("blocking_k", 0),
             ("blocking_k", -3),
             ("train_workers", 0),
+            ("train_workers", -2),
         ],
     )
     def test_rejects_out_of_range_cutoff_ratio_and_blocking_k(self, field, value):

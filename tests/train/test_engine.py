@@ -6,10 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn import AdamW
+from repro.nn import AdamW, LinearWarmupDecay, load_state_archive
 from repro.nn.layers import Linear
 from repro.text import Tokenizer
-from repro.train import StepProgram, TokenCache, Trainer
+from repro.train import TRAINER_STATE_FILE, StepProgram, TokenCache, Trainer
 from repro.utils import spawn_rng
 
 CORPUS = [f"[COL] name [VAL] item {i} [COL] kind [VAL] sample" for i in range(12)]
@@ -61,6 +61,10 @@ class TestEngineLoop:
         )
         with pytest.raises(ValueError):
             trainer.fit()
+
+    def test_rejects_an_empty_optimizer_list(self):
+        with pytest.raises(ValueError, match="optimizer"):
+            Trainer(make_model(), QuadraticProgram(make_data()), [])
 
     def test_rejects_fewer_than_one_worker(self):
         model = make_model()
@@ -195,6 +199,98 @@ class TestEngineLoop:
         # The epoch-0 checkpoint (the last completed save) includes the
         # epoch-0 hook's effect.
         assert fresh_program.validated == [0]
+
+class TestCheckpointing:
+    def test_writes_trainer_state_after_every_epoch(self, tmp_path):
+        # Each epoch's hook sees the archive of the epoch before it.
+        seen = []
+        path = tmp_path / TRAINER_STATE_FILE
+
+        class Recording(QuadraticProgram):
+            def on_epoch_end(self, trainer, epoch, epoch_loss, is_last):
+                seen.append(
+                    load_state_archive(path)[1]["state"]["epoch"]
+                    if path.exists()
+                    else None
+                )
+
+        model = make_model()
+        trainer = Trainer(
+            model,
+            Recording(make_data()),
+            AdamW(model.parameters(), lr=1e-2),
+            checkpoint_dir=tmp_path,
+        )
+        trainer.fit(max_epochs=3)
+        assert seen == [None, 1, 2]
+        assert load_state_archive(path)[1]["state"]["epoch"] == 3
+
+    def test_archive_has_no_callbacks_entry(self, tmp_path):
+        model = make_model()
+        trainer = Trainer(
+            model,
+            QuadraticProgram(make_data()),
+            AdamW(model.parameters(), lr=1e-2),
+            checkpoint_dir=tmp_path,
+        )
+        trainer.fit(max_epochs=1)
+        _, metadata = load_state_archive(tmp_path / TRAINER_STATE_FILE)
+        assert metadata["format"] == "sudowoodo-trainer-v1"
+        assert "callbacks" not in metadata
+
+    def test_no_checkpoint_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model = make_model()
+        trainer = Trainer(
+            model, QuadraticProgram(make_data()), AdamW(model.parameters())
+        )
+        trainer.fit(max_epochs=2)
+        assert trainer.checkpoint_path is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_try_resume_without_an_archive_starts_fresh(self, tmp_path):
+        model = make_model()
+        trainer = Trainer(
+            model,
+            QuadraticProgram(make_data()),
+            AdamW(model.parameters()),
+            checkpoint_dir=tmp_path,
+        )
+        assert trainer.try_resume() is False
+        assert trainer.state.epoch == 0
+
+    def test_resumed_trainer_matches_uninterrupted_run(self, tmp_path):
+        data = make_data(rows=12)
+
+        def trainer_for(model, checkpoint_dir=None):
+            optimizer = AdamW(model.parameters(), lr=5e-2)
+            return Trainer(
+                model,
+                QuadraticProgram(data),
+                optimizer,
+                schedules=[
+                    LinearWarmupDecay(optimizer, peak_lr=5e-2, total_steps=12)
+                ],
+                checkpoint_dir=checkpoint_dir,
+            )
+
+        full_model = make_model()
+        full = trainer_for(full_model).fit(max_epochs=4)
+
+        trainer_for(make_model(), tmp_path).fit(max_epochs=2)
+        resumed_model = make_model(seed=5)  # weights come from the archive
+        trainer = trainer_for(resumed_model, tmp_path)
+        assert trainer.try_resume() is True
+        resumed = trainer.fit(max_epochs=4)
+        assert resumed.epoch_losses == full.epoch_losses
+        assert resumed.step == full.step
+        np.testing.assert_array_equal(
+            resumed_model.weight.data, full_model.weight.data
+        )
+        np.testing.assert_array_equal(
+            resumed_model.bias.data, full_model.bias.data
+        )
+
 
 class TestGradientWorkers:
     def test_workers_deterministic_and_finite(self):
