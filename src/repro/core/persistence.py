@@ -20,16 +20,13 @@ path on corrupt, truncated, or wrong-format input — never an opaque
 
 from __future__ import annotations
 
-import json
-import zipfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..nn import load_checkpoint, save_checkpoint, save_state_archive
-from ..nn.serialization import atomic_replace
+from ..nn import load_state_archive, save_checkpoint, save_state_archive
+from ..nn.serialization import atomic_replace, load_module_state
 from ..text import SPECIAL_TOKENS, Tokenizer
 from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder
@@ -49,43 +46,6 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         temp.write_text(text, encoding="utf-8")
 
 
-def _resolve_npz(path: PathLike) -> Path:
-    """Resolve a possibly suffixless path to the ``.npz`` numpy wrote."""
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    return path
-
-
-@contextmanager
-def _open_npz(path: Path):
-    """``np.load`` with corrupt/truncated files surfaced as ValueError.
-
-    Owns the file handle (numpy leaves it dangling when the zip header
-    turns out to be garbage) so even failed opens never leak a
-    ResourceWarning.
-    """
-    with open(path, "rb") as handle:
-        try:
-            archive = np.load(handle)
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as error:
-            raise ValueError(
-                f"corrupt or unreadable archive {path}: {error}"
-            ) from error
-        try:
-            yield archive
-        finally:
-            archive.close()
-
-
-def _read_npz_metadata(archive, path: Path) -> Dict[str, Any]:
-    """Decode the ``__metadata__`` JSON blob, surfacing corruption clearly."""
-    try:
-        return json.loads(archive["__metadata__"].tobytes().decode("utf-8"))
-    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ValueError(f"corrupt metadata in {path}: {error}") from error
-
-
 def save_encoder(encoder: SudowoodoEncoder, path: PathLike) -> Path:
     """Write weights + tokenizer + config to a single ``.npz`` checkpoint."""
     metadata = {
@@ -98,11 +58,9 @@ def save_encoder(encoder: SudowoodoEncoder, path: PathLike) -> Path:
 
 def load_encoder(path: PathLike) -> SudowoodoEncoder:
     """Rebuild a :class:`SudowoodoEncoder` from :func:`save_encoder` output."""
-    # Read metadata first to reconstruct the module skeleton, then load
-    # weights into it.
-    path = _resolve_npz(path)
-    with _open_npz(path) as archive:
-        metadata = _read_npz_metadata(archive, path)
+    # One read: the metadata rebuilds the module skeleton, then the
+    # weights load into it.
+    arrays, metadata = load_state_archive(path)
     if metadata.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint format in {path}")
     # from_dict drops RETIRED_CONFIG_FIELDS: older checkpoints still load.
@@ -112,7 +70,7 @@ def load_encoder(path: PathLike) -> SudowoodoEncoder:
         if vocab.get(token) != i:
             raise ValueError(f"corrupt tokenizer vocabulary in {path}")
     encoder = SudowoodoEncoder(config, Tokenizer(vocab))
-    load_checkpoint(encoder, path)
+    load_module_state(encoder, arrays)
     encoder.eval()
     return encoder
 
@@ -169,20 +127,16 @@ def load_vector_cache(
     written without ids leave the key absent.  Corrupt or truncated
     files raise :class:`ValueError` naming the path.
     """
-    path = _resolve_npz(path)
-    with _open_npz(path) as archive:
-        metadata = _read_npz_metadata(archive, path)
-        if metadata.get("format_version") != 1:
-            raise ValueError(f"unsupported vector cache format in {path}")
-        try:
-            fingerprints = [str(key) for key in archive["fingerprints"]]
-            vectors = np.asarray(archive["vectors"], dtype=np.float64)
-            if "ids" in archive.files:
-                metadata["ids"] = [int(i) for i in archive["ids"]]
-        except (KeyError, ValueError, zipfile.BadZipFile, EOFError) as error:
-            raise ValueError(
-                f"corrupt or truncated vector cache {path}: {error}"
-            ) from error
+    arrays, metadata = load_state_archive(path)
+    if metadata.get("format_version") != 1:
+        raise ValueError(f"unsupported vector cache format in {path}")
+    try:
+        fingerprints = [str(key) for key in arrays["fingerprints"]]
+        vectors = np.asarray(arrays["vectors"], dtype=np.float64)
+        if "ids" in arrays:
+            metadata["ids"] = [int(i) for i in arrays["ids"]]
+    except (KeyError, ValueError) as error:
+        raise ValueError(f"corrupt vector cache {path}: {error}") from error
     if vectors.ndim != 2 or vectors.shape[0] != len(fingerprints):
         raise ValueError(
             f"corrupt vector cache {path}: {len(fingerprints)} fingerprints "
@@ -250,36 +204,32 @@ def load_ivfpq_index(path: PathLike):
     """
     from ..serve.ivfpq import IVFPQBackend, ProductQuantizer
 
-    path = _resolve_npz(path)
-    with _open_npz(path) as archive:
-        metadata = _read_npz_metadata(archive, path)
-        if metadata.get("format_version") != 1 or metadata.get("kind") != "ivfpq":
-            raise ValueError(f"unsupported IVF-PQ index format in {path}")
-        try:
-            dim = int(metadata["dim"])
-            backend = IVFPQBackend(
-                num_cells=int(metadata["num_cells"]),
-                num_subvectors=int(metadata["num_subvectors"]),
-                bits=int(metadata["bits"]),
-                nprobe=int(metadata["nprobe"]),
-                train_threshold=int(metadata["train_threshold"]),
-                seed=int(metadata["seed"]),
-            )
-            backend._reset(dim)
-            backend._built = True
-            if metadata["trained"]:
-                centroids = np.asarray(archive["centroids"], dtype=np.float64)
-                codebooks = np.asarray(archive["codebooks"], dtype=np.float64)
-                cell_sizes = np.asarray(archive["cell_sizes"], dtype=np.int64)
-                flat_ids = np.asarray(archive["flat_ids"], dtype=np.int64)
-                flat_codes = np.asarray(archive["flat_codes"], dtype=np.uint8)
-            else:
-                raw_ids = np.asarray(archive["raw_ids"], dtype=np.int64)
-                raw_vectors = np.asarray(archive["raw_vectors"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError) as error:
-            raise ValueError(
-                f"corrupt or truncated IVF-PQ index {path}: {error}"
-            ) from error
+    arrays, metadata = load_state_archive(path)
+    if metadata.get("format_version") != 1 or metadata.get("kind") != "ivfpq":
+        raise ValueError(f"unsupported IVF-PQ index format in {path}")
+    try:
+        dim = int(metadata["dim"])
+        backend = IVFPQBackend(
+            num_cells=int(metadata["num_cells"]),
+            num_subvectors=int(metadata["num_subvectors"]),
+            bits=int(metadata["bits"]),
+            nprobe=int(metadata["nprobe"]),
+            train_threshold=int(metadata["train_threshold"]),
+            seed=int(metadata["seed"]),
+        )
+        backend._reset(dim)
+        backend._built = True
+        if metadata["trained"]:
+            centroids = np.asarray(arrays["centroids"], dtype=np.float64)
+            codebooks = np.asarray(arrays["codebooks"], dtype=np.float64)
+            cell_sizes = np.asarray(arrays["cell_sizes"], dtype=np.int64)
+            flat_ids = np.asarray(arrays["flat_ids"], dtype=np.int64)
+            flat_codes = np.asarray(arrays["flat_codes"], dtype=np.uint8)
+        else:
+            raw_ids = np.asarray(arrays["raw_ids"], dtype=np.int64)
+            raw_vectors = np.asarray(arrays["raw_vectors"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"corrupt IVF-PQ index {path}: {error}") from error
     if not metadata["trained"]:
         if raw_vectors.ndim != 2 or raw_vectors.shape != (raw_ids.shape[0], dim):
             raise ValueError(

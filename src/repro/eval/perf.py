@@ -5,17 +5,17 @@ difficulty*, not runtime): this module answers "where do the encode
 milliseconds go" at the granularity of individual Tensor primitives.
 
 :class:`OpProfiler` is an **opt-in** hook — entering the context manager
-wraps the Tensor engine's primitive operations (methods on
-:class:`~repro.nn.tensor.Tensor` plus the fused module-level kernels)
-with timing shims; exiting restores the originals, so the hot path pays
-zero overhead while no profiler is active.  Each primitive records call
-count, wall seconds, and bytes allocated for its outputs.
+installs it with :func:`repro.nn.tensor.set_op_hook`, so every entry of
+the engine's primitive table (:data:`repro.nn.tensor.PRIMITIVES`) runs
+through it; exiting removes it, so the hot path pays one ``None`` check
+while no profiler is active.  Each primitive records call count, wall
+seconds, and bytes allocated for its outputs, under its table name.
 
 :func:`profile_encode` packages the common question — what dominates one
 `embed_items` pass over a corpus — into a single call returning an
-:class:`EncodeProfile` with a formatted per-op table.  Patching swaps
-class/module attributes, so profiling is process-global: profile on a
-quiet service, not under concurrent traffic.
+:class:`EncodeProfile` with a formatted per-op table.  The hook is
+process-global, so it records every thread's calls: profile on a quiet
+service, not under concurrent traffic.
 
 >>> profile = profile_encode(encoder, corpus)
 >>> print(profile.table())            # per-op calls / ms / MB, sorted
@@ -26,52 +26,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..nn import tensor as tensor_ops
-from ..nn.tensor import Tensor
-
-#: Tensor methods wrapped by the profiler, mapped to their report names.
-#: Only *primitives* appear here — compositions (``__sub__``, ``mean``,
-#: ``l2_normalize``) route through these and would double-count.
-TENSOR_METHODS: Dict[str, str] = {
-    "__add__": "add",
-    "__radd__": "add",
-    "__mul__": "mul",
-    "__rmul__": "mul",
-    "__truediv__": "div",
-    "__pow__": "pow",
-    "matmul": "matmul",
-    "exp": "exp",
-    "log": "log",
-    "sqrt": "sqrt",
-    "abs": "abs",
-    "tanh": "tanh",
-    "sigmoid": "sigmoid",
-    "relu": "relu",
-    "gelu": "gelu",
-    "sum": "sum",
-    "max": "max",
-    "reshape": "reshape",
-    "transpose": "transpose",
-    "__getitem__": "getitem",
-    "softmax": "softmax",
-    "log_softmax": "log_softmax",
-    "layer_norm": "layer_norm",
-    "embedding": "embedding",
-    "masked_fill": "masked_fill",
-    "dropout": "dropout",
-}
-
-#: Module-level functions in ``repro.nn.tensor`` wrapped by the profiler
-#: (the fused kernels plus the concatenation helpers).
-MODULE_FUNCTIONS: List[str] = [
-    "linear",
-    "bias_gelu",
-    "attention_scores",
-    "concat",
-    "stack",
-]
 
 
 @dataclass
@@ -92,6 +49,9 @@ class OpStat:
 class OpProfiler:
     """Context manager timing every Tensor primitive while active.
 
+    Profilers do not stack: an inner one takes over the hook until it
+    exits, and the outer one records nothing meanwhile.
+
     >>> with OpProfiler() as prof:
     ...     encoder.embed_items(corpus)
     >>> prof.stats["matmul"].calls
@@ -99,8 +59,7 @@ class OpProfiler:
 
     def __init__(self) -> None:
         self.stats: Dict[str, OpStat] = {}
-        self._saved_methods: Dict[str, object] = {}
-        self._saved_functions: Dict[str, object] = {}
+        self._previous_hook = None
 
     # -- recording ------------------------------------------------------
     def record(self, name: str, seconds: float, nbytes: int) -> None:
@@ -117,42 +76,23 @@ class OpProfiler:
 
     @property
     def total_seconds(self) -> float:
-        """Wall seconds spent inside primitives (nesting not deduped)."""
+        """Wall seconds spent inside primitives."""
         return sum(stat.seconds for stat in self.stats.values())
 
-    # -- patching -------------------------------------------------------
-    def _wrap(self, func, name: str):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            out = func(*args, **kwargs)
-            elapsed = time.perf_counter() - start
-            if args and out is args[0]:
-                return out  # identity (dropout off): nothing computed, no row
-            nbytes = out.data.nbytes if isinstance(out, Tensor) else 0
-            self.record(name, elapsed, nbytes)
-            return out
-
-        wrapper.__name__ = getattr(func, "__name__", name)
-        return wrapper
+    # -- the hook -------------------------------------------------------
+    def _time(self, name: str, run, *args):
+        start = time.perf_counter()
+        out = run(*args)
+        self.record(name, time.perf_counter() - start, out.data.nbytes)
+        return out
 
     def __enter__(self) -> "OpProfiler":
-        for method, name in TENSOR_METHODS.items():
-            original = getattr(Tensor, method)
-            self._saved_methods[method] = original
-            setattr(Tensor, method, self._wrap(original, name))
-        for function in MODULE_FUNCTIONS:
-            original = getattr(tensor_ops, function)
-            self._saved_functions[function] = original
-            setattr(tensor_ops, function, self._wrap(original, function))
+        self._previous_hook = tensor_ops.set_op_hook(self._time)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for method, original in self._saved_methods.items():
-            setattr(Tensor, method, original)
-        for function, original in self._saved_functions.items():
-            setattr(tensor_ops, function, original)
-        self._saved_methods.clear()
-        self._saved_functions.clear()
+        tensor_ops.set_op_hook(self._previous_hook)
+        self._previous_hook = None
 
     # -- reporting ------------------------------------------------------
     def table(self, limit: Optional[int] = None) -> str:
@@ -173,18 +113,6 @@ class OpProfiler:
                 f"{stat.bytes / 1e6:>9.2f}"
             )
         return "\n".join(lines)
-
-    def publish(self, metrics, prefix: str = "ops") -> None:
-        """Mirror the aggregates into a
-        :class:`~repro.serve.metrics.MetricsRegistry` (counters
-        ``<prefix>.<op>.calls`` / ``.bytes``, histogram ``.seconds``)."""
-        for name, stat in self.stats.items():
-            metrics.counter(f"{prefix}.{name}.calls").increment(stat.calls)
-            metrics.counter(f"{prefix}.{name}.bytes").increment(stat.bytes)
-            if stat.calls:
-                metrics.histogram(f"{prefix}.{name}.seconds").record(
-                    stat.seconds / stat.calls
-                )
 
 
 @dataclass

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .tensor import Tensor
@@ -37,36 +35,3 @@ def weighted_cross_entropy(
     picked = log_probs[np.arange(labels.shape[0]), labels]
     scale = weights / max(weights.mean(), 1e-12)
     return -(picked * Tensor(scale)).mean()
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Numerically stable BCE on raw logits against float targets in [0,1]."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    # log(1 + exp(x)) = max(x, 0) + log(1 + exp(-|x|))
-    abs_logits = logits.abs()
-    softplus = logits.relu() + ((-abs_logits).exp() + 1.0).log()
-    return (softplus - logits * targets_t).mean()
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
-
-
-def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarity between rows of (N, D) and (M, D)."""
-    a_norm = a.l2_normalize(axis=-1)
-    b_norm = b.l2_normalize(axis=-1)
-    return a_norm @ b_norm.T
-
-
-def cosine_similarity_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity between two (N, D) tensors -> (N,)."""
-    a_norm = a.l2_normalize(axis=-1)
-    b_norm = b.l2_normalize(axis=-1)
-    return (a_norm * b_norm).sum(axis=-1)
-
-
-def accuracy(logits: Tensor, labels: np.ndarray) -> float:
-    predictions = logits.data.argmax(axis=-1)
-    return float((predictions == np.asarray(labels)).mean())

@@ -123,8 +123,6 @@ class MLP(Module):
                 hidden = hidden.gelu()
             elif self.activation == "relu":
                 hidden = hidden.relu()
-            elif self.activation == "tanh":
-                hidden = hidden.tanh()
             else:
                 raise ValueError(f"unknown activation: {self.activation}")
         if self.drop is not None:

@@ -152,10 +152,21 @@ def load_checkpoint(module: Module, path: PathLike) -> Dict[str, Any]:
     parameter set does not match ``module``.
     """
     arrays, metadata = load_state_archive(path)
-    state = {
-        key[len("param::") :]: value
-        for key, value in arrays.items()
-        if key.startswith("param::")
-    }
-    module.load_state_dict(state)
+    load_module_state(module, arrays)
     return metadata
+
+
+def load_module_state(module: Module, arrays: Dict[str, np.ndarray]) -> None:
+    """Load the weights among a checkpoint's ``arrays`` into ``module``.
+
+    For callers that read the archive themselves with
+    :func:`load_state_archive` (to build ``module`` from its metadata
+    first) instead of opening it twice.
+    """
+    module.load_state_dict(
+        {
+            key[len("param::") :]: value
+            for key, value in arrays.items()
+            if key.startswith("param::")
+        }
+    )

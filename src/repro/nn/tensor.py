@@ -8,22 +8,43 @@ scalar result propagates gradients to every tensor created with
 
 Design notes
 ------------
+* Every graph-building operation is one entry of :data:`PRIMITIVES`: a
+  name, a forward on ndarrays and one vector-Jacobian product (VJP) per
+  tensor input (the shape of HIPS autograd's ``defvjp``).  ``Tensor``
+  methods and the module-level kernels only coerce their arguments and
+  call :func:`_apply`, the one place a result is boxed and, when a
+  gradient is traced, a graph node recorded.  Compositions (``__sub__``,
+  ``mean``, ``l2_normalize``, ...) are plain Python over primitives.
+* :func:`set_op_hook` installs one process-wide callable that
+  :func:`_apply` runs each primitive call through; the op profiler
+  (:class:`repro.eval.perf.OpProfiler`) is that hook.
 * Operations are *vectorized*: a single graph node covers a whole batch, so
   the Python-level graph stays tiny (a few hundred nodes for a full
   Transformer forward pass).
 * Broadcasting follows numpy semantics; gradients are summed back over
   broadcast axes by :func:`_unbroadcast`.
 * Hot composite operations (softmax, log-softmax, layer-norm, embedding
-  lookup) are implemented as single primitives with hand-derived backward
-  passes, which keeps both graph size and numerical error down.
+  lookup, the fused kernels) are single primitives with hand-derived
+  VJPs, which keeps both graph size and numerical error down.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -181,6 +202,10 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _as_tensor(value: Arrayish) -> "Tensor":
+    return value if isinstance(value, Tensor) else Tensor(value)
+
+
 class Tensor:
     """A numpy-backed tensor with reverse-mode automatic differentiation."""
 
@@ -241,13 +266,7 @@ class Tensor:
         ``Tensor(self.data)`` would silently re-coerce — and therefore
         copy — a float64 tensor under a float32 default).
         """
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._backward = None
-        out._parents = ()
-        return out
+        return Tensor(self.data, dtype=self.data.dtype)
 
     # ------------------------------------------------------------------
     # Graph machinery
@@ -312,30 +331,11 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    @staticmethod
-    def _needs_grad(*tensors: "Tensor") -> bool:
-        return _GRAD_MODE.enabled and any(t.requires_grad or t._parents for t in tensors)
-
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: Arrayish) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(
-            self.data + other_t.data,
-            requires_grad=self._needs_grad(self, other_t),
-            _parents=(self, other_t),
-        )
-
-        def _backward() -> None:
-            if self.requires_grad or self._parents:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other_t.requires_grad or other_t._parents:
-                other_t._accumulate(_unbroadcast(out.grad, other_t.shape))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("add", (self, _as_tensor(other)))
 
     __radd__ = __add__
 
@@ -343,187 +343,36 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other: Arrayish) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other_t)
-
-    def __rsub__(self, other: Arrayish) -> "Tensor":
-        return Tensor(other) + (-self)
+        return self + (-_as_tensor(other))
 
     def __mul__(self, other: Arrayish) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(
-            self.data * other_t.data,
-            requires_grad=self._needs_grad(self, other_t),
-            _parents=(self, other_t),
-        )
-
-        def _backward() -> None:
-            if self.requires_grad or self._parents:
-                self._accumulate(_unbroadcast(out.grad * other_t.data, self.shape))
-            if other_t.requires_grad or other_t._parents:
-                other_t._accumulate(_unbroadcast(out.grad * self.data, other_t.shape))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("mul", (self, _as_tensor(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Arrayish) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(
-            self.data / other_t.data,
-            requires_grad=self._needs_grad(self, other_t),
-            _parents=(self, other_t),
-        )
-
-        def _backward() -> None:
-            if self.requires_grad or self._parents:
-                self._accumulate(_unbroadcast(out.grad / other_t.data, self.shape))
-            if other_t.requires_grad or other_t._parents:
-                other_t._accumulate(
-                    _unbroadcast(
-                        -out.grad * self.data / (other_t.data**2), other_t.shape
-                    )
-                )
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def __rtruediv__(self, other: Arrayish) -> "Tensor":
-        return Tensor(other) / self
+        return _apply("div", (self, _as_tensor(other)))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = Tensor(
-            self.data**exponent,
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            if self.requires_grad or self._parents:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("pow", (self,), exponent)
 
     # ------------------------------------------------------------------
     # Unary math
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out = Tensor(
-            np.exp(self.data), requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(
-            np.log(self.data), requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad / self.data)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     def sqrt(self) -> "Tensor":
-        out = Tensor(
-            np.sqrt(self.data), requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * 0.5 / out.data)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("sqrt", (self,))
 
     def abs(self) -> "Tensor":
-        out = Tensor(
-            np.abs(self.data), requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * np.sign(self.data))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        out = Tensor(
-            np.tanh(self.data), requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * (1.0 - out.data**2))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(value, requires_grad=self._needs_grad(self), _parents=(self,))
-
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data * (1.0 - out.data))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("abs", (self,))
 
     def relu(self) -> "Tensor":
-        out = Tensor(
-            np.maximum(self.data, 0.0),
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * (self.data > 0.0))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("relu", (self,))
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation, as in BERT).
-
-        The cube is computed as ``x * x * x``: ``np.power`` with an
-        integer exponent takes a libm path that is ~70x slower and
-        dominated the whole encode profile.
-        """
-        x = self.data
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
-        tanh_inner = np.tanh(inner)
-        out = Tensor(
-            0.5 * x * (1.0 + tanh_inner),
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            sech2 = 1.0 - tanh_inner * tanh_inner
-            d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (x * x))
-            grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-            self._accumulate(out.grad * grad)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        """Gaussian error linear unit (tanh approximation, as in BERT)."""
+        return _apply("gelu", (self,))
 
     # ------------------------------------------------------------------
     # Reductions
@@ -531,25 +380,7 @@ class Tensor:
     def sum(
         self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False
     ) -> "Tensor":
-        out = Tensor(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            grad = out.grad
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else axis
-                expand = [slice(None)] * self.ndim
-                for ax in sorted(a % self.ndim for a in axes):
-                    expand[ax] = np.newaxis
-                grad = grad[tuple(expand)]
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("sum", (self,), axis, keepdims)
 
     def mean(
         self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False
@@ -561,118 +392,29 @@ class Tensor:
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Max along a single axis; gradient flows to the argmax positions."""
-        indices = self.data.argmax(axis=axis)
-        out_data = np.take_along_axis(
-            self.data, np.expand_dims(indices, axis), axis=axis
-        )
-        if not keepdims:
-            out_data = out_data.squeeze(axis)
-        out = Tensor(out_data, requires_grad=self._needs_grad(self), _parents=(self,))
-
-        def _backward() -> None:
-            grad = out.grad if keepdims else np.expand_dims(out.grad, axis)
-            full = np.zeros_like(self.data)
-            np.put_along_axis(full, np.expand_dims(indices, axis), grad, axis=axis)
-            self._accumulate(full)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(
-            self.data.reshape(shape),
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad.reshape(self.shape))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("reshape", (self,), shape)
 
     def transpose(self, *axes: int) -> "Tensor":
-        axes_tuple = axes if axes else tuple(reversed(range(self.ndim)))
-        out = Tensor(
-            self.data.transpose(axes_tuple),
-            requires_grad=self._needs_grad(self),
-            _parents=(self,),
-        )
-        inverse = np.argsort(axes_tuple)
-
-        def _backward() -> None:
-            self._accumulate(out.grad.transpose(inverse))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("transpose", (self,), axes or tuple(reversed(range(self.ndim))))
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
-        out = Tensor(
-            self.data[key], requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, out.grad)
-            self._accumulate(full)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("getitem", (self,), key)
 
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(
-            np.matmul(self.data, other_t.data),
-            requires_grad=self._needs_grad(self, other_t),
-            _parents=(self, other_t),
-        )
-
-        def _backward() -> None:
-            a, b = self.data, other_t.data
-            if self.requires_grad or self._parents:
-                if b.ndim == 1:
-                    grad_a = np.multiply.outer(out.grad, b) if a.ndim > 1 else out.grad * b
-                else:
-                    grad_b_t = np.swapaxes(b, -1, -2)
-                    grad_a = np.matmul(out.grad, grad_b_t) if a.ndim > 1 else np.matmul(
-                        out.grad[..., np.newaxis, :], grad_b_t
-                    ).squeeze(-2)
-                self._accumulate(_unbroadcast(grad_a, a.shape))
-            if other_t.requires_grad or other_t._parents:
-                if a.ndim == 1:
-                    grad_b = np.multiply.outer(a, out.grad)
-                else:
-                    a_t = np.swapaxes(a, -1, -2)
-                    if b.ndim == 1:
-                        grad_b = np.matmul(a_t, out.grad[..., np.newaxis]).squeeze(-1)
-                        # Sum over any batch dimensions.
-                        while grad_b.ndim > 1:
-                            grad_b = grad_b.sum(axis=0)
-                    else:
-                        grad_b = np.matmul(a_t, out.grad)
-                other_t._accumulate(_unbroadcast(grad_b, b.shape))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("matmul", (self, _as_tensor(other)))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
@@ -681,82 +423,16 @@ class Tensor:
     # Composite primitives with hand-written backward passes
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        value = exp / exp.sum(axis=axis, keepdims=True)
-        out = Tensor(value, requires_grad=self._needs_grad(self), _parents=(self,))
-
-        def _backward() -> None:
-            dot = (out.grad * value).sum(axis=axis, keepdims=True)
-            self._accumulate(value * (out.grad - dot))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("softmax", (self,), axis)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        value = shifted - log_z
-        out = Tensor(value, requires_grad=self._needs_grad(self), _parents=(self,))
-        softmax = np.exp(value)
-
-        def _backward() -> None:
-            total = out.grad.sum(axis=axis, keepdims=True)
-            self._accumulate(out.grad - softmax * total)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("log_softmax", (self,), axis)
 
     def layer_norm(
         self, weight: "Tensor", bias: "Tensor", eps: float = 1e-5
     ) -> "Tensor":
         """Layer normalization over the last axis with affine parameters."""
-        if not _GRAD_MODE.enabled and _FUSED_KERNELS:
-            # Inference fast path: centering/normalizing happens in one
-            # pooled scratch buffer and the affine transform lands in the
-            # output in place — same operations in the same order as the
-            # training path (bit-identical), minus four temporaries.
-            centered = _SCRATCH.take(self.shape, self.data.dtype)
-            mu = self.data.mean(axis=-1, keepdims=True)
-            np.subtract(self.data, mu, out=centered)
-            squared = _SCRATCH.take(self.shape, self.data.dtype, slot=1)
-            np.square(centered, out=squared)  # == centered**2 bit for bit
-            var = squared.mean(axis=-1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + eps)
-            np.multiply(centered, inv_std, out=centered)
-            value = centered * weight.data
-            np.add(value, bias.data, out=value)
-            return Tensor(value)
-        mu = self.data.mean(axis=-1, keepdims=True)
-        centered = self.data - mu
-        var = (centered**2).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        normalized = centered * inv_std
-        out = Tensor(
-            normalized * weight.data + bias.data,
-            requires_grad=self._needs_grad(self, weight, bias),
-            _parents=(self, weight, bias),
-        )
-
-        def _backward() -> None:
-            g = out.grad
-            if weight.requires_grad or weight._parents:
-                weight._accumulate(
-                    _unbroadcast(g * normalized, weight.shape)
-                )
-            if bias.requires_grad or bias._parents:
-                bias._accumulate(_unbroadcast(g, bias.shape))
-            if self.requires_grad or self._parents:
-                g_norm = g * weight.data
-                mean_g = g_norm.mean(axis=-1, keepdims=True)
-                mean_gx = (g_norm * normalized).mean(axis=-1, keepdims=True)
-                self._accumulate(inv_std * (g_norm - mean_g - normalized * mean_gx))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("layer_norm", (self, weight, bias), eps)
 
     def embedding(
         self, indices: np.ndarray, padding_idx: Optional[int] = None
@@ -767,36 +443,11 @@ class Tensor:
         parity): a pad embedding initialized to zero stays exactly zero
         through training instead of drifting with every batch.
         """
-        idx = np.asarray(indices)
-        out = Tensor(
-            self.data[idx], requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx.reshape(-1), out.grad.reshape(-1, self.shape[-1]))
-            if padding_idx is not None:
-                full[padding_idx] = 0.0
-            self._accumulate(full)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("embedding", (self,), indices, padding_idx)
 
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Return a tensor equal to ``self`` with ``value`` where mask is True."""
-        mask_arr = np.asarray(mask, dtype=bool)
-        data = np.where(mask_arr, value, self.data)
-        out = Tensor(data, requires_grad=self._needs_grad(self), _parents=(self,))
-
-        def _backward() -> None:
-            self._accumulate(
-                _unbroadcast(np.where(mask_arr, 0.0, out.grad), self.shape)
-            )
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+        return _apply("masked_fill", (self,), mask, value)
 
     def dropout(self, p: float, rng: np.random.Generator, training: bool) -> "Tensor":
         """Inverted dropout. Identity when not training or p == 0.
@@ -807,21 +458,10 @@ class Tensor:
         """
         if not training or p <= 0.0:
             return self
-        keep = 1.0 - p
-        kept = rng.random(self.shape) < keep
         if not _FUSED_KERNELS:
-            return self * Tensor(kept / keep)
-        mask = np.multiply(kept, 1.0 / keep, dtype=self.data.dtype)
-        out = Tensor(
-            self.data * mask, requires_grad=self._needs_grad(self), _parents=(self,)
-        )
-
-        def _backward() -> None:
-            self._accumulate(out.grad * mask)
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
+            keep = 1.0 - p
+            return self * Tensor((rng.random(self.shape) < keep) / keep)
+        return _apply("dropout", (self,), p, rng)
 
     # ------------------------------------------------------------------
     # Norms and similarity helpers (similarity-search hot path)
@@ -848,40 +488,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     The unfused composition builds two nodes (matmul, broadcast add) and
     an intermediate activation; the fused kernel adds the bias in place on
     the freshly allocated matmul output and routes all three gradients
-    from one closure.
+    from one node.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
+    x = _as_tensor(x)
     if not _FUSED_KERNELS:
         out = x @ weight
         if bias is not None:
             out = out + bias
         return out
-    value = np.matmul(x.data, weight.data)
-    if bias is not None:
-        np.add(value, bias.data, out=value)
-        parents: Tuple[Tensor, ...] = (x, weight, bias)
-    else:
-        parents = (x, weight)
-    out = Tensor(value, requires_grad=Tensor._needs_grad(*parents), _parents=parents)
-
-    def _backward() -> None:
-        g = out.grad
-        if x.requires_grad or x._parents:
-            grad_x = np.matmul(g, np.swapaxes(weight.data, -1, -2))
-            x._accumulate(_unbroadcast(grad_x, x.shape))
-        if weight.requires_grad or weight._parents:
-            if x.data.ndim == 1:
-                grad_w = np.multiply.outer(x.data, g)
-            else:
-                grad_w = np.matmul(np.swapaxes(x.data, -1, -2), g)
-            weight._accumulate(_unbroadcast(grad_w, weight.shape))
-        if bias is not None and (bias.requires_grad or bias._parents):
-            bias._accumulate(_unbroadcast(g, bias.shape))
-
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _apply("linear", (x, weight) if bias is None else (x, weight, bias))
 
 
 def bias_gelu(x: Tensor, bias: Tensor) -> Tensor:
@@ -893,46 +508,7 @@ def bias_gelu(x: Tensor, bias: Tensor) -> Tensor:
     """
     if not _FUSED_KERNELS:
         return (x + bias).gelu()
-    if not _GRAD_MODE.enabled:
-        # Inference: run the whole activation through one pooled scratch
-        # buffer and finish in place on the pre-activation allocation.
-        # Every step mirrors the expression below operation for operation
-        # (scalar factors applied on the same side of each binary op is
-        # exact for IEEE multiplies/adds), so values stay bit-identical.
-        pre = x.data + bias.data
-        scratch = _SCRATCH.take(pre.shape, pre.dtype)
-        np.multiply(pre, pre, out=scratch)
-        np.multiply(scratch, pre, out=scratch)  # pre * pre * pre
-        scratch *= 0.044715
-        scratch += pre
-        scratch *= _SQRT_2_OVER_PI
-        np.tanh(scratch, out=scratch)
-        scratch += 1.0  # 1.0 + tanh_inner
-        pre *= 0.5
-        np.multiply(pre, scratch, out=pre)  # (0.5 * pre) * (1 + tanh)
-        return Tensor(pre)
-    pre = x.data + bias.data
-    inner = _SQRT_2_OVER_PI * (pre + 0.044715 * (pre * pre * pre))
-    tanh_inner = np.tanh(inner)
-    out = Tensor(
-        0.5 * pre * (1.0 + tanh_inner),
-        requires_grad=Tensor._needs_grad(x, bias),
-        _parents=(x, bias),
-    )
-
-    def _backward() -> None:
-        sech2 = 1.0 - tanh_inner * tanh_inner
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (pre * pre))
-        local = 0.5 * (1.0 + tanh_inner) + 0.5 * pre * sech2 * d_inner
-        g = out.grad * local
-        if x.requires_grad or x._parents:
-            x._accumulate(_unbroadcast(g, x.shape))
-        if bias.requires_grad or bias._parents:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return _apply("bias_gelu", (x, bias))
 
 
 def attention_scores(
@@ -956,16 +532,374 @@ def attention_scores(
         if blocking_mask is not None:
             scores = scores.masked_fill(blocking_mask, mask_value)
         return scores.softmax(axis=-1)
-    k_t = np.swapaxes(k.data, -1, -2)
+    return _apply("attention_scores", (q, k), scale, blocking_mask, mask_value)
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors along ``axis`` with gradient routing."""
+    return _apply("concat", tuple(tensors), axis)
+
+
+# ----------------------------------------------------------------------
+# The primitive table
+# ----------------------------------------------------------------------
+class Primitive(NamedTuple):
+    """One graph-building operation: a forward on ndarrays plus its VJPs.
+
+    ``forward(*arrays, *params)`` takes the tensor inputs' arrays followed
+    by the call's non-tensor parameters and returns ``(value, saved)``:
+    the output array and whatever intermediates the backward pass reuses.
+    ``vjps[i](g, saved, *arrays, *params)`` is the gradient of input ``i``
+    given the output gradient ``g``, already summed to that input's shape.
+    ``shared(g, saved, *arrays, *params)``, when set, is backward work
+    every VJP of one node needs: it maps ``g`` once, before the VJPs run.
+    """
+
+    forward: Callable[..., Tuple[np.ndarray, Any]]
+    vjps: Sequence[Callable[..., np.ndarray]]
+    shared: Optional[Callable[..., np.ndarray]] = None
+
+
+#: Every primitive by name — the names the op profiler reports.
+PRIMITIVES: Dict[str, Primitive] = {}
+
+# The hook `_apply` runs each primitive call through (see `set_op_hook`).
+_OP_HOOK = None
+
+
+OpHook = Callable[..., Tensor]
+
+
+def set_op_hook(hook: Optional[OpHook]) -> Optional[OpHook]:
+    """Install ``hook`` around every primitive call; return the previous one.
+
+    Each call becomes ``hook(name, run, *run_args)``, and the hook must
+    return ``run(*run_args)``: the output tensor.  ``None`` removes it.
+    The hook is process-wide, so it sees every thread's calls.
+    """
+    global _OP_HOOK
+    previous, _OP_HOOK = _OP_HOOK, hook
+    return previous
+
+
+def _apply(name: str, inputs: Tuple[Tensor, ...], *params: Any) -> Tensor:
+    """Run primitive ``name`` on ``inputs`` (through the hook, if set)."""
+    if _OP_HOOK is not None:
+        return _OP_HOOK(name, _record, PRIMITIVES[name], inputs, params)
+    return _record(PRIMITIVES[name], inputs, params)
+
+
+def _record(prim: Primitive, inputs: Tuple[Tensor, ...], params: Tuple) -> Tensor:
+    """Call the forward, box its value and, while a gradient is traced,
+    record the graph node: the parents and a backward that accumulates
+    each parent's VJP, in parent order, into every parent that needs one."""
+    args = (*[t.data for t in inputs], *params)
+    value, saved = prim.forward(*args)
+    if not (_GRAD_MODE.enabled and any(t.requires_grad or t._parents for t in inputs)):
+        return Tensor(value)
+    out = Tensor(value, requires_grad=True, _parents=inputs)
+
+    def _backward() -> None:
+        g = out.grad
+        if prim.shared is not None:
+            g = prim.shared(g, saved, *args)
+        for parent, vjp in zip(inputs, prim.vjps):
+            if parent.requires_grad or parent._parents:
+                parent._accumulate(vjp(g, saved, *args))
+
+    out._backward = _backward
+    return out
+
+
+def _primitive(name: str, forward: Callable, *vjps: Callable, shared=None) -> None:
+    PRIMITIVES[name] = Primitive(forward, vjps, shared)
+
+
+# -- elementwise arithmetic --------------------------------------------
+_primitive(
+    "add",
+    lambda a, b: (a + b, None),
+    lambda g, _, a, b: _unbroadcast(g, a.shape),
+    lambda g, _, a, b: _unbroadcast(g, b.shape),
+)
+_primitive(
+    "mul",
+    lambda a, b: (a * b, None),
+    lambda g, _, a, b: _unbroadcast(g * b, a.shape),
+    lambda g, _, a, b: _unbroadcast(g * a, b.shape),
+)
+_primitive(
+    "div",
+    lambda a, b: (a / b, None),
+    lambda g, _, a, b: _unbroadcast(g / b, a.shape),
+    lambda g, _, a, b: _unbroadcast(-g * a / (b**2), b.shape),
+)
+_primitive(
+    "pow",
+    lambda a, exponent: (a**exponent, None),
+    lambda g, _, a, exponent: g * exponent * a ** (exponent - 1),
+)
+
+
+# -- unary math ----------------------------------------------------------
+def _sqrt_forward(a):
+    value = np.sqrt(a)
+    return value, value
+
+
+def _gelu_forward(x):
+    # The cube is computed as ``x * x * x``: ``np.power`` with an integer
+    # exponent takes a libm path that is ~70x slower and dominated the
+    # whole encode profile.
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
+    tanh_inner = np.tanh(inner)
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+
+
+def _gelu_vjp(g, tanh_inner, x):
+    sech2 = 1.0 - tanh_inner * tanh_inner
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (x * x))
+    return g * (0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner)
+
+
+_primitive("sqrt", _sqrt_forward, lambda g, value, a: g * 0.5 / value)
+_primitive("abs", lambda a: (np.abs(a), None), lambda g, _, a: g * np.sign(a))
+_primitive(
+    "relu", lambda a: (np.maximum(a, 0.0), None), lambda g, _, a: g * (a > 0.0)
+)
+_primitive("gelu", _gelu_forward, _gelu_vjp)
+
+
+# -- reductions and shape --------------------------------------------------
+def _sum_vjp(g, _, a, axis, keepdims):
+    if axis is not None and not keepdims:
+        axes = (axis,) if isinstance(axis, int) else axis
+        expand = [slice(None)] * a.ndim
+        for ax in sorted(ax % a.ndim for ax in axes):
+            expand[ax] = np.newaxis
+        g = g[tuple(expand)]
+    return np.broadcast_to(g, a.shape).copy()
+
+
+def _getitem_vjp(g, _, a, key):
+    full = np.zeros_like(a)
+    np.add.at(full, key, g)
+    return full
+
+
+_primitive(
+    "sum",
+    lambda a, axis, keepdims: (a.sum(axis=axis, keepdims=keepdims), None),
+    _sum_vjp,
+)
+_primitive(
+    "reshape",
+    lambda a, shape: (a.reshape(shape), None),
+    lambda g, _, a, shape: g.reshape(a.shape),
+)
+_primitive(
+    "transpose",
+    lambda a, axes: (a.transpose(axes), None),
+    lambda g, _, a, axes: g.transpose(np.argsort(axes)),
+)
+_primitive("getitem", lambda a, key: (a[key], None), _getitem_vjp)
+
+
+# -- linear algebra --------------------------------------------------------
+def _matmul_vjp_a(g, _, a, b):
+    if b.ndim == 1:
+        grad_a = np.multiply.outer(g, b) if a.ndim > 1 else g * b
+    else:
+        grad_b_t = np.swapaxes(b, -1, -2)
+        grad_a = np.matmul(g, grad_b_t) if a.ndim > 1 else np.matmul(
+            g[..., np.newaxis, :], grad_b_t
+        ).squeeze(-2)
+    return _unbroadcast(grad_a, a.shape)
+
+
+def _matmul_vjp_b(g, _, a, b):
+    if a.ndim == 1:
+        grad_b = np.multiply.outer(a, g)
+    else:
+        a_t = np.swapaxes(a, -1, -2)
+        if b.ndim == 1:
+            grad_b = np.matmul(a_t, g[..., np.newaxis]).squeeze(-1)
+            # Sum over any batch dimensions.
+            while grad_b.ndim > 1:
+                grad_b = grad_b.sum(axis=0)
+        else:
+            grad_b = np.matmul(a_t, g)
+    return _unbroadcast(grad_b, b.shape)
+
+
+_primitive("matmul", lambda a, b: (np.matmul(a, b), None), _matmul_vjp_a, _matmul_vjp_b)
+
+
+# -- composite primitives ----------------------------------------------------
+def _softmax_forward(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    value = exp / exp.sum(axis=axis, keepdims=True)
+    return value, value
+
+
+def _softmax_vjp(g, value, a, axis):
+    dot = (g * value).sum(axis=axis, keepdims=True)
+    return value * (g - dot)
+
+
+def _log_softmax_forward(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    value = shifted - log_z
+    return value, np.exp(value)
+
+
+def _log_softmax_vjp(g, softmax, a, axis):
+    total = g.sum(axis=axis, keepdims=True)
+    return g - softmax * total
+
+
+def _layer_norm_forward(x, weight, bias, eps):
+    if not _GRAD_MODE.enabled and _FUSED_KERNELS:
+        # Inference fast path: centering/normalizing happens in one
+        # pooled scratch buffer and the affine transform lands in the
+        # output in place — same operations in the same order as the
+        # training path (bit-identical), minus four temporaries.
+        centered = _SCRATCH.take(x.shape, x.dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        np.subtract(x, mu, out=centered)
+        squared = _SCRATCH.take(x.shape, x.dtype, slot=1)
+        np.square(centered, out=squared)  # == centered**2 bit for bit
+        var = squared.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        np.multiply(centered, inv_std, out=centered)
+        value = centered * weight
+        np.add(value, bias, out=value)
+        return value, None
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = centered * inv_std
+    return normalized * weight + bias, (normalized, inv_std)
+
+
+def _layer_norm_vjp_x(g, saved, x, weight, bias, eps):
+    normalized, inv_std = saved
+    g_norm = g * weight
+    mean_g = g_norm.mean(axis=-1, keepdims=True)
+    mean_gx = (g_norm * normalized).mean(axis=-1, keepdims=True)
+    return inv_std * (g_norm - mean_g - normalized * mean_gx)
+
+
+def _embedding_forward(table, indices, padding_idx):
+    idx = np.asarray(indices)
+    return table[idx], idx
+
+
+def _embedding_vjp(g, idx, table, indices, padding_idx):
+    full = np.zeros_like(table)
+    np.add.at(full, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
+    if padding_idx is not None:
+        full[padding_idx] = 0.0
+    return full
+
+
+def _masked_fill_forward(a, mask, value):
+    mask_arr = np.asarray(mask, dtype=bool)
+    return np.where(mask_arr, value, a), mask_arr
+
+
+def _dropout_forward(a, p, rng):
+    keep = 1.0 - p
+    kept = rng.random(a.shape) < keep
+    mask = np.multiply(kept, 1.0 / keep, dtype=a.dtype)
+    return a * mask, mask
+
+
+_primitive("softmax", _softmax_forward, _softmax_vjp)
+_primitive("log_softmax", _log_softmax_forward, _log_softmax_vjp)
+_primitive(
+    "layer_norm",
+    _layer_norm_forward,
+    _layer_norm_vjp_x,
+    lambda g, saved, x, weight, bias, eps: _unbroadcast(g * saved[0], weight.shape),
+    lambda g, saved, x, weight, bias, eps: _unbroadcast(g, bias.shape),
+)
+_primitive("embedding", _embedding_forward, _embedding_vjp)
+_primitive(
+    "masked_fill",
+    _masked_fill_forward,
+    lambda g, mask_arr, a, *params: _unbroadcast(np.where(mask_arr, 0.0, g), a.shape),
+)
+_primitive("dropout", _dropout_forward, lambda g, mask, a, p, rng: g * mask)
+
+
+# -- fused kernels -----------------------------------------------------------
+def _linear_forward(x, weight, bias=None):
+    value = np.matmul(x, weight)
+    if bias is not None:
+        np.add(value, bias, out=value)
+    return value, None
+
+
+def _linear_vjp_x(g, _, x, weight, bias=None):
+    return _unbroadcast(np.matmul(g, np.swapaxes(weight, -1, -2)), x.shape)
+
+
+def _linear_vjp_weight(g, _, x, weight, bias=None):
+    if x.ndim == 1:
+        grad_w = np.multiply.outer(x, g)
+    else:
+        grad_w = np.matmul(np.swapaxes(x, -1, -2), g)
+    return _unbroadcast(grad_w, weight.shape)
+
+
+def _bias_gelu_forward(x, bias):
+    pre = x + bias
+    if not _GRAD_MODE.enabled:
+        # Inference: run the whole activation through one pooled scratch
+        # buffer and finish in place on the pre-activation allocation.
+        # Every step mirrors the expression below operation for operation
+        # (scalar factors applied on the same side of each binary op is
+        # exact for IEEE multiplies/adds), so values stay bit-identical.
+        scratch = _SCRATCH.take(pre.shape, pre.dtype)
+        np.multiply(pre, pre, out=scratch)
+        np.multiply(scratch, pre, out=scratch)  # pre * pre * pre
+        scratch *= 0.044715
+        scratch += pre
+        scratch *= _SQRT_2_OVER_PI
+        np.tanh(scratch, out=scratch)
+        scratch += 1.0  # 1.0 + tanh_inner
+        pre *= 0.5
+        np.multiply(pre, scratch, out=pre)  # (0.5 * pre) * (1 + tanh)
+        return pre, None
+    inner = _SQRT_2_OVER_PI * (pre + 0.044715 * (pre * pre * pre))
+    tanh_inner = np.tanh(inner)
+    return 0.5 * pre * (1.0 + tanh_inner), (pre, tanh_inner)
+
+
+def _bias_gelu_shared(g, saved, x, bias):
+    pre, tanh_inner = saved
+    sech2 = 1.0 - tanh_inner * tanh_inner
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (pre * pre))
+    local = 0.5 * (1.0 + tanh_inner) + 0.5 * pre * sech2 * d_inner
+    return g * local
+
+
+def _attention_scores_forward(q, k, scale, blocking_mask, mask_value):
+    k_t = np.swapaxes(k, -1, -2)
     if _GRAD_MODE.enabled:
-        scores = np.matmul(q.data, k_t)
+        scores = np.matmul(q, k_t)
     else:
         shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + (
             q.shape[-2],
             k.shape[-2],
         )
-        scores = np.matmul(q.data, k_t, out=_SCRATCH.take(shape, q.data.dtype))
+        scores = np.matmul(q, k_t, out=_SCRATCH.take(shape, q.dtype))
     scores *= scale
+    mask_arr = None
     if blocking_mask is not None:
         mask_arr = np.asarray(blocking_mask, dtype=bool)
         np.copyto(scores, mask_value, where=mask_arr)
@@ -983,71 +917,73 @@ def attention_scores(
         scores -= row_max.reshape(scores.shape[:-1] + (1,))
     np.exp(scores, out=scores)
     value = scores / scores.sum(axis=-1, keepdims=True)
-    out = Tensor(value, requires_grad=Tensor._needs_grad(q, k), _parents=(q, k))
-
-    def _backward() -> None:
-        g = out.grad
-        dot = (g * value).sum(axis=-1, keepdims=True)
-        d_scores = value * (g - dot)
-        if blocking_mask is not None:
-            d_scores = np.where(mask_arr, 0.0, d_scores)
-        d_scores *= scale
-        if q.requires_grad or q._parents:
-            q._accumulate(_unbroadcast(np.matmul(d_scores, k.data), q.shape))
-        if k.requires_grad or k._parents:
-            grad_k_t = np.matmul(np.swapaxes(q.data, -1, -2), d_scores)
-            k._accumulate(_unbroadcast(np.swapaxes(grad_k_t, -1, -2), k.shape))
-
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+    return value, (value, mask_arr)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    needs = Tensor._needs_grad(*tensors)
-    out = Tensor(
-        data,
-        requires_grad=needs,
-        _parents=tuple(tensors) if needs else (),
-    )
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _backward() -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad or tensor._parents:
-                index = [slice(None)] * out.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(out.grad[tuple(index)])
-
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+def _attention_scores_shared(g, saved, q, k, scale, blocking_mask, mask_value):
+    value, mask_arr = saved
+    dot = (g * value).sum(axis=-1, keepdims=True)
+    d_scores = value * (g - dot)
+    if mask_arr is not None:
+        d_scores = np.where(mask_arr, 0.0, d_scores)
+    d_scores *= scale
+    return d_scores
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient routing."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-    needs = Tensor._needs_grad(*tensors)
-    out = Tensor(
-        data,
-        requires_grad=needs,
-        _parents=tuple(tensors) if needs else (),
-    )
+def _attention_scores_vjp_k(d_scores, _, q, k, *params):
+    grad_k_t = np.matmul(np.swapaxes(q, -1, -2), d_scores)
+    return _unbroadcast(np.swapaxes(grad_k_t, -1, -2), k.shape)
 
-    def _backward() -> None:
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad or tensor._parents:
-                tensor._accumulate(grad.squeeze(axis))
 
-    if out.requires_grad:
-        out._backward = _backward
-    return out
+_primitive(
+    "linear",
+    _linear_forward,
+    _linear_vjp_x,
+    _linear_vjp_weight,
+    lambda g, _, x, weight, bias: _unbroadcast(g, bias.shape),
+)
+_primitive(
+    "bias_gelu",
+    _bias_gelu_forward,
+    lambda g, _, x, bias: _unbroadcast(g, x.shape),
+    lambda g, _, x, bias: _unbroadcast(g, bias.shape),
+    shared=_bias_gelu_shared,
+)
+_primitive(
+    "attention_scores",
+    _attention_scores_forward,
+    lambda d_scores, _, q, k, *params: _unbroadcast(np.matmul(d_scores, k), q.shape),
+    _attention_scores_vjp_k,
+    shared=_attention_scores_shared,
+)
+
+
+# -- concat: the one primitive with any number of tensor inputs ---------------
+def _concat_forward(*args):
+    *arrays, axis = args
+    offsets = np.cumsum([0] + [a.shape[axis] for a in arrays])
+    return np.concatenate(arrays, axis=axis), offsets
+
+
+def _concat_vjp(i, g, offsets, *args):
+    index = [slice(None)] * g.ndim
+    index[args[-1]] = slice(offsets[i], offsets[i + 1])
+    return g[tuple(index)]
+
+
+class _PerInput:
+    """The VJPs of a variadic primitive: the ``i``-th is ``vjp`` bound to
+    ``i``.  Indexable without end, so ``zip(inputs, vjps)`` pairs each of
+    any number of inputs with its own VJP."""
+
+    def __init__(self, vjp: Callable[..., np.ndarray]) -> None:
+        self.vjp = vjp
+
+    def __getitem__(self, i: int) -> Callable[..., np.ndarray]:
+        return functools.partial(self.vjp, i)
+
+
+PRIMITIVES["concat"] = Primitive(_concat_forward, _PerInput(_concat_vjp))
 
 
 def numerical_gradient(

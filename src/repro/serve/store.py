@@ -370,12 +370,15 @@ class EmbeddingStore:
         reloading store continue the sequence instead of reusing retired
         ids.
         """
-        keys = list(self._cache)
-        vectors = (
-            np.vstack([self._cache[key] for key in keys])
-            if keys
-            else np.zeros((0, self.dim))
-        )
+        with self.lock:
+            keys = list(self._cache)
+            vectors = (
+                np.vstack([self._cache[key] for key in keys])
+                if keys
+                else np.zeros((0, self.dim))
+            )
+            next_id = self._next_id
+            assignments = dict(self._key_ids)
         return save_vector_cache(
             path,
             keys,
@@ -383,10 +386,10 @@ class EmbeddingStore:
             metadata={
                 "dim": self.dim,
                 "encoder_fingerprint": self.encoder_fingerprint(),
-                "next_id": self._next_id,
-                "id_assignments": dict(self._key_ids),
+                "next_id": next_id,
+                "id_assignments": assignments,
             },
-            ids=[self._key_ids.get(key, -1) for key in keys],
+            ids=[assignments.get(key, -1) for key in keys],
         )
 
     def load(self, path: PathLike, strict: bool = True) -> int:
@@ -412,34 +415,35 @@ class EmbeddingStore:
                 "vector cache was built by a different encoder; "
                 "pass strict=False to load anyway"
             )
-        adopt_ids = not self._key_ids and (
-            "id_assignments" in metadata or "ids" in metadata
-        )
-        for row, key in enumerate(keys):
-            self._insert(key, vectors[row])
-        if adopt_ids:
-            # Prefer the complete assignment map (covers records whose
-            # vectors were LRU-evicted before the save); fall back to the
-            # row-aligned ids of older caches.
-            if "id_assignments" in metadata:
-                assignments = {
-                    str(key): int(record_id)
-                    for key, record_id in metadata["id_assignments"].items()
-                }
-            else:
-                assignments = {
-                    key: int(metadata["ids"][row])
-                    for row, key in enumerate(keys)
-                    if int(metadata["ids"][row]) >= 0
-                }
-            for key, record_id in assignments.items():
-                self._key_ids[key] = record_id
-                self._id_keys[record_id] = key
-        # Never rewind the sequence: ids this store already handed out
-        # (even if since retired) must not be reissued after a load.
-        self._next_id = max(
-            self._next_id,
-            int(metadata.get("next_id", 0)),
-            max(self._id_keys, default=-1) + 1,
-        )
+        with self.lock:
+            adopt_ids = not self._key_ids and (
+                "id_assignments" in metadata or "ids" in metadata
+            )
+            for row, key in enumerate(keys):
+                self._insert(key, vectors[row])
+            if adopt_ids:
+                # Prefer the complete assignment map (covers records whose
+                # vectors were LRU-evicted before the save); fall back to the
+                # row-aligned ids of older caches.
+                if "id_assignments" in metadata:
+                    assignments = {
+                        str(key): int(record_id)
+                        for key, record_id in metadata["id_assignments"].items()
+                    }
+                else:
+                    assignments = {
+                        key: int(metadata["ids"][row])
+                        for row, key in enumerate(keys)
+                        if int(metadata["ids"][row]) >= 0
+                    }
+                for key, record_id in assignments.items():
+                    self._key_ids[key] = record_id
+                    self._id_keys[record_id] = key
+            # Never rewind the sequence: ids this store already handed out
+            # (even if since retired) must not be reissued after a load.
+            self._next_id = max(
+                self._next_id,
+                int(metadata.get("next_id", 0)),
+                max(self._id_keys, default=-1) + 1,
+            )
         return len(keys)

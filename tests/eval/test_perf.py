@@ -5,10 +5,8 @@ import pytest
 
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from repro.eval import EncodeProfile, OpProfiler, OpStat, profile_encode
-from repro.eval.perf import MODULE_FUNCTIONS, TENSOR_METHODS
-from repro.nn import Tensor, linear
+from repro.nn import Tensor, TransformerConfig, TransformerEncoder, cross_entropy
 from repro.nn import tensor as tensor_ops
-from repro.serve import MetricsRegistry
 
 
 def gen(seed=0):
@@ -97,22 +95,28 @@ class TestOpProfiler:
             tensor_ops.linear(x, w)
         assert prof.stats["linear"].calls == 1
 
-    def test_originals_restored_on_exit(self):
-        saved_methods = {m: getattr(Tensor, m) for m in TENSOR_METHODS}
-        saved_functions = {f: getattr(tensor_ops, f) for f in MODULE_FUNCTIONS}
-        with OpProfiler():
-            assert getattr(Tensor, "__add__") is not saved_methods["__add__"]
-        for method, original in saved_methods.items():
-            assert getattr(Tensor, method) is original
-        for function, original in saved_functions.items():
-            assert getattr(tensor_ops, function) is original
+    @staticmethod
+    def assert_detached(prof):
+        """Nothing more is recorded and no hook is left installed."""
+        before = {name: stat.calls for name, stat in prof.stats.items()}
+        a = Tensor(np.ones(3, dtype=np.float32))
+        a + a
+        assert {name: stat.calls for name, stat in prof.stats.items()} == before
+        assert tensor_ops.set_op_hook(None) is None
 
-    def test_restored_even_on_exception(self):
-        original = Tensor.__add__
+    def test_hook_removed_on_exit(self):
+        with OpProfiler() as prof:
+            a = Tensor(np.ones(3, dtype=np.float32))
+            a + a
+        assert prof.stats["add"].calls == 1
+        self.assert_detached(prof)
+
+    def test_hook_removed_even_on_exception(self):
         with pytest.raises(RuntimeError):
-            with OpProfiler():
+            with OpProfiler() as prof:
                 raise RuntimeError("boom")
-        assert Tensor.__add__ is original
+        assert prof.stats == {}
+        self.assert_detached(prof)
 
     def test_no_recording_after_exit(self):
         with OpProfiler() as prof:
@@ -132,17 +136,51 @@ class TestOpProfiler:
         assert any(line.startswith("add") for line in lines[1:])
         assert len(prof.table(limit=1).splitlines()) == 2
 
-    def test_publish_mirrors_into_metrics(self):
-        metrics = MetricsRegistry()
-        a = Tensor(gen(6).normal(size=(4, 4)).astype(np.float32))
+    def test_training_step_profile_is_pinned(self):
+        """Per-op calls and output bytes of one forward and backward of a
+        fixed two-layer encoder: what the benchmark's ``nn.ops.calls`` and
+        ``nn.ops.output_mb`` read.  A change to how ops are dispatched or
+        counted shows here before it shows in the benchmark."""
+        config = TransformerConfig(
+            vocab_size=40,
+            dim=16,
+            num_layers=2,
+            num_heads=2,
+            ffn_dim=32,
+            max_seq_len=12,
+            dropout=0.1,
+            seed=0,
+        )
+        model = TransformerEncoder(config)
+        ids = gen(0).integers(1, 40, size=(4, 10))
+        ids[1, 7:] = 0
+        ids[3, 5:] = 0
+        segments = np.zeros_like(ids)
+        segments[:, 5:] = 1
         with OpProfiler() as prof:
-            a + a
-            a + a
-        prof.publish(metrics)
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["ops.add.calls"] == 2
-        assert snapshot["counters"]["ops.add.bytes"] == prof.stats["add"].bytes
-        assert "ops.add.seconds" in snapshot["histograms"]
+            pooled = model.pooled(ids, segment_ids=segments, pooling="mean")
+            z = pooled.l2_normalize(axis=-1)
+            loss = cross_entropy((z @ z.T) * 10.0, np.arange(4))
+            loss.backward()
+        assert {name: (s.calls, s.bytes) for name, s in prof.stats.items()} == {
+            "add": (7, 15376),
+            "attention_scores": (2, 6400),
+            "bias_gelu": (2, 10240),
+            "div": (2, 512),
+            "dropout": (9, 29440),
+            "embedding": (3, 7680),
+            "getitem": (1, 16),
+            "layer_norm": (6, 15360),
+            "linear": (10, 25600),
+            "log_softmax": (1, 64),
+            "matmul": (5, 15424),
+            "mul": (5, 2888),
+            "reshape": (8, 20480),
+            "sqrt": (1, 16),
+            "sum": (3, 276),
+            "transpose": (9, 20736),
+        }
+        assert prof.total_calls == 74
 
 
 class TestProfileEncode:

@@ -9,13 +9,8 @@ from repro.nn import (
     LinearWarmupDecay,
     Parameter,
     Tensor,
-    accuracy,
-    binary_cross_entropy_with_logits,
-    cosine_similarity_matrix,
-    cosine_similarity_rows,
     cross_entropy,
     load_checkpoint,
-    mse_loss,
     save_checkpoint,
     weighted_cross_entropy,
 )
@@ -253,34 +248,6 @@ class TestLosses:
             weighted_cross_entropy(
                 Tensor(np.zeros((2, 2))), np.array([0, 1]), np.array([1.0])
             )
-
-    def test_bce_with_logits_matches_manual(self):
-        logits = Tensor(np.array([0.5, -1.0, 2.0]))
-        targets = np.array([1.0, 0.0, 1.0])
-        loss = binary_cross_entropy_with_logits(logits, targets).item()
-        probs = 1 / (1 + np.exp(-logits.data))
-        manual = -(targets * np.log(probs) + (1 - targets) * np.log(1 - probs)).mean()
-        assert loss == pytest.approx(manual, abs=1e-6)
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        assert mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
-
-    def test_cosine_similarity_matrix(self):
-        a = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sims = cosine_similarity_matrix(a, a).data
-        np.testing.assert_allclose(sims, np.eye(2), atol=1e-6)
-
-    def test_cosine_similarity_rows(self):
-        a = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        b = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sims = cosine_similarity_rows(a, b).data
-        np.testing.assert_allclose(sims, [1.0, 0.0], atol=1e-6)
-
-    def test_accuracy(self):
-        logits = Tensor(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        assert accuracy(logits, np.array([0, 1])) == 1.0
-        assert accuracy(logits, np.array([1, 0])) == 0.0
 
 
 class TestCheckpointing:

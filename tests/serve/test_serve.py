@@ -3,6 +3,7 @@ parity and mutability, the streaming MatchService APIs, blocking over a
 shared store, and single-encoding pipeline integration."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -157,6 +158,46 @@ class TestEmbeddingStore:
         )
         with pytest.raises(ValueError):
             EmbeddingStore(small).load(path, strict=False)
+
+    @pytest.mark.parametrize("call", ["save", "load"])
+    def test_save_and_load_wait_for_the_store_lock(
+        self, dataset, encoder, tmp_path, call
+    ):
+        """Both read or mutate the cache and the id state, so, like every
+        other state-touching method, both wait while another thread holds
+        ``store.lock``."""
+        source = EmbeddingStore(encoder)
+        source.embed_batch(dataset.all_items()[:4])
+        path = source.save(tmp_path / "source.npz")
+        store = EmbeddingStore(encoder)
+        store.embed_batch(dataset.all_items()[4:6])
+        actions = {
+            "save": lambda: store.save(tmp_path / "out.npz"),
+            "load": lambda: store.load(path),
+        }
+        held, release, finished = (threading.Event() for _ in range(3))
+
+        def hold_lock():
+            with store.lock:
+                held.set()
+                release.wait(10.0)
+
+        def run_call():
+            actions[call]()
+            finished.set()
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(5.0)
+        caller = threading.Thread(target=run_call)
+        caller.start()
+        try:
+            assert not finished.wait(0.5), f"{call} ran while the lock was held"
+        finally:
+            release.set()
+            holder.join()
+        caller.join(10.0)
+        assert finished.is_set()
 
 
 # ----------------------------------------------------------------------
