@@ -11,8 +11,7 @@ operators, not a label-mixing regularizer).
 At the text level ``mixup_embed`` is the identity — the distortion lives
 entirely at the embedding injection point the cutoff operators already
 use — which is what lets it register in ``EM_OPERATORS`` next to the
-token/span operators and compete under the adaptive
-``da_operator="auto"`` scheduler.
+token/span operators.
 """
 
 from __future__ import annotations

@@ -161,8 +161,8 @@ def mixup_embed(text: str, rng: np.random.Generator) -> str:
     in-batch item's (see :mod:`repro.augment.mixup`) — happens at the
     embedding injection point during encoding, because it needs the whole
     batch.  Registering the text-level identity here lets the operator
-    sit in :data:`EM_OPERATORS` and compete under the adaptive
-    ``da_operator="auto"`` scheduler like any Table I operator.
+    sit in :data:`EM_OPERATORS` and be selected as ``da_operator`` like
+    any Table I operator.
     """
     return text
 

@@ -16,7 +16,7 @@ from .matcher import (
 )
 from .negative_sampling import ClusterBatcher
 from .persistence import load_encoder, save_encoder
-from .pretrain import OperatorScheduler, PretrainResult, prepare_corpus, pretrain
+from .pretrain import PretrainResult, prepare_corpus, pretrain
 from .pseudo_label import (
     PseudoLabelSet,
     estimate_positive_ratio,
@@ -47,7 +47,6 @@ __all__ = [
     "hill_climb_threshold",
     "load_encoder",
     "nt_xent_loss",
-    "OperatorScheduler",
     "prepare_corpus",
     "pretrain",
     "save_encoder",

@@ -23,7 +23,7 @@ duplicate) live in :meth:`SudowoodoConfig.for_task`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 
 @dataclass
@@ -185,7 +185,9 @@ class SudowoodoConfig:
     def from_dict(cls, mapping: Mapping[str, Any]) -> "SudowoodoConfig":
         """Build a config from a flat field mapping; any other key raises
         ``ValueError``.  Names in :data:`RETIRED_CONFIG_FIELDS` are
-        dropped, so configs saved before a field was deleted still load.
+        dropped, so configs saved before a field was deleted still load;
+        the retired ``da_operator="auto"`` (an adaptive operator
+        scheduler) reads as the default operator.
 
         Round-trip guarantee: ``from_dict(cfg.to_dict()) == cfg``.
         """
@@ -198,6 +200,8 @@ class SudowoodoConfig:
                     f"unknown config key {key!r}; "
                     f"valid fields: {sorted(_FIELD_NAMES)}"
                 )
+        if values.get("da_operator") == "auto":
+            del values["da_operator"]
         return cls(**values)
 
     # ------------------------------------------------------------------
@@ -246,11 +250,14 @@ class SudowoodoConfig:
                 f"unknown cutoff kind {self.cutoff_kind!r}; "
                 f"valid options: {', '.join(sorted(VALID_CUTOFF_KINDS))}"
             )
-        valid_operators = _valid_da_operators()
-        if self.da_operator not in valid_operators:
+        # Imported here: ``augment`` depends on ``data`` and must not load
+        # at ``core.config`` import time.
+        from ..augment.operators import ALL_OPERATORS
+
+        if self.da_operator not in ALL_OPERATORS:
             raise ValueError(
                 f"unknown da_operator {self.da_operator!r}; "
-                f"valid options: {', '.join(sorted(valid_operators))}"
+                f"valid options: {', '.join(sorted(ALL_OPERATORS))}"
             )
         if not self.ann_backend:
             raise ValueError("ann_backend must be a non-empty backend name")
@@ -324,17 +331,6 @@ VALID_CUTOFF_KINDS = ("token", "feature", "span", "none")
 #: on-disk ``serve.vecstore.MemmapVectorStore`` additionally supports
 #: ``int8`` scalar quantization via its own ``dtype`` argument).
 VALID_STORE_DTYPES = ("float64", "float32", "float16")
-
-
-def _valid_da_operators() -> Tuple[str, ...]:
-    """All registered DA operators plus the adaptive ``"auto"`` scheduler.
-
-    Imported lazily: ``augment`` depends on ``data`` and must not load at
-    ``core.config`` import time.
-    """
-    from ..augment.operators import ALL_OPERATORS
-
-    return tuple(ALL_OPERATORS) + ("auto",)
 
 
 #: The preset of every task that embeds serialized columns: the two

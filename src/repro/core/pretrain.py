@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..augment import (
-    EM_OPERATORS,
     augment_batch,
     make_cutoff_sampler,
     mask_transform,
@@ -57,75 +56,6 @@ class PretrainResult:
     encoder: SudowoodoEncoder
     epoch_losses: List[float] = field(default_factory=list)
     corpus_size: int = 0
-    operator_weights: Optional[dict] = None
-
-
-class OperatorScheduler:
-    """Adaptive DA-operator selection (``da_operator="auto"``).
-
-    The paper leaves learned operator combination (à la Rotom) as future
-    work; this scheduler implements the simplest self-supervised form:
-    operators are sampled proportionally to softmax'd utility scores, and
-    an operator's score is nudged by how much harder-than-average its
-    batches are (higher contrastive loss = harder positives = more
-    training signal, the "diverse views" intuition of Section IV-A).
-    """
-
-    def __init__(
-        self,
-        operators: Sequence[str],
-        rng: np.random.Generator,
-        step_size: float = 0.3,
-    ) -> None:
-        if not operators:
-            raise ValueError("need at least one operator")
-        self.operators = list(operators)
-        self.rng = rng
-        self.step_size = step_size
-        self._scores = {op: 0.0 for op in self.operators}
-        self._running_loss: Optional[float] = None
-
-    def weights(self) -> dict:
-        """Softmax selection probabilities over the candidate operators."""
-        values = np.array([self._scores[op] for op in self.operators])
-        exp = np.exp(values - values.max())
-        probabilities = exp / exp.sum()
-        return dict(zip(self.operators, probabilities))
-
-    def sample(self) -> str:
-        """Draw the DA operator for the next batch."""
-        weights = self.weights()
-        probabilities = [weights[op] for op in self.operators]
-        return str(self.rng.choice(self.operators, p=probabilities))
-
-    def update(self, operator: str, loss: float) -> None:
-        """Reward ``operator`` by its loss advantage over the running mean
-        (harder augmentations -> higher contrastive loss -> more weight)."""
-        if self._running_loss is None:
-            self._running_loss = loss
-        advantage = loss - self._running_loss
-        self._scores[operator] += self.step_size * advantage
-        self._running_loss = 0.9 * self._running_loss + 0.1 * loss
-
-    # -- checkpoint participation --------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable scores + running loss for trainer resume."""
-        return {
-            "scores": dict(self._scores),
-            "running_loss": self._running_loss,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (operator set must match)."""
-        if set(state["scores"]) != set(self._scores):
-            raise ValueError(
-                "operator scheduler mismatch: checkpoint has "
-                f"{sorted(state['scores'])}, scheduler has "
-                f"{sorted(self._scores)}"
-            )
-        self._scores = {op: float(s) for op, s in state["scores"].items()}
-        running = state.get("running_loss")
-        self._running_loss = None if running is None else float(running)
 
 
 def prepare_corpus(
@@ -150,7 +80,6 @@ class _PreparedBatch:
     ori: Any  # stacked Encoding of the original view
     aug: Any  # stacked Encoding of the augmented view
     transform: Optional[Any]  # embedding transform for the augmented view
-    operator: str
     size: int
     cross_item: bool  # True when the transform mixes in-batch items
 
@@ -158,9 +87,9 @@ class _PreparedBatch:
 class ContrastivePretrainProgram(StepProgram):
     """Algorithm 1's inner loop as a :class:`~repro.train.StepProgram`.
 
-    Batch preparation — operator sampling, text augmentation, tokenization
-    (cache-first for the original view), cutoff mask drawing — runs in
-    ``prepare``; the forward pass encodes both views and evaluates
+    Batch preparation — text augmentation with the configured DA operator,
+    tokenization (cache-first for the original view), cutoff mask drawing —
+    runs in ``prepare``; the forward pass encodes both views and evaluates
     Equation 6.  Every stochastic choice draws from its own named stream.
     """
 
@@ -194,11 +123,6 @@ class ContrastivePretrainProgram(StepProgram):
             if config.use_cutoff
             else None
         )
-        self.scheduler = (
-            OperatorScheduler(sorted(EM_OPERATORS), rngs.get("da-scheduler"))
-            if config.da_operator == "auto"
-            else None
-        )
 
     # ------------------------------------------------------------------
     def epoch_batches(self, epoch: int) -> Sequence[np.ndarray]:
@@ -212,10 +136,8 @@ class ContrastivePretrainProgram(StepProgram):
 
     def prepare(self, batch_indices: np.ndarray) -> _PreparedBatch:
         batch = [self.corpus[int(i)] for i in batch_indices]
-        # Line 7 of Algorithm 1: choose and apply the DA operator.
-        operator = (
-            self.scheduler.sample() if self.scheduler else self.config.da_operator
-        )
+        # Line 7 of Algorithm 1: apply the configured DA operator.
+        operator = self.config.da_operator
         augmented = augment_batch(batch, self.da_rng, operator=operator)
         transforms = []
         cross_item = False
@@ -240,7 +162,6 @@ class ContrastivePretrainProgram(StepProgram):
             ori=ori,
             aug=aug,
             transform=_chain(transforms),
-            operator=operator,
             size=len(batch),
             cross_item=cross_item,
         )
@@ -280,7 +201,6 @@ class ContrastivePretrainProgram(StepProgram):
                     ori=_slice_encoding(prepared.ori, lo, hi),
                     aug=_slice_encoding(prepared.aug, lo, hi),
                     transform=prepared.transform,
-                    operator=prepared.operator,
                     size=hi - lo,
                     cross_item=False,
                 ),
@@ -288,20 +208,6 @@ class ContrastivePretrainProgram(StepProgram):
             )
             for lo, hi in bounds
         ]
-
-    def on_batch_end(self, prepared: _PreparedBatch, loss: float) -> None:
-        if self.scheduler:
-            self.scheduler.update(prepared.operator, loss)
-
-    # -- checkpoint participation --------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        if self.scheduler is None:
-            return {}
-        return {"scheduler": self.scheduler.state_dict()}
-
-    def load_state_dict(self, values: Dict[str, Any]) -> None:
-        if self.scheduler is not None and "scheduler" in values:
-            self.scheduler.load_state_dict(values["scheduler"])
 
 
 def _chain(transforms: List[Any]) -> Optional[Any]:
@@ -413,5 +319,4 @@ def pretrain(
         encoder=encoder,
         epoch_losses=list(state.epoch_losses),
         corpus_size=len(corpus),
-        operator_weights=program.scheduler.weights() if program.scheduler else None,
     )

@@ -284,8 +284,9 @@ class EmbeddingStore:
         request.  Rows come back in request order.  With ``normalize``
         the returned rows are L2-normalized copies; the cache always holds
         raw vectors.  ``cache=False`` still serves (and refreshes) hits
-        but does *not* insert the misses — the right mode for transient
-        query traffic that must not evict or outgrow the corpus cache.
+        but does *not* insert the misses, here or in the encoder's token
+        cache — the right mode for transient query traffic that must not
+        evict or outgrow the corpus caches.
         """
         with self.lock:
             return self._embed_batch_locked(texts, normalize, chunk_size, cache)
@@ -324,6 +325,7 @@ class EmbeddingStore:
                 list(missing.values()),
                 batch_size=chunk_size or self.batch_size,
                 normalize=False,
+                use_token_cache=cache,
             )
             if self._metrics is not None:
                 # Encode-stage observability: how long cache misses spend

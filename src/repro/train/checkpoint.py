@@ -97,14 +97,12 @@ def save_trainer_state(
     schedules: Sequence[LRSchedule],
     state_values: Dict[str, Any],
     rngs: Optional[RngStream] = None,
-    program_values: Optional[Dict[str, Any]] = None,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Write the full training state to ``path`` (atomically).
 
     ``state_values`` carries the engine counters (epoch, step, losses);
-    ``program_values`` carries task-adapter state (e.g. the DA-operator
-    scheduler's scores); ``metadata`` is free-form extra JSON.
+    ``metadata`` is free-form extra JSON.
     """
     arrays: Dict[str, np.ndarray] = {
         f"{_MODEL_PREFIX}{name}": value
@@ -125,7 +123,6 @@ def save_trainer_state(
         "schedules": [schedule.state_dict() for schedule in schedules],
         "model_rngs": module_rng_states(model),
         "rng_stream": rngs.state_dict() if rngs is not None else None,
-        "program": dict(program_values or {}),
         "metadata": dict(metadata or {}),
     }
     save_state_archive(path, arrays, meta)
@@ -141,10 +138,10 @@ def load_trainer_state(
 ) -> Dict[str, Any]:
     """Restore a :func:`save_trainer_state` archive in place.
 
-    Returns ``{"state": ..., "program": ..., "metadata": ...}`` for the
-    caller (the engine restores its counters, the program restores its
-    own state).  Entries this version no longer writes (the
-    ``callbacks`` list of older archives) are ignored.  Raises
+    Returns ``{"state": ..., "metadata": ...}`` for the caller (the
+    engine restores its counters).  Entries this version no longer
+    writes (the ``callbacks`` list and the ``program`` state of older
+    archives) are ignored.  Raises
     ``FileNotFoundError`` when the file is absent and ``ValueError`` when
     it is corrupt, has a different format tag, or does not match the
     trainer's structure.
@@ -194,6 +191,5 @@ def load_trainer_state(
         rngs.load_state_dict(meta["rng_stream"])
     return {
         "state": meta.get("state", {}),
-        "program": meta.get("program", {}),
         "metadata": meta.get("metadata", {}),
     }

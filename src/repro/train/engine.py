@@ -14,9 +14,8 @@ cross-cutting machinery exactly once:
   (:class:`repro.train.parallel.GradientWorkerPool`).
 
 Batches are prepared inline, in order, on the training thread: a
-program's ``prepare(batch)`` for step ``i + 1`` runs after
-``on_batch_end`` of step ``i``, so preparation may observe per-step
-feedback (the adaptive DA-operator scheduler does).
+program's ``prepare(batch)`` for step ``i + 1`` runs after the optimizer
+step of step ``i``.
 
 Equivalence contract: with one worker the engine executes the exact
 operation sequence of the pre-engine hand-rolled loops — existing seeded
@@ -104,9 +103,6 @@ class StepProgram:
         the gradient workers; None falls back to the serial step."""
         return None
 
-    def on_batch_end(self, prepared: Any, loss: float) -> None:
-        """Per-step feedback hook (runs on the main thread, in order)."""
-
     def on_epoch_end(
         self, trainer: "Trainer", epoch: int, epoch_loss: float, is_last: bool
     ) -> None:
@@ -114,14 +110,6 @@ class StepProgram:
 
     def on_fit_end(self, trainer: "Trainer") -> None:
         """Final hook before the engine switches the model to eval."""
-
-    # -- checkpoint participation --------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable program state for checkpoints."""
-        return {}
-
-    def load_state_dict(self, values: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output."""
 
 
 class Trainer:
@@ -193,7 +181,6 @@ class Trainer:
             schedules=self.schedules,
             state_values=self.state.values(),
             rngs=self.rngs,
-            program_values=self.program.state_dict(),
             # Worker replicas carry their own dropout generators, which
             # advance across epochs; capture them so a multi-worker resume
             # replays the identical noise streams.
@@ -219,7 +206,6 @@ class Trainer:
             rngs=self.rngs,
         )
         self.state.restore(restored["state"])
-        self.program.load_state_dict(restored["program"])
         # Replica RNG states apply once the worker pool exists (in fit);
         # a run resumed with a different worker count starts the replicas
         # fresh instead of misassigning snapshots.
@@ -274,14 +260,12 @@ class Trainer:
                         continue
                     for optimizer in self.optimizers:
                         optimizer.zero_grad()
-                    loss_value = self._backward(prepared)
-                    losses.append(loss_value)
+                    losses.append(self._backward(prepared))
                     for schedule in self.schedules:
                         schedule.step()
                     for optimizer in self.optimizers:
                         optimizer.step()
                     self.state.step += 1
-                    self.program.on_batch_end(prepared, loss_value)
                     if max_steps is not None and self.state.step >= max_steps:
                         break
                 epoch_loss = float(np.mean(losses)) if losses else float("nan")
@@ -289,8 +273,8 @@ class Trainer:
                 self.state.epoch += 1
                 is_last = self._done(max_epochs, max_steps)
                 self.program.on_epoch_end(self, epoch, epoch_loss, is_last)
-                # After the program hook, so the archive holds this
-                # epoch's validation / model-selection state too.
+                # After the program hook, so the archive holds the
+                # state that hook leaves behind.
                 if self.checkpoint_path is not None:
                     self.save_state(self.checkpoint_path)
             self.state.stop_reason = (

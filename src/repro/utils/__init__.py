@@ -4,7 +4,7 @@ content fingerprints."""
 from .arrays import grow_array
 from .fingerprint import text_fingerprint
 from .rng import RngStream, spawn_rng
-from .timing import Timer, timed
+from .timing import Timer
 
 __all__ = [
     "RngStream",
@@ -12,5 +12,4 @@ __all__ = [
     "grow_array",
     "spawn_rng",
     "text_fingerprint",
-    "timed",
 ]

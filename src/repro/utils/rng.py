@@ -40,11 +40,6 @@ class RngStream:
             self._children[name] = spawn_rng(self.seed, name)
         return self._children[name]
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a brand-new generator for ``name`` (resets the stream)."""
-        self._children[name] = spawn_rng(self.seed, name)
-        return self._children[name]
-
     # ------------------------------------------------------------------
     # Serialization (training checkpoint/resume)
     # ------------------------------------------------------------------

@@ -37,13 +37,3 @@ class Timer:
     def summary(self) -> Dict[str, float]:
         return dict(self.totals)
 
-
-@contextmanager
-def timed() -> Iterator[Dict[str, float]]:
-    """Context manager yielding a dict whose ``elapsed`` key is filled on exit."""
-    result: Dict[str, float] = {}
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result["elapsed"] = time.perf_counter() - start

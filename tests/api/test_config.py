@@ -96,8 +96,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="feature, none, span, token"):
             SudowoodoConfig(cutoff_kind="bogus").validate()
 
-    def test_auto_operator_is_valid(self):
-        SudowoodoConfig(da_operator="auto").validate()
+    def test_retired_auto_operator_is_rejected(self):
+        with pytest.raises(ValueError, match="auto"):
+            SudowoodoConfig(da_operator="auto").validate()
+
+    def test_saved_auto_operator_loads_as_the_default(self):
+        config = SudowoodoConfig.from_dict({"da_operator": "auto", "dim": 20})
+        assert config == SudowoodoConfig(dim=20)
+        config.validate()
 
     def test_every_registered_operator_is_valid(self):
         from repro.augment.operators import ALL_OPERATORS

@@ -126,9 +126,8 @@ class TestMixupOperator:
         rng = spawn_rng(0, "mixup")
         assert EM_OPERATORS["mixup_embed"]("[COL] a [VAL] b", rng) == "[COL] a [VAL] b"
 
-    def test_selectable_under_auto_and_directly(self):
+    def test_selectable_as_the_da_operator(self):
         SudowoodoConfig(da_operator="mixup_embed").validate()
-        SudowoodoConfig(da_operator="auto").validate()
 
     def test_sample_mixup_plan_is_valid(self):
         rng = spawn_rng(0, "mixup")

@@ -1,5 +1,4 @@
-"""Extra integration tests: auto-DA pipeline, concat head, HNSW blocking,
-positive ratio."""
+"""Extra integration tests: concat head, HNSW blocking, positive ratio."""
 
 import numpy as np
 import pytest
@@ -42,14 +41,6 @@ def pretrained_session(dataset, **overrides):
     session = SudowoodoSession(tiny_config(**overrides))
     session.pretrain(dataset.all_items())
     return session
-
-
-class TestAutoDAPipeline:
-    def test_full_pipeline_with_auto_operator(self, dataset):
-        session = pretrained_session(dataset, da_operator="auto")
-        report = session.task("match").fit(dataset, label_budget=20).report()
-        assert 0.0 <= report.f1 <= 1.0
-        assert session.pretrain_result.operator_weights is not None
 
 
 class TestConcatHeadPipeline:

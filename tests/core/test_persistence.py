@@ -117,6 +117,57 @@ class TestPersistence:
         for name, value in full.encoder.state_dict().items():
             np.testing.assert_array_equal(resumed_state[name], value)
 
+    def test_trainer_archive_with_a_program_entry_resumes(
+        self, trained, tmp_path
+    ):
+        """Trainer archives written while pre-training had an adaptive
+        DA-operator scheduler carry a ``program`` entry with its scores;
+        a pre-training run resumed from one matches the uninterrupted
+        run."""
+        dataset, encoder = trained
+        items = dataset.all_items()
+        config = replace(encoder.config, pretrain_epochs=2)
+        full = pretrain(items, config)
+        pretrain(
+            items, replace(config, pretrain_epochs=1), checkpoint_dir=tmp_path
+        )
+        path = tmp_path / TRAINER_STATE_FILE
+        arrays, metadata = load_state_archive(path)
+        metadata["program"] = {
+            "scheduler": {
+                "scores": {"token_del": 0.4, "span_del": -0.1},
+                "running_loss": 2.5,
+            }
+        }
+        save_state_archive(path, arrays, metadata)
+        resumed = pretrain(items, config, checkpoint_dir=tmp_path, resume=True)
+        assert resumed.epoch_losses == full.epoch_losses
+        resumed_state = resumed.encoder.state_dict()
+        for name, value in full.encoder.state_dict().items():
+            np.testing.assert_array_equal(resumed_state[name], value)
+
+    def test_encoder_checkpoint_with_auto_operator_loads(
+        self, trained, tmp_path
+    ):
+        """Encoder checkpoints saved with ``da_operator="auto"`` (a
+        retired adaptive scheduler) load to a valid config and the same
+        embeddings; the operator is a pre-training knob, so the weights
+        do not depend on how it reads back."""
+        dataset, encoder = trained
+        path = save_encoder(encoder, tmp_path / "encoder.npz")
+        arrays, metadata = load_state_archive(path)
+        metadata["config"]["da_operator"] = "auto"
+        save_state_archive(path, arrays, metadata)
+        restored = load_encoder(path)
+        restored.config.validate()
+        assert replace(
+            restored.config, da_operator=encoder.config.da_operator
+        ) == encoder.config
+        items = dataset.all_items()[:8]
+        np.testing.assert_array_equal(
+            encoder.embed_items(items), restored.embed_items(items)
+        )
+
     def test_crash_mid_save_keeps_the_old_encoder(
         self, trained, tmp_path, monkeypatch
     ):

@@ -99,6 +99,24 @@ class TestEmbeddingStore:
         matrix = store.embed_batch(dataset.all_items()[:5], normalize=True)
         np.testing.assert_allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_cache_flag_governs_the_token_cache(self, encoder, cache):
+        """``cache=True`` misses enter both the store and the encoder's
+        token cache; ``cache=False`` misses enter neither."""
+        store = EmbeddingStore(encoder)
+        texts = [f"[COL] name [VAL] token flag {cache} probe {i}" for i in range(3)]
+        tokens_before = encoder.token_cache_stats()["size"]
+        store.embed_batch(texts, cache=cache)
+        grown = len(texts) if cache else 0
+        assert len(store) == grown
+        assert encoder.token_cache_stats()["size"] == tokens_before + grown
+
+    def test_uncached_rows_equal_cached_rows(self, encoder):
+        texts = [f"[COL] name [VAL] cold row probe {i}" for i in range(3)]
+        cold = EmbeddingStore(encoder).embed_batch(texts, cache=False)
+        warm = EmbeddingStore(encoder).embed_batch(texts)
+        np.testing.assert_array_equal(cold, warm)
+
     def test_capacity_lru_eviction(self, dataset, encoder):
         store = EmbeddingStore(encoder, capacity=2)
         texts = dataset.all_items()[:3]
@@ -568,6 +586,15 @@ class TestStableIds:
         size_before = len(service.store)
         service.search_batch(["transient query one", "transient query two"], k=3)
         assert len(service.store) == size_before
+
+    def test_search_does_not_grow_token_cache(self, dataset, encoder):
+        """Query misses are tokenized cold: the encoder's token cache,
+        like the store, keeps only what was indexed."""
+        service = MatchService(encoder, config=tiny_config())
+        service.index_records(dataset.all_items()[:8])
+        size_before = encoder.token_cache_stats()["size"]
+        service.search_batch(["token cache query one", "token cache query two"], k=3)
+        assert encoder.token_cache_stats()["size"] == size_before
 
     def test_id_state_persists_across_save_load(self, dataset, encoder, tmp_path):
         store = EmbeddingStore(encoder)

@@ -79,27 +79,6 @@ class TestResumeDeterminism:
             resumed.encoder.state_dict(), full.encoder.state_dict()
         )
 
-    def test_resume_with_auto_operator_scheduler(self, tmp_path):
-        config_kwargs = dict(da_operator="auto", mlm_warm_start_epochs=0)
-        full = pretrain(list(CORPUS), tiny_config(**config_kwargs))
-        pretrain(
-            list(CORPUS),
-            tiny_config(pretrain_epochs=2, **config_kwargs),
-            checkpoint_dir=tmp_path,
-        )
-        resumed = pretrain(
-            list(CORPUS),
-            tiny_config(**config_kwargs),
-            checkpoint_dir=tmp_path,
-            resume=True,
-        )
-        assert resumed.epoch_losses == full.epoch_losses
-        assert states_equal(
-            resumed.encoder.state_dict(), full.encoder.state_dict()
-        )
-        assert full.operator_weights is not None
-        assert resumed.operator_weights == pytest.approx(full.operator_weights)
-
     def test_resume_without_checkpoint_dir_raises(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             pretrain(list(CORPUS), tiny_config(), resume=True)

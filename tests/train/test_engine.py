@@ -90,9 +90,8 @@ class TestEngineLoop:
         assert state.stop_reason == "max_epochs"
 
     def test_prepare_runs_inline_after_the_previous_step(self):
-        """Batch ``i + 1`` is prepared after ``on_batch_end(i)``, on the
-        thread that called ``fit`` — preparation may see every earlier
-        step's feedback."""
+        """Batch ``i + 1`` is prepared after step ``i``'s loss, on the
+        thread that called ``fit``."""
         events = []
 
         class RecordingProgram(QuadraticProgram):
@@ -100,15 +99,16 @@ class TestEngineLoop:
                 events.append(("prepare", threading.get_ident()))
                 return batch
 
-            def on_batch_end(self, prepared, loss):
-                events.append(("end", threading.get_ident()))
+            def loss(self, model, prepared):
+                events.append(("loss", threading.get_ident()))
+                return super().loss(model, prepared)
 
         model = make_model()
         Trainer(
             model, RecordingProgram(make_data()), AdamW(model.parameters())
         ).fit(max_epochs=3)
         assert {thread for _, thread in events} == {threading.get_ident()}
-        assert [kind for kind, _ in events] == ["prepare", "end"] * 6
+        assert [kind for kind, _ in events] == ["prepare", "loss"] * 6
 
     def test_max_steps_prepares_no_batch_past_the_cap(self):
         """Stopping at ``max_steps`` leaves the batches after the cap
@@ -157,48 +157,6 @@ class TestEngineLoop:
         assert state.step == 3
         assert state.stop_reason == "max_steps"
 
-    def test_mid_run_checkpoint_includes_epoch_end_program_state(self, tmp_path):
-        # The epoch-cadence checkpoint must snapshot program state from
-        # *after* the epoch's on_epoch_end hook (validation / model
-        # selection), or a mid-run kill would resume without it.
-        class Selecting(QuadraticProgram):
-            def __init__(self, data):
-                super().__init__(data)
-                self.validated = []
-
-            def on_epoch_end(self, trainer, epoch, epoch_loss, is_last):
-                self.validated.append(epoch)
-                if epoch == 1:
-                    raise KeyboardInterrupt  # simulated kill mid-run
-
-            def state_dict(self):
-                return {"validated": list(self.validated)}
-
-            def load_state_dict(self, values):
-                self.validated = list(values.get("validated", []))
-
-        model = make_model()
-        trainer = Trainer(
-            model,
-            Selecting(make_data()),
-            AdamW(model.parameters(), lr=1e-2),
-            checkpoint_dir=tmp_path,
-        )
-        with pytest.raises(KeyboardInterrupt):
-            trainer.fit(max_epochs=5)
-
-        fresh_model = make_model()
-        fresh_program = Selecting(make_data())
-        resumed = Trainer(
-            fresh_model,
-            fresh_program,
-            AdamW(fresh_model.parameters(), lr=1e-2),
-            checkpoint_dir=tmp_path,
-        )
-        assert resumed.try_resume()
-        # The epoch-0 checkpoint (the last completed save) includes the
-        # epoch-0 hook's effect.
-        assert fresh_program.validated == [0]
 
 class TestCheckpointing:
     def test_writes_trainer_state_after_every_epoch(self, tmp_path):
@@ -237,6 +195,18 @@ class TestCheckpointing:
         _, metadata = load_state_archive(tmp_path / TRAINER_STATE_FILE)
         assert metadata["format"] == "sudowoodo-trainer-v1"
         assert "callbacks" not in metadata
+
+    def test_archive_has_no_program_entry(self, tmp_path):
+        model = make_model()
+        trainer = Trainer(
+            model,
+            QuadraticProgram(make_data()),
+            AdamW(model.parameters(), lr=1e-2),
+            checkpoint_dir=tmp_path,
+        )
+        trainer.fit(max_epochs=1)
+        _, metadata = load_state_archive(tmp_path / TRAINER_STATE_FILE)
+        assert "program" not in metadata
 
     def test_no_checkpoint_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
