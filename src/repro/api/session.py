@@ -132,7 +132,6 @@ class SudowoodoSession:
         self._store = store or EmbeddingStore(
             encoder,
             batch_size=self.config.serve_batch_size,
-            capacity=self.config.embed_cache_capacity,
             dtype=self.config.store_dtype,
         )
         self.pretrain_result = pretrain_result

@@ -107,10 +107,8 @@ class SudowoodoConfig:
     pq_subvectors: int = 8
     pq_bits: int = 8
     nprobe: int = 8
-    # EmbeddingStore: encode chunk size and optional LRU cache bound
-    # (None = cache every vector, the right default for batch pipelines).
+    # EmbeddingStore: encode chunk size of cache misses.
     serve_batch_size: int = 64
-    embed_cache_capacity: Optional[int] = None
     # In-RAM precision of served vectors (EmbeddingStore cache + backend
     # corpus rows), and the precision the exact backend scores in:
     # "float64" byte-equal to the seed (<= 1e-12 once a remove reordered
@@ -139,11 +137,8 @@ class SudowoodoConfig:
 
     # --------------------------------------------------------- discovery
     # Lake-scale discovery (discovery.lake): where the persistent profile
-    # cache lives (None = the lake task keeps a private temporary store),
-    # and how many columns each backend-query / scoring batch holds —
-    # the O(batch) knob of candidate generation.
+    # cache lives (None = the lake task keeps a private temporary store).
     profile_cache_dir: Optional[str] = None
-    discovery_batch_size: int = 256
 
     # ----------------------------------------------------- training engine
     # Data-parallel gradient workers of the shared step-loop runtime
@@ -282,8 +277,6 @@ class SudowoodoConfig:
             )
         if self.serve_batch_size < 1:
             raise ValueError("serve_batch_size must be positive")
-        if self.embed_cache_capacity is not None and self.embed_cache_capacity < 1:
-            raise ValueError("embed_cache_capacity must be positive or None")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if self.coalesce_window_ms < 0:
@@ -296,8 +289,6 @@ class SudowoodoConfig:
             raise ValueError("default_deadline_ms must be positive or None")
         if self.priority_levels < 1:
             raise ValueError("priority_levels must be >= 1")
-        if self.discovery_batch_size < 1:
-            raise ValueError("discovery_batch_size must be >= 1")
         if self.train_workers < 1:
             raise ValueError("train_workers must be >= 1")
 
@@ -305,9 +296,10 @@ class SudowoodoConfig:
 #: Fields earlier versions had and later deleted.  Saved configs (encoder
 #: checkpoints) still carry them; :meth:`SudowoodoConfig.from_dict` drops
 #: them instead of raising.  ``lsh_*`` went with the LSH backend,
-#: ``train_prefetch`` with background batch preparation, and the last four
+#: ``train_prefetch`` with background batch preparation, the next four
 #: with the training engine's accumulation, clipping, early stopping and
-#: checkpoint cadence.
+#: checkpoint cadence, and the last two with the embedding store's LRU
+#: bound and the lake-discovery batch knob (its default, 256, stays).
 RETIRED_CONFIG_FIELDS = (
     "lsh_num_tables",
     "lsh_num_bits",
@@ -316,6 +308,8 @@ RETIRED_CONFIG_FIELDS = (
     "grad_clip",
     "early_stop_patience",
     "checkpoint_every",
+    "embed_cache_capacity",
+    "discovery_batch_size",
 )
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))

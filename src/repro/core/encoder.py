@@ -140,6 +140,16 @@ class SudowoodoEncoder(Module):
             return {"hits": 0, "misses": 0, "size": 0}
         return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
 
+    def discard_tokens(self, fingerprints: Sequence[str]) -> None:
+        """Drop ``fingerprints``' entries from the serving token cache.
+
+        Does nothing when this encoder has no cache yet (it never creates
+        one).  The serving store calls it for every record it evicts, so
+        the cache holds no entry for a record that left the index.
+        """
+        if self._token_cache is not None:
+            self._token_cache.discard(fingerprints, self.config.max_seq_len)
+
     def adopt_token_cache(self, other: "SudowoodoEncoder") -> bool:
         """Take over ``other``'s token cache when the vocabularies match.
 

@@ -663,7 +663,7 @@ def rank_lake_candidates(
     min_score: float = 0.0,
     include_intra_table: bool = False,
     top: Optional[int] = None,
-    batch_size: Optional[int] = None,
+    batch_size: int = 256,
 ) -> List[JoinCandidate]:
     """Ranked joinable pairs over a lake, candidates from the live index.
 
@@ -693,7 +693,7 @@ def rank_lake_candidates(
         lake.profiles,
         normalized,
         k,
-        batch_size=batch_size or config.discovery_batch_size,
+        batch_size=batch_size,
         include_intra_table=include_intra_table,
     )
     memo, ids = index._memo, index._row_ids

@@ -125,7 +125,6 @@ class LakeDiscoveryTask(SessionTask):
             lambda texts: self.session.embed(texts, normalize=True),
             max_values=max_values,
             sketch_k=sketch_k,
-            batch_size=config.discovery_batch_size,
         )
         if self._index is None:
             self._index = LakeIndex(config)

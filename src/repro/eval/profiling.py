@@ -26,6 +26,7 @@ class DifficultyLevel:
 
 
 def pair_jaccard(dataset: EMDataset, pair: LabeledPair) -> float:
+    """Token-set Jaccard similarity of the two records ``pair`` names."""
     return jaccard(
         dataset.table_a[pair.left].text(), dataset.table_b[pair.right].text()
     )

@@ -17,14 +17,11 @@ from .tensor import (
     autograd_dtype,
     bias_gelu,
     concat,
-    fused_kernels,
-    fused_kernels_enabled,
     get_default_dtype,
     linear,
     no_grad,
     numerical_gradient,
     set_default_dtype,
-    set_fused_kernels,
 )
 from .transformer import (
     LMHead,
@@ -54,12 +51,9 @@ __all__ = [
     "attention_scores",
     "autograd_dtype",
     "bias_gelu",
-    "fused_kernels",
-    "fused_kernels_enabled",
     "get_default_dtype",
     "linear",
     "set_default_dtype",
-    "set_fused_kernels",
     "concat",
     "cross_entropy",
     "load_checkpoint",

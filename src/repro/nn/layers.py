@@ -16,8 +16,7 @@ class Linear(Module):
     """Affine transform ``y = x W + b`` over the last axis.
 
     Runs through the fused :func:`repro.nn.tensor.linear` kernel (one
-    graph node instead of matmul + broadcast add) unless the fused
-    kernels are globally disabled.
+    graph node instead of matmul + broadcast add).
     """
 
     def __init__(
@@ -109,22 +108,14 @@ class MLP(Module):
         self.drop = Dropout(dropout, rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if (
-            self.activation == "gelu"
-            and self.fc1.bias is not None
-            and _tensor_ops.fused_kernels_enabled()
-        ):
+        if self.activation == "gelu":
             # Fused expansion: matmul then one bias+gelu node (the
             # composition the op profiler shows dominating the FFN).
             hidden = _tensor_ops.bias_gelu(x @ self.fc1.weight, self.fc1.bias)
+        elif self.activation == "relu":
+            hidden = self.fc1(x).relu()
         else:
-            hidden = self.fc1(x)
-            if self.activation == "gelu":
-                hidden = hidden.gelu()
-            elif self.activation == "relu":
-                hidden = hidden.relu()
-            else:
-                raise ValueError(f"unknown activation: {self.activation}")
+            raise ValueError(f"unknown activation: {self.activation}")
         if self.drop is not None:
             hidden = self.drop(hidden)
         return self.fc2(hidden)

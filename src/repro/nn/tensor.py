@@ -109,35 +109,6 @@ def no_grad() -> Iterator[None]:
         _GRAD_MODE.enabled = previous
 
 
-# Global switch for the fused composite kernels (`linear`, `bias_gelu`,
-# `attention_scores`).  When off, the fused entry points fall back to the
-# unfused op compositions — the reference implementations the equivalence
-# tests (and the fused-vs-unfused benchmark) compare against.
-_FUSED_KERNELS = True
-
-
-def fused_kernels_enabled() -> bool:
-    """Whether the fused composite kernels are active."""
-    return _FUSED_KERNELS
-
-
-def set_fused_kernels(enabled: bool) -> None:
-    """Globally enable/disable the fused composite kernels."""
-    global _FUSED_KERNELS
-    _FUSED_KERNELS = bool(enabled)
-
-
-@contextmanager
-def fused_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily toggle the fused kernels (equivalence tests, benchmarks)."""
-    previous = _FUSED_KERNELS
-    set_fused_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_fused_kernels(previous)
-
-
 class _ScratchPool(threading.local):
     """Per-thread reusable forward buffers for the ``no_grad`` encode path.
 
@@ -454,13 +425,11 @@ class Tensor:
 
         One graph node with the mask in this tensor's dtype; the same
         ``rng.random(shape)`` draws, bit for bit, as the ``self *
-        Tensor(mask)`` composition kept as the unfused reference.
+        Tensor(mask)`` composition (the reference the kernel-equivalence
+        tests in tests/nn/ keep).
         """
         if not training or p <= 0.0:
             return self
-        if not _FUSED_KERNELS:
-            keep = 1.0 - p
-            return self * Tensor((rng.random(self.shape) < keep) / keep)
         return _apply("dropout", (self,), p, rng)
 
     # ------------------------------------------------------------------
@@ -477,9 +446,10 @@ class Tensor:
 # Each of these replaces a composition of 2-4 Tensor ops with ONE graph
 # node carrying a hand-derived backward pass.  The numpy operations run in
 # exactly the same order as the unfused composition, so forward values and
-# accumulated gradients are bit-identical — the invariant
-# tests/nn/test_fused_kernels.py pins and the byte-identity training
-# contracts in tests/train/ rely on.
+# accumulated gradients are bit-identical — the invariant the
+# kernel-equivalence tests in tests/nn/ pin (their reference compositions
+# live there) and the byte-identity training contracts in tests/train/
+# rely on.
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -491,11 +461,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     from one node.
     """
     x = _as_tensor(x)
-    if not _FUSED_KERNELS:
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out
     return _apply("linear", (x, weight) if bias is None else (x, weight, bias))
 
 
@@ -506,8 +471,6 @@ def bias_gelu(x: Tensor, bias: Tensor) -> Tensor:
     the backward pass reuses the forward's pre-activation and tanh buffers
     instead of recomputing them through two closures.
     """
-    if not _FUSED_KERNELS:
-        return (x + bias).gelu()
     return _apply("bias_gelu", (x, bias))
 
 
@@ -527,11 +490,6 @@ def attention_scores(
     exponential all happen in place, so inference allocates only the
     final weight matrix.
     """
-    if not _FUSED_KERNELS:
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if blocking_mask is not None:
-            scores = scores.masked_fill(blocking_mask, mask_value)
-        return scores.softmax(axis=-1)
     return _apply("attention_scores", (q, k), scale, blocking_mask, mask_value)
 
 
@@ -761,7 +719,7 @@ def _log_softmax_vjp(g, softmax, a, axis):
 
 
 def _layer_norm_forward(x, weight, bias, eps):
-    if not _GRAD_MODE.enabled and _FUSED_KERNELS:
+    if not _GRAD_MODE.enabled:
         # Inference fast path: centering/normalizing happens in one
         # pooled scratch buffer and the affine transform lands in the
         # output in place — same operations in the same order as the

@@ -165,8 +165,9 @@ class ExactBackend(ANNBackend):
     rows upcast once per call).  Scores come back as float64, in the
     (score desc, id asc) total order at every dtype:
 
-    * ``float64`` — byte-equal to the seed's ``cosine_matrix`` scan for
-      an index that has seen no ``remove``, <= 1e-12 after;
+    * ``float64`` — byte-equal to a float64 scan of unit rows (the
+      normalised-rows GEMM) for an index that has seen no ``remove``,
+      <= 1e-12 after;
     * ``float32`` (the serving default through ``store_dtype``) —
       within 1e-6 of the float64 cosine of the stored rows and of any
       other shard count;

@@ -199,7 +199,6 @@ class ServiceFrontend:
                     store = EmbeddingStore(
                         new_encoder,
                         batch_size=self.config.serve_batch_size,
-                        capacity=self.config.embed_cache_capacity,
                         dtype=self.config.store_dtype,
                     )
                 shadow = MatchService(new_encoder, config=self.config, store=store)

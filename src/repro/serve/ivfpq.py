@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..text.kmeans import assign_clusters, kmeans, minibatch_kmeans
+from ..text.kmeans import _squared_distances, assign_clusters, kmeans, minibatch_kmeans
 from ..text.similarity import normalize_rows
 from ..utils import grow_array
 from .backends import ANNBackend, _check_ids_vectors, _check_remove_ids
@@ -53,13 +53,6 @@ from .backends import ANNBackend, _check_ids_vectors, _check_remove_ids
 #: Corpus size above which codebook training switches to mini-batch
 #: k-means (full Lloyd iterations would scan every row per iteration).
 _MINIBATCH_ABOVE = 16_384
-
-
-def _squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances via the expansion trick."""
-    feature_norms = (features**2).sum(axis=1)[:, np.newaxis]
-    center_norms = (centers**2).sum(axis=1)[np.newaxis, :]
-    return np.maximum(feature_norms + center_norms - 2.0 * features @ centers.T, 0.0)
 
 
 class ProductQuantizer:

@@ -68,7 +68,7 @@ class MatchService:
         The shared representation model.
     config:
         Serving knobs (``serve_batch_size``, ``ann_backend``,
-        ``embed_cache_capacity``, ``store_dtype``, ``num_shards``);
+        ``store_dtype``, ``num_shards``);
         defaults to the encoder's own config.  To vary one per service,
         pass ``dataclasses.replace(config, ...)``.
     store:
@@ -95,7 +95,6 @@ class MatchService:
             store = EmbeddingStore(
                 encoder,
                 batch_size=self.config.serve_batch_size,
-                capacity=self.config.embed_cache_capacity,
                 dtype=self.config.store_dtype,
             )
         self.store = store

@@ -9,7 +9,7 @@ they stay out of the cache and one stored vector serves every consumer.
 
 For streaming consumers the store also hands out **stable record ids**:
 the first time a fingerprint is seen it gets the next integer id, and
-that assignment survives LRU eviction, re-encoding, and (via
+that assignment survives :meth:`clear`, re-encoding, and (via
 ``save``/``load``) process restarts.  :meth:`upsert_batch` is the
 delta-encoding entry point — it returns ``(ids, vectors)`` while
 encoding only the fingerprints the store has never seen — and
@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,9 +51,6 @@ class EmbeddingStore:
         into a different model.
     batch_size:
         Chunk size for encoding cache misses.
-    capacity:
-        Optional LRU bound on the number of cached vectors (``None`` keeps
-        everything — the right default for corpus-at-a-time pipelines).
     dtype:
         In-RAM precision of cached vectors: ``"float64"`` (the default,
         byte-identical to the seed behaviour), ``"float32"`` (halves
@@ -72,13 +68,10 @@ class EmbeddingStore:
         self,
         encoder: SudowoodoEncoder,
         batch_size: int = 64,
-        capacity: Optional[int] = None,
         dtype: str = "float64",
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive or None")
         if dtype not in self.DTYPES:
             raise ValueError(
                 f"unknown store dtype {dtype!r}; "
@@ -86,21 +79,19 @@ class EmbeddingStore:
             )
         self.encoder = encoder
         self.batch_size = batch_size
-        self.capacity = capacity
         self.dtype = np.dtype(dtype)
         # One reentrant mutex per store, acquired by every state-touching
-        # public method (even cache hits mutate: LRU move-to-end, hit
-        # counters).  Reentrant so a concurrent consumer — e.g. a
+        # public method (even cache hits mutate the hit counters).  Reentrant so a concurrent consumer — e.g. a
         # MatchService, which uses this same lock to keep its
         # index metadata consistent with the store — can hold it across
         # a compound operation; crucially, services *sharing* a store
         # thereby share one lock instead of racing through private ones.
         self.lock = threading.RLock()
-        self._cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._cache: Dict[str, np.ndarray] = {}
         # Stable record ids: assigned once per fingerprint, never reused.
-        # The assignment outlives LRU eviction of the *vector* (a record
-        # that falls out of the cache and returns keeps its id), while
-        # evict() retires both the vector and the id.
+        # The assignment outlives clear() of the *vector* (a record whose
+        # vector was dropped and returns keeps its id), while evict()
+        # retires both the vector and the id.
         self._key_ids: Dict[str, int] = {}
         self._id_keys: Dict[int, str] = {}
         self._next_id = 0
@@ -240,11 +231,12 @@ class EmbeddingStore:
             return ids, vectors
 
     def evict(self, texts: Sequence[str]) -> np.ndarray:
-        """Retire records: drop their vectors *and* id assignments.
+        """Retire records: drop their vectors, id assignments and the
+        encoder's token-cache entries.
 
-        Returns the retired ids.  Unlike LRU capacity eviction (which
-        only drops vectors), an evicted record that later reappears is a
-        *new* record and receives a fresh id — the contract incremental
+        Returns the retired ids.  Unlike :meth:`clear` (which only drops
+        vectors), an evicted record that later reappears is a *new*
+        record and receives a fresh id — the contract incremental
         indexes rely on to never resurrect deleted entries.  Unknown
         texts raise ``KeyError``.
         """
@@ -265,6 +257,7 @@ class EmbeddingStore:
             self._cache.pop(key, None)
             self._key_ids.pop(key, None)
             self._id_keys.pop(record_id, None)
+        self.encoder.discard_tokens(keys)
         return retired
 
     # ------------------------------------------------------------------
@@ -283,10 +276,10 @@ class EmbeddingStore:
         text counts as one miss even if it appears several times in the
         request.  Rows come back in request order.  With ``normalize``
         the returned rows are L2-normalized copies; the cache always holds
-        raw vectors.  ``cache=False`` still serves (and refreshes) hits
-        but does *not* insert the misses, here or in the encoder's token
-        cache — the right mode for transient query traffic that must not
-        evict or outgrow the corpus caches.
+        raw vectors.  ``cache=False`` still serves hits but does *not*
+        insert the misses, here or in the encoder's token cache — the
+        right mode for transient query traffic that must not outgrow the
+        corpus caches.
         """
         with self.lock:
             return self._embed_batch_locked(texts, normalize, chunk_size, cache)
@@ -307,13 +300,13 @@ class EmbeddingStore:
     def _resolve_batch_locked(self, texts, normalize, chunk_size, cache):
         keys = [self.fingerprint(text) for text in texts]
         resolved: Dict[str, np.ndarray] = {}
-        missing: "OrderedDict[str, str]" = OrderedDict()
+        missing: Dict[str, str] = {}
         for key, text in zip(keys, texts):
             if key in resolved:
                 self.hits += 1
             elif key in self._cache:
                 self.hits += 1
-                resolved[key] = self._lookup(key)
+                resolved[key] = self._cache[key]
             elif key not in missing:
                 missing[key] = text
                 self.misses += 1
@@ -348,15 +341,6 @@ class EmbeddingStore:
 
     def _insert(self, key: str, vector: np.ndarray) -> None:
         self._cache[key] = np.asarray(vector, dtype=self.dtype)
-        self._cache.move_to_end(key)
-        if self.capacity is not None:
-            while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
-
-    def _lookup(self, key: str) -> np.ndarray:
-        vector = self._cache[key]
-        self._cache.move_to_end(key)  # LRU freshness
-        return vector
 
     # ------------------------------------------------------------------
     # Persistence (via core.persistence)
@@ -366,9 +350,9 @@ class EmbeddingStore:
         vector-cache file.
 
         Rows carry their record id when one was assigned (``-1``
-        otherwise).  The *complete* id assignment — including records
-        whose vectors fell out of the LRU cache, which therefore have no
-        row — rides along as ``id_assignments``, and ``next_id`` lets a
+        otherwise), in first-insert order.  The *complete* id assignment —
+        including records whose vectors :meth:`clear` dropped, which
+        therefore have no row — rides along as ``id_assignments``, and ``next_id`` lets a
         reloading store continue the sequence instead of reusing retired
         ids.
         """
@@ -425,7 +409,7 @@ class EmbeddingStore:
                 self._insert(key, vectors[row])
             if adopt_ids:
                 # Prefer the complete assignment map (covers records whose
-                # vectors were LRU-evicted before the save); fall back to the
+                # vectors were cleared before the save); fall back to the
                 # row-aligned ids of older caches.
                 if "id_assignments" in metadata:
                     assignments = {

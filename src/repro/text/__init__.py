@@ -3,13 +3,10 @@
 from .kmeans import KMeansResult, assign_clusters, kmeans, minibatch_kmeans
 from .lm_pretrain import MLMConfig, MLMResult, mlm_warm_start
 from .similarity import (
-    cosine,
-    cosine_matrix,
     jaccard,
     levenshtein,
     normalize_rows,
     overlap_coefficient,
-    top_k_cosine,
 )
 from .tfidf import TfidfVectorizer
 from .tokenizer import (
@@ -42,8 +39,6 @@ __all__ = [
     "UNK",
     "VAL",
     "assign_clusters",
-    "cosine",
-    "cosine_matrix",
     "jaccard",
     "kmeans",
     "levenshtein",
@@ -51,6 +46,5 @@ __all__ = [
     "mlm_warm_start",
     "normalize_rows",
     "overlap_coefficient",
-    "top_k_cosine",
     "word_tokenize",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set
+from typing import Set
 
 import numpy as np
 
@@ -23,20 +23,12 @@ def jaccard(left: str, right: str) -> float:
 
 
 def overlap_coefficient(left: str, right: str) -> float:
+    """Token-set overlap: shared tokens over the smaller set's size."""
     a = set(word_tokenize(left))
     b = set(word_tokenize(right))
     if not a or not b:
         return 0.0
     return len(a & b) / min(len(a), len(b))
-
-
-def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-12) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    denom = np.linalg.norm(u) * np.linalg.norm(v)
-    if denom < eps:
-        return 0.0
-    return float(u @ v / denom)
 
 
 def normalize_rows(
@@ -53,11 +45,6 @@ def normalize_rows(
         matrix = np.asarray(matrix, dtype=np.float64)
     unit = matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), eps)
     return unit if dtype is None else unit.astype(dtype, copy=False)
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Pairwise cosine similarity between rows of two matrices."""
-    return normalize_rows(a, np.float64, eps) @ normalize_rows(b, np.float64, eps).T
 
 
 def levenshtein(left: str, right: str, cap: int | None = None) -> int:
@@ -86,24 +73,3 @@ def levenshtein(left: str, right: str, cap: int | None = None) -> int:
         previous = current
     return int(previous[-1])
 
-
-def top_k_cosine(
-    queries: np.ndarray, corpus: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN by cosine similarity.
-
-    Returns ``(indices, scores)`` of shape (num_queries, k), scores sorted in
-    descending order per row.  This is the similarity-search primitive the
-    blocker uses; corpora at reproduction scale fit comfortably in memory so
-    exact search replaces the paper's ANN index without changing results.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    sims = cosine_matrix(queries, corpus)
-    k = min(k, corpus.shape[0])
-    top = np.argpartition(-sims, kth=k - 1, axis=1)[:, :k]
-    row_scores = np.take_along_axis(sims, top, axis=1)
-    order = np.argsort(-row_scores, axis=1)
-    indices = np.take_along_axis(top, order, axis=1)
-    scores = np.take_along_axis(row_scores, order, axis=1)
-    return indices, scores

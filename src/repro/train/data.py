@@ -14,8 +14,7 @@ in order, on the training thread; nothing here runs in the background.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +31,10 @@ class TokenCache:
     Keys include ``max_len`` so one cache serves single-item and pair-length
     encodings side by side.
 
-    ``capacity`` bounds the cache LRU-style (``None`` keeps everything —
-    the right default when the corpus is fixed, as in pre-training).
+    The cache keeps every entry until :meth:`discard` drops it: a fixed
+    training corpus needs nothing else, and the serving store discards a
+    record's entry when it evicts the record, so the serving cache stays
+    bounded by the live index.
 
     Lookups are thread-safe (one short-held mutex per cache): besides the
     serial training loop, the cache also backs
@@ -43,12 +44,9 @@ class TokenCache:
     service threads at once.
     """
 
-    def __init__(self, tokenizer: Any, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive or None")
+    def __init__(self, tokenizer: Any) -> None:
         self.tokenizer = tokenizer
-        self.capacity = capacity
-        self._cache: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._cache: Dict[tuple, Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -74,8 +72,6 @@ class TokenCache:
             cached = self._cache.get(key)
             if cached is not None:
                 self.hits += 1
-                if self.capacity is not None:
-                    self._cache.move_to_end(key)
                 return cached
             self.misses += 1
         # Tokenize outside the lock: encodings are deterministic, so two
@@ -83,8 +79,6 @@ class TokenCache:
         encoding = self.tokenizer.encode(text, max_len=max_len)
         with self._lock:
             self._cache[key] = encoding
-            if self.capacity is not None and len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
         return encoding
 
     def encode_batch(self, texts: Sequence[str], max_len: int) -> Any:
@@ -102,6 +96,13 @@ class TokenCache:
         """Pre-tokenize ``texts`` (the cold pass, amortized up front)."""
         for text in texts:
             self.encode(text, max_len)
+
+    def discard(self, fingerprints: Iterable[str], max_len: int) -> None:
+        """Drop the ``max_len`` entries of ``fingerprints`` (absent ones
+        are skipped); a later :meth:`encode` of one re-tokenizes it."""
+        with self._lock:
+            for fingerprint in fingerprints:
+                self._cache.pop((fingerprint, max_len), None)
 
 
 def permutation_batches(

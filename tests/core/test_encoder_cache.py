@@ -1,6 +1,7 @@
 """Serving-side token cache: embed_items byte-identity, cache sharing
 across encoders (clone / blue-green reindex), and encode observability."""
 
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from repro.serve import EmbeddingStore, MetricsRegistry
 from repro.train.data import TokenCache
+from repro.utils import text_fingerprint
 
 CORPUS = [
     "[COL] name [VAL] instant immersion spanish deluxe [COL] price [VAL] 36.11",
@@ -74,6 +76,18 @@ class TestEmbedItemsCache:
         enc = make_encoder()
         out = enc.embed_items([])
         assert out.shape == (0, enc.config.dim)
+
+    def test_discard_tokens_drops_entries_and_creates_no_cache(self):
+        enc = make_encoder()
+        enc.discard_tokens([text_fingerprint(CORPUS[0])])
+        assert not make_encoder().adopt_token_cache(enc)  # still no cache
+        enc.embed_items(CORPUS, batch_size=4)
+        enc.discard_tokens([text_fingerprint(CORPUS[0])])
+        assert enc.token_cache_stats()["size"] == len(CORPUS) - 1
+        warm = enc.embed_items(CORPUS, batch_size=4)  # one re-tokenization
+        assert enc.token_cache_stats()["misses"] == len(CORPUS) + 1
+        cold = enc.embed_items(CORPUS, batch_size=4, use_token_cache=False)
+        np.testing.assert_array_equal(warm, cold)
 
 
 class TestEncodeTokensInference:
@@ -180,16 +194,6 @@ class TestClone:
 
 # ----------------------------------------------------------------------
 class TestTokenCacheUnit:
-    def test_capacity_bounds_lru(self):
-        enc = make_encoder()
-        cache = TokenCache(enc.tokenizer, capacity=2)
-        for text in CORPUS[:3]:
-            cache.encode(text, 24)
-        assert len(cache) == 2
-        # Oldest entry evicted: re-encoding it is a miss.
-        cache.encode(CORPUS[0], 24)
-        assert cache.misses == 4
-
     def test_max_len_part_of_key(self):
         enc = make_encoder()
         cache = TokenCache(enc.tokenizer)
@@ -220,6 +224,44 @@ class TestTokenCacheUnit:
             t.join()
         assert not errors
         assert len(cache) == len(CORPUS)
+
+    @pytest.mark.stress
+    def test_discard_races_concurrent_encoders(self):
+        """Discards interleaved with warm encodes never corrupt a row:
+        every encode equals the cold rows, and the cache ends at most
+        corpus-sized."""
+        enc = make_encoder()
+        enc.eval()  # as fit and load leave it: no per-call mode flips
+        cold = enc.embed_items(CORPUS, batch_size=4, use_token_cache=False)
+        fingerprints = [text_fingerprint(text) for text in CORPUS]
+        errors = []
+
+        def encoder_worker():
+            try:
+                for _ in range(5):
+                    rows = enc.embed_items(CORPUS, batch_size=4)
+                    np.testing.assert_array_equal(rows, cold)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def discard_worker():
+            for _ in range(50):
+                enc.discard_tokens(fingerprints[::2])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=encoder_worker) for _ in range(4)]
+            threads.append(threading.Thread(target=discard_worker))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(enc.token_cache()) <= len(CORPUS)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Fused kernels vs. their reference compositions: bit-identical, both
 directions, grad and no-grad.
 
-The fused ``linear`` / ``bias_gelu`` / ``attention_scores`` kernels (and
-the ``no_grad`` scratch-buffer fast paths behind the same switch) promise
+The fused ``linear`` / ``bias_gelu`` / ``attention_scores`` kernels,
+``Tensor.dropout`` and the ``no_grad`` scratch-buffer fast paths promise
 *exactly* the values of the unfused op composition — same numpy
-operations in the same order.  These tests pin that invariant with
-byte-level comparisons; the training byte-identity contracts in
-tests/train/ depend on it.
+operations in the same order.  The compositions live here, as plain
+functions; :func:`reference_kernels` swaps them in for the library's, so
+every layer (which calls the kernels through ``repro.nn.tensor``) runs
+the reference path.  These tests pin the invariant with byte-level
+comparisons; the training byte-identity contracts in tests/train/ depend
+on it.
 """
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -20,22 +24,52 @@ from repro.nn import (
     Tensor,
     TransformerConfig,
     TransformerEncoder,
-    attention_scores,
     autograd_dtype,
-    bias_gelu,
-    fused_kernels,
-    fused_kernels_enabled,
-    linear,
     no_grad,
     numerical_gradient,
-    set_fused_kernels,
 )
+from repro.nn import tensor as tensor_module
 
 
-@pytest.fixture(autouse=True)
-def _restore_fused_switch():
-    yield
-    set_fused_kernels(True)
+def reference_linear(x, weight, bias=None):
+    """``x @ weight + bias`` as two graph nodes."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def reference_bias_gelu(x, bias):
+    """``gelu(x + bias)`` as two graph nodes."""
+    return (x + bias).gelu()
+
+
+def reference_attention_scores(q, k, scale, blocking_mask=None, mask_value=-1e9):
+    """``softmax(mask(q @ k^T * scale))`` as up to four graph nodes."""
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    if blocking_mask is not None:
+        scores = scores.masked_fill(blocking_mask, mask_value)
+    return scores.softmax(axis=-1)
+
+
+def reference_dropout(self, p, rng, training):
+    """Inverted dropout as ``self * Tensor(mask)``."""
+    if not training or p <= 0.0:
+        return self
+    keep = 1.0 - p
+    return self * Tensor((rng.random(self.shape) < keep) / keep)
+
+
+@contextmanager
+def reference_kernels():
+    """Run every fused kernel's reference composition instead."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_module, "linear", reference_linear)
+        patch.setattr(tensor_module, "bias_gelu", reference_bias_gelu)
+        patch.setattr(tensor_module, "attention_scores", reference_attention_scores)
+        patch.setattr(Tensor, "dropout", reference_dropout)
+        yield
 
 
 def gen(seed=0):
@@ -43,10 +77,10 @@ def gen(seed=0):
 
 
 def run_both(build_loss, params_fn):
-    """Forward + backward under each kernel mode; return (values, grads)."""
+    """Forward + backward, fused then reference; return (values, grads)."""
     results = []
-    for enabled in (True, False):
-        with fused_kernels(enabled):
+    for context in (nullcontext, reference_kernels):
+        with context():
             loss, out, params = build_loss()
             loss.backward()
         results.append(
@@ -55,17 +89,35 @@ def run_both(build_loss, params_fn):
     return results
 
 
-class TestSwitch:
-    def test_default_enabled(self):
-        assert fused_kernels_enabled()
+class TestReferenceSwap:
+    FUSED = {"linear", "bias_gelu", "attention_scores", "dropout"}
 
-    def test_context_manager_restores(self):
-        with fused_kernels(False):
-            assert not fused_kernels_enabled()
-            with fused_kernels(True):
-                assert fused_kernels_enabled()
-            assert not fused_kernels_enabled()
-        assert fused_kernels_enabled()
+    def _primitives_of_a_training_forward(self):
+        seen = set()
+
+        def hook(name, run, *args):
+            seen.add(name)
+            return run(*args)
+
+        model = TransformerEncoder(replace(TestFullEncoder()._config(), dropout=0.1))
+        model.train()
+        ids, mask, segments = TestFullEncoder()._inputs()
+        previous = tensor_module.set_op_hook(hook)
+        try:
+            model.pooled(ids, attention_mask=mask, segment_ids=segments)
+        finally:
+            tensor_module.set_op_hook(previous)
+        return seen
+
+    def test_encoder_runs_the_fused_kernels(self):
+        assert self.FUSED <= self._primitives_of_a_training_forward()
+
+    def test_reference_context_reaches_every_layer(self):
+        with reference_kernels():
+            seen = self._primitives_of_a_training_forward()
+        assert not self.FUSED & seen
+        assert {"matmul", "add", "gelu", "softmax", "mul"} <= seen
+        assert tensor_module.linear is not reference_linear
 
 
 class TestLinear:
@@ -78,7 +130,7 @@ class TestLinear:
             x = Tensor(x0.copy(), requires_grad=True)
             w = Tensor(w0.copy(), requires_grad=True)
             b = Tensor(b0.copy(), requires_grad=True)
-            out = linear(x, w, b)
+            out = tensor_module.linear(x, w, b)
             return (out * out).sum(), out, (x, w, b)
 
         (fused_out, fused_grads), (ref_out, ref_grads) = run_both(
@@ -91,10 +143,8 @@ class TestLinear:
     def test_no_bias(self):
         x0 = gen(4).normal(size=(3, 8)).astype(np.float32)
         w0 = gen(5).normal(size=(8, 5)).astype(np.float32)
-        with fused_kernels(True):
-            fused = linear(Tensor(x0), Tensor(w0)).data
-        with fused_kernels(False):
-            ref = linear(Tensor(x0), Tensor(w0)).data
+        fused = tensor_module.linear(Tensor(x0), Tensor(w0)).data
+        ref = reference_linear(Tensor(x0), Tensor(w0)).data
         np.testing.assert_array_equal(fused, ref)
 
     def test_vector_input_weight_grad(self):
@@ -104,7 +154,7 @@ class TestLinear:
         def build():
             x = Tensor(x0.copy(), requires_grad=True)
             w = Tensor(w0.copy(), requires_grad=True)
-            out = linear(x, w)
+            out = tensor_module.linear(x, w)
             return (out * out).sum(), out, (x, w)
 
         (fused_out, fused_grads), (ref_out, ref_grads) = run_both(
@@ -117,8 +167,10 @@ class TestLinear:
     def test_accepts_raw_ndarray(self):
         x0 = gen(8).normal(size=(3, 8)).astype(np.float32)
         w = Tensor(gen(9).normal(size=(8, 5)).astype(np.float32))
-        out = linear(x0, w)
-        np.testing.assert_array_equal(out.data, linear(Tensor(x0), w).data)
+        out = tensor_module.linear(x0, w)
+        np.testing.assert_array_equal(
+            out.data, tensor_module.linear(Tensor(x0), w).data
+        )
 
 
 class TestBiasGelu:
@@ -129,7 +181,7 @@ class TestBiasGelu:
         def build():
             x = Tensor(x0.copy(), requires_grad=True)
             b = Tensor(b0.copy(), requires_grad=True)
-            out = bias_gelu(x, b)
+            out = tensor_module.bias_gelu(x, b)
             return (out * out).sum(), out, (x, b)
 
         (fused_out, fused_grads), (ref_out, ref_grads) = run_both(
@@ -142,13 +194,11 @@ class TestBiasGelu:
     def test_no_grad_scratch_path_identical(self):
         x = Tensor(gen(12).normal(size=(4, 6, 16)).astype(np.float32))
         b = Tensor(gen(13).normal(size=(16,)).astype(np.float32))
-        with fused_kernels(True):
-            grad_mode = bias_gelu(x, b).data.copy()
-            with no_grad():
-                first = bias_gelu(x, b).data.copy()
-                second = bias_gelu(x, b).data.copy()  # scratch reuse
-            with no_grad(), fused_kernels(False):
-                ref = bias_gelu(x, b).data.copy()
+        grad_mode = tensor_module.bias_gelu(x, b).data.copy()
+        with no_grad():
+            first = tensor_module.bias_gelu(x, b).data.copy()
+            second = tensor_module.bias_gelu(x, b).data.copy()  # scratch reuse
+            ref = reference_bias_gelu(x, b).data.copy()
         np.testing.assert_array_equal(first, grad_mode)
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, ref)
@@ -160,9 +210,9 @@ class TestBiasGelu:
         y = Tensor(gen(15).normal(size=(4, 16)).astype(np.float32))
         b = Tensor(np.zeros(16, dtype=np.float32))
         with no_grad():
-            first = bias_gelu(x, b)
+            first = tensor_module.bias_gelu(x, b)
             snapshot = first.data.copy()
-            bias_gelu(y, b)
+            tensor_module.bias_gelu(y, b)
         np.testing.assert_array_equal(first.data, snapshot)
 
 
@@ -184,7 +234,7 @@ class TestAttentionScores:
         def build():
             q = Tensor(q0.copy(), requires_grad=True)
             k = Tensor(k0.copy(), requires_grad=True)
-            out = attention_scores(q, k, scale, mask)
+            out = tensor_module.attention_scores(q, k, scale, mask)
             return (out * out).sum(), out, (q, k)
 
         (fused_out, fused_grads), (ref_out, ref_grads) = run_both(
@@ -198,7 +248,7 @@ class TestAttentionScores:
         q = Tensor(gen(18).normal(size=self.SHAPE).astype(np.float32))
         k = Tensor(gen(19).normal(size=self.SHAPE).astype(np.float32))
         mask = self._mask()
-        weights = attention_scores(q, k, 0.5, mask).data
+        weights = tensor_module.attention_scores(q, k, 0.5, mask).data
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert weights[:, :, :, 3:].max() < 1e-6
 
@@ -207,14 +257,13 @@ class TestAttentionScores:
         k = Tensor(gen(21).normal(size=self.SHAPE).astype(np.float32))
         scale = 1.0 / math.sqrt(self.SHAPE[-1])
         mask = self._mask()
-        with fused_kernels(True):
-            grad_mode = attention_scores(q, k, scale, mask).data.copy()
-            with no_grad():
-                first = attention_scores(q, k, scale, mask)
-                snapshot = first.data.copy()
-                second = attention_scores(q, k, scale, mask).data.copy()
-            with no_grad(), fused_kernels(False):
-                ref = attention_scores(q, k, scale, mask).data.copy()
+        fused = tensor_module.attention_scores
+        grad_mode = fused(q, k, scale, mask).data.copy()
+        with no_grad():
+            first = fused(q, k, scale, mask)
+            snapshot = first.data.copy()
+            second = fused(q, k, scale, mask).data.copy()
+            ref = reference_attention_scores(q, k, scale, mask).data.copy()
         np.testing.assert_array_equal(snapshot, grad_mode)
         np.testing.assert_array_equal(snapshot, second)
         np.testing.assert_array_equal(snapshot, ref)
@@ -285,16 +334,12 @@ class TestLayerNormFastPath:
         x = Tensor(gen(24).normal(size=(4, 6, 16)).astype(np.float32))
         train_mode = norm(x).data.copy()
         with no_grad():
-            with fused_kernels(True):
-                fast = norm(x).data.copy()
-            with fused_kernels(False):
-                slow = norm(x).data.copy()
+            fast = norm(x).data.copy()
         np.testing.assert_array_equal(fast, train_mode)
-        np.testing.assert_array_equal(fast, slow)
 
 
 class TestFullEncoder:
-    """End-to-end: a 2-layer encoder forward + backward, fused vs unfused."""
+    """End-to-end: a 2-layer encoder forward + backward, fused vs reference."""
 
     def _inputs(self):
         generator = gen(25)
@@ -319,8 +364,8 @@ class TestFullEncoder:
     def test_inference_forward_identical(self):
         ids, mask, segments = self._inputs()
         outs = []
-        for enabled in (True, False):
-            with fused_kernels(enabled):
+        for context in (nullcontext, reference_kernels):
+            with context():
                 model = TransformerEncoder(self._config())
                 model.eval()
                 with no_grad():
@@ -337,8 +382,8 @@ class TestFullEncoder:
     def test_training_gradients_identical(self, dropout):
         ids, mask, segments = self._inputs()
         grads = []
-        for enabled in (True, False):
-            with fused_kernels(enabled):
+        for context in (nullcontext, reference_kernels):
+            with context():
                 model = TransformerEncoder(replace(self._config(), dropout=dropout))
                 model.train()
                 pooled = model.pooled(
@@ -386,7 +431,7 @@ class TestScratchPoolBounded:
         model.eval()
         for batch, length in self.SHAPES:
             fused = self._encode(model, batch, length).copy()
-            with fused_kernels(False):
+            with reference_kernels():
                 reference = self._encode(model, batch, length)
             np.testing.assert_array_equal(fused, reference)
         assert largest, "the no_grad encode path never touched the pool"

@@ -29,8 +29,8 @@ from repro.serve import (
     build_backend,
     register_backend,
 )
-from repro.text import top_k_cosine
 from repro.utils import spawn_rng
+from similarity_oracles import top_k_cosine
 
 
 def tiny_config(**overrides) -> SudowoodoConfig:
@@ -116,14 +116,6 @@ class TestEmbeddingStore:
         cold = EmbeddingStore(encoder).embed_batch(texts, cache=False)
         warm = EmbeddingStore(encoder).embed_batch(texts)
         np.testing.assert_array_equal(cold, warm)
-
-    def test_capacity_lru_eviction(self, dataset, encoder):
-        store = EmbeddingStore(encoder, capacity=2)
-        texts = dataset.all_items()[:3]
-        store.embed_batch(texts)
-        assert len(store) == 2
-        assert texts[0] not in store  # oldest evicted
-        assert texts[2] in store
 
     def test_persistence_roundtrip(self, dataset, encoder, tmp_path):
         store = EmbeddingStore(encoder)
@@ -470,11 +462,12 @@ class TestStableIds:
         # Overlapping texts keep their ids.
         assert ids2[0] == ids[4] and ids2[1] == ids[5]
 
-    def test_ids_stable_across_lru_eviction(self, dataset, encoder):
-        store = EmbeddingStore(encoder, capacity=2)
+    def test_ids_stable_across_clear(self, dataset, encoder):
+        store = EmbeddingStore(encoder)
         texts = dataset.all_items()[:3]
         ids, _ = store.upsert_batch(texts)
-        assert texts[0] not in store  # vector evicted by capacity...
+        store.clear()
+        assert texts[0] not in store  # vectors dropped...
         ids_again = store.ids_for(texts)
         np.testing.assert_array_equal(ids, ids_again)  # ...but ids survive
 
@@ -499,16 +492,18 @@ class TestStableIds:
         with pytest.raises(KeyError):
             store.ids_for(["unknown text"], assign=False)
 
-    def test_lru_evicted_ids_survive_save_load(self, dataset, encoder, tmp_path):
+    def test_cleared_ids_survive_save_load(self, dataset, encoder, tmp_path):
         """Regression: id assignments must persist even for records whose
-        vectors fell out of the LRU cache before the save."""
-        store = EmbeddingStore(encoder, capacity=2)
+        vectors were dropped before the save."""
+        store = EmbeddingStore(encoder)
         texts = dataset.all_items()[:5]
         ids, _ = store.upsert_batch(texts)
-        assert len(store) == 2  # vectors 0-2 evicted, ids still assigned
+        store.clear()
+        store.embed_batch(texts[3:])
+        assert len(store) == 2  # vectors 0-2 dropped, ids still assigned
         path = store.save(tmp_path / "cache.npz")
 
-        fresh = EmbeddingStore(encoder, capacity=2)
+        fresh = EmbeddingStore(encoder)
         fresh.load(path)
         np.testing.assert_array_equal(fresh.ids_for(texts, assign=False), ids)
 
@@ -595,6 +590,23 @@ class TestStableIds:
         size_before = encoder.token_cache_stats()["size"]
         service.search_batch(["token cache query one", "token cache query two"], k=3)
         assert encoder.token_cache_stats()["size"] == size_before
+
+    def test_churn_keeps_store_and_token_cache_at_live_size(self, encoder):
+        """A deleted record leaves the store *and* the encoder's token
+        cache: an index held at 40 records through upsert/delete rounds
+        keeps both caches at 40 entries."""
+        encoder = encoder.clone()  # a token cache of its own
+        service = MatchService(encoder, config=tiny_config())
+        live = [f"[COL] name [VAL] churn record 0 {i}" for i in range(40)]
+        service.index_records(live)
+        assert len(encoder.token_cache()) == 40
+        for round_ in range(1, 7):
+            fresh = [f"[COL] name [VAL] churn record {round_} {i}" for i in range(40)]
+            service.upsert_records(fresh)
+            service.delete_records(live)
+            live = fresh
+            assert service.index_size == len(service.store) == 40
+            assert len(encoder.token_cache()) == 40
 
     def test_id_state_persists_across_save_load(self, dataset, encoder, tmp_path):
         store = EmbeddingStore(encoder)

@@ -13,16 +13,14 @@ from repro.text import (
     TfidfVectorizer,
     Tokenizer,
     assign_clusters,
-    cosine,
-    cosine_matrix,
     jaccard,
     kmeans,
     levenshtein,
     minibatch_kmeans,
     mlm_warm_start,
     overlap_coefficient,
-    top_k_cosine,
 )
+from similarity_oracles import cosine, top_k_cosine
 
 
 class TestTfidf:

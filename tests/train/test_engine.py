@@ -10,7 +10,7 @@ from repro.nn import AdamW, LinearWarmupDecay, load_state_archive
 from repro.nn.layers import Linear
 from repro.text import Tokenizer
 from repro.train import TRAINER_STATE_FILE, StepProgram, TokenCache, Trainer
-from repro.utils import spawn_rng
+from repro.utils import spawn_rng, text_fingerprint
 
 CORPUS = [f"[COL] name [VAL] item {i} [COL] kind [VAL] sample" for i in range(12)]
 
@@ -325,13 +325,16 @@ class TestTokenCache:
         assert len(short) == 4 < len(long)  # truncated vs whole
         assert len(cache) == 2
 
-    def test_capacity_bounds_cache(self):
+    def test_discard_drops_only_the_named_entries(self):
         tokenizer = Tokenizer.fit(CORPUS, vocab_size=200)
-        cache = TokenCache(tokenizer, capacity=4)
-        cache.warm(CORPUS, max_len=16)
-        assert len(cache) == 4
-
-    def test_rejects_bad_capacity(self):
-        tokenizer = Tokenizer.fit(CORPUS, vocab_size=200)
-        with pytest.raises(ValueError):
-            TokenCache(tokenizer, capacity=0)
+        cache = TokenCache(tokenizer)
+        cache.warm(CORPUS[:2], max_len=16)
+        cache.encode(CORPUS[0], max_len=4)
+        cache.discard([text_fingerprint(CORPUS[0]), "absent"], max_len=16)
+        assert len(cache) == 2  # CORPUS[1] at 16 and CORPUS[0] at 4 stay
+        misses = cache.misses
+        cache.encode(CORPUS[0], max_len=4)
+        cache.encode(CORPUS[1], max_len=16)
+        assert cache.misses == misses
+        cache.encode(CORPUS[0], max_len=16)  # re-tokenized
+        assert cache.misses == misses + 1

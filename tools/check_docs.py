@@ -6,11 +6,9 @@ Two checks:
 * every relative markdown link in README.md and docs/ resolves to an
   existing file or directory (external http/https/mailto links are not
   fetched);
-* every public symbol in ``repro.api.__all__``, ``repro.train.__all__``,
-  and ``repro.discovery.__all__`` — the recommended API surfaces —
-  carries a docstring (the session API, the training engine, and the
-  discovery tier are documentation-first; an undocumented export is a
-  lint failure, not a style nit).
+* every public symbol in the ``__all__`` of each public package
+  (:data:`DOCUMENTED_PACKAGES`) carries a docstring (an undocumented
+  export is a lint failure, not a style nit).
 
 Exit code 0 when both checks pass, 1 otherwise (failures listed on
 stderr).
@@ -55,10 +53,21 @@ def check_file(markdown: Path, root: Path) -> list:
     return broken
 
 
-#: Packages whose ``__all__`` must be fully documented — the recommended
-#: API surfaces (the session API, the shared training engine, and the
-#: discovery tier).
-DOCUMENTED_PACKAGES = ("repro.api", "repro.train", "repro.discovery")
+#: Packages whose ``__all__`` must be fully documented — every public
+#: surface: the session API, the training engine, the discovery tier,
+#: the autograd, text, serving, pipeline-core, evaluation and utility
+#: packages.
+DOCUMENTED_PACKAGES = (
+    "repro.api",
+    "repro.train",
+    "repro.discovery",
+    "repro.nn",
+    "repro.text",
+    "repro.serve",
+    "repro.core",
+    "repro.eval",
+    "repro.utils",
+)
 
 
 def check_api_docstrings(root: Path) -> list:
