@@ -247,11 +247,14 @@ class SudowoodoSession:
         sharing this session's encoder and warm store.  With ``task`` (a
         name or a fitted task instance) the task's corpus is loaded into
         the live index — streaming ``upsert_records`` / ``delete_records`` /
-        ``search_batch`` then work over cleaning cells or serialized
-        columns exactly as over EM records.  Match probabilities stay
-        with the task (``task.predict``).  ``num_shards`` overrides the
-        config per service; ``index=False`` skips corpus indexing (call
-        ``service.index_records`` yourself).
+        ``search_batch`` then work over it.  The tasks with a corpus are
+        ``match`` (table B), ``column_match`` (serialized columns),
+        ``lake_discovery`` / ``join_discovery`` (column profiles),
+        ``dedupe`` (canonical records) and ``streaming_er``; any other
+        task raises ``ValueError`` unless ``index=False``.  Match
+        probabilities stay with the task (``task.predict``).
+        ``num_shards`` overrides the config per service; ``index=False``
+        skips corpus indexing (call ``service.index_records`` yourself).
 
         With ``frontend=True`` the service is wrapped in a
         :class:`~repro.serve.frontend.ServiceFrontend` — the one

@@ -13,7 +13,7 @@ The task class *is* the workload: block -> pseudo-label -> fine-tune
 :class:`CleanTask`, column blocking / labeling / matching in
 :class:`ColumnMatchTask`.  They compose the plain building blocks of
 ``core`` (``Blocker``, ``generate_pseudo_labels``, ``finetune_matcher``),
-``cleaning`` (``cleaning_corpus``, ``serialize_cell``, ``score_repairs``)
+``cleaning`` (``serialize_cell``, ``score_repairs``)
 and ``columns`` (``discover_types``); step 1, pre-training, is the
 session's.
 
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from ..cleaning.candidates import CandidateGenerator
-from ..cleaning.cleaner import cleaning_corpus, score_repairs, serialize_cell
+from ..cleaning.cleaner import score_repairs, serialize_cell
 from ..columns.clustering import ClusterReport, discover_types
 from ..core.blocker import Blocker, CandidateSet
 from ..core.matcher import (
@@ -106,13 +106,12 @@ class SessionTask:
 
     def corpus_texts(self) -> List[str]:
         """Serialized records the task indexes when exported via
-        :meth:`SudowoodoSession.serve` (empty before :meth:`fit`)."""
-        return []
-
-
-def _table_b_texts(dataset: "EMDataset") -> List[str]:
-    """Table-B records — the searchable side of an EM live index."""
-    return [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
+        :meth:`SudowoodoSession.serve`; tasks without a servable corpus
+        raise ``ValueError``."""
+        raise ValueError(
+            f"task {self.name!r} has no corpus to serve; "
+            "use serve(task, index=False) for an empty service"
+        )
 
 
 @register_task("match")
@@ -317,7 +316,9 @@ class MatchTask(SessionTask):
 
     def corpus_texts(self) -> List[str]:
         """Table-B records — the searchable side of the live index."""
-        return _table_b_texts(self.dataset) if self.fitted else []
+        if not self.fitted:
+            return []
+        return [self.dataset.serialize_b(j) for j in range(len(self.dataset.table_b))]
 
     def report(self) -> MatchResult:
         """Benchmark-ready result with test metrics and label accounting."""
@@ -382,10 +383,6 @@ class BlockTask(SessionTask):
             "cssr": candidates.cssr(),
         }
 
-    def corpus_texts(self) -> List[str]:
-        """Table-B records — the searchable side of the live index."""
-        return _table_b_texts(self._blocker.dataset) if self.fitted else []
-
     def report(self) -> BlockResult:
         """Candidate volume and the recall/CSSR point at the fitted k."""
         return BlockResult(
@@ -396,6 +393,11 @@ class BlockTask(SessionTask):
             k=self.k,
             num_candidates=len(self.predict()),
         )
+
+
+#: Corrections per cell the clean task's matcher scores; longer candidate
+#: lists are pruned by embedding similarity first.
+MAX_MATCH_CANDIDATES = 6
 
 
 @register_task("clean")
@@ -413,32 +415,13 @@ class CleanTask(SessionTask):
     encoder; only the matcher sees fine-tuned weights.
     """
 
-    def __init__(
-        self,
-        session: "SudowoodoSession",
-        serialization: str = "contextual",
-        max_candidates_for_matching: int = 6,
-        context_attributes: int = 4,
-    ) -> None:
+    def __init__(self, session: "SudowoodoSession") -> None:
         super().__init__(session)
-        if serialization not in ("context_free", "contextual"):
-            raise ValueError("serialization must be context_free or contextual")
-        self.serialization = serialization
-        self.max_candidates = max_candidates_for_matching
-        self.context_attributes = context_attributes
         self.timer = Timer()
         self.dataset: Optional["CleaningDataset"] = None
         self.generator: Optional[CandidateGenerator] = None
         self._recoverable_rate = 0.0
         self._repairs: Optional[Dict[Tuple[int, str], str]] = None
-
-    def _serialize_cell(
-        self, dataset: "CleaningDataset", row: int, attribute: str, value: str
-    ) -> str:
-        return serialize_cell(
-            dataset, row, attribute, value, self.serialization,
-            self.context_attributes,
-        )
 
     def fit(
         self,
@@ -468,7 +451,7 @@ class CleanTask(SessionTask):
                 candidates = [
                     c for c in generator.candidates(row, attribute) if c != value
                 ]
-                cell_text = self._serialize_cell(dataset, row, attribute, value)
+                cell_text = serialize_cell(dataset, row, attribute, value)
                 negatives = [c for c in candidates if c != truth]
                 rng.shuffle(negatives)
                 if truth != value and truth in candidates:
@@ -476,7 +459,7 @@ class CleanTask(SessionTask):
                     examples.append(
                         TrainingExample(
                             cell_text,
-                            self._serialize_cell(dataset, row, attribute, truth),
+                            serialize_cell(dataset, row, attribute, truth),
                             1,
                             1.0,
                         )
@@ -485,7 +468,7 @@ class CleanTask(SessionTask):
                     examples.append(
                         TrainingExample(
                             cell_text,
-                            self._serialize_cell(dataset, row, attribute, candidate),
+                            serialize_cell(dataset, row, attribute, candidate),
                             0,
                             1.0,
                         )
@@ -543,12 +526,12 @@ class CleanTask(SessionTask):
                 if not candidates:
                     continue
                 candidates = self._prune(row, attribute, value, candidates)
-                cell_text = self._serialize_cell(dataset, row, attribute, value)
+                cell_text = serialize_cell(dataset, row, attribute, value)
                 for candidate in candidates:
                     queries.append(
                         (
                             cell_text,
-                            self._serialize_cell(dataset, row, attribute, candidate),
+                            serialize_cell(dataset, row, attribute, candidate),
                         )
                     )
                 spans.append((row, attribute, candidates))
@@ -585,20 +568,18 @@ class CleanTask(SessionTask):
     def _prune(
         self, row: int, attribute: str, value: str, candidates: List[str]
     ) -> List[str]:
-        """Top ``max_candidates`` corrections by embedding similarity to
-        the cell.  Candidates repeat heavily across cells (they come from
+        """Top :data:`MAX_MATCH_CANDIDATES` corrections by embedding
+        similarity to the cell.  Candidates repeat heavily across cells (they come from
         shared domain vocabularies), so this goes through the cached
         store instead of re-encoding per cell."""
-        if len(candidates) <= self.max_candidates:
+        if len(candidates) <= MAX_MATCH_CANDIDATES:
             return candidates
-        texts = [
-            self._serialize_cell(self.dataset, row, attribute, c) for c in candidates
-        ]
+        texts = [serialize_cell(self.dataset, row, attribute, c) for c in candidates]
         cell_vector = self.session.embed(
-            [self._serialize_cell(self.dataset, row, attribute, value)]
+            [serialize_cell(self.dataset, row, attribute, value)]
         )
         scores = self.session.embed(texts) @ cell_vector[0]
-        keep = np.argsort(-scores)[: self.max_candidates]
+        keep = np.argsort(-scores)[: MAX_MATCH_CANDIDATES]
         return [candidates[int(i)] for i in sorted(keep)]
 
     def evaluate(
@@ -611,18 +592,6 @@ class CleanTask(SessionTask):
             "recall": result.recall,
             "f1": result.f1,
         }
-
-    def corpus_texts(self) -> List[str]:
-        """Every serialized cell of the dirty table (the cleaning
-        embedding corpus the live index serves)."""
-        if not self.fitted:
-            return []
-        return cleaning_corpus(
-            self.dataset,
-            serialization=self.serialization,
-            context_attributes=self.context_attributes,
-            include_candidates=False,
-        )
 
     def report(self) -> CleanResult:
         """Correction metrics plus the applied repairs."""
@@ -869,10 +838,6 @@ class ColumnClusterTask(SessionTask):
             "num_clusters": float(self._clusters.num_clusters),
             "f1": self._match.evaluate().get("f1", 0.0),
         }
-
-    def corpus_texts(self) -> List[str]:
-        """The serialized columns the live index serves."""
-        return self._match.corpus_texts()
 
     def report(self) -> ColumnClusterResult:
         """Clusters, purity, subtype discoveries, and match metrics."""

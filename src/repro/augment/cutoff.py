@@ -36,10 +36,8 @@ def make_cutoff_sampler(
 
     The sampler's arguments (``kind``, ``ratio``, ``rng``) are
     loop-invariant, so the training engine hoists this call out of the
-    batch loop and draws one mask per batch — the same RNG consumption
-    sequence as the historical per-batch ``make_cutoff_transform``
-    construction, but with the mask available ahead of the forward pass
-    (gradient workers need that).
+    batch loop and draws one mask per batch, ahead of the forward pass
+    (gradient workers need that); :func:`mask_transform` applies it.
     Returns None for kind="none" or ratio<=0 (no cutoff).
     """
     if kind not in CUTOFF_KINDS:
@@ -82,28 +80,3 @@ def mask_transform(mask: np.ndarray) -> EmbeddingTransform:
 
     return transform
 
-
-def make_cutoff_transform(
-    kind: str,
-    ratio: float,
-    rng: np.random.Generator,
-) -> Optional[EmbeddingTransform]:
-    """Build a batch-wise cutoff transform (mask drawn at apply time).
-
-    ``ratio`` is the fraction of token positions (or feature dimensions)
-    zeroed, the paper's ``cutoff_ratio`` hyper-parameter (Table IV).
-    Returns None for kind="none" or ratio<=0 (no transform).  The
-    training engine uses the hoisted :func:`make_cutoff_sampler` /
-    :func:`mask_transform` pair instead, which draws the identical mask
-    sequence one stage earlier.
-    """
-    sampler = make_cutoff_sampler(kind, ratio, rng)
-    if sampler is None:
-        return None
-
-    def transform(embeddings: Tensor, attention_mask: np.ndarray) -> Tensor:
-        _, seq_len, dim = embeddings.shape
-        mask = sampler(seq_len, dim)
-        return embeddings * Tensor(mask.astype(embeddings.data.dtype, copy=False))
-
-    return transform

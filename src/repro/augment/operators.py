@@ -150,23 +150,6 @@ def cell_shuffle(text: str, rng: np.random.Generator) -> str:
     return " ".join(cells[int(i)] for i in order)
 
 
-def identity(text: str, rng: np.random.Generator) -> str:
-    return text
-
-
-def mixup_embed(text: str, rng: np.random.Generator) -> str:
-    """Embedding-level mixup: identity at the text level.
-
-    The actual distortion — interpolating token embeddings with another
-    in-batch item's (see :mod:`repro.augment.mixup`) — happens at the
-    embedding injection point during encoding, because it needs the whole
-    batch.  Registering the text-level identity here lets the operator
-    sit in :data:`EM_OPERATORS` and be selected as ``da_operator`` like
-    any Table I operator.
-    """
-    return text
-
-
 EM_OPERATORS: Dict[str, Operator] = {
     "token_del": token_del,
     "token_repl": token_repl,
@@ -176,7 +159,6 @@ EM_OPERATORS: Dict[str, Operator] = {
     "span_shuffle": span_shuffle,
     "col_shuffle": col_shuffle,
     "col_del": col_del,
-    "mixup_embed": mixup_embed,
 }
 
 COLUMN_OPERATORS: Dict[str, Operator] = {
@@ -187,8 +169,7 @@ COLUMN_OPERATORS: Dict[str, Operator] = {
     "cell_shuffle": cell_shuffle,
 }
 
-ALL_OPERATORS: Dict[str, Operator] = {**EM_OPERATORS, "cell_shuffle": cell_shuffle,
-                                      "identity": identity}
+ALL_OPERATORS: Dict[str, Operator] = {**EM_OPERATORS, "cell_shuffle": cell_shuffle}
 
 
 def get_operator(name: str) -> Operator:

@@ -4,7 +4,7 @@ ZeroER, Auto-FuzzyJoin, and DL-Block."""
 from .autofuzzyjoin import run_autofuzzyjoin
 from .deepmatcher import DeepMatcherModel, train_deepmatcher
 from .ditto import BaselineReport, build_warm_encoder, manual_examples, train_ditto
-from .dlblock import DLBlockBlocker, dlblock_curve
+from .dlblock import DLBlockBlocker
 from .rotom import ROTOM_OPERATORS, augmented_copies, train_rotom
 from .zeroer import pair_similarity_features, run_zeroer
 
@@ -15,7 +15,6 @@ __all__ = [
     "ROTOM_OPERATORS",
     "augmented_copies",
     "build_warm_encoder",
-    "dlblock_curve",
     "manual_examples",
     "pair_similarity_features",
     "run_autofuzzyjoin",

@@ -10,14 +10,11 @@ is exactly the representational gap the paper's comparison isolates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..core import SudowoodoConfig
 from ..core.blocker import Blocker
 from ..data import EMDataset
-from ..utils import Timer
 from .ditto import build_warm_encoder
 
 
@@ -33,11 +30,3 @@ class DLBlockBlocker(Blocker):
         encoder = build_warm_encoder(dataset, config)
         super().__init__(encoder, dataset)
 
-
-def dlblock_curve(
-    dataset: EMDataset,
-    ks: Sequence[int],
-    config: Optional[SudowoodoConfig] = None,
-) -> List[Dict[str, float]]:
-    """Recall-CSSR rows of DL-Block, for Figure 7 overlays."""
-    return DLBlockBlocker(dataset, config).recall_cssr_curve(ks)

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.generators.cleaning import CleaningDataset
-from ..data.records import serialize_cell_context_free, serialize_row_contextual
+from ..data.records import serialize_row_contextual
 from .candidates import CandidateGenerator
 
+#: Attributes serialized beside the target cell (its FD determinants
+#: first, then leading attributes).
+CONTEXT_WINDOW = 4
 
-def context_schema(
-    dataset: CleaningDataset, attribute: str, context_attributes: int = 4
-) -> List[str]:
+
+def context_schema(dataset: CleaningDataset, attribute: str) -> List[str]:
     """The serialized attribute window for ``attribute``.
 
     The paper's contextual scheme serializes the whole row; at CPU scale
@@ -35,7 +37,7 @@ def context_schema(
     if attribute not in window:
         window.append(attribute)
     for other in dataset.schema:
-        if len(window) >= context_attributes + 1:
+        if len(window) >= CONTEXT_WINDOW + 1:
             break
         if other not in window:
             window.append(other)
@@ -44,63 +46,30 @@ def context_schema(
 
 
 def serialize_cell(
-    dataset: CleaningDataset,
-    row: int,
-    attribute: str,
-    value: str,
-    serialization: str = "contextual",
-    context_attributes: int = 4,
+    dataset: CleaningDataset, row: int, attribute: str, value: str
 ) -> str:
-    """Serialize one (cell, candidate value) in the paper's EC scheme."""
-    if serialization == "context_free":
-        return serialize_cell_context_free(attribute, value)
+    """Serialize one (cell, candidate value) in the paper's contextual EC
+    scheme: the row's attribute window with ``value`` in the cell."""
     return serialize_row_contextual(
-        dataset.dirty[row],
-        context_schema(dataset, attribute, context_attributes),
-        attribute,
-        value,
+        dataset.dirty[row], context_schema(dataset, attribute), attribute, value
     )
 
 
 def cleaning_corpus(
-    dataset: CleaningDataset,
-    generator: Optional[CandidateGenerator] = None,
-    serialization: str = "contextual",
-    context_attributes: int = 4,
-    include_candidates: bool = True,
+    dataset: CleaningDataset, generator: Optional[CandidateGenerator] = None
 ) -> List[str]:
     """Unlabeled EC pre-training corpus: every serialized cell plus its
     top candidate corrections — what a :class:`repro.api.SudowoodoSession`
-    should pre-train on before fitting the ``clean`` task.
-
-    ``include_candidates=False`` returns only the table's cells (one text
-    per ``(row, attribute)``) — the corpus a live serving index holds.
-    """
-    if include_candidates:
-        generator = generator or CandidateGenerator().fit(dataset)
+    should pre-train on before fitting the ``clean`` task."""
+    generator = generator or CandidateGenerator().fit(dataset)
     corpus: List[str] = []
     for row in range(len(dataset.dirty)):
         for attribute in dataset.schema:
             value = dataset.dirty[row].get(attribute)
-            corpus.append(
-                serialize_cell(
-                    dataset, row, attribute, value, serialization, context_attributes
-                )
-            )
-            if not include_candidates:
-                continue
+            corpus.append(serialize_cell(dataset, row, attribute, value))
             for candidate in generator.candidates(row, attribute)[:3]:
                 if candidate != value:
-                    corpus.append(
-                        serialize_cell(
-                            dataset,
-                            row,
-                            attribute,
-                            candidate,
-                            serialization,
-                            context_attributes,
-                        )
-                    )
+                    corpus.append(serialize_cell(dataset, row, attribute, candidate))
     return corpus
 
 

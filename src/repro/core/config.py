@@ -181,8 +181,8 @@ class SudowoodoConfig:
         """Build a config from a flat field mapping; any other key raises
         ``ValueError``.  Names in :data:`RETIRED_CONFIG_FIELDS` are
         dropped, so configs saved before a field was deleted still load;
-        the retired ``da_operator="auto"`` (an adaptive operator
-        scheduler) reads as the default operator.
+        a ``da_operator`` in :data:`RETIRED_DA_OPERATORS` reads as the
+        default operator.
 
         Round-trip guarantee: ``from_dict(cfg.to_dict()) == cfg``.
         """
@@ -195,7 +195,7 @@ class SudowoodoConfig:
                     f"unknown config key {key!r}; "
                     f"valid fields: {sorted(_FIELD_NAMES)}"
                 )
-        if values.get("da_operator") == "auto":
+        if values.get("da_operator") in RETIRED_DA_OPERATORS:
             del values["da_operator"]
         return cls(**values)
 
@@ -311,6 +311,12 @@ RETIRED_CONFIG_FIELDS = (
     "embed_cache_capacity",
     "discovery_batch_size",
 )
+
+#: ``da_operator`` values earlier versions accepted and later deleted: an
+#: adaptive operator scheduler and two operators outside Table I.
+#: :meth:`SudowoodoConfig.from_dict` reads them as the default operator;
+#: :meth:`SudowoodoConfig.validate` rejects them.
+RETIRED_DA_OPERATORS = ("auto", "mixup_embed", "identity")
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))
 

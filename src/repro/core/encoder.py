@@ -175,19 +175,12 @@ class SudowoodoEncoder(Module):
         :meth:`token_cache`, external feature pipelines) enter here and
         skip tokenization altogether.
         """
-        was_training = self.encoder.training
-        if was_training:  # fit and load leave encoders in eval: no tree walk
-            self.encoder.eval()
-        try:
-            with no_grad():
-                pooled = self.encoder.pooled(
-                    encoding.token_ids,
-                    attention_mask=encoding.attention_mask,
-                    pooling=self.config.pooling,
-                )
-        finally:
-            if was_training:
-                self.encoder.train()
+        with no_grad():  # dropout is off under no_grad
+            pooled = self.encoder.pooled(
+                encoding.token_ids,
+                attention_mask=encoding.attention_mask,
+                pooling=self.config.pooling,
+            )
         return pooled.data.astype(np.float64)
 
     def embed_items(

@@ -105,15 +105,11 @@ class PairwiseMatcher(Module):
         self, pairs: Sequence[Tuple[str, str]], batch_size: int = 32
     ) -> np.ndarray:
         """(N, 2) match probabilities, no gradients."""
-        was_training = self.encoder.encoder.training
-        self.encoder.encoder.eval()
         outputs: List[np.ndarray] = []
-        with no_grad():
+        with no_grad():  # dropout is off under no_grad
             for start in range(0, len(pairs), batch_size):
                 logits = self.forward(list(pairs[start : start + batch_size]))
                 outputs.append(logits.softmax(axis=-1).data.astype(np.float64))
-        if was_training:
-            self.encoder.encoder.train()
         if not outputs:
             return np.zeros((0, 2))
         return np.vstack(outputs)

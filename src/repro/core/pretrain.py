@@ -3,10 +3,8 @@
 Per epoch: mini-batches are drawn by clustering-based negative sampling
 (Algorithm 2) when enabled, otherwise uniformly.  Each batch is augmented
 with one base DA operator (Table I); the augmented view is additionally
-perturbed by a batch-wise cutoff at the token-embedding level (Figure 5),
-or — for the ``mixup_embed`` operator — by interpolating token embeddings
-with another in-batch item (Contrastive Mixup).  The loss is Equation 6 —
-NT-Xent optionally blended with Barlow Twins.
+perturbed by a batch-wise cutoff at the token-embedding level (Figure 5).
+The loss is Equation 6 — NT-Xent optionally blended with Barlow Twins.
 
 The epoch/step loop itself runs on the shared training engine
 (:class:`repro.train.Trainer`): this module contributes only the
@@ -24,13 +22,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..augment import (
-    augment_batch,
-    make_cutoff_sampler,
-    mask_transform,
-    mixup_transform,
-    sample_mixup,
-)
+from ..augment import augment_batch, make_cutoff_sampler, mask_transform
 from ..nn import AdamW
 from ..text import MLMConfig, mlm_warm_start
 from ..train import (
@@ -81,7 +73,6 @@ class _PreparedBatch:
     aug: Any  # stacked Encoding of the augmented view
     transform: Optional[Any]  # embedding transform for the augmented view
     size: int
-    cross_item: bool  # True when the transform mixes in-batch items
 
 
 class ContrastivePretrainProgram(StepProgram):
@@ -137,34 +128,16 @@ class ContrastivePretrainProgram(StepProgram):
     def prepare(self, batch_indices: np.ndarray) -> _PreparedBatch:
         batch = [self.corpus[int(i)] for i in batch_indices]
         # Line 7 of Algorithm 1: apply the configured DA operator.
-        operator = self.config.da_operator
-        augmented = augment_batch(batch, self.da_rng, operator=operator)
-        transforms = []
-        cross_item = False
-        if operator == "mixup_embed":
-            permutation, lam = sample_mixup(len(batch), self.da_rng)
-            transforms.append(mixup_transform(permutation, lam))
-            cross_item = True
+        augmented = augment_batch(batch, self.da_rng, operator=self.config.da_operator)
         ori = self.token_cache.encode_batch(batch, self.config.max_seq_len)
-        if operator == "mixup_embed":
-            # The text view is the identity — serve it from the cache too.
-            aug = self.token_cache.encode_batch(augmented, self.config.max_seq_len)
-        else:
-            aug = self.tokenizer.encode_batch(
-                augmented, max_len=self.config.max_seq_len
-            )
+        aug = self.tokenizer.encode_batch(augmented, max_len=self.config.max_seq_len)
+        transform = None
         if self.cutoff_sampler is not None:
             # Sampled at the augmented view's own (trimmed) length, so a
             # cut never lands on columns that are padding in every row.
             mask = self.cutoff_sampler(aug.token_ids.shape[1], self.config.dim)
-            transforms.append(mask_transform(mask))
-        return _PreparedBatch(
-            ori=ori,
-            aug=aug,
-            transform=_chain(transforms),
-            size=len(batch),
-            cross_item=cross_item,
-        )
+            transform = mask_transform(mask)
+        return _PreparedBatch(ori=ori, aug=aug, transform=transform, size=len(batch))
 
     def loss(self, model: SudowoodoEncoder, prepared: _PreparedBatch):
         # Line 7/9 of Algorithm 1: encode both views, Equation 6 (or plain
@@ -188,8 +161,6 @@ class ContrastivePretrainProgram(StepProgram):
     def shard(
         self, prepared: _PreparedBatch, num_shards: int
     ) -> Optional[List[Tuple[_PreparedBatch, int]]]:
-        if prepared.cross_item:
-            return None  # mixup interpolates across the whole batch
         # Contrastive losses need >= 2 items per shard for in-batch
         # negatives.
         bounds = shard_bounds(prepared.size, num_shards, min_per_shard=2)
@@ -202,27 +173,11 @@ class ContrastivePretrainProgram(StepProgram):
                     aug=_slice_encoding(prepared.aug, lo, hi),
                     transform=prepared.transform,
                     size=hi - lo,
-                    cross_item=False,
                 ),
                 hi - lo,
             )
             for lo, hi in bounds
         ]
-
-
-def _chain(transforms: List[Any]) -> Optional[Any]:
-    """Compose embedding transforms left to right (None when empty)."""
-    if not transforms:
-        return None
-    if len(transforms) == 1:
-        return transforms[0]
-
-    def chained(embeddings, attention_mask):
-        for transform in transforms:
-            embeddings = transform(embeddings, attention_mask)
-        return embeddings
-
-    return chained
 
 
 def _slice_encoding(encoding: Any, lo: int, hi: int) -> Any:

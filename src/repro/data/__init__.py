@@ -6,7 +6,6 @@ from .records import (
     PairSplit,
     Record,
     Table,
-    serialize_cell_context_free,
     serialize_column,
     serialize_record,
     serialize_row_contextual,
@@ -18,7 +17,6 @@ __all__ = [
     "PairSplit",
     "Record",
     "Table",
-    "serialize_cell_context_free",
     "serialize_column",
     "serialize_record",
     "serialize_row_contextual",

@@ -77,11 +77,6 @@ def serialize_record(record: Record, schema: Optional[Sequence[str]] = None) -> 
     return " ".join(parts)
 
 
-def serialize_cell_context_free(attribute: str, value: str) -> str:
-    """Context-free cell serialization for cleaning: ``[COL] attr [VAL] v``."""
-    return f"[COL] {attribute} [VAL] {value}".rstrip()
-
-
 def serialize_row_contextual(
     record: Record,
     schema: Sequence[str],

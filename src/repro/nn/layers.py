@@ -76,7 +76,12 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout driven by an explicit, seedable generator."""
+    """Inverted dropout driven by an explicit, seedable generator.
+
+    Active only in train mode *and* while gradients are traced: under the
+    thread-local :func:`~repro.nn.no_grad` it is the identity, so
+    inference never has to flip the shared module mode.
+    """
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         super().__init__()
@@ -86,7 +91,8 @@ class Dropout(Module):
         self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.dropout(self.p, self.rng, self.training)
+        active = self.training and _tensor_ops._GRAD_MODE.enabled
+        return x.dropout(self.p, self.rng, active)
 
 
 class MLP(Module):

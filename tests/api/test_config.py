@@ -5,7 +5,11 @@ from dataclasses import asdict
 import pytest
 
 from repro.api import SudowoodoConfig
-from repro.core.config import RETIRED_CONFIG_FIELDS, TASK_CONFIG_DEFAULTS
+from repro.core.config import (
+    RETIRED_CONFIG_FIELDS,
+    RETIRED_DA_OPERATORS,
+    TASK_CONFIG_DEFAULTS,
+)
 
 
 class TestRoundTrip:
@@ -96,12 +100,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="feature, none, span, token"):
             SudowoodoConfig(cutoff_kind="bogus").validate()
 
-    def test_retired_auto_operator_is_rejected(self):
-        with pytest.raises(ValueError, match="auto"):
-            SudowoodoConfig(da_operator="auto").validate()
+    @pytest.mark.parametrize("operator", ["auto", "mixup_embed", "identity"])
+    def test_retired_operator_is_rejected(self, operator):
+        assert operator in RETIRED_DA_OPERATORS
+        with pytest.raises(ValueError, match=operator):
+            SudowoodoConfig(da_operator=operator).validate()
 
-    def test_saved_auto_operator_loads_as_the_default(self):
-        config = SudowoodoConfig.from_dict({"da_operator": "auto", "dim": 20})
+    @pytest.mark.parametrize("operator", ["auto", "mixup_embed", "identity"])
+    def test_saved_retired_operator_loads_as_the_default(self, operator):
+        config = SudowoodoConfig.from_dict({"da_operator": operator, "dim": 20})
         assert config == SudowoodoConfig(dim=20)
         config.validate()
 

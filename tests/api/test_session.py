@@ -208,6 +208,21 @@ class TestServe:
         with pytest.raises(ValueError, match="has not been created"):
             session.serve("never_created_task")
 
+    def test_serve_task_without_corpus_fails_loudly(self, session, em_dataset):
+        """``block`` has nothing to serve: serving it raises and names the
+        task instead of silently indexing a corpus."""
+        block = session.task("block", fresh=True).fit(em_dataset, k=3)
+        with pytest.raises(ValueError, match="'block'"):
+            session.serve(block)
+
+    def test_serve_task_without_indexing_gives_empty_service(
+        self, session, em_dataset
+    ):
+        block = session.task("block", fresh=True).fit(em_dataset, k=3)
+        service = session.serve(block, index=False)
+        assert isinstance(service, MatchService)
+        assert service.index_size == 0
+
     def test_serve_without_task_gives_bare_service(self, session):
         service = session.serve()
         assert isinstance(service, MatchService)

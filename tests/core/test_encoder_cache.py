@@ -205,25 +205,40 @@ class TestTokenCacheUnit:
 
     @pytest.mark.stress
     def test_thread_safe_under_concurrent_encoders(self):
+        """Concurrent encodes on a train-mode encoder (as built, before
+        any fit) equal the cold rows byte for byte: inference never
+        writes the shared module mode, so no thread's forward can run
+        with dropout switched on by another."""
         enc = make_encoder()
+        assert enc.encoder.training
+        cold = enc.embed_items(CORPUS, batch_size=4, use_token_cache=False)
         cache = enc.token_cache()
+        differing = []
         errors = []
 
         def worker():
             try:
                 for _ in range(5):
-                    matrix = enc.embed_items(CORPUS, batch_size=4)
-                    assert matrix.shape == (len(CORPUS), enc.config.dim)
+                    rows = enc.embed_items(CORPUS, batch_size=4)
+                    differing.append(not np.array_equal(rows, cold))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
+        assert len(differing) == 20 and sum(differing) == 0
         assert len(cache) == len(CORPUS)
+        assert enc.encoder.training
 
     @pytest.mark.stress
     def test_discard_races_concurrent_encoders(self):
@@ -231,7 +246,6 @@ class TestTokenCacheUnit:
         every encode equals the cold rows, and the cache ends at most
         corpus-sized."""
         enc = make_encoder()
-        enc.eval()  # as fit and load leave it: no per-call mode flips
         cold = enc.embed_items(CORPUS, batch_size=4, use_token_cache=False)
         fingerprints = [text_fingerprint(text) for text in CORPUS]
         errors = []

@@ -146,17 +146,19 @@ class TestPersistence:
         for name, value in full.encoder.state_dict().items():
             np.testing.assert_array_equal(resumed_state[name], value)
 
-    def test_encoder_checkpoint_with_auto_operator_loads(
-        self, trained, tmp_path
+    @pytest.mark.parametrize("operator", ["auto", "mixup_embed", "identity"])
+    def test_encoder_checkpoint_with_retired_operator_loads(
+        self, trained, tmp_path, operator
     ):
-        """Encoder checkpoints saved with ``da_operator="auto"`` (a
-        retired adaptive scheduler) load to a valid config and the same
-        embeddings; the operator is a pre-training knob, so the weights
-        do not depend on how it reads back."""
+        """Encoder checkpoints saved with a retired ``da_operator`` (an
+        adaptive scheduler, embedding mixup, the identity) load to a
+        valid config and the same embeddings; the operator is a
+        pre-training knob, so the weights do not depend on how it reads
+        back."""
         dataset, encoder = trained
         path = save_encoder(encoder, tmp_path / "encoder.npz")
         arrays, metadata = load_state_archive(path)
-        metadata["config"]["da_operator"] = "auto"
+        metadata["config"]["da_operator"] = operator
         save_state_archive(path, arrays, metadata)
         restored = load_encoder(path)
         restored.config.validate()

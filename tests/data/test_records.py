@@ -7,7 +7,6 @@ from repro.data import (
     PairSplit,
     Record,
     Table,
-    serialize_cell_context_free,
     serialize_column,
     serialize_record,
     serialize_row_contextual,
@@ -68,9 +67,6 @@ class TestSerialization:
     def test_schema_order_respected(self):
         text = serialize_record(make_record(), ["price", "title"])
         assert text.startswith("[COL] price")
-
-    def test_cell_context_free(self):
-        assert serialize_cell_context_free("state", "wa") == "[COL] state [VAL] wa"
 
     def test_row_contextual_replacement(self):
         record = Record(0, {"city": "redmond", "state": "ca"})

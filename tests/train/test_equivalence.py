@@ -11,7 +11,8 @@ optimizer stepping, or epoch accounting fails these tests exactly.
 import numpy as np
 import pytest
 
-from repro.augment import augment_batch, make_cutoff_transform
+from cutoff_reference import make_cutoff_transform
+from repro.augment import augment_batch
 from repro.core import (
     PairwiseMatcher,
     SudowoodoConfig,
