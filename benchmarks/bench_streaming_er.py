@@ -6,7 +6,7 @@ Scenario: a dirty-duplicates table is split — half seeds the index, the
 rest arrives as a deterministic interleaved feed of upserts, deletions,
 and searches replayed through a
 :class:`~repro.serve.frontend.ServiceFrontend` (admission control,
-deadlines, metrics).  Writes are buffered and flushed every
+metrics).  Writes are buffered and flushed every
 ``flush_every`` events, the ingest pattern that creates staleness; a
 :class:`~repro.serve.metrics.StalenessGauge` stamps each write at
 arrival and at flush, so every number below comes from the service's own
@@ -112,7 +112,7 @@ def print_report(stats: dict) -> None:
             ],
             title=(
                 f"streaming ER over {stats['elapsed_s']:.2f}s "
-                f"(shed {int(stats['shed'])}, expired {int(stats['expired'])})"
+                f"(shed {int(stats['shed'])})"
             ),
             float_digits=1,
         )

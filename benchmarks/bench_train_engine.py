@@ -34,7 +34,11 @@ import numpy as np
 
 from repro.core import SudowoodoConfig
 from repro.core.encoder import SudowoodoEncoder, build_tokenizer
-from repro.core.pretrain import ContrastivePretrainProgram, prepare_corpus
+from repro.core.pretrain import (
+    PRETRAIN_LR,
+    ContrastivePretrainProgram,
+    prepare_corpus,
+)
 from repro.eval import format_table
 from repro.nn import AdamW
 from repro.train import TokenCache, Trainer
@@ -95,7 +99,7 @@ def measure_steps_per_second(corpus, config: SudowoodoConfig) -> float:
     trainer = Trainer(
         encoder,
         program,
-        AdamW(encoder.parameters(), lr=config.pretrain_lr),
+        AdamW(encoder.parameters(), lr=PRETRAIN_LR),
         workers=config.train_workers,
         rngs=rngs,
     )

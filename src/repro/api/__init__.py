@@ -15,7 +15,7 @@ fitted task as a thread-safe, shardable streaming service.
 >>> session.pretrain(corpus)                       # the expensive step, once
 >>> result = session.task("match").fit(dataset, label_budget=80).report()
 >>> repairs = session.task("clean").fit(dirty_table).predict()
->>> service = session.serve("match", num_shards=4)  # doctest: +SKIP
+>>> service = session.serve("match")  # doctest: +SKIP
 
 The task classes are the only implementation of their workloads; the
 pre-session drivers are gone (``docs/api.md`` maps each removed name to

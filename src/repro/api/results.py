@@ -120,7 +120,7 @@ class StreamingERResult(TaskReport):
     """Streaming ER: feed accounting plus freshness / throughput metrics.
 
     ``metrics`` carries the headline numbers (sustained QPS, staleness
-    p50/p99, shed and deadline counts); the fields below record how the
+    p50/p99, shed count); the fields below record how the
     feed was consumed.
     """
 

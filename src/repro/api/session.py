@@ -10,7 +10,7 @@ unit of the public API:
 >>> match = session.task("match").fit(em_dataset, label_budget=80)
 >>> clean = session.task("clean").fit(cleaning_dataset)
 >>> cols  = session.task("column_cluster").fit(column_corpus)
->>> service = session.serve("match", num_shards=4)     # streaming upsert/search
+>>> service = session.serve("match")                   # streaming upsert/search
 
 Sharing contract
 ----------------
@@ -30,7 +30,6 @@ Sharing contract
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -234,12 +233,8 @@ class SudowoodoSession:
     def serve(
         self,
         task: Optional[Union[str, Task]] = None,
-        num_shards: Optional[int] = None,
         index: bool = True,
         frontend: bool = False,
-        max_queue_depth: Optional[int] = None,
-        default_deadline_ms: Optional[float] = None,
-        priority_levels: Optional[int] = None,
     ) -> Union[MatchService, ServiceFrontend]:
         """Export the session (optionally a fitted task) as a live service.
 
@@ -253,19 +248,16 @@ class SudowoodoSession:
         ``dedupe`` (canonical records) and ``streaming_er``; any other
         task raises ``ValueError`` unless ``index=False``.  Match
         probabilities stay with the task (``task.predict``).
-        ``num_shards`` overrides the config per service; ``index=False``
-        skips corpus indexing (call ``service.index_records`` yourself).
+        ``index=False`` skips corpus indexing (call
+        ``service.index_records`` yourself).
 
         With ``frontend=True`` the service is wrapped in a
         :class:`~repro.serve.frontend.ServiceFrontend` — the one
-        coalescing ``search`` entry point, with bounded admission
-        (``max_queue_depth``), per-request deadlines
-        (``default_deadline_ms``), priority scheduling
-        (``priority_levels``), a streaming metrics registry, and
-        zero-downtime blue/green ``reindex``; the three knobs override
-        the config's ``serve`` section per frontend.  The coalescing
-        window comes from the config
-        (``dataclasses.replace(config, coalesce_window_ms=...)``).
+        coalescing ``search`` entry point, with bounded admission, a
+        streaming metrics registry, and zero-downtime blue/green
+        ``reindex``.  Shard count, queue depth and coalescing window come
+        from the session's config
+        (``dataclasses.replace(config, num_shards=...)``).
         """
         bound: Optional[Task] = None
         if task is not None:
@@ -279,21 +271,11 @@ class SudowoodoSession:
                 raise TaskNotFittedError(
                     str(getattr(bound, "name", bound)), "serving it"
                 )
-        overrides: Dict[str, Any] = {}
-        if num_shards is not None:
-            overrides["num_shards"] = num_shards
-        if max_queue_depth is not None:
-            overrides["max_queue_depth"] = max_queue_depth
-        if default_deadline_ms is not None:
-            overrides["default_deadline_ms"] = default_deadline_ms
-        if priority_levels is not None:
-            overrides["priority_levels"] = priority_levels
-        config = replace(self.config, **overrides) if overrides else self.config
-        service = MatchService(self.encoder, config=config, store=self.store)
+        service = MatchService(self.encoder, config=self.config, store=self.store)
         if bound is not None and index:
             corpus = bound.corpus_texts()
             if corpus:
                 service.index_records(corpus)
         if frontend:
-            return ServiceFrontend(service, config=service.config)
+            return ServiceFrontend(service)
         return service

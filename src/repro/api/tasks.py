@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.generators.columns import ColumnCorpus
     from .session import SudowoodoSession
 
+#: Loss weight of a pseudo-labelled pair; manual labels weigh 1.0.
+PSEUDO_LABEL_WEIGHT = 0.5
+
 
 class SessionTask:
     """Base class for session-bound tasks (see the ``Task`` protocol).
@@ -271,7 +274,7 @@ class MatchTask(SessionTask):
                             dataset.serialize_a(left),
                             dataset.serialize_b(right),
                             label,
-                            config.pseudo_label_weight,
+                            PSEUDO_LABEL_WEIGHT,
                         )
                     )
 
@@ -283,8 +286,7 @@ class MatchTask(SessionTask):
             )
         self._num_manual = len(manual)
         self._num_pseudo = len(pseudo_examples)
-        if config.class_balance:
-            _apply_class_balance(train)
+        _apply_class_balance(train)
         return train, valid
 
     # -- the Task protocol ----------------------------------------------
@@ -478,8 +480,7 @@ class CleanTask(SessionTask):
                 "labeled rows contain no recoverable errors; increase "
                 "labeled_rows or the dataset scale"
             )
-        if config.class_balance:
-            _apply_class_balance(examples)
+        _apply_class_balance(examples)
 
         timer = Timer()
         matcher = PairwiseMatcher(self.session.checkout_encoder())
@@ -658,8 +659,7 @@ class ColumnMatchTask(SessionTask):
         candidates = self.candidate_pairs()
         splits = self.build_labeled_pairs(candidates, num_labels)
         train = self._examples(splits["train"])
-        if config.class_balance:
-            _apply_class_balance(train)
+        _apply_class_balance(train)
         valid = self._examples(splits["valid"])
         test = self._examples(splits["test"])
         matcher = PairwiseMatcher(self.session.checkout_encoder())

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from ..core.matcher import (
     PairwiseMatcher,
@@ -79,8 +77,7 @@ def manual_examples(
     examples = [
         TrainingExample(*dataset.serialize_pair(p), p.label, 1.0) for p in pairs
     ]
-    if config.class_balance:
-        _apply_class_balance(examples)
+    _apply_class_balance(examples)
     return examples
 
 

@@ -43,24 +43,15 @@ class SudowoodoConfig:
     max_seq_len: int = 48
     pair_max_seq_len: int = 64
     vocab_size: int = 1500
-    dropout: float = 0.05
-    projector_dim: int = 48  # paper: 768 (4096 for blocking); scaled down
-    # Mean pooling over non-pad tokens; at this model scale it yields far
-    # better similarity structure than [CLS] pooling (the paper's RoBERTa
-    # learns a usable [CLS] during its large-scale pre-training).
-    pooling: str = "mean"
 
     # ---------------------------------------------------------- pretrain
     pretrain_epochs: int = 3  # paper: 3
     pretrain_batch_size: int = 16  # paper: 64
-    pretrain_lr: float = 5e-4  # paper: 5e-5 at RoBERTa scale
-    temperature: float = 0.07  # paper tau = 0.07
     da_operator: str = "token_del"  # paper's EM default: token_del
     cutoff_kind: str = "span"  # paper: span cutoff works best
     cutoff_ratio: float = 0.05  # Table IV best: 0.05
     num_clusters: int = 10  # paper: 90 for 10k items (~1/100); scaled
     alpha_bt: float = 1e-3  # Table IV best: 1e-3
-    lambda_bt: float = 3.9e-3  # paper lambda = 3.9e-3
     corpus_cap: Optional[int] = 10_000  # paper fixes corpus size to 10k
     mlm_warm_start_epochs: int = 1  # stand-in for "init from pre-trained LM"
 
@@ -68,13 +59,6 @@ class SudowoodoConfig:
     finetune_epochs: int = 15  # paper: 50 at full scale
     finetune_batch_size: int = 16
     finetune_lr: float = 1e-4  # encoder LR; paper: 5e-5 (3e-5 fully sup.)
-    # The task head is a fresh linear layer over frozen-quality features;
-    # it trains with its own, much larger step size.
-    head_lr: float = 5e-2
-    pseudo_label_weight: float = 0.5  # weight of auto labels vs manual ones
-    # Re-weight classes to counter the 10-18% positive rates of EM data;
-    # the paper manages the same imbalance through the pseudo-label ratio.
-    class_balance: bool = True
 
     # ------------------------------------------------------ pseudo label
     positive_ratio: float = 0.10  # rho, from {5%, 10%, ...}
@@ -82,7 +66,8 @@ class SudowoodoConfig:
     # Fraction of rho used when *selecting* pseudo positives: only the very
     # top of the similarity ranking becomes positive (theta+ conservative),
     # which keeps pseudo-positive precision high at small-encoder scale.
-    # The class-balanced loss restores the effective positive weight.
+    # The class-balanced loss (always on) restores the effective positive
+    # weight.
     pseudo_positive_fraction: float = 0.3
 
     # ------------------------------------------------------------- other
@@ -90,15 +75,10 @@ class SudowoodoConfig:
     seed: int = 0
 
     # ----------------------------------------------------------- serving
-    # ANN backend for candidate generation ("exact" | "hnsw" | "ivfpq" |
-    # any name registered via repro.serve.register_backend).
+    # ANN backend for candidate generation: "exact" | "hnsw" | "ivfpq".
+    # HNSW runs at HNSWBackend's own graph defaults (docs/serving.md,
+    # "when to pick hnsw").
     ann_backend: str = "exact"
-    # HNSW graph knobs: out-degree target, insert beam width, query beam
-    # width (see serve.hnsw; the recall/latency they buy against the
-    # exact scan is measured in docs/serving.md, "when to pick hnsw").
-    hnsw_m: int = 16
-    hnsw_ef_construction: int = 120
-    hnsw_ef_search: int = 12
     # IVF-PQ backend knobs (serve.ivfpq): coarse k-means cell count,
     # product-quantization subvectors per vector (dim must divide evenly),
     # bits per PQ code (codebook size 2**bits, max 8 = one byte per code),
@@ -124,21 +104,10 @@ class SudowoodoConfig:
     num_shards: int = 1
     coalesce_window_ms: float = 2.0
     max_coalesce_batch: int = 64
-    # Front-end admission policy (serve.frontend): shedding + deadlines.
-    # max_queue_depth bounds admitted-but-unfinished requests — beyond it
-    # new arrivals are shed with a typed Overloaded error (None = never
-    # shed); default_deadline_ms is the per-request budget applied when
-    # search() passes no explicit deadline (None = wait indefinitely);
-    # priority_levels is how many priority classes the broker drains in
-    # order (level 0 = most urgent).
+    # Front-end admission policy (serve.frontend): max_queue_depth bounds
+    # admitted-but-unfinished requests — beyond it new arrivals are shed
+    # with a typed Overloaded error (None = never shed).
     max_queue_depth: Optional[int] = None
-    default_deadline_ms: Optional[float] = None
-    priority_levels: int = 1
-
-    # --------------------------------------------------------- discovery
-    # Lake-scale discovery (discovery.lake): where the persistent profile
-    # cache lives (None = the lake task keeps a private temporary store).
-    profile_cache_dir: Optional[str] = None
 
     # ----------------------------------------------------- training engine
     # Data-parallel gradient workers of the shared step-loop runtime
@@ -223,8 +192,6 @@ class SudowoodoConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range hyper-parameters."""
-        if not 0.0 < self.temperature <= 1.0:
-            raise ValueError("temperature must be in (0, 1]")
         if not 0.0 <= self.alpha_bt <= 1.0:
             raise ValueError("alpha_bt must be in [0, 1]")
         if not 0.0 < self.positive_ratio < 1.0:
@@ -235,11 +202,6 @@ class SudowoodoConfig:
             raise ValueError("cutoff_ratio must be in [0, 1)")
         if self.blocking_k < 1:
             raise ValueError("blocking_k must be >= 1")
-        if self.pooling not in VALID_POOLINGS:
-            raise ValueError(
-                f"unknown pooling {self.pooling!r}; "
-                f"valid options: {', '.join(sorted(VALID_POOLINGS))}"
-            )
         if self.cutoff_kind not in VALID_CUTOFF_KINDS:
             raise ValueError(
                 f"unknown cutoff kind {self.cutoff_kind!r}; "
@@ -256,12 +218,6 @@ class SudowoodoConfig:
             )
         if not self.ann_backend:
             raise ValueError("ann_backend must be a non-empty backend name")
-        if self.hnsw_m < 2:
-            raise ValueError("hnsw_m must be >= 2")
-        if self.hnsw_ef_construction < 1 or self.hnsw_ef_search < 1:
-            raise ValueError(
-                "hnsw_ef_construction and hnsw_ef_search must be positive"
-            )
         if self.ivf_cells < 1:
             raise ValueError("ivf_cells must be >= 1")
         if self.pq_subvectors < 1:
@@ -285,10 +241,6 @@ class SudowoodoConfig:
             raise ValueError("max_coalesce_batch must be positive")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be positive or None")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive or None")
-        if self.priority_levels < 1:
-            raise ValueError("priority_levels must be >= 1")
         if self.train_workers < 1:
             raise ValueError("train_workers must be >= 1")
 
@@ -298,8 +250,16 @@ class SudowoodoConfig:
 #: them instead of raising.  ``lsh_*`` went with the LSH backend,
 #: ``train_prefetch`` with background batch preparation, the next four
 #: with the training engine's accumulation, clipping, early stopping and
-#: checkpoint cadence, and the last two with the embedding store's LRU
+#: checkpoint cadence, and the next two with the embedding store's LRU
 #: bound and the lake-discovery batch knob (its default, 256, stays).
+#: The last fifteen were options only tests set: each default is now a
+#: constant where it is used (``core.encoder.PROJECTOR_DIM`` and
+#: ``DROPOUT``, ``core.pretrain.PRETRAIN_LR``, ``core.matcher.HEAD_LR``,
+#: ``api.tasks.PSEUDO_LABEL_WEIGHT``, the loss functions' defaults and
+#: ``HNSWBackend``'s keyword defaults); mean pooling and the class
+#: balance are always on; the front end's per-request budget and drain
+#: classes went with the code they set; a persistent lake cache is
+#: ``LakeDiscoveryTask.fit(store=...)``.
 RETIRED_CONFIG_FIELDS = (
     "lsh_num_tables",
     "lsh_num_bits",
@@ -310,6 +270,21 @@ RETIRED_CONFIG_FIELDS = (
     "checkpoint_every",
     "embed_cache_capacity",
     "discovery_batch_size",
+    "projector_dim",
+    "dropout",
+    "pooling",
+    "temperature",
+    "lambda_bt",
+    "pretrain_lr",
+    "head_lr",
+    "pseudo_label_weight",
+    "class_balance",
+    "hnsw_m",
+    "hnsw_ef_construction",
+    "hnsw_ef_search",
+    "profile_cache_dir",
+    "default_deadline_ms",
+    "priority_levels",
 )
 
 #: ``da_operator`` values earlier versions accepted and later deleted: an
@@ -320,9 +295,6 @@ RETIRED_DA_OPERATORS = ("auto", "mixup_embed", "identity")
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SudowoodoConfig))
 
-
-#: Valid ``pooling`` strategies (see ``nn.transformer.TransformerEncoder``).
-VALID_POOLINGS = ("cls", "mean")
 
 #: Valid ``cutoff_kind`` values (see ``augment.cutoff``).
 VALID_CUTOFF_KINDS = ("token", "feature", "span", "none")

@@ -26,6 +26,12 @@ from .config import SudowoodoConfig
 
 EmbeddingTransform = Callable[[Tensor, np.ndarray], Tensor]
 
+#: Width of the projection head ``g`` (paper: 768, 4096 for blocking;
+#: scaled down with the encoder).
+PROJECTOR_DIM = 48
+#: Dropout probability throughout the Transformer.
+DROPOUT = 0.05
+
 
 class SudowoodoEncoder(Module):
     """Embedding model + projection head over a fitted tokenizer."""
@@ -43,12 +49,12 @@ class SudowoodoEncoder(Module):
             ffn_dim=config.ffn_dim,
             # Pair encoding needs room for two serialized items.
             max_seq_len=max(config.max_seq_len, config.pair_max_seq_len),
-            dropout=config.dropout,
+            dropout=DROPOUT,
             seed=config.seed,
         )
         self.encoder = TransformerEncoder(transformer_config)
         self.projector = Linear(
-            config.dim, config.projector_dim, spawn_rng(config.seed, "projector")
+            config.dim, PROJECTOR_DIM, spawn_rng(config.seed, "projector")
         )
         # Serving-side tokenize+pad cache (created lazily by
         # :meth:`token_cache`): ``embed_items`` re-encodes a corpus after
@@ -73,7 +79,6 @@ class SudowoodoEncoder(Module):
         return self.encoder.pooled(
             encoded.token_ids,
             attention_mask=encoded.attention_mask,
-            pooling=self.config.pooling,
             embedding_transform=embedding_transform,
         )
 
@@ -92,7 +97,6 @@ class SudowoodoEncoder(Module):
         return self.encoder.pooled(
             encoding.token_ids,
             attention_mask=encoding.attention_mask,
-            pooling=self.config.pooling,
             embedding_transform=embedding_transform,
         )
 
@@ -108,7 +112,6 @@ class SudowoodoEncoder(Module):
             encoded.token_ids,
             attention_mask=encoded.attention_mask,
             segment_ids=encoded.segment_ids,
-            pooling=self.config.pooling,
         )
 
     def project(self, pooled: Tensor) -> Tensor:
@@ -177,9 +180,7 @@ class SudowoodoEncoder(Module):
         """
         with no_grad():  # dropout is off under no_grad
             pooled = self.encoder.pooled(
-                encoding.token_ids,
-                attention_mask=encoding.attention_mask,
-                pooling=self.config.pooling,
+                encoding.token_ids, attention_mask=encoding.attention_mask
             )
         return pooled.data.astype(np.float64)
 

@@ -29,13 +29,18 @@ from ..utils import spawn_rng
 from .config import SudowoodoConfig
 from .encoder import SudowoodoEncoder
 
+#: AdamW step size of the task head.  The head is a fresh linear layer
+#: over frozen-quality features, so it trains at a much larger step than
+#: the encoder's ``config.finetune_lr``.
+HEAD_LR = 5e-2
+
 
 @dataclass
 class TrainingExample:
     """A labeled (serialized) pair with a loss weight.
 
-    Manual labels carry weight 1.0; pseudo labels are down-weighted by the
-    config's ``pseudo_label_weight``.
+    Manual labels carry weight 1.0; pseudo labels are down-weighted by
+    ``api.tasks.PSEUDO_LABEL_WEIGHT``.
     """
 
     left: str
@@ -213,7 +218,7 @@ def finetune_matcher(
     """Fine-tune ``M_pm`` with AdamW + linear warmup/decay.
 
     Two parameter groups train at different rates: the fresh task head at
-    ``config.head_lr`` and the pre-trained encoder at ``config.finetune_lr``
+    :data:`HEAD_LR` and the pre-trained encoder at ``config.finetune_lr``
     (so a handful of imbalanced steps cannot wreck the contrastive
     representations).  The best-validation-F1 weights are kept, matching
     the paper's per-epoch model selection.  ``fixed_steps`` caps total
@@ -229,7 +234,7 @@ def finetune_matcher(
     rng = spawn_rng(config.seed, "finetune")
     head_params = matcher.classifier.parameters()
     encoder_params = matcher.encoder.parameters()
-    head_optimizer = AdamW(head_params, lr=config.head_lr, weight_decay=0.0)
+    head_optimizer = AdamW(head_params, lr=HEAD_LR, weight_decay=0.0)
     encoder_optimizer = AdamW(encoder_params, lr=config.finetune_lr)
     steps_per_epoch = max(
         1, int(np.ceil(len(train_examples) / config.finetune_batch_size))

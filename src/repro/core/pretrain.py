@@ -40,6 +40,10 @@ from .negative_sampling import ClusterBatcher
 
 PathLike = Union[str, Path]
 
+#: AdamW step size of contrastive pre-training (paper: 5e-5 at RoBERTa
+#: scale; the CPU-scale encoder trains from a much shorter warm start).
+PRETRAIN_LR = 5e-4
+
 
 @dataclass
 class PretrainResult:
@@ -148,15 +152,11 @@ class ContrastivePretrainProgram(StepProgram):
                 prepared.aug, embedding_transform=prepared.transform
             )
         )
+        # The paper's constants (tau = 0.07, lambda = 3.9e-3) are the loss
+        # functions' defaults.
         if self.config.use_barlow_twins:
-            return combined_loss(
-                z_ori,
-                z_aug,
-                temperature=self.config.temperature,
-                alpha_bt=self.config.alpha_bt,
-                lambda_bt=self.config.lambda_bt,
-            )
-        return nt_xent_loss(z_ori, z_aug, temperature=self.config.temperature)
+            return combined_loss(z_ori, z_aug, alpha_bt=self.config.alpha_bt)
+        return nt_xent_loss(z_ori, z_aug)
 
     def shard(
         self, prepared: _PreparedBatch, num_shards: int
@@ -257,7 +257,7 @@ def pretrain(
     program = ContrastivePretrainProgram(
         corpus, config, rngs, tokenizer, token_cache=token_cache
     )
-    optimizer = AdamW(encoder.parameters(), lr=config.pretrain_lr)
+    optimizer = AdamW(encoder.parameters(), lr=PRETRAIN_LR)
     trainer = Trainer(
         encoder,
         program,

@@ -1,7 +1,7 @@
 """Streaming entity resolution: a live feed driven through the service tier.
 
 The production front end (``repro.serve.frontend``) already gives the
-index streaming writes, admission control, and deadlines; what the repo
+index streaming writes, admission control, and coalescing; what the repo
 lacked was a *scenario* that exercises them the way a live ER deployment
 does — upserts, deletions, and searches interleaved on one clock, with
 index freshness measured against the feed.  This module supplies it:
@@ -15,7 +15,7 @@ index freshness measured against the feed.  This module supplies it:
   batches of ``flush_every`` — the realistic ingest pattern that
   *creates* staleness — and measuring it with
   :class:`~repro.serve.metrics.StalenessGauge`, alongside sustained
-  QPS and the front end's shed / deadline counters;
+  QPS and the front end's shed counter;
 * :func:`iter_match_edges` scores candidate record pairs through a
   matcher lazily, in bounded batches, yielding only the pairs above
   threshold — the edge stream the streaming dedupe path
@@ -40,7 +40,7 @@ from typing import (
 
 import numpy as np
 
-from ..serve.broker import DeadlineExceeded, Overloaded
+from ..serve.broker import Overloaded
 from ..serve.frontend import ServiceFrontend
 from ..serve.metrics import MetricsRegistry, StalenessGauge
 
@@ -131,8 +131,6 @@ def run_streaming_er(
     flush_every: int = 8,
     metrics: Optional[MetricsRegistry] = None,
     clock: Optional[Callable[[], float]] = None,
-    deadline_ms: Optional[float] = None,
-    priority: int = 0,
 ) -> Dict[str, float]:
     """Replay ``events`` against a live service; return the scorecard.
 
@@ -142,11 +140,11 @@ def run_streaming_er(
     whatever is currently visible.  A
     :class:`~repro.serve.metrics.StalenessGauge` stamps each write at
     arrival and at flush, so ``staleness_*`` below is the true
-    arrival->searchable latency.  ``Overloaded`` / ``DeadlineExceeded``
-    from the front end are counted, not raised: load shedding is an
-    outcome this scenario measures.
+    arrival->searchable latency.  ``Overloaded`` from the front end is
+    counted, not raised: load shedding is an outcome this scenario
+    measures.
 
-    Returns a flat dict: event/op counts, ``shed`` / ``expired``,
+    Returns a flat dict: event/op counts, ``shed``,
     sustained ``qps`` (completed searches over the wall-clock of the
     whole interleaved run), ``staleness_p50_s`` / ``staleness_p99_s`` /
     ``staleness_max_s``, and ``final_index_size``.
@@ -162,7 +160,6 @@ def run_streaming_er(
     buffer: List[FeedEvent] = []
     counts = {"upsert": 0, "delete": 0, "search": 0}
     shed = 0
-    expired = 0
     searches_completed = 0
 
     def flush() -> None:
@@ -182,16 +179,9 @@ def run_streaming_er(
         if event.kind == "search":
             counts["search"] += 1
             try:
-                target.search(
-                    list(event.texts),
-                    k=event.k,
-                    deadline_ms=deadline_ms,
-                    priority=priority,
-                )
+                target.search(list(event.texts), k=event.k)
             except Overloaded:
                 shed += 1
-            except DeadlineExceeded:
-                expired += 1
             else:
                 searches_completed += 1
         else:
@@ -211,7 +201,6 @@ def run_streaming_er(
         "searches": float(counts["search"]),
         "searches_completed": float(searches_completed),
         "shed": float(shed),
-        "expired": float(expired),
         "elapsed_s": elapsed,
         "qps": searches_completed / elapsed,
         "staleness_p50_s": staleness.get("p50", 0.0),

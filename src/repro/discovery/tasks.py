@@ -75,14 +75,10 @@ class LakeDiscoveryTask(SessionTask):
 
     def _ensure_store(self) -> ProfileStore:
         if self._store is None:
-            cache_dir = self.session.config.profile_cache_dir
-            if cache_dir is None:
-                # Private per-task store: incremental across re-fits of
-                # this instance, discarded with it.
-                cache_dir = tempfile.mkdtemp(prefix="sudowoodo-lake-")
-                weakref.finalize(
-                    self, shutil.rmtree, cache_dir, ignore_errors=True
-                )
+            # Private per-task store: incremental across re-fits of this
+            # instance, discarded with it.
+            cache_dir = tempfile.mkdtemp(prefix="sudowoodo-lake-")
+            weakref.finalize(self, shutil.rmtree, cache_dir, ignore_errors=True)
             self._store = ProfileStore(
                 cache_dir, store_dtype=self.session.config.store_dtype
             )
@@ -103,11 +99,11 @@ class LakeDiscoveryTask(SessionTask):
 
         ``data`` is a :class:`~repro.data.generators.discovery.JoinableTables`
         (e.g. from ``generate_lake``; its truth powers :meth:`evaluate`)
-        or a plain ``{name: Table}`` dict.  An explicit ``store``
-        overrides the config's ``profile_cache_dir`` (and the private
-        temporary store used when neither is set).  ``top`` cuts the
-        ranking to its best ``top``; ``k < 1`` raises ``ValueError``
-        before any work.
+        or a plain ``{name: Table}`` dict.  An explicit ``store`` (say a
+        :class:`~repro.discovery.lake.ProfileStore` on a persistent path)
+        replaces the private temporary store used otherwise.  ``top``
+        cuts the ranking to its best ``top``; ``k < 1`` raises
+        ``ValueError`` before any work.
         """
         k = self._resolve_k(k, 10)
         if isinstance(data, JoinableTables):
@@ -425,28 +421,18 @@ class StreamingERTask(SessionTask):
         self,
         frontend: Optional["ServiceFrontend"] = None,
         flush_every: int = 8,
-        deadline_ms: Optional[float] = None,
-        priority: int = 0,
-        num_shards: Optional[int] = None,
         clock: Any = None,
     ) -> Dict[str, float]:
         """Run the feed and return the scorecard (see
         :func:`~repro.discovery.streaming.run_streaming_er`).  Without an
         explicit ``frontend`` the session serves this task behind a fresh
         :class:`~repro.serve.frontend.ServiceFrontend` (admission control
-        + deadlines + metrics), pre-indexed with the initial corpus."""
+        + metrics), pre-indexed with the initial corpus."""
         self._require_fitted("predict()")
         if frontend is None:
-            frontend = self.session.serve(
-                self, frontend=True, num_shards=num_shards
-            )
+            frontend = self.session.serve(self, frontend=True)
         self._stats = run_streaming_er(
-            frontend,
-            self._events,
-            flush_every=flush_every,
-            deadline_ms=deadline_ms,
-            priority=priority,
-            clock=clock,
+            frontend, self._events, flush_every=flush_every, clock=clock
         )
         return dict(self._stats)
 

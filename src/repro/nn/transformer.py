@@ -15,7 +15,7 @@ the embedding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,8 +82,10 @@ class TransformerEncoder(Module):
     """Token + position (+ segment) embeddings followed by encoder layers.
 
     ``forward`` returns per-token hidden states ``(B, T, D)``;
-    :meth:`pooled` reduces them to one vector per sequence, either via the
-    ``[CLS]`` position or masked mean pooling.
+    :meth:`pooled` reduces them to one vector per sequence by masked mean
+    pooling over the non-pad tokens (at this model scale it yields far
+    better similarity structure than the ``[CLS]`` position; the paper's
+    RoBERTa learns a usable ``[CLS]`` in its large-scale pre-training).
     """
 
     def __init__(self, config: TransformerConfig) -> None:
@@ -149,10 +151,10 @@ class TransformerEncoder(Module):
         token_ids: np.ndarray,
         attention_mask: Optional[np.ndarray] = None,
         segment_ids: Optional[np.ndarray] = None,
-        pooling: str = "cls",
         embedding_transform: Optional[EmbeddingTransform] = None,
     ) -> Tensor:
-        """Encode and pool to a (B, D) matrix of sequence representations."""
+        """Encode and mean-pool to a (B, D) matrix of sequence
+        representations."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if attention_mask is None:
             attention_mask = (token_ids != self.config.pad_token_id).astype(np.int64)
@@ -162,25 +164,17 @@ class TransformerEncoder(Module):
             segment_ids=segment_ids,
             embedding_transform=embedding_transform,
         )
-        if pooling == "cls":
-            return hidden[:, 0, :]
-        if pooling == "mean":
-            # Build the mask and counts in the hidden dtype: a float64
-            # mask would silently upcast the whole pooled output even
-            # when the model runs float32 end to end.
-            dtype = hidden.data.dtype
-            mask = Tensor(
-                attention_mask[:, :, np.newaxis].astype(dtype), dtype=dtype
-            )
-            summed = (hidden * mask).sum(axis=1)
-            counts = Tensor(
-                np.maximum(attention_mask.sum(axis=1, keepdims=True), 1).astype(
-                    dtype
-                ),
-                dtype=dtype,
-            )
-            return summed / counts
-        raise ValueError(f"unknown pooling: {pooling}")
+        # Build the mask and counts in the hidden dtype: a float64 mask
+        # would silently upcast the whole pooled output even when the
+        # model runs float32 end to end.
+        dtype = hidden.data.dtype
+        mask = Tensor(attention_mask[:, :, np.newaxis].astype(dtype), dtype=dtype)
+        summed = (hidden * mask).sum(axis=1)
+        counts = Tensor(
+            np.maximum(attention_mask.sum(axis=1, keepdims=True), 1).astype(dtype),
+            dtype=dtype,
+        )
+        return summed / counts
 
 
 class LMHead(Module):

@@ -37,11 +37,10 @@ discovery.  This package makes that reuse concrete at serving time:
   encoder/backend calls.  Only the front end builds one.
 * :class:`ServiceFrontend` / :class:`MetricsRegistry` — the production
   front end: bounded admission with typed :class:`Overloaded` shedding,
-  deadline- and priority-aware batching with typed
-  :class:`DeadlineExceeded` expiry, streaming p50/p99 metrics, and
-  zero-downtime blue/green ``reindex(new_encoder)``.  Configured by
-  ``max_queue_depth`` / ``default_deadline_ms`` / ``priority_levels``
-  and returned by ``session.serve(..., frontend=True)``.
+  coalesced batching, streaming p50/p99 metrics, and zero-downtime
+  blue/green ``reindex(new_encoder)``.  Configured by
+  ``max_queue_depth`` and returned by
+  ``session.serve(..., frontend=True)``.
 * :class:`ContainmentSketch` / :class:`StalenessGauge` — discovery-tier
   helpers: bottom-k value sketches for joinability scoring (O(k) memory
   per column, deterministic hashing) and an index-freshness gauge that
@@ -49,22 +48,8 @@ discovery.  This package makes that reuse concrete at serving time:
   histograms for the streaming-ER scenario (``repro.discovery``).
 """
 
-from .backends import (
-    ANNBackend,
-    ExactBackend,
-    HNSWBackend,
-    available_backends,
-    build_backend,
-    register_backend,
-    updatable_backends,
-)
-from .broker import (
-    DeadlineExceeded,
-    MonotonicClock,
-    Overloaded,
-    RequestBroker,
-    RequestError,
-)
+from .backends import ANNBackend, ExactBackend, HNSWBackend, build_backend
+from .broker import MonotonicClock, Overloaded, RequestBroker
 from .frontend import ServiceFrontend
 from .hnsw import HNSWIndex
 from .ivfpq import IVFPQBackend, ProductQuantizer
@@ -83,7 +68,6 @@ __all__ = [
     "ANNBackend",
     "ContainmentSketch",
     "Counter",
-    "DeadlineExceeded",
     "EmbeddingStore",
     "ExactBackend",
     "Gauge",
@@ -99,15 +83,11 @@ __all__ = [
     "Overloaded",
     "ReadWriteLock",
     "RequestBroker",
-    "RequestError",
     "ServiceFrontend",
     "ShardedBackend",
     "StalenessGauge",
-    "available_backends",
     "build_backend",
     "dequantize_rows",
     "quantize_rows",
-    "register_backend",
     "shard_assignments",
-    "updatable_backends",
 ]

@@ -10,14 +10,13 @@ hard-coded search routine:
 * :class:`HNSWBackend` — graph-based search via
   :class:`~repro.serve.hnsw.HNSWIndex`, sublinear per-query latency: it
   overtakes the exact scan somewhere between 10k and 50k rows, at a
-  recall cost ``hnsw_ef_search`` trades against that lead
+  recall cost its ``ef_search`` trades against that lead
   (``docs/serving.md``, "when to pick hnsw").
 * ``"ivfpq"`` — :class:`~repro.serve.ivfpq.IVFPQBackend`, the
   compressed tier for corpora whose dense rows do not fit in RAM.
 
 Backends are selected by name through ``SudowoodoConfig.ann_backend`` and
-the :func:`build_backend` registry; third-party indexes plug in with
-:func:`register_backend`.
+:func:`build_backend`.
 
 All built-in backends are **mutable**: records carry stable integer ids
 (``build`` assigns ``0..N-1``; callers can choose their own through
@@ -36,7 +35,7 @@ positions.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,19 +56,13 @@ class ANNBackend(abc.ABC):
     fewer than ``k`` results are padded with ``-1`` ids and ``-inf``
     scores — consumers must skip negative ids.
 
-    Mutable backends additionally implement :meth:`add`,
-    :meth:`remove`, and :meth:`rebuild` (all built-ins do; third-party
-    backends may leave ``supports_updates`` False and serve a static
-    corpus).  Ids chosen via ``add`` are arbitrary non-negative ints and
-    survive any interleaving of updates; ``rebuild`` compacts internal
-    storage without changing them.
+    Every backend is mutable: :meth:`add`, :meth:`remove`, and
+    :meth:`rebuild` patch the index in place.  Ids chosen via ``add`` are
+    arbitrary non-negative ints and survive any interleaving of updates;
+    ``rebuild`` compacts internal storage without changing them.
     """
 
     name: str = "abstract"
-    #: Whether add/remove/rebuild are implemented.  The streaming
-    #: consumer (``MatchService.index_records``) checks this before it
-    #: builds a live index.
-    supports_updates: bool = False
 
     @abc.abstractmethod
     def build(self, vectors: np.ndarray) -> "ANNBackend":
@@ -180,7 +173,6 @@ class ExactBackend(ANNBackend):
     """
 
     name = "exact"
-    supports_updates = True
 
     def __init__(self, dtype: str = "float64") -> None:
         self._dtype = _check_backend_dtype(dtype)
@@ -406,7 +398,6 @@ class HNSWBackend(ANNBackend):
     """
 
     name = "hnsw"
-    supports_updates = True
 
     def __init__(
         self,
@@ -506,42 +497,9 @@ def _make_ivfpq(config: SudowoodoConfig) -> ANNBackend:
 
 _BACKENDS: Dict[str, BackendFactory] = {
     "exact": lambda config: ExactBackend(dtype=config.store_dtype),
-    "hnsw": lambda config: HNSWBackend(
-        m=config.hnsw_m,
-        ef_construction=config.hnsw_ef_construction,
-        ef_search=config.hnsw_ef_search,
-        seed=config.seed,
-        dtype=config.store_dtype,
-    ),
+    "hnsw": lambda config: HNSWBackend(seed=config.seed, dtype=config.store_dtype),
     "ivfpq": _make_ivfpq,
 }
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register a custom backend factory under ``name``.
-
-    The factory receives the full :class:`SudowoodoConfig` so custom
-    backends can read their own tuning knobs from it.
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> List[str]:
-    """Names accepted by ``SudowoodoConfig.ann_backend``."""
-    return sorted(_BACKENDS)
-
-
-def updatable_backends() -> List[str]:
-    """Registered names whose instances support ``add`` / ``remove`` /
-    ``rebuild`` — the backends streaming consumers can be pointed at."""
-    config = SudowoodoConfig()
-    return [
-        name
-        for name in available_backends()
-        if _BACKENDS[name](config).supports_updates
-    ]
 
 
 def build_backend(
@@ -565,7 +523,7 @@ def build_backend(
         factory = _BACKENDS[chosen]
     except KeyError:
         raise ValueError(
-            f"unknown ANN backend {chosen!r}; available: {available_backends()}"
+            f"unknown ANN backend {chosen!r}; available: {sorted(_BACKENDS)}"
         ) from None
     num_shards = getattr(config, "num_shards", 1)
     if sharded is None:

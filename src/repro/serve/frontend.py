@@ -1,5 +1,5 @@
-"""Production service front end: admission control, deadline-aware
-batching, metrics, and blue/green reindex.
+"""Production service front end: admission control, coalesced batching,
+metrics, and blue/green reindex.
 
 :class:`~repro.serve.service.MatchService` solves *concurrency* — many
 threads can search one index safely — but a heavy-traffic
@@ -12,15 +12,12 @@ deployment also has to survive *overload* and *change*:
   typed :class:`Overloaded` error — callers get an instant, retryable
   signal and the requests that *were* admitted keep meeting their SLO
   (measured by ``benchmarks/bench_service_slo.py``).
-* **Deadline/priority-aware coalescing.**  Requests carry an absolute
-  deadline (defaulted from the config's ``default_deadline_ms``) and a
-  priority level.  The batching leader flushes when ``window_ms``
-  elapses **or** the earliest admitted deadline would otherwise be
-  missed; requests whose deadline already passed are dropped with a
-  typed :class:`DeadlineExceeded` instead of wasting a slot in the
-  batch, and higher-priority requests drain first under backlog.
+* **Coalescing.**  The batching leader collects concurrent callers for
+  up to ``coalesce_window_ms`` (or until ``max_coalesce_batch`` queries
+  wait) and answers them with one batched ``search_batch``; requests
+  drain in admission order.
 * **Metrics.**  A :class:`~repro.serve.metrics.MetricsRegistry` is
-  threaded through the broker (admission/shed/expiry counters, latency
+  threaded through the broker (admission/shed counters, latency
   and batch-size histograms) and the
   :class:`~repro.serve.store.EmbeddingStore` (cache hit counters);
   :meth:`ServiceFrontend.metrics_snapshot` renders everything as one
@@ -34,11 +31,11 @@ deployment also has to survive *overload* and *change*:
 
 Every time-dependent decision goes through an injectable clock
 (:class:`~repro.serve.broker.MonotonicClock` in production), so the fault-injection suite
-(``tests/serve/faults.py``) can drive shedding, expiry, and mid-swap
-failures deterministically.
+(``tests/serve/faults.py``) can drive shedding, the batching window and
+mid-swap failures deterministically.
 
 >>> frontend = session.serve("match", frontend=True)
->>> ids, scores = frontend.search(queries, k=10, deadline_ms=50)
+>>> ids, scores = frontend.search(queries, k=10)
 >>> frontend.reindex(finetuned_encoder)      # zero-downtime swap
 >>> frontend.metrics_snapshot()["counters"]["frontend.shed"]
 """
@@ -50,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from .broker import MonotonicClock, RequestBroker
 from .metrics import MetricsRegistry
@@ -62,22 +58,21 @@ from .store import EmbeddingStore
 # The front end
 # ----------------------------------------------------------------------
 class ServiceFrontend:
-    """Deadline-aware, shedding, observable broker over a match service.
+    """Shedding, coalescing, observable broker over a match service.
 
     Wraps one :class:`~repro.serve.service.MatchService`: ``search``
     traffic flows through the serving stack's only
     :class:`~repro.serve.broker.RequestBroker`, carrying the admission
-    policy (bounded depth, deadlines, priorities, per-request error
-    isolation) into the service's ``search_batch``, so a request is
+    policy (bounded depth, per-request error isolation) into the
+    service's ``search_batch``, so a request is
     batched exactly once.  Mutations (``upsert_records`` /
     ``delete_records``) pass through under the swap lock, and
     :meth:`reindex` performs the blue/green encoder swap.
 
     Configuration comes from the service's
-    :class:`~repro.core.config.SudowoodoConfig`:
-    ``max_queue_depth`` (None = never shed), ``default_deadline_ms``
-    (None = no implicit deadline), ``priority_levels``, plus the shared
-    ``coalesce_window_ms`` / ``max_coalesce_batch`` batching knobs.
+    :class:`~repro.core.config.SudowoodoConfig`: ``max_queue_depth``
+    (None = never shed) plus the shared ``coalesce_window_ms`` /
+    ``max_coalesce_batch`` batching knobs.
 
     Thread safety: ``search`` never blocks on mutations or reindexes
     (the service reference is read atomically once per batch); mutations
@@ -89,11 +84,10 @@ class ServiceFrontend:
     def __init__(
         self,
         service: MatchService,
-        config: Optional[SudowoodoConfig] = None,
         clock: Optional[MonotonicClock] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.config = config if config is not None else service.config
+        self.config = service.config
         self.clock = clock or MonotonicClock()
         self.metrics = metrics or MetricsRegistry()
         self._service = service
@@ -106,34 +100,17 @@ class ServiceFrontend:
             window_ms=self.config.coalesce_window_ms,
             max_batch=self.config.max_coalesce_batch,
             max_queue_depth=self.config.max_queue_depth,
-            priority_levels=self.config.priority_levels,
             clock=self.clock,
             metrics=self.metrics,
         )
 
     # -- queries --------------------------------------------------------
     def search(
-        self,
-        texts: Sequence[str],
-        k: int = 10,
-        deadline_ms: Optional[float] = None,
-        priority: int = 0,
+        self, texts: Sequence[str], k: int = 10
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k neighbours with admission control and a deadline.
-
-        ``deadline_ms`` is a per-request budget from *now* on the
-        frontend's clock (defaulted from
-        ``config.default_deadline_ms``; None = wait indefinitely).
-        Raises :class:`Overloaded` when shedding, and
-        :class:`DeadlineExceeded` when the budget elapses before the
-        batch executes.
-        """
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
-        deadline = (
-            None if deadline_ms is None else self.clock.now() + deadline_ms / 1000.0
-        )
-        return self._broker.submit(texts, k, deadline=deadline, priority=priority)
+        """Top-k neighbours through the shared batch; raises
+        :class:`~repro.serve.broker.Overloaded` when shedding."""
+        return self._broker.submit(texts, k)
 
     def _run_batch(
         self, texts: List[str], k: int

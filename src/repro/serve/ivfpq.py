@@ -168,7 +168,6 @@ class IVFPQBackend(ANNBackend):
     """
 
     name = "ivfpq"
-    supports_updates = True
 
     def __init__(
         self,

@@ -39,7 +39,7 @@ import numpy as np
 from ..core.config import SudowoodoConfig
 from ..core.encoder import SudowoodoEncoder
 from ..text.similarity import normalize_rows
-from .backends import ANNBackend, build_backend, updatable_backends
+from .backends import ANNBackend, build_backend
 from .store import EmbeddingStore
 
 
@@ -143,18 +143,13 @@ class MatchService:
         the same mean, so scores stay comparable across updates.  Call
         this again (or :meth:`rebuild_index`) when drift accumulates.
         """
-        # Validate the backend before touching any state: a failure here
-        # must leave an existing live index (and its frozen mean) intact.
+        # Build the backend before touching any state: an unknown
+        # ann_backend raises here and leaves an existing live index (and
+        # its frozen mean) intact.
         # sharded=True even for num_shards == 1: a single-shard service
         # still needs the ReadWriteLock-guarded wrapper, or searches
         # would race mutations inside a raw backend.
         backend = build_backend(self.config, sharded=True)
-        if not backend.supports_updates:
-            raise ValueError(
-                f"ann_backend {backend.name!r} does not support incremental "
-                f"updates; choose one of {updatable_backends()} "
-                "for streaming serving"
-            )
         with self._mutation_lock, self._store_lock:
             ids, raw = self.store.upsert_batch(texts)
             if center and raw.shape[0]:

@@ -174,7 +174,6 @@ class ShardedBackend(ANNBackend):
             raise ValueError("num_shards must be >= 1")
         self._shards: List[ANNBackend] = [factory() for _ in range(num_shards)]
         self.num_shards = num_shards
-        self.supports_updates = all(s.supports_updates for s in self._shards)
         self.name = f"sharded-{self._shards[0].name}"
         self._locks = [ReadWriteLock() for _ in range(num_shards)]
         self._live_ids: set = set()

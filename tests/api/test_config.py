@@ -14,7 +14,7 @@ from repro.core.config import (
 
 class TestRoundTrip:
     def test_flat_round_trip(self):
-        config = SudowoodoConfig(dim=20, temperature=0.2)
+        config = SudowoodoConfig(dim=20, alpha_bt=0.2)
         assert SudowoodoConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
@@ -59,7 +59,7 @@ class TestRoundTrip:
         from repro.text.tokenizer import Tokenizer
 
         config = SudowoodoConfig(
-            dim=16, num_heads=2, ffn_dim=32, projector_dim=16,
+            dim=16, num_heads=2, ffn_dim=32,
             vocab_size=64, seed=3, train_workers=2, num_shards=2,
         )
         tokenizer = Tokenizer.fit(["alpha beta gamma", "delta epsilon"])
@@ -88,10 +88,6 @@ class TestForTask:
 
 
 class TestValidation:
-    def test_rejects_unknown_pooling_listing_options(self):
-        with pytest.raises(ValueError, match="cls, mean"):
-            SudowoodoConfig(pooling="max").validate()
-
     def test_rejects_unknown_da_operator_listing_options(self):
         with pytest.raises(ValueError, match="token_del"):
             SudowoodoConfig(da_operator="bogus").validate()

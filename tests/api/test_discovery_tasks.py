@@ -392,7 +392,7 @@ class TestStreamingERTask:
         assert (
             snapshot["gauges"]["streaming_er.pending_writes"] == 0.0
         )
-        assert stats["shed"] == 0.0 and stats["expired"] == 0.0
+        assert stats["shed"] == 0.0
 
     def test_report_shape(self, fitted):
         report = fitted.report()

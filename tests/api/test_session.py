@@ -85,7 +85,7 @@ class TestSessionLifecycle:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            SudowoodoSession(tiny_config(pooling="bogus"))
+            SudowoodoSession(tiny_config(cutoff_kind="bogus"))
 
     def test_task_instances_are_cached(self, session):
         assert session.task("match") is session.task("match")
@@ -173,7 +173,10 @@ class TestServe:
         match = session.task("match")
         if not match.fitted:
             match.fit(em_dataset, label_budget=20)
-        service = session.serve("match", num_shards=2)
+        sharded = SudowoodoSession(tiny_config(num_shards=2)).adopt(
+            session.encoder, store=session.store
+        )
+        service = sharded.serve(match)
         assert isinstance(service, MatchService)
         assert service.num_shards == 2
         assert service.index_size == len(em_dataset.table_b)

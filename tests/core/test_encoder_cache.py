@@ -119,7 +119,7 @@ class TestEncodeTokensInference:
         flipped at all; its rows are the train-mode encoder's, byte for byte."""
         from repro.nn.module import Module
 
-        enc = make_encoder(dropout=0.1)
+        enc = make_encoder()
         flipped = enc.embed_items(CORPUS, batch_size=4)
         assert enc.encoder.training
         served = enc.clone()

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.matcher import FinetuneProgram
 from repro.core.pretrain import ContrastivePretrainProgram
-from repro.nn import Tensor, autograd_dtype
+from repro.nn import Dropout, Tensor, autograd_dtype
 from repro.text import Tokenizer
 from repro.text.tokenizer import Encoding
 from repro.utils import RngStream, spawn_rng
@@ -39,11 +39,21 @@ def contract_config(**overrides) -> SudowoodoConfig:
     defaults = dict(
         dim=16, num_layers=2, num_heads=2, ffn_dim=32, max_seq_len=32,
         pair_max_seq_len=56, vocab_size=300, pretrain_batch_size=8,
-        finetune_batch_size=8, num_clusters=2, corpus_cap=24, dropout=0.0,
+        finetune_batch_size=8, num_clusters=2, corpus_cap=24,
         cutoff_kind="span", cutoff_ratio=0.1, seed=0,
     )
     defaults.update(overrides)
     return SudowoodoConfig(**defaults)
+
+
+def contract_encoder(config: SudowoodoConfig, tokenizer) -> SudowoodoEncoder:
+    """An encoder with dropout off: a dropout mask depends on the padded
+    shape, and the contract is about what padding does to the maths."""
+    encoder = SudowoodoEncoder(config, tokenizer)
+    for module in encoder.modules():
+        if isinstance(module, Dropout):
+            module.p = 0.0
+    return encoder
 
 
 def repad(encoding: Encoding, width: int) -> Encoding:
@@ -97,7 +107,7 @@ class TestTrainingStepIgnoresPadding:
         config = contract_config()
         with autograd_dtype(dtype):
             tokenizer = build_tokenizer(CORPUS, config)
-            model = SudowoodoEncoder(config, tokenizer)
+            model = contract_encoder(config, tokenizer)
             program = ContrastivePretrainProgram(
                 CORPUS, config, RngStream(0), tokenizer
             )
@@ -131,7 +141,7 @@ class TestTrainingStepIgnoresPadding:
             tokenizer = build_tokenizer(CORPUS, config)
             steps = []
             for tok in (tokenizer, FixedLengthTokenizer(tokenizer.vocab)):
-                matcher = PairwiseMatcher(SudowoodoEncoder(config, tok))
+                matcher = PairwiseMatcher(contract_encoder(config, tok))
                 program = FinetuneProgram(
                     matcher, examples, [], config, spawn_rng(0, "finetune"), 1
                 )
@@ -146,11 +156,10 @@ class TestTrainingStepIgnoresPadding:
 @pytest.mark.parametrize(
     "dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-6)]
 )
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
-def test_embedding_independent_of_chunk_mates(dtype, tolerance, pooling):
-    config = contract_config(pooling=pooling)
+def test_embedding_independent_of_chunk_mates(dtype, tolerance):
+    config = contract_config()
     with autograd_dtype(dtype):
-        encoder = SudowoodoEncoder(config, build_tokenizer(CORPUS, config))
+        encoder = contract_encoder(config, build_tokenizer(CORPUS, config))
         short, long = CORPUS[0], CORPUS[4]
         widths = [
             encoder.tokenizer.encode_batch(batch, max_len=config.max_seq_len)

@@ -170,6 +170,38 @@ class TestPersistence:
             encoder.embed_items(items), restored.embed_items(items)
         )
 
+    def test_encoder_checkpoint_with_retired_fields_loads(self, trained, tmp_path):
+        """A checkpoint saved while the fifteen options that became
+        constants were still config fields carries them at their old
+        defaults; it loads to the same config and the same embeddings."""
+        dataset, encoder = trained
+        path = save_encoder(encoder, tmp_path / "encoder.npz")
+        arrays, metadata = load_state_archive(path)
+        metadata["config"].update(
+            projector_dim=48,
+            dropout=0.05,
+            pooling="mean",
+            temperature=0.07,
+            lambda_bt=3.9e-3,
+            pretrain_lr=5e-4,
+            head_lr=5e-2,
+            pseudo_label_weight=0.5,
+            class_balance=True,
+            hnsw_m=16,
+            hnsw_ef_construction=120,
+            hnsw_ef_search=12,
+            profile_cache_dir=None,
+            default_deadline_ms=None,
+            priority_levels=1,
+        )
+        save_state_archive(path, arrays, metadata)
+        restored = load_encoder(path)
+        assert restored.config == encoder.config
+        items = dataset.all_items()[:8]
+        np.testing.assert_array_equal(
+            encoder.embed_items(items), restored.embed_items(items)
+        )
+
     def test_crash_mid_save_keeps_the_old_encoder(
         self, trained, tmp_path, monkeypatch
     ):

@@ -59,8 +59,6 @@ def pretrained(dataset):
 class TestConfig:
     def test_validation_catches_bad_values(self):
         with pytest.raises(ValueError):
-            SudowoodoConfig(temperature=0.0).validate()
-        with pytest.raises(ValueError):
             SudowoodoConfig(positive_ratio=1.5).validate()
         with pytest.raises(ValueError):
             SudowoodoConfig(multiplier=0).validate()

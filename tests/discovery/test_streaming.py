@@ -50,7 +50,7 @@ class RecordingTarget:
         self.log.append(("delete", tuple(texts)))
         return np.arange(len(texts))
 
-    def search(self, texts, k=5, deadline_ms=None, priority=0):
+    def search(self, texts, k=5):
         self._tick()
         self.log.append(("search", tuple(texts)))
         return np.zeros((len(texts), k), dtype=int), np.zeros((len(texts), k))

@@ -158,7 +158,7 @@ class TestOpProfiler:
         segments = np.zeros_like(ids)
         segments[:, 5:] = 1
         with OpProfiler() as prof:
-            pooled = model.pooled(ids, segment_ids=segments, pooling="mean")
+            pooled = model.pooled(ids, segment_ids=segments)
             z = pooled.l2_normalize(axis=-1)
             loss = cross_entropy((z @ z.T) * 10.0, np.arange(4))
             loss.backward()

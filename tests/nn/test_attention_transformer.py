@@ -102,8 +102,7 @@ class TestAttentionShapes:
         hidden = enc(ids)
         assert hidden.shape == (2, 4, 8)
         with no_grad():
-            assert enc.pooled(ids, pooling="cls").shape == (2, 8)
-            assert enc.pooled(ids, pooling="mean").shape == (2, 8)
+            assert enc.pooled(ids).shape == (2, 8)
 
     def test_mean_pooling_keeps_hidden_dtype(self, monkeypatch):
         # Regression: the pooling mask/counts were built as float64
@@ -127,7 +126,7 @@ class TestAttentionShapes:
         mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
         with no_grad():
             hidden = enc(ids, attention_mask=mask)
-            pooled = enc.pooled(ids, attention_mask=mask, pooling="mean")
+            pooled = enc.pooled(ids, attention_mask=mask)
         assert hidden.data.dtype == np.float32
         assert pooled.data.dtype == np.float32
         assert constructed_dtypes, "pooled() no longer builds mask tensors?"
@@ -197,7 +196,7 @@ class TestGradientChecks:
             parameter = enc.token_embedding.weight
 
             def loss_fn(_):
-                pooled = enc.pooled(ids, attention_mask=mask, pooling="mean")
+                pooled = enc.pooled(ids, attention_mask=mask)
                 return (pooled * Tensor(weights)).sum()
 
             loss = loss_fn(None)

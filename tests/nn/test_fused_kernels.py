@@ -373,7 +373,6 @@ class TestFullEncoder:
                         ids,
                         attention_mask=mask,
                         segment_ids=segments,
-                        pooling="mean",
                     )
                 outs.append(pooled.data.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -390,7 +389,6 @@ class TestFullEncoder:
                     ids,
                     attention_mask=mask,
                     segment_ids=segments,
-                    pooling="mean",
                 )
                 (pooled * pooled).sum().backward()
                 grads.append([p.grad.copy() for p in model.parameters()])
@@ -410,7 +408,7 @@ class TestScratchPoolBounded:
         ids = generator.integers(1, 50, size=(batch, length))
         mask = np.ones((batch, length), dtype=np.int64)
         with no_grad():
-            return model.pooled(ids, attention_mask=mask, pooling="mean").data
+            return model.pooled(ids, attention_mask=mask).data
 
     def test_pool_bytes_bounded_by_largest_request_per_slot(self, monkeypatch):
         from repro.nn import tensor as tensor_module

@@ -185,15 +185,6 @@ class TestTransformer:
         out = enc(np.array([[2, 5, 6, 0, 0]]))
         assert out.shape == (1, 5, 16)
 
-    def test_pooled_cls_and_mean(self):
-        enc = self.make()
-        ids = np.array([[2, 5, 6, 7, 0]])
-        mask = np.array([[1, 1, 1, 1, 0]])
-        cls = enc.pooled(ids, attention_mask=mask, pooling="cls")
-        mean = enc.pooled(ids, attention_mask=mask, pooling="mean")
-        assert cls.shape == (1, 16) and mean.shape == (1, 16)
-        assert not np.allclose(cls.data, mean.data)
-
     def test_rejects_long_sequence(self):
         enc = self.make(max_seq_len=4)
         with pytest.raises(ValueError):
@@ -207,8 +198,8 @@ class TestTransformer:
         ids_short = np.array([[2, 5, 6]])
         ids_padded = np.array([[2, 5, 6, 0, 0]])
         with no_grad():
-            a = enc.pooled(ids_short, pooling="cls").data
-            b = enc.pooled(ids_padded, pooling="cls").data
+            a = enc.pooled(ids_short).data
+            b = enc.pooled(ids_padded).data
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_segment_embedding_changes_output(self):
@@ -216,10 +207,8 @@ class TestTransformer:
         enc.eval()
         ids = np.array([[2, 5, 6]])
         with no_grad():
-            plain = enc.pooled(ids, pooling="cls").data
-            seg = enc.pooled(
-                ids, segment_ids=np.array([[0, 1, 1]]), pooling="cls"
-            ).data
+            plain = enc.pooled(ids).data
+            seg = enc.pooled(ids, segment_ids=np.array([[0, 1, 1]])).data
         assert not np.allclose(plain, seg)
 
     def test_embedding_transform_hook_applied(self):
@@ -232,10 +221,8 @@ class TestTransformer:
             return embeddings * 0.0
 
         with no_grad():
-            plain = enc.pooled(ids, pooling="cls").data
-            zeroed = enc.pooled(
-                ids, pooling="cls", embedding_transform=zero_all
-            ).data
+            plain = enc.pooled(ids).data
+            zeroed = enc.pooled(ids, embedding_transform=zero_all).data
         assert not np.allclose(plain, zeroed)
 
     def test_can_overfit_tiny_classification(self):
@@ -249,7 +236,7 @@ class TestTransformer:
         opt = AdamW(enc.parameters() + head.parameters(), lr=5e-3)
         first = None
         for _ in range(40):
-            logits = head(enc.pooled(ids, pooling="cls"))
+            logits = head(enc.pooled(ids))
             loss = cross_entropy(logits, labels)
             if first is None:
                 first = loss.item()

@@ -1,14 +1,13 @@
 """Deterministic fault injection for the serving front end.
 
 Every failure mode the production broker must survive — slow backends,
-poisoned queries, mid-build crashes, deadlines racing the batch window —
+poisoned queries, mid-build crashes, followers racing the batch window —
 is reproduced here *without sleeps or timing luck*:
 
 * :class:`FakeClock` — a controllable monotonic clock satisfying the
   :class:`~repro.serve.frontend.MonotonicClock` protocol.  ``advance``
   moves time explicitly; ``wait_for`` consumes the requested timeout in
-  fake time instead of blocking, so deadline/window logic runs at test
-  speed and expiry is exact.
+  fake time instead of blocking, so window logic runs at test speed.
 * :class:`FaultyBackend` — wraps any
   :class:`~repro.serve.backends.ANNBackend`; ``query`` can add per-call
   latency, block on a gate event (signalling ``entered`` so the test
@@ -47,7 +46,7 @@ class FakeClock:
     via :meth:`wait_for`, which converts its timeout into fake time).
     ``wait_for`` still honours an already-set event — a leader polling
     for followers sees them immediately — but never blocks the thread,
-    so a test controls exactly which deadlines have passed at each step.
+    so a test controls exactly how much time has passed at each step.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -114,7 +113,6 @@ class FaultyBackend(ANNBackend):
         self.fail_batch_larger_than = fail_batch_larger_than
         self.query_calls = 0
         self.name = f"faulty-{inner.name}"
-        self.supports_updates = inner.supports_updates
 
     def __len__(self) -> int:
         return len(self.inner)

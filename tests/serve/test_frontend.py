@@ -3,24 +3,25 @@
 Every typed failure path of :class:`~repro.serve.broker.RequestBroker`
 and :class:`~repro.serve.frontend.ServiceFrontend` is driven
 deterministically — gates hold batches in flight while bursts are
-arranged, a :class:`FakeClock` decides exactly which deadlines have
-passed, and :class:`FaultyStore` kills shadow builds mid-flight:
+arranged, a :class:`FakeClock` runs the broker's clock, and
+:class:`FaultyStore` kills shadow builds mid-flight:
 
 * ``Overloaded``: shed-under-burst with an exactly-full admission queue.
-* ``DeadlineExceeded``: expiry at admission and expiry *inside* the
-  coalescing window while a batch holds the leader.
+* backlog drain order: admission order, one chunk at a time.
 * mid-reindex fault: the blue/green build dies and the old index keeps
   serving, byte-for-byte.
 * per-item error channel: one poisoned query in a coalesced batch fails
   alone (broker level and end-to-end through ``ServiceFrontend.search``).
-* priority scheduling, metrics threading, and the session entry point.
+* metrics threading and the session entry point.
 
 The stress half — blue/green swap under 8-thread query load with a
 no-mixed-results fingerprint check — lives at the bottom, marked
 ``stress`` like the rest of ``tests/serve``.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from faults import FakeClock, FaultyBackend, FaultyStore, InjectedFault
 from repro.api import SudowoodoSession
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
 from repro.serve import (
-    DeadlineExceeded,
     MatchService,
     MetricsRegistry,
     Overloaded,
@@ -118,16 +118,14 @@ class GatedSearch:
         return fake_search(texts, k)
 
 
-def submit_async(broker, texts, k=3, deadline=None, priority=0):
+def submit_async(broker, texts, k=3):
     """Run broker.submit in a daemon thread; returns (thread, outcome)
     where outcome fills in 'result' or 'error'."""
     outcome = {}
 
     def run():
         try:
-            outcome["result"] = broker.submit(
-                texts, k, deadline=deadline, priority=priority
-            )
+            outcome["result"] = broker.submit(texts, k)
         except BaseException as exc:  # noqa: BLE001 - recorded for asserts
             outcome["error"] = exc
 
@@ -168,13 +166,6 @@ class TestBrokerBasics:
             RequestBroker(fake_search, max_batch=0)
         with pytest.raises(ValueError):
             RequestBroker(fake_search, max_queue_depth=0)
-        with pytest.raises(ValueError):
-            RequestBroker(fake_search, priority_levels=0)
-        broker = RequestBroker(fake_search, priority_levels=2)
-        with pytest.raises(ValueError):
-            broker.submit(["x"], 1, priority=2)
-        with pytest.raises(ValueError):
-            broker.submit(["x"], 1, priority=-1)
 
     def test_trims_each_request_to_its_own_k(self):
         search = GatedSearch()
@@ -243,91 +234,109 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
-# Deadlines
+# Drain order
 # ----------------------------------------------------------------------
-class TestDeadlines:
-    def test_expired_at_admission_fails_fast(self):
-        clock = FakeClock(start=100.0)
-        broker = RequestBroker(fake_search, window_ms=0.0, clock=clock)
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            broker.submit(["late"], 2, deadline=99.5)
-        assert excinfo.value.late_s == pytest.approx(0.5)
-        assert broker.queue_depth == 0
-        assert broker.metrics.counter("frontend.expired").value == 1
-        assert broker.metrics.counter("frontend.admitted").value == 0
-
-    def test_deadline_expiry_inside_coalescer(self):
-        """A request admitted in time but stuck behind a slow batch is
-        dropped with DeadlineExceeded when its deadline passes."""
+class TestDrainOrder:
+    def test_backlog_drains_in_admission_order(self):
         clock = FakeClock(start=0.0)
         search = GatedSearch()
-        broker = RequestBroker(search, window_ms=0.0, clock=clock)
-        lead_thread, lead = submit_async(broker, ["lead"], k=2)
-        assert search.entered.wait(timeout=10.0)
-        # Admitted with 50ms of budget while the leader's batch is stuck.
-        late_thread, late = submit_async(broker, ["late"], k=2, deadline=0.05)
-        ok_thread, ok = submit_async(broker, ["ok"], k=2, deadline=10.0)
-        wait_until(lambda: broker.pending_requests == 2)
-        clock.advance(0.1)  # now = 0.1 > 0.05: "late" missed its deadline
-        search.gate.set()
-        for thread in (lead_thread, late_thread, ok_thread):
-            thread.join(timeout=10.0)
-        assert "result" in lead and "result" in ok
-        assert isinstance(late["error"], DeadlineExceeded)
-        assert late["error"].late_s == pytest.approx(0.05)
-        # The expired request never reached the backend.
-        assert ["late"] not in search.calls
-        assert broker.metrics.counter("frontend.expired").value == 1
-        assert broker.metrics.counter("frontend.completed").value == 2
-        assert broker.queue_depth == 0
-
-    def test_deadline_cuts_window_short(self):
-        """The leader flushes at the earliest deadline, not the full
-        window: with a 10-minute window on a fake clock, a 50ms deadline
-        still gets served (fake wait_for consumes the timeout)."""
-        clock = FakeClock(start=0.0)
-        broker = RequestBroker(
-            fake_search, window_ms=600_000.0, clock=clock
-        )
-        ids, _ = broker.submit(["q"], 2, deadline=0.05)
-        np.testing.assert_array_equal(ids, fake_search(["q"], 2)[0])
-        # The leader slept only up to the deadline, not the window.
-        assert clock.now() <= 0.06
-
-
-# ----------------------------------------------------------------------
-# Priorities
-# ----------------------------------------------------------------------
-class TestPriorities:
-    def test_backlog_drains_priority_zero_first(self):
-        search = GatedSearch()
-        broker = RequestBroker(
-            search, window_ms=0.0, max_batch=1, priority_levels=3
-        )
+        broker = RequestBroker(search, window_ms=0.0, max_batch=1, clock=clock)
         threads = [submit_async(broker, ["lead"], k=2)]
         assert search.entered.wait(timeout=10.0)
-        # Backlog arrives as low, high, low, high (admission order).
-        threads.append(submit_async(broker, ["low-a"], k=2, priority=2))
-        wait_until(lambda: broker.pending_requests == 1)
-        threads.append(submit_async(broker, ["high-a"], k=2, priority=0))
-        wait_until(lambda: broker.pending_requests == 2)
-        threads.append(submit_async(broker, ["low-b"], k=2, priority=2))
-        wait_until(lambda: broker.pending_requests == 3)
-        threads.append(submit_async(broker, ["high-b"], k=2, priority=0))
-        wait_until(lambda: broker.pending_requests == 4)
+        # The backlog arrives one request at a time while the leader's
+        # batch is held in flight.
+        for depth, text in enumerate(["b", "a", "d", "c"], start=1):
+            threads.append(submit_async(broker, [text], k=2))
+            wait_until(lambda: broker.pending_requests == depth)
+            clock.advance(0.001)
         search.gate.set()
         for thread, outcome in threads:
             thread.join(timeout=10.0)
             assert "result" in outcome
-        # max_batch=1 forces one request per chunk, exposing drain order:
-        # urgent level 0 first, admission order within each level.
-        assert search.calls == [
-            ["lead"],
-            ["high-a"],
-            ["high-b"],
-            ["low-a"],
-            ["low-b"],
+        # max_batch=1 forces one request per chunk, exposing drain order.
+        assert search.calls == [["lead"], ["b"], ["a"], ["d"], ["c"]]
+        assert broker.queue_depth == 0
+
+    def test_leader_returns_once_its_own_request_is_answered(self):
+        """The leader hands the backlog to the oldest queued caller
+        instead of draining traffic that arrived after it: its caller
+        returns while a later batch is still running."""
+        gates = [threading.Event(), threading.Event()]
+        entered = [threading.Event(), threading.Event()]
+        calls = []
+
+        def search(texts, k):
+            calls.append(list(texts))
+            index = min(len(calls), 2) - 1
+            entered[index].set()
+            assert gates[index].wait(timeout=10.0)
+            return fake_search(texts, k)
+
+        broker = RequestBroker(search, window_ms=0.0, max_batch=1)
+        lead_thread, lead = submit_async(broker, ["lead"], k=2)
+        assert entered[0].wait(timeout=10.0)
+        follow_threads = []
+        for depth, text in enumerate(["f0", "f1"], start=1):
+            follow_threads.append(submit_async(broker, [text], k=2))
+            wait_until(lambda: broker.pending_requests == depth)
+        gates[0].set()
+        # The next batch ("f0") is held at its gate; the leader's caller
+        # is already back with its own answer.
+        assert entered[1].wait(timeout=10.0)
+        lead_thread.join(timeout=10.0)
+        assert not lead_thread.is_alive()
+        np.testing.assert_array_equal(lead["result"][0], fake_search(["lead"], 2)[0])
+        gates[1].set()
+        for thread, outcome in follow_threads:
+            thread.join(timeout=10.0)
+            assert "result" in outcome
+        assert calls == [["lead"], ["f0"], ["f1"]]
+        assert broker.queue_depth == 0
+        # Leadership was released with the queue: the next caller leads.
+        assert broker.submit(["after"], 2)[0].shape == (1, 2)
+
+    @pytest.mark.stress
+    def test_hand_offs_under_load_answer_every_caller(self):
+        """8 threads x 40 requests through 3-query chunks with a short
+        switch interval: leadership changes hands constantly, yet every
+        caller gets its own rows and the broker ends idle (a lost
+        hand-off would strand a caller past its join timeout)."""
+
+        def run_batch(texts, k):
+            time.sleep(2e-4)  # a backend call, releasing the GIL
+            ids = np.array([[int(text)] * k for text in texts], dtype=np.int64)
+            return ids, np.zeros((len(texts), k))
+
+        broker = RequestBroker(run_batch, window_ms=0.0, max_batch=3)
+        start = threading.Barrier(8)
+        wrong = []
+
+        def worker(slot):
+            start.wait(timeout=10.0)
+            for i in range(40):
+                text = str(slot * 1000 + i)
+                ids, _ = broker.submit([text], 2)
+                if ids.tolist() != [[int(text)] * 2]:
+                    wrong.append(text)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,), daemon=True)
+            for slot in range(8)
         ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert broker.queue_depth == 0 and broker.pending_requests == 0
+        assert broker.metrics.counter("frontend.completed").value == 320
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +523,7 @@ class TestErrorIsolation:
 
 
 # ----------------------------------------------------------------------
-# ServiceFrontend: wiring, deadlines from config, metrics
+# ServiceFrontend: wiring, metrics
 # ----------------------------------------------------------------------
 class TestServiceFrontend:
     def test_search_matches_uncoalesced_service(self, encoder):
@@ -525,69 +534,14 @@ class TestServiceFrontend:
         np.testing.assert_array_equal(ids, expected_ids)
         np.testing.assert_allclose(scores, expected_scores)
 
-    def test_default_deadline_comes_from_config(self, encoder):
-        clock = FakeClock(start=50.0)
-        frontend = make_frontend(encoder, clock=clock, default_deadline_ms=20.0)
-        # Make "now" pass the default deadline while the request is
-        # queued: gate the embed step, advance, release.
-        gate = threading.Event()
-        entered = threading.Event()
-        real_run = frontend.service.search_batch
-
-        def gated_run(texts, k):
-            entered.set()
-            assert gate.wait(timeout=10.0)
-            return real_run(texts, k)
-
-        frontend.broker._run_batch = gated_run
-        lead_outcome = {}
-
-        def lead():
-            try:
-                lead_outcome["result"] = frontend.search([CORPUS[0]], k=2)
-            except BaseException as exc:  # noqa: BLE001
-                lead_outcome["error"] = exc
-
-        lead_thread = threading.Thread(target=lead, daemon=True)
-        lead_thread.start()
-        assert entered.wait(timeout=10.0)
-        late_outcome = {}
-
-        def follower():
-            try:
-                late_outcome["result"] = frontend.search([CORPUS[1]], k=2)
-            except BaseException as exc:  # noqa: BLE001
-                late_outcome["error"] = exc
-
-        follower_thread = threading.Thread(target=follower, daemon=True)
-        follower_thread.start()
-        wait_until(lambda: frontend.broker.pending_requests == 1)
-        clock.advance(0.05)  # 50ms > the 20ms default budget
-        gate.set()
-        lead_thread.join(timeout=10.0)
-        follower_thread.join(timeout=10.0)
-        assert "result" in lead_outcome
-        assert isinstance(late_outcome["error"], DeadlineExceeded)
-
-    def test_explicit_deadline_overrides_config_default(self, encoder):
-        clock = FakeClock(start=10.0)
-        frontend = make_frontend(encoder, clock=clock, default_deadline_ms=0.001)
-        # With the tiny default this would expire at admission, but an
-        # explicit generous deadline wins.
-        ids, _ = frontend.search([CORPUS[0]], k=3, deadline_ms=10_000.0)
-        assert ids.shape == (1, 3)
-
     def test_metrics_snapshot_threads_all_components(self, encoder):
         frontend = make_frontend(encoder, max_queue_depth=4)
         frontend.search([CORPUS[0], CORPUS[1]], k=3)
         frontend.search([CORPUS[2]], k=3)
-        with pytest.raises(DeadlineExceeded):
-            frontend.search([CORPUS[3]], k=3, deadline_ms=0.0)
         snapshot = frontend.metrics_snapshot()
         counters = snapshot["counters"]
         assert counters["frontend.admitted"] == 2
         assert counters["frontend.completed"] == 2
-        assert counters["frontend.expired"] == 1
         # Store cache counters are threaded through bind_metrics: every
         # searched text was already cached by the index build, so the
         # three served queries are three hits.
@@ -628,13 +582,10 @@ class TestServiceFrontend:
         frontend = ServiceFrontend(MatchService(encoder, config=tiny_config()))
         assert frontend.config is frontend.service.config
 
-        session = SudowoodoSession(tiny_config()).adopt(encoder)
-        served = session.serve(
-            frontend=True, max_queue_depth=5, priority_levels=2
-        )
+        session = SudowoodoSession(tiny_config(max_queue_depth=5)).adopt(encoder)
+        served = session.serve(frontend=True)
         assert isinstance(served, ServiceFrontend)
         assert served.broker.max_queue_depth == 5
-        assert served.broker.priority_levels == 2
         served.index_records(CORPUS)
         ids, _ = served.search([CORPUS[4]], k=1)
         assert int(ids[0, 0]) == 4
@@ -642,6 +593,26 @@ class TestServiceFrontend:
         bare = session.serve()
         assert isinstance(bare, MatchService)
         assert not isinstance(bare, ServiceFrontend)
+
+    def test_removed_keywords_raise(self, encoder):
+        """Request deadlines, priorities and per-call config overrides
+        are gone: passing one is a ``TypeError``, not a silent no-op."""
+        frontend = make_frontend(encoder)
+        with pytest.raises(TypeError):
+            frontend.search([CORPUS[0]], k=3, deadline_ms=5)
+        with pytest.raises(TypeError):
+            frontend.search([CORPUS[0]], k=3, priority=1)
+        with pytest.raises(TypeError):
+            ServiceFrontend(frontend.service, config=tiny_config())
+        session = SudowoodoSession(tiny_config()).adopt(encoder)
+        for keyword in (
+            "priority_levels", "default_deadline_ms", "max_queue_depth", "num_shards"
+        ):
+            with pytest.raises(TypeError):
+                session.serve(frontend=True, **{keyword: 2})
+
+    def test_overloaded_is_a_runtime_error(self):
+        assert issubclass(Overloaded, RuntimeError)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.serve import (
     ProductQuantizer,
     ServiceFrontend,
     ShardedBackend,
-    available_backends,
     build_backend,
 )
 
@@ -201,7 +200,7 @@ class TestIVFPQLifecycle:
 # ----------------------------------------------------------------------
 class TestRegistryComposition:
     def test_registered(self):
-        assert "ivfpq" in available_backends()
+        assert isinstance(build_backend(name="ivfpq"), IVFPQBackend)
 
     def test_build_backend_reads_config_knobs(self):
         config = SudowoodoConfig(

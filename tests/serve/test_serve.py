@@ -2,7 +2,6 @@
 parity and mutability, the streaming MatchService APIs, blocking over a
 shared store, and single-encoding pipeline integration."""
 
-import re
 import threading
 
 import numpy as np
@@ -25,9 +24,7 @@ from repro.serve import (
     HNSWBackend,
     IVFPQBackend,
     MatchService,
-    available_backends,
     build_backend,
-    register_backend,
 )
 from repro.utils import spawn_rng
 from similarity_oracles import top_k_cosine
@@ -232,7 +229,12 @@ class TestBackends:
             HNSWBackend().query(vectors[:2], k=3)
 
     def test_registry(self):
-        assert available_backends() == ["exact", "hnsw", "ivfpq"]
+        for name, kind in (
+            ("exact", ExactBackend),
+            ("hnsw", HNSWBackend),
+            ("ivfpq", IVFPQBackend),
+        ):
+            assert isinstance(build_backend(name=name), kind)
         # The retired LSH backend fails like any unknown name.
         config = SudowoodoConfig(ann_backend="lsh")
         with pytest.raises(
@@ -242,16 +244,6 @@ class TestBackends:
             build_backend(config)
         with pytest.raises(ValueError):
             build_backend(config, name="no-such-index")
-
-    def test_register_custom_backend(self):
-        register_backend("custom-exact", lambda config: ExactBackend())
-        try:
-            backend = build_backend(name="custom-exact")
-            assert isinstance(backend, ExactBackend)
-        finally:
-            from repro.serve import backends as backends_module
-
-            backends_module._BACKENDS.pop("custom-exact", None)
 
 
 # ----------------------------------------------------------------------
@@ -278,10 +270,6 @@ class TestMutableBackends:
         rng = spawn_rng(1, "mutable-backend-extra")
         matrix = rng.normal(size=(6, 16))
         return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-
-    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
-    def test_supports_updates_flag(self, name):
-        assert make_backend(name).supports_updates
 
     @pytest.mark.parametrize("name", ["exact", "hnsw", "ivfpq"])
     def test_add_new_records_visible(self, name, vectors, extra):
@@ -427,23 +415,6 @@ class TestMutableBackends:
             assert returned.size == 10  # 20 live records remain
             assert (returned >= 100).all()
 
-    def test_hnsw_registry_uses_config_knobs(self):
-        config = SudowoodoConfig(
-            ann_backend="hnsw", hnsw_m=5, hnsw_ef_construction=30, hnsw_ef_search=9
-        )
-        backend = build_backend(config)
-        assert isinstance(backend, HNSWBackend)
-        assert backend.m == 5
-        assert backend.ef_construction == 30
-        assert backend.ef_search == 9
-
-    def test_static_backend_reports_no_update_support(self):
-        class Static(ExactBackend):
-            supports_updates = False
-
-        backend = Static()
-        assert not backend.supports_updates
-
 
 # ----------------------------------------------------------------------
 class TestStableIds:
@@ -530,48 +501,13 @@ class TestStableIds:
         corpus = dataset.all_items()[:8]
         ids = service.index_records(corpus)
         mean_before = service._index_mean.copy()
-
-        class Static(ExactBackend):
-            supports_updates = False
-
-        register_backend("static-for-test", lambda config: Static())
-        try:
-            service.config = tiny_config(ann_backend="static-for-test")
-            with pytest.raises(ValueError, match="does not support"):
-                service.index_records(dataset.all_items()[:4])
-        finally:
-            from repro.serve import backends as backends_module
-
-            backends_module._BACKENDS.pop("static-for-test", None)
+        service.config = tiny_config(ann_backend="no-such-index")
+        with pytest.raises(ValueError, match="unknown ANN backend"):
+            service.index_records(dataset.all_items()[:4])
         # Old index still serves, under the unchanged mean.
         np.testing.assert_array_equal(service._index_mean, mean_before)
         found, _ = service.search_batch(corpus[:1], k=2)
         assert ids[0] in found[0]
-
-    def test_no_update_errors_list_the_updatable_registry(self, dataset, encoder):
-        """The service's "does not support updates" error names exactly
-        the registered backends that do: each listed name builds and
-        supports updates."""
-
-        class Static(ExactBackend):
-            supports_updates = False
-
-        register_backend("static-for-test", lambda config: Static())
-        try:
-            service = MatchService(
-                encoder, config=tiny_config(ann_backend="static-for-test")
-            )
-            with pytest.raises(ValueError) as error:
-                service.index_records(dataset.all_items()[:4])
-        finally:
-            from repro.serve import backends as backends_module
-
-            backends_module._BACKENDS.pop("static-for-test", None)
-        listed = re.search(r"one of \[(.*?)\]", str(error.value)).group(1)
-        names = [name.strip(" '") for name in listed.split(",")]
-        assert names == ["exact", "hnsw", "ivfpq"]
-        for name in names:
-            assert build_backend(name=name).supports_updates
 
     def test_search_does_not_grow_store(self, dataset, encoder):
         """Query traffic must not populate (or evict from) the corpus cache."""

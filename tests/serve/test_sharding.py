@@ -342,8 +342,8 @@ class TestShardedServiceEquivalence:
 
 # ----------------------------------------------------------------------
 class TestQueryCoalescer:
-    """RequestBroker at its defaults (no depth bound, no deadlines, one
-    priority level) is a plain query coalescer."""
+    """RequestBroker at its defaults (no depth bound) is a plain query
+    coalescer."""
 
     def run_batch_spy(self):
         calls = []

@@ -23,9 +23,9 @@ from repro.core import (
     pretrain,
 )
 from repro.core.losses import combined_loss, nt_xent_loss
-from repro.core.matcher import evaluate_f1
+from repro.core.matcher import HEAD_LR, evaluate_f1
 from repro.core.negative_sampling import ClusterBatcher
-from repro.core.pretrain import prepare_corpus
+from repro.core.pretrain import PRETRAIN_LR, prepare_corpus
 from repro.nn import AdamW, LinearWarmupDecay, weighted_cross_entropy
 from repro.text import MLMConfig, Tokenizer, mlm_warm_start
 from repro.text.lm_pretrain import _apply_masking
@@ -82,7 +82,7 @@ def legacy_pretrain(corpus, config):
         num_clusters=config.num_clusters if config.use_cluster_sampling else 1,
         rng=rngs.get("clustering"),
     )
-    optimizer = AdamW(encoder.parameters(), lr=config.pretrain_lr)
+    optimizer = AdamW(encoder.parameters(), lr=PRETRAIN_LR)
     da_rng = rngs.get("augment")
     cutoff_rng = rngs.get("cutoff")
     batch_rng = rngs.get("batches")
@@ -110,15 +110,9 @@ def legacy_pretrain(corpus, config):
                 encoder.encode_training(augmented, embedding_transform=cutoff)
             )
             if config.use_barlow_twins:
-                loss = combined_loss(
-                    z_ori,
-                    z_aug,
-                    temperature=config.temperature,
-                    alpha_bt=config.alpha_bt,
-                    lambda_bt=config.lambda_bt,
-                )
+                loss = combined_loss(z_ori, z_aug, alpha_bt=config.alpha_bt)
             else:
-                loss = nt_xent_loss(z_ori, z_aug, temperature=config.temperature)
+                loss = nt_xent_loss(z_ori, z_aug)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -167,7 +161,7 @@ def legacy_finetune(matcher, train_examples, valid_examples, config,
     """The pre-engine fine-tuning loop."""
     rng = spawn_rng(config.seed, "finetune")
     head_optimizer = AdamW(
-        matcher.classifier.parameters(), lr=config.head_lr, weight_decay=0.0
+        matcher.classifier.parameters(), lr=HEAD_LR, weight_decay=0.0
     )
     encoder_optimizer = AdamW(
         matcher.encoder.parameters(), lr=config.finetune_lr

@@ -17,6 +17,7 @@ from repro.core import (
     finetune_matcher,
     pretrain,
 )
+from repro.nn import Dropout
 from repro.text import Tokenizer
 from repro.train import GradientWorkerPool, module_rng_states
 
@@ -115,9 +116,12 @@ class TestReplicaStreams:
     """Each gradient-worker replica draws its own dropout noise."""
 
     def test_replicas_draw_distinct_dropout_streams(self):
-        config = tiny_config(dropout=0.3)
+        config = tiny_config()
         tokenizer = Tokenizer.fit(CORPUS, vocab_size=400)
         encoder = SudowoodoEncoder(config, tokenizer)
+        for module in encoder.modules():
+            if isinstance(module, Dropout):
+                module.p = 0.3
         encoder.train()
         before = module_rng_states(encoder)
         shard = tokenizer.encode_batch(CORPUS[:4], max_len=config.max_seq_len)

@@ -31,6 +31,15 @@ entry point is reported and the census goes on.  Needs Python 3.11+
     python tools/census.py                      # everything (tens of minutes)
     python tools/census.py --sources perf,tests # a subset
     python tools/census.py --save census.json   # also write the raw reach
+    python tools/census.py --check tools/census_allow.txt
+
+``--check`` turns the census into a ratchet: it exits non-zero when a
+function reached only by tests, or by nothing, has no line in the allow
+list.  An allow line reads ``repro/<module>.py <qualname>  <reason>``;
+it names no line number, so unrelated edits do not break it, and a line
+without a reason is an error.  Allow lines that name a function the
+census no longer flags are printed, so the list can shrink.  Run the
+check on every source: a subset reaches less and flags more.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -55,6 +64,7 @@ ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 TIMEOUT_S = 3600.0  # per entry point; a hung one counts as failed
 
 Function = Tuple[str, int, str]  # (path relative to src/, first line, qualname)
+AllowKey = Tuple[str, str]  # (path relative to src/, qualname)
 
 SITECUSTOMIZE = """\
 import atexit, json, os, sys, threading
@@ -174,6 +184,37 @@ def run_point(argv: List[str], extra: Dict[str, str]) -> Tuple[int, Set[Function
     return code, reached, wall
 
 
+def parse_allow(text: str) -> Dict[AllowKey, str]:
+    """``{(path, qualname): reason}`` from an allow list; blank lines and
+    ``#`` comments are skipped.  Raises ``ValueError`` on a line without
+    a reason or a repeated function."""
+    allowed: Dict[AllowKey, str] = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(maxsplit=2)
+        if len(parts) < 3:
+            raise ValueError(f"allow line {number} has no reason: {line!r}")
+        path, qualname, reason = parts
+        if (path, qualname) in allowed:
+            raise ValueError(f"allow line {number} repeats {path} {qualname}")
+        allowed[(path, qualname)] = reason
+    return allowed
+
+
+def check_allowed(
+    flagged: Iterable[Function], allowed: Dict[AllowKey, str]
+) -> Tuple[List[Function], List[AllowKey]]:
+    """Flagged functions with no allow line, and allow lines that name
+    no flagged function (stale)."""
+    flagged = sorted(flagged)
+    keys = {(path, qualname) for path, _, qualname in flagged}
+    missing = [f for f in flagged if (f[0], f[2]) not in allowed]
+    stale = sorted(key for key in allowed if key not in keys)
+    return missing, stale
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -183,6 +224,10 @@ def main() -> int:
         help=f"comma-separated subset of {', '.join(SOURCES)} (default: all)",
     )  # fmt: skip
     parser.add_argument("--save", help="write {function: [sources]} as JSON here")
+    parser.add_argument(
+        "--check", metavar="ALLOW",
+        help="exit 1 when a flagged function has no line in this allow list",
+    )  # fmt: skip
     args = parser.parse_args()
     if sys.version_info < (3, 11):
         parser.error("needs Python 3.11+ (code objects gained co_qualname in 3.11)")
@@ -190,6 +235,12 @@ def main() -> int:
     unknown = sorted(set(sources) - set(SOURCES))
     if unknown:
         parser.error(f"unknown source(s) {unknown}; choose from {', '.join(SOURCES)}")
+    allowed: Dict[AllowKey, str] = {}
+    if args.check:
+        try:
+            allowed = parse_allow(Path(args.check).read_text(encoding="utf-8"))
+        except ValueError as error:
+            parser.error(str(error))
 
     defined = defined_functions()
     reach: Dict[Function, Set[str]] = {function: set() for function in defined}
@@ -225,6 +276,14 @@ def main() -> int:
         Path(args.save).write_text(
             json.dumps({label(f): sorted(by) for f, by in sorted(reach.items())}, indent=1)
         )
+    if args.check:
+        missing, stale = check_allowed(only_tests + nothing, allowed)
+        for path, qualname in stale:
+            print(f"stale allow line (no longer flagged): {path} {qualname}")
+        for function in missing:
+            print(f"not allowed: {label(function)}")
+        print(f"\ncensus check: {len(missing)} flagged function(s) without an allow line")
+        return 1 if missing else 0
     return 0
 
 
