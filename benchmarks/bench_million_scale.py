@@ -97,7 +97,7 @@ def run(
     backends = {}
     timings = {}
     for name in ["exact"] + (["hnsw"] if include_hnsw else []) + ["ivfpq"]:
-        backend = build_backend(config, name=name, sharded=False)
+        backend = build_backend(config, name=name)
         start = time.perf_counter()
         backend.build(rows)
         timings[name] = time.perf_counter() - start
@@ -144,7 +144,7 @@ def run(
         start = time.perf_counter()
         for begin in range(0, corpus_size, 8192):
             stop = min(begin + 8192, corpus_size)
-            store.append(np.arange(begin, stop), rows[begin:stop])
+            store.append(rows[begin:stop])
         results["memmap_write_s"] = time.perf_counter() - start
         results["memmap_mb"] = store.nbytes / 2**20
         results["memmap_compression"] = dense_bytes / store.nbytes

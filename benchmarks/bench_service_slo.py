@@ -50,6 +50,7 @@ MAX_QUEUE_DEPTH = 8
 OVERLOAD_FACTOR = 3.0
 BURST = 20  # requests dispatched per burst of the open-loop schedule
 TRIALS = 5  # runs of each profile; the checks read per-trial medians
+CAPACITY_READINGS = 5  # capacity is the best of these timed readings
 
 
 def _config(**overrides) -> SudowoodoConfig:
@@ -78,15 +79,22 @@ def _make_frontend(encoder, corpus, max_queue_depth):
 
 
 def _measure_capacity(frontend, queries) -> float:
-    """Sustainable queries/second through full ``MAX_BATCH`` batches."""
+    """Sustainable queries/second through full ``MAX_BATCH`` batches.
+
+    The best of ``CAPACITY_READINGS`` readings of 8 rounds each: other
+    work on the machine only ever slows a reading down, and one slow
+    reading would set the offered load too low to overload the service.
+    """
     batch = queries[:MAX_BATCH]
     frontend.service.search_batch(batch, K)  # warm-up
-    start = time.perf_counter()
     rounds = 8
-    for _ in range(rounds):
-        frontend.service.search_batch(batch, K)
-    elapsed = time.perf_counter() - start
-    return rounds * len(batch) / elapsed
+    best = 0.0
+    for _ in range(CAPACITY_READINGS):
+        start = time.perf_counter()
+        for _ in range(rounds):
+            frontend.service.search_batch(batch, K)
+        best = max(best, rounds * len(batch) / (time.perf_counter() - start))
+    return best
 
 
 def _open_loop(frontend, queries, rate_qps):

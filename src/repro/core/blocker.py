@@ -40,6 +40,10 @@ from ..serve import ANNBackend, EmbeddingStore, ExactBackend
 from ..text.similarity import normalize_rows
 from .encoder import SudowoodoEncoder
 
+#: Records per encode call.  Chunking changes the bytes of an embedding
+#: (see :class:`~repro.serve.store.EmbeddingStore`), so it is fixed.
+ENCODE_CHUNK = 64
+
 
 @dataclass
 class CandidateSet:
@@ -76,10 +80,6 @@ class Blocker:
         The representation model (ignored when ``store`` is given).
     dataset:
         The two-table EM dataset to block.
-    batch_size:
-        Encode chunk size when the blocker creates its own store.
-    center:
-        Subtract the joint corpus mean before normalizing (see below).
     store:
         Share an existing :class:`EmbeddingStore` so a corpus already
         embedded by another task is not re-encoded.
@@ -93,8 +93,6 @@ class Blocker:
         self,
         encoder: Optional[SudowoodoEncoder] = None,
         dataset: Optional[EMDataset] = None,
-        batch_size: int = 64,
-        center: bool = True,
         store: Optional[EmbeddingStore] = None,
         backend: Optional[ANNBackend] = None,
     ) -> None:
@@ -103,21 +101,21 @@ class Blocker:
         if store is None:
             if encoder is None:
                 raise ValueError("Blocker requires an encoder or an EmbeddingStore")
-            store = EmbeddingStore(encoder, batch_size=batch_size)
+            store = EmbeddingStore(encoder)
         self.dataset = dataset
         self.store = store
         self.backend = backend if backend is not None else ExactBackend()
         items_a = [dataset.serialize_a(i) for i in range(len(dataset.table_a))]
         items_b = [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
-        raw_a = store.embed_batch(items_a, chunk_size=batch_size)
-        raw_b = store.embed_batch(items_b, chunk_size=batch_size)
+        raw_a = store.embed_batch(items_a, chunk_size=ENCODE_CHUNK)
+        raw_b = store.embed_batch(items_b, chunk_size=ENCODE_CHUNK)
         # Small Transformers produce anisotropic embeddings (a shared
         # mean direction dominates every vector, so all cosines are
         # high).  Centering by the joint corpus mean restores contrast;
         # the paper's RoBERTa needs no such correction only because its
         # large-scale pre-training already spreads the space.
         mean = np.zeros((1, raw_a.shape[1]))
-        if center and raw_a.shape[0] + raw_b.shape[0]:
+        if raw_a.shape[0] + raw_b.shape[0]:
             mean = np.vstack([raw_a, raw_b]).mean(axis=0, keepdims=True)
         self.vectors_a = normalize_rows(raw_a - mean)
         self.vectors_b = normalize_rows(raw_b - mean)

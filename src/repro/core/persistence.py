@@ -143,134 +143,3 @@ def load_vector_cache(
             f"but vector shape {vectors.shape}"
         )
     return fingerprints, vectors, metadata
-
-
-# ----------------------------------------------------------------------
-# IVF-PQ indexes (serving layer)
-# ----------------------------------------------------------------------
-def save_ivfpq_index(path: PathLike, backend) -> Path:
-    """Persist an :class:`~repro.serve.ivfpq.IVFPQBackend` to one ``.npz``.
-
-    The archive bundles the coarse centroids, the PQ codebooks, and the
-    per-cell codes (flattened in cell order with a ``cell_sizes`` split
-    vector); a still-flat (untrained) backend stores its raw float32
-    buffer instead.  :func:`load_ivfpq_index` round-trips either state.
-    Written atomically, like :func:`save_vector_cache`.
-    """
-    if backend._dim is None:
-        raise ValueError("cannot save an unbuilt IVF-PQ index; call build() first")
-    metadata: Dict[str, Any] = {
-        "format_version": 1,
-        "kind": "ivfpq",
-        "dim": backend._dim,
-        "num_cells": backend.num_cells,
-        "num_subvectors": backend.num_subvectors,
-        "bits": backend.bits,
-        "nprobe": backend.nprobe,
-        "seed": backend.seed,
-        "train_threshold": backend.train_threshold,
-        "trained": backend.trained,
-    }
-    payload: Dict[str, np.ndarray] = {}
-    if backend.trained:
-        payload["centroids"] = backend._centroids
-        payload["codebooks"] = backend._pq.codebooks
-        payload["cell_sizes"] = np.asarray(
-            [ids.shape[0] for ids in backend._cell_ids], dtype=np.int64
-        )
-        payload["flat_ids"] = (
-            np.concatenate(backend._cell_ids)
-            if backend._cell_ids
-            else np.empty(0, dtype=np.int64)
-        )
-        payload["flat_codes"] = (
-            np.concatenate(backend._cell_codes)
-            if backend._cell_codes
-            else np.empty((0, backend.num_subvectors), dtype=np.uint8)
-        )
-    else:
-        payload["raw_ids"] = backend._raw_ids[: backend._raw_size]
-        payload["raw_vectors"] = backend._raw[: backend._raw_size]
-    return save_state_archive(path, payload, metadata)
-
-
-def load_ivfpq_index(path: PathLike):
-    """Rebuild an :class:`~repro.serve.ivfpq.IVFPQBackend` written by
-    :func:`save_ivfpq_index`.
-
-    Corrupt, truncated, or inconsistent archives (mismatched cell sizes,
-    wrong code width, unknown format version) raise :class:`ValueError`
-    naming the path.
-    """
-    from ..serve.ivfpq import IVFPQBackend, ProductQuantizer
-
-    arrays, metadata = load_state_archive(path)
-    if metadata.get("format_version") != 1 or metadata.get("kind") != "ivfpq":
-        raise ValueError(f"unsupported IVF-PQ index format in {path}")
-    try:
-        dim = int(metadata["dim"])
-        backend = IVFPQBackend(
-            num_cells=int(metadata["num_cells"]),
-            num_subvectors=int(metadata["num_subvectors"]),
-            bits=int(metadata["bits"]),
-            nprobe=int(metadata["nprobe"]),
-            train_threshold=int(metadata["train_threshold"]),
-            seed=int(metadata["seed"]),
-        )
-        backend._reset(dim)
-        backend._built = True
-        if metadata["trained"]:
-            centroids = np.asarray(arrays["centroids"], dtype=np.float64)
-            codebooks = np.asarray(arrays["codebooks"], dtype=np.float64)
-            cell_sizes = np.asarray(arrays["cell_sizes"], dtype=np.int64)
-            flat_ids = np.asarray(arrays["flat_ids"], dtype=np.int64)
-            flat_codes = np.asarray(arrays["flat_codes"], dtype=np.uint8)
-        else:
-            raw_ids = np.asarray(arrays["raw_ids"], dtype=np.int64)
-            raw_vectors = np.asarray(arrays["raw_vectors"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"corrupt IVF-PQ index {path}: {error}") from error
-    if not metadata["trained"]:
-        if raw_vectors.ndim != 2 or raw_vectors.shape != (raw_ids.shape[0], dim):
-            raise ValueError(
-                f"corrupt IVF-PQ index {path}: raw buffer shape "
-                f"{raw_vectors.shape} does not match {raw_ids.shape[0]} ids"
-            )
-        if raw_ids.size:
-            backend.add(raw_ids, raw_vectors)
-        return backend
-    if (
-        centroids.ndim != 2
-        or centroids.shape[1] != dim
-        or cell_sizes.shape[0] != centroids.shape[0]
-        or (cell_sizes < 0).any()
-        or int(cell_sizes.sum()) != flat_ids.shape[0]
-        or flat_codes.shape != (flat_ids.shape[0], backend.num_subvectors)
-        or codebooks.ndim != 3
-        or codebooks.shape[0] != backend.num_subvectors
-        or codebooks.shape[2] * backend.num_subvectors != dim
-    ):
-        raise ValueError(f"corrupt IVF-PQ index {path}: inconsistent array shapes")
-    backend._centroids = centroids
-    quantizer = ProductQuantizer(
-        backend.num_subvectors, backend.bits, seed=backend.seed
-    )
-    quantizer.codebooks = codebooks
-    backend._pq = quantizer
-    offsets = np.concatenate([[0], np.cumsum(cell_sizes)])
-    backend._cell_ids = []
-    backend._cell_codes = []
-    backend._locations = {}
-    for cell in range(centroids.shape[0]):
-        ids = flat_ids[offsets[cell] : offsets[cell + 1]].copy()
-        backend._cell_ids.append(ids)
-        backend._cell_codes.append(
-            flat_codes[offsets[cell] : offsets[cell + 1]].copy()
-        )
-        for position, record_id in enumerate(ids.tolist()):
-            if record_id in backend._locations:
-                raise ValueError(
-                    f"corrupt IVF-PQ index {path}: duplicate record id {record_id}"
-                )
-            backend._locations[record_id] = (cell, position)
-    return backend

@@ -105,7 +105,8 @@ def column_fingerprint(
 
 
 class _CachedColumn(NamedTuple):
-    """One store entry; ``sketch`` is the only in-memory copy of it."""
+    """One store entry; ``sketch`` is the only in-memory copy of it, and
+    ``vector_id`` is its row in the store's vectors."""
 
     text: str
     num_values: int
@@ -301,13 +302,14 @@ class ProfileStore:
                 dtype=self.store_dtype,
             )
         start = len(self._vectors)
-        ids = list(range(start, start + len(fingerprints)))
-        self._vectors.append(ids, vectors)
+        self._vectors.append(vectors)
         fresh = {
             fingerprint: _CachedColumn(
                 profile.text, profile.num_values, profile.sketch, vector_id
             )
-            for fingerprint, profile, vector_id in zip(fingerprints, profiles, ids)
+            for vector_id, (fingerprint, profile) in enumerate(
+                zip(fingerprints, profiles), start
+            )
         }
         self._entries.update(fresh)
         journal = self.path / _JOURNAL_FILE

@@ -72,28 +72,21 @@ class ANNBackend(abc.ABC):
     def query(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Top-k ``(ids, scores)`` for each query row."""
 
-    # -- incremental maintenance (optional capability) ------------------
+    @abc.abstractmethod
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "ANNBackend":
         """Upsert ``vectors`` under stable ``ids`` (replacing existing ids)."""
-        raise NotImplementedError(
-            f"{self.name!r} backend does not support incremental add()"
-        )
 
+    @abc.abstractmethod
     def remove(self, ids: Sequence[int]) -> "ANNBackend":
         """Delete the records with the given stable ids."""
-        raise NotImplementedError(
-            f"{self.name!r} backend does not support incremental remove()"
-        )
 
+    @abc.abstractmethod
     def rebuild(self) -> "ANNBackend":
         """Compact internal storage (drop tombstones); ids are preserved."""
-        raise NotImplementedError(
-            f"{self.name!r} backend does not support rebuild()"
-        )
 
+    @abc.abstractmethod
     def __len__(self) -> int:
         """Number of live records in the index."""
-        return 0
 
     def _require_built(self, vectors: Optional[np.ndarray]) -> np.ndarray:
         if vectors is None:
@@ -241,6 +234,13 @@ class ExactBackend(ANNBackend):
                 self._ids[row] = moved
                 self._id_to_row[moved] = row
         return self
+
+    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, unit_rows)`` in row order, as stored: read-only views
+        that the next ``add`` / ``remove`` may overwrite."""
+        ids, vectors = self._ids[: self._size], self._view()
+        ids.flags.writeable = vectors.flags.writeable = False
+        return ids, vectors
 
     def rebuild(self) -> "ExactBackend":
         # Rows are always dense; give back the capacity remove() keeps.
@@ -505,17 +505,17 @@ _BACKENDS: Dict[str, BackendFactory] = {
 def build_backend(
     config: Optional[SudowoodoConfig] = None,
     name: Optional[str] = None,
-    sharded: Optional[bool] = None,
+    sharded: bool = False,
 ) -> ANNBackend:
     """Instantiate the backend selected by ``name`` or ``config.ann_backend``.
 
     With ``config.num_shards > 1`` the chosen backend is wrapped in a
     :class:`~repro.serve.sharding.ShardedBackend` — one partition per
-    shard, thread-safe, queried in parallel — so every consumer that
-    builds backends through this registry (``Blocker``,
-    ``MatchService.index_records``, the pipeline) shards transparently.
-    Pass ``sharded=False`` to force a single unwrapped instance (or
-    ``sharded=True`` to wrap regardless of the caller-supplied config).
+    shard, lock-guarded, queried one shard after another on the
+    caller's thread — so every consumer that builds backends through
+    this registry (``Blocker``, ``MatchService.index_records``, the
+    pipeline) shards transparently.  ``sharded=True`` wraps even at one
+    shard, for callers that need the lock.
     """
     config = config or SudowoodoConfig()
     chosen = name or config.ann_backend
@@ -525,14 +525,8 @@ def build_backend(
         raise ValueError(
             f"unknown ANN backend {chosen!r}; available: {sorted(_BACKENDS)}"
         ) from None
-    num_shards = getattr(config, "num_shards", 1)
-    if sharded is None:
-        sharded = num_shards > 1
-    if sharded:
+    if sharded or config.num_shards > 1:
         from .sharding import ShardedBackend  # deferred: sharding imports backends
 
-        # max(..., 1): sharded=True with a single-shard config still
-        # yields the lock-guarded wrapper (callers ask for it to get
-        # thread safety, not just partitioning).
-        return ShardedBackend(lambda: factory(config), max(num_shards, 1))
+        return ShardedBackend(lambda: factory(config), config.num_shards)
     return factory(config)

@@ -16,12 +16,13 @@ quantizer is plain :func:`~repro.text.kmeans.kmeans` (mini-batch above
 16k rows) and each PQ subquantizer is a k-means codebook over residual
 subvectors.  Everything is deterministic for a fixed ``seed``.
 
-Lifecycle: the backend starts in a **flat** state that buffers raw
-float32 rows and answers queries exactly — the contract-compliant
-behaviour for the tiny corpora the test-suite feeds every backend.  The
-first time the live corpus reaches ``train_threshold`` rows, it trains
-the coarse + PQ codebooks on everything buffered, encodes the corpus,
-and drops the raw buffer; later ``add``\\ s encode directly.  ``remove``
+Lifecycle: the backend starts in a **flat** state — an
+:class:`~repro.serve.backends.ExactBackend` over float32 unit rows that
+answers queries exactly, the contract-compliant behaviour for the tiny
+corpora the test-suite feeds every backend.  The first time the live
+corpus reaches ``train_threshold`` rows, it trains the coarse + PQ
+codebooks on those rows (in row order), encodes the corpus, and drops
+the flat backend; later ``add``\\ s encode directly.  ``remove``
 deletes eagerly (swap-delete inside the cell), so ``rebuild`` has no
 tombstones to drop and is a no-op.
 
@@ -41,14 +42,14 @@ the exact top-k grows with ``nprobe`` (more cells scanned) and with
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..nn import load_state_archive, save_state_archive
 from ..text.kmeans import _squared_distances, assign_clusters, kmeans, minibatch_kmeans
 from ..text.similarity import normalize_rows
-from ..utils import grow_array
-from .backends import ANNBackend, _check_ids_vectors, _check_remove_ids
+from .backends import ANNBackend, ExactBackend, _check_ids_vectors, _check_remove_ids
 
 #: Corpus size above which codebook training switches to mini-batch
 #: k-means (full Lloyd iterations would scan every row per iteration).
@@ -162,7 +163,7 @@ class IVFPQBackend(ANNBackend):
     train_threshold:
         Corpus size that triggers codebook training (default
         ``max(256, 4 * num_cells, 2**bits)``).  Below it the backend
-        serves exact results from a raw float32 buffer.
+        serves exact results from a float32 :class:`ExactBackend`.
     seed:
         Seeds both k-means trainings; fixed seed = identical index.
     """
@@ -197,12 +198,8 @@ class IVFPQBackend(ANNBackend):
         # Constructing eagerly validates num_subvectors/bits up front.
         self._pq = ProductQuantizer(num_subvectors, bits, seed=seed)
         self._dim: Optional[int] = None
-        self._built = False
-        # Flat (pre-training) state: unit-norm rows in a capacity buffer.
-        self._raw = np.zeros((0, 0), dtype=np.float32)
-        self._raw_ids = np.empty(0, dtype=np.int64)
-        self._raw_size = 0
-        self._raw_rows: Dict[int, int] = {}
+        # Flat (pre-training) state: the rows training will read.
+        self._flat = ExactBackend("float32")
         # Trained state: per-cell id + code arrays.
         self._centroids: Optional[np.ndarray] = None
         self._cell_ids: List[np.ndarray] = []
@@ -218,16 +215,14 @@ class IVFPQBackend(ANNBackend):
         return self._centroids is not None
 
     def __len__(self) -> int:
-        if self.trained:
-            return len(self._locations)
-        return self._raw_size
+        return len(self._locations) if self.trained else len(self._flat)
 
     def memory_bytes(self) -> int:
-        """In-RAM bytes of the vector payload (codes or the flat buffer,
-        plus centroids and codebooks) — the number the million-scale
-        benchmark compares against a dense float store."""
+        """In-RAM bytes of the vector payload (codes or the flat rows and
+        their ids, plus centroids and codebooks) — the number the
+        million-scale benchmark compares against a dense float store."""
         if not self.trained:
-            return self._raw_size * (self._dim or 0) * 4 + self._raw_size * 8
+            return len(self._flat) * ((self._dim or 0) * 4 + 8)
         assert self._centroids is not None and self._pq.codebooks is not None
         total = self._centroids.nbytes + self._pq.codebooks.nbytes
         for ids, codes in zip(self._cell_ids, self._cell_codes):
@@ -242,7 +237,6 @@ class IVFPQBackend(ANNBackend):
         if vectors.ndim != 2:
             raise ValueError("expected (N, dim) vectors")
         self._reset(vectors.shape[1])
-        self._built = True
         if vectors.shape[0]:
             self.add(np.arange(vectors.shape[0], dtype=np.int64), vectors)
         return self
@@ -250,40 +244,38 @@ class IVFPQBackend(ANNBackend):
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "IVFPQBackend":
         vectors = np.asarray(vectors, dtype=np.float64)
         id_array = _check_ids_vectors(ids, vectors, self._dim)
-        if not self._built:
+        if self._dim is None:
             self.build(np.zeros((0, vectors.shape[1])))
         if not id_array.size:
             return self
-        # Upsert semantics: an existing id is dropped before re-insert.
-        existing = [
-            int(i)
-            for i in id_array.tolist()
-            if i in self._locations or i in self._raw_rows
-        ]
-        if existing:
-            self._delete(existing)
-        unit = normalize_rows(vectors)
+        # Upsert semantics: an existing id is dropped before re-insert,
+        # so a replaced row moves to the end of the flat rows.
         if self.trained:
-            self._insert_trained(id_array, unit)
-        else:
-            self._insert_flat(id_array, unit)
-            if self._raw_size >= self.train_threshold:
-                self._train()
+            existing = [i for i in id_array.tolist() if i in self._locations]
+            if existing:
+                self._delete(existing)
+            self._insert_trained(id_array, normalize_rows(vectors))
+            return self
+        existing = id_array[np.isin(id_array, self._flat.rows()[0])]
+        if existing.size:
+            self._flat.remove(existing)
+        self._flat.add(id_array, vectors)
+        if len(self._flat) >= self.train_threshold:
+            self._train()
         return self
 
     def remove(self, ids: Sequence[int]) -> "IVFPQBackend":
-        if not self._built:
+        if self._dim is None:
             raise RuntimeError(f"{self.name} backend: call build() before remove()")
+        if not self.trained:
+            self._flat.remove(ids)
+            return self
         id_array = _check_remove_ids(ids)
         # Validate the whole batch first so a bad id fails atomically.
-        missing = [
-            int(i)
-            for i in id_array
-            if int(i) not in self._locations and int(i) not in self._raw_rows
-        ]
+        missing = [int(i) for i in id_array if int(i) not in self._locations]
         if missing:
             raise KeyError(f"unknown record ids: {missing}")
-        self._delete([int(i) for i in id_array])
+        self._delete(id_array.tolist())
         return self
 
     def rebuild(self) -> "IVFPQBackend":
@@ -293,11 +285,13 @@ class IVFPQBackend(ANNBackend):
     def query(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         if k <= 0:
             raise ValueError("k must be positive")
-        if not self._built:
+        if self._dim is None:
             raise RuntimeError(f"{self.name} backend: call build() before query()")
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError("expected (Q, dim) queries")
+        if not self.trained:
+            return self._flat.query(queries, k)
         num_queries = queries.shape[0]
         indices = np.full((num_queries, k), -1, dtype=np.int64)
         scores = np.full((num_queries, k), -np.inf)
@@ -305,54 +299,29 @@ class IVFPQBackend(ANNBackend):
             return indices, scores
         unit = normalize_rows(queries)
         for row in range(num_queries):
-            if self.trained:
-                found_ids, found_scores = self._query_trained(unit[row], k)
-            else:
-                found_ids, found_scores = self._query_flat(unit[row], k)
+            found_ids, found_scores = self._query_trained(unit[row], k)
             indices[row, : found_ids.size] = found_ids
             scores[row, : found_ids.size] = found_scores
         return indices, scores
 
-    # ------------------------------------------------------------------
-    # Flat (pre-training) state
-    # ------------------------------------------------------------------
     def _reset(self, dim: int) -> None:
         self._dim = dim
-        self._raw = np.zeros((0, dim), dtype=np.float32)
-        self._raw_ids = np.empty(0, dtype=np.int64)
-        self._raw_size = 0
-        self._raw_rows = {}
+        self._flat = ExactBackend("float32").build(np.zeros((0, dim)))
         self._centroids = None
         self._cell_ids = []
         self._cell_codes = []
         self._locations = {}
         self._pq = ProductQuantizer(self.num_subvectors, self.bits, seed=self.seed)
 
-    def _insert_flat(self, ids: np.ndarray, unit: np.ndarray) -> None:
-        needed = self._raw_size + ids.size
-        self._raw = grow_array(self._raw, self._raw_size, needed)
-        self._raw_ids = grow_array(self._raw_ids, self._raw_size, needed)
-        for offset, record_id in enumerate(ids.tolist()):
-            self._raw[self._raw_size] = unit[offset]
-            self._raw_ids[self._raw_size] = record_id
-            self._raw_rows[record_id] = self._raw_size
-            self._raw_size += 1
-
-    def _query_flat(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        live = self._raw[: self._raw_size].astype(np.float64)
-        sims = live @ query
-        ids = self._raw_ids[: self._raw_size]
-        order = np.lexsort((ids, -sims))[:k]
-        return ids[order], sims[order]
-
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
     def _train(self) -> None:
-        """Fit coarse + PQ codebooks on the flat buffer and encode it."""
+        """Fit coarse + PQ codebooks on the flat rows and encode them."""
         assert self._dim is not None
-        vectors = self._raw[: self._raw_size].astype(np.float64)
-        ids = self._raw_ids[: self._raw_size].copy()
+        flat_ids, flat_rows = self._flat.rows()
+        ids = flat_ids.copy()
+        vectors = flat_rows.astype(np.float64)
         n = vectors.shape[0]
         rng = np.random.default_rng(self.seed)
         num_cells = min(self.num_cells, n)
@@ -370,10 +339,7 @@ class IVFPQBackend(ANNBackend):
         self._locations = {}
         # Encode through the same path later adds use, so build-then-add
         # and one-shot build produce identical cell contents.
-        self._raw = np.zeros((0, self._dim), dtype=np.float32)
-        self._raw_ids = np.empty(0, dtype=np.int64)
-        self._raw_size = 0
-        self._raw_rows = {}
+        self._flat = ExactBackend("float32").build(np.zeros((0, self._dim)))
         self._insert_trained(ids, vectors)
 
     def _insert_trained(self, ids: np.ndarray, unit: np.ndarray) -> None:
@@ -419,17 +385,8 @@ class IVFPQBackend(ANNBackend):
     # Deletion
     # ------------------------------------------------------------------
     def _delete(self, ids: List[int]) -> None:
+        """Swap-delete trained records out of their cells."""
         for record_id in ids:
-            row = self._raw_rows.pop(record_id, None)
-            if row is not None:
-                last = self._raw_size - 1
-                if row != last:
-                    moved = int(self._raw_ids[last])
-                    self._raw[row] = self._raw[last]
-                    self._raw_ids[row] = moved
-                    self._raw_rows[moved] = row
-                self._raw_size -= 1
-                continue
             cell, position = self._locations.pop(record_id)
             members = self._cell_ids[cell]
             last = members.shape[0] - 1
@@ -444,17 +401,108 @@ class IVFPQBackend(ANNBackend):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path) -> Path:
-        """Persist codebooks + codes to an ``.npz`` archive (see
-        :func:`repro.core.persistence.save_ivfpq_index`)."""
-        from ..core.persistence import save_ivfpq_index
+    def save(self, path: Union[str, Path]) -> Path:
+        """Persist the index to one ``.npz`` archive, written atomically.
 
-        return save_ivfpq_index(path, self)
+        The archive bundles the coarse centroids, the PQ codebooks, and
+        the per-cell codes (flattened in cell order with a ``cell_sizes``
+        split vector); a still-flat (untrained) index stores its float32
+        rows and their ids instead.  :meth:`load` round-trips either state.
+        """
+        if self._dim is None:
+            raise ValueError("cannot save an unbuilt IVF-PQ index; call build() first")
+        metadata: Dict[str, Any] = {
+            "format_version": 1,
+            "kind": "ivfpq",
+            "dim": self._dim,
+            "num_cells": self.num_cells,
+            "num_subvectors": self.num_subvectors,
+            "bits": self.bits,
+            "nprobe": self.nprobe,
+            "seed": self.seed,
+            "train_threshold": self.train_threshold,
+            "trained": self.trained,
+        }
+        payload: Dict[str, np.ndarray] = {}
+        if self.trained:
+            payload["centroids"] = self._centroids
+            payload["codebooks"] = self._pq.codebooks
+            payload["cell_sizes"] = np.asarray(
+                [ids.shape[0] for ids in self._cell_ids], dtype=np.int64
+            )
+            payload["flat_ids"] = np.concatenate(self._cell_ids)
+            payload["flat_codes"] = np.concatenate(self._cell_codes)
+        else:
+            payload["raw_ids"], payload["raw_vectors"] = self._flat.rows()
+        return save_state_archive(path, payload, metadata)
 
     @classmethod
-    def load(cls, path) -> "IVFPQBackend":
-        """Rebuild a backend from :meth:`save` output; corrupt archives
-        raise ``ValueError`` naming the path."""
-        from ..core.persistence import load_ivfpq_index
+    def load(cls, path: Union[str, Path]) -> "IVFPQBackend":
+        """Rebuild an index written by :meth:`save`.
 
-        return load_ivfpq_index(path)
+        Corrupt, truncated, or inconsistent archives (mismatched cell
+        sizes, wrong code width, unknown format version) raise
+        ``ValueError`` naming the path; a missing one ``FileNotFoundError``.
+        """
+        arrays, metadata = load_state_archive(path)
+        if metadata.get("format_version") != 1 or metadata.get("kind") != "ivfpq":
+            raise ValueError(f"unsupported IVF-PQ index format in {path}")
+        try:
+            dim = int(metadata["dim"])
+            backend = cls(
+                num_cells=int(metadata["num_cells"]),
+                num_subvectors=int(metadata["num_subvectors"]),
+                bits=int(metadata["bits"]),
+                nprobe=int(metadata["nprobe"]),
+                train_threshold=int(metadata["train_threshold"]),
+                seed=int(metadata["seed"]),
+            )
+            backend._reset(dim)
+            if metadata["trained"]:
+                centroids = np.asarray(arrays["centroids"], dtype=np.float64)
+                codebooks = np.asarray(arrays["codebooks"], dtype=np.float64)
+                cell_sizes = np.asarray(arrays["cell_sizes"], dtype=np.int64)
+                flat_ids = np.asarray(arrays["flat_ids"], dtype=np.int64)
+                flat_codes = np.asarray(arrays["flat_codes"], dtype=np.uint8)
+            else:
+                raw_ids = np.asarray(arrays["raw_ids"], dtype=np.int64)
+                raw_vectors = np.asarray(arrays["raw_vectors"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"corrupt IVF-PQ index {path}: {error}") from error
+        if not metadata["trained"]:
+            if raw_vectors.ndim != 2 or raw_vectors.shape != (raw_ids.shape[0], dim):
+                raise ValueError(
+                    f"corrupt IVF-PQ index {path}: raw buffer shape "
+                    f"{raw_vectors.shape} does not match {raw_ids.shape[0]} ids"
+                )
+            if raw_ids.size:
+                backend.add(raw_ids, raw_vectors)
+            return backend
+        if (
+            centroids.ndim != 2
+            or centroids.shape[1] != dim
+            or cell_sizes.shape[0] != centroids.shape[0]
+            or (cell_sizes < 0).any()
+            or int(cell_sizes.sum()) != flat_ids.shape[0]
+            or flat_codes.shape != (flat_ids.shape[0], backend.num_subvectors)
+            or codebooks.ndim != 3
+            or codebooks.shape[0] != backend.num_subvectors
+            or codebooks.shape[2] * backend.num_subvectors != dim
+        ):
+            raise ValueError(f"corrupt IVF-PQ index {path}: inconsistent array shapes")
+        backend._centroids = centroids
+        backend._pq.codebooks = codebooks
+        offsets = np.concatenate([[0], np.cumsum(cell_sizes)])
+        for cell in range(centroids.shape[0]):
+            ids = flat_ids[offsets[cell] : offsets[cell + 1]].copy()
+            backend._cell_ids.append(ids)
+            backend._cell_codes.append(
+                flat_codes[offsets[cell] : offsets[cell + 1]].copy()
+            )
+            for position, record_id in enumerate(ids.tolist()):
+                if record_id in backend._locations:
+                    raise ValueError(
+                        f"corrupt IVF-PQ index {path}: duplicate record id {record_id}"
+                    )
+                backend._locations[record_id] = (cell, position)
+        return backend

@@ -132,16 +132,14 @@ class MatchService:
         except KeyError:
             raise KeyError(f"record id {record_id} is not indexed") from None
 
-    def index_records(
-        self, texts: Sequence[str], center: bool = True
-    ) -> np.ndarray:
+    def index_records(self, texts: Sequence[str]) -> np.ndarray:
         """(Re)build the live index over ``texts``; returns their ids.
 
         Embeddings come from the shared store (only unseen fingerprints
-        are encoded).  With ``center`` the corpus mean is subtracted
-        before normalization and *frozen*: later upserts and queries use
-        the same mean, so scores stay comparable across updates.  Call
-        this again (or :meth:`rebuild_index`) when drift accumulates.
+        are encoded).  The corpus mean is subtracted before normalization
+        and *frozen*: later upserts and queries use the same mean, so
+        scores stay comparable across updates.  Call this again (or
+        :meth:`rebuild_index`) when drift accumulates.
         """
         # Build the backend before touching any state: an unknown
         # ann_backend raises here and leaves an existing live index (and
@@ -152,7 +150,7 @@ class MatchService:
         backend = build_backend(self.config, sharded=True)
         with self._mutation_lock, self._store_lock:
             ids, raw = self.store.upsert_batch(texts)
-            if center and raw.shape[0]:
+            if raw.shape[0]:
                 self._index_mean = raw.mean(axis=0, keepdims=True)
             else:
                 self._index_mean = np.zeros((1, self.store.dim))

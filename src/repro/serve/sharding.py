@@ -6,7 +6,7 @@ serve concurrent readers and writers without locking.
 :class:`ShardedBackend` is an
 :class:`~repro.serve.backends.ANNBackend` that hash-partitions record
 ids across ``num_shards`` inner backends (any of exact / HNSW /
-IVF-PQ), guards each shard with a :class:`ReadWriteLock`, fans queries
+IVF-PQ), guards them with one :class:`ReadWriteLock`, fans queries
 out to all shards on the caller's thread and merges per-shard top-k
 into global top-k (:func:`_merge_topk`).  Because every id lives in
 exactly one shard (:func:`shard_assignments`), the merged result is the
@@ -17,7 +17,7 @@ true global top-k (no duplicates, no misses) for exact inner backends.
 :class:`ShardedBackend`, so ``Blocker`` shards transparently, and
 :class:`~repro.serve.service.MatchService` always asks for the wrapper
 (``sharded=True``, a single shard included) because its live index needs
-the locks.
+the lock.
 
 >>> config = SudowoodoConfig(num_shards=4, ann_backend="exact")
 >>> service = MatchService(encoder, config=config)
@@ -82,33 +82,20 @@ class ReadWriteLock:
             self._cond.notify_all()
 
     @contextmanager
+    def read_locked(self) -> Iterator[None]:
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
+
+    @contextmanager
     def write_locked(self) -> Iterator[None]:
         self.acquire_write()
         try:
             yield
         finally:
             self.release_write()
-
-
-@contextmanager
-def _all_locked(locks: Sequence[ReadWriteLock], write: bool) -> Iterator[None]:
-    """Hold every lock simultaneously (always in index order, so two
-    cross-shard operations can never deadlock against each other)."""
-    held: List[ReadWriteLock] = []
-    try:
-        for lock in locks:
-            if write:
-                lock.acquire_write()
-            else:
-                lock.acquire_read()
-            held.append(lock)
-        yield
-    finally:
-        for lock in reversed(held):
-            if write:
-                lock.release_write()
-            else:
-                lock.release_read()
 
 
 # ----------------------------------------------------------------------
@@ -147,14 +134,14 @@ class ShardedBackend(ANNBackend):
     duplicates' scores differently in different shard shapes, so which
     duplicates win can differ from the single backend across shards.
 
-    Thread safety: every shard carries a :class:`ReadWriteLock`.
-    Queries hold all read locks for the duration of the fan-out, which
+    Thread safety: one :class:`ReadWriteLock` guards every shard.
+    Queries hold its read side for the duration of the fan-out, which
     visits the shards one after another on the calling thread: a pool
     hand-off costs two thread wake-ups per shard and only measured
     ahead from ~1.7e6 query-row x record scans on two cores, ten times
     the largest scan any workload here issues.  Concurrent callers
-    still overlap (readers share the locks).  Mutations hold all write
-    locks — validating the batch under them, *before* touching any
+    still overlap (readers share the lock).  Mutations hold its write
+    side — validating the batch under it, *before* touching any
     shard — so a concurrent reader observes each cross-shard ``add`` /
     ``remove`` either completely or not at all, and a batch with an
     unknown id or a wrong-dimension block fails atomically.  Queries
@@ -175,12 +162,12 @@ class ShardedBackend(ANNBackend):
         self._shards: List[ANNBackend] = [factory() for _ in range(num_shards)]
         self.num_shards = num_shards
         self.name = f"sharded-{self._shards[0].name}"
-        self._locks = [ReadWriteLock() for _ in range(num_shards)]
+        self._lock = ReadWriteLock()
         self._live_ids: set = set()
         self._dim: Optional[int] = None  # None until built
 
     def __len__(self) -> int:
-        with _all_locked(self._locks, write=False):
+        with self._lock.read_locked():
             return sum(len(shard) for shard in self._shards)
 
     # -- helpers --------------------------------------------------------
@@ -193,13 +180,13 @@ class ShardedBackend(ANNBackend):
         }
 
     # -- ANNBackend protocol --------------------------------------------
-    # Every mutation takes ALL write locks and validates under them:
+    # Every mutation takes the write lock and validates under it:
     # checking _dim / _live_ids outside the locked region would let a
     # concurrent mutation invalidate the check between test and patch,
     # re-creating exactly the torn cross-shard state the validation
     # exists to prevent.
     def _build_locked(self, vectors: np.ndarray) -> None:
-        """Rebuild every shard; caller holds all write locks."""
+        """Rebuild every shard; caller holds the write lock."""
         ids = np.arange(vectors.shape[0], dtype=np.int64)
         groups = self._group_by_shard(ids) if ids.size else {}
         for shard_index, shard in enumerate(self._shards):
@@ -214,13 +201,13 @@ class ShardedBackend(ANNBackend):
         vectors = np.asarray(vectors)  # the shards own the dtype
         if vectors.ndim != 2:
             raise ValueError("expected (N, dim) vectors")
-        with _all_locked(self._locks, write=True):
+        with self._lock.write_locked():
             self._build_locked(vectors)
         return self
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> "ShardedBackend":
         vectors = np.asarray(vectors)
-        with _all_locked(self._locks, write=True):
+        with self._lock.write_locked():
             # A wrong-dimension block must fail here, not inside the one
             # shard that would drop its record while _live_ids keeps it.
             id_array = _check_ids_vectors(ids, vectors, self._dim)
@@ -235,7 +222,7 @@ class ShardedBackend(ANNBackend):
     def remove(self, ids: Sequence[int]) -> "ShardedBackend":
         id_array = _check_remove_ids(ids)
         groups = self._group_by_shard(id_array) if id_array.size else {}
-        with _all_locked(self._locks, write=True):
+        with self._lock.write_locked():
             if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before remove()"
@@ -252,7 +239,7 @@ class ShardedBackend(ANNBackend):
         return self
 
     def rebuild(self) -> "ShardedBackend":
-        with _all_locked(self._locks, write=True):
+        with self._lock.write_locked():
             if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before rebuild()"
@@ -263,10 +250,10 @@ class ShardedBackend(ANNBackend):
 
     def query(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         queries = np.asarray(queries)  # the shards own the dtype
-        # All read locks for the whole fan-out: the merged answer is a
-        # consistent cross-shard snapshot (readers share the locks, so
+        # The read lock for the whole fan-out: the merged answer is a
+        # consistent cross-shard snapshot (readers share the lock, so
         # queries still run concurrently with each other).
-        with _all_locked(self._locks, write=False):
+        with self._lock.read_locked():
             if self._dim is None:
                 raise RuntimeError(
                     f"{self.name} backend: call build() before query()"

@@ -11,25 +11,27 @@ knob — ``float64`` / ``float32`` / ``float16`` store rows verbatim at
 (max-abs scale) for an 8x reduction over float64 at ~0.4% reconstruction
 error on unit-norm embeddings.
 
-The store honours the same **stable-id contract** as
-:class:`EmbeddingStore`: callers append vectors under arbitrary
-non-negative integer ids, ids never shift as the file grows, and the
-full assignment survives :meth:`flush` + :meth:`open` across processes.
+A row's id is its position: :meth:`append` adds rows ``len(store)``
+onwards, rows never move, and the rows survive :meth:`flush` +
+:meth:`open` across processes.
 
 On-disk layout (one directory per store)::
 
     <path>/meta.json     dim, dtype, row count, format version
     <path>/vectors.dat   raw (N, dim) buffer in the storage dtype
-    <path>/ids.dat       int64 stable id per row
     <path>/scales.dat    float32 per-row scale (int8 stores only)
 
+A store written before rows were their own ids also has an
+``ids.dat`` (int64 per row); it opens when those ids are ``0..n-1``.
+
 Every :meth:`open` failure mode — missing files, malformed JSON, a
-truncated data file, an unknown dtype — raises :class:`ValueError`
-naming the path (the contract shared with ``core.persistence``).
+truncated data file, an unknown dtype, an ``ids.dat`` that is not
+``0..n-1`` — raises :class:`ValueError` naming the path (the contract
+shared with ``core.persistence``).
 
 >>> store = MemmapVectorStore.create(tmp / "corpus", dim=48, dtype="int8")
->>> store.append(ids, vectors)            # quantize + append, ids stay stable
->>> rows = store.get(ids[:100])           # dequantized float32 rows
+>>> store.append(vectors)                 # quantize + append as rows 0..N-1
+>>> rows = store.get(range(100))          # dequantized float32 rows
 >>> store.flush()
 >>> reopened = MemmapVectorStore.open(tmp / "corpus")
 """
@@ -82,7 +84,7 @@ def dequantize_rows(codes: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 
 class MemmapVectorStore:
-    """Append-only on-disk vector storage with stable integer ids.
+    """Append-only on-disk vector storage, addressed by row.
 
     Use :meth:`create` for a new store and :meth:`open` to reattach to an
     existing one; the constructor is internal.  Rows are read back as
@@ -96,16 +98,11 @@ class MemmapVectorStore:
         dim: int,
         dtype: str,
         size: int,
-        ids: np.ndarray,
     ) -> None:
         self.path = Path(path)
         self.dim = dim
         self.dtype = dtype
         self._size = size
-        self._ids = ids
-        self._id_to_row: Dict[int, int] = {
-            int(record_id): row for row, record_id in enumerate(ids.tolist())
-        }
         self._vectors = self._map(_VECTORS, STORE_DTYPES[dtype], (size, dim))
         self._scales = (
             self._map(_SCALES, np.dtype(np.float32), (size,))
@@ -130,9 +127,9 @@ class MemmapVectorStore:
             )
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        for name in (_VECTORS, _IDS, _SCALES):
+        for name in (_VECTORS, _SCALES):
             (path / name).write_bytes(b"")
-        store = cls(path, dim, dtype, 0, np.empty(0, dtype=np.int64))
+        store = cls(path, dim, dtype, 0)
         store.flush()
         return store
 
@@ -166,10 +163,7 @@ class MemmapVectorStore:
             raise ValueError(f"unknown store dtype {dtype!r} in {meta_path}")
         if dim < 1 or size < 0:
             raise ValueError(f"corrupt vector store metadata {meta_path}")
-        expected = {
-            _VECTORS: size * dim * STORE_DTYPES[dtype].itemsize,
-            _IDS: size * 8,
-        }
+        expected = {_VECTORS: size * dim * STORE_DTYPES[dtype].itemsize}
         if dtype == "int8":
             expected[_SCALES] = size * 4
         for name, length in expected.items():
@@ -179,25 +173,20 @@ class MemmapVectorStore:
                     f"corrupt or truncated vector store file {file}: "
                     f"expected >= {length} bytes"
                 )
-        ids = (
-            np.fromfile(path / _IDS, dtype=np.int64, count=size)
-            if size
-            else np.empty(0, dtype=np.int64)
-        )
-        if np.unique(ids).size != ids.size or (ids.size and (ids < 0).any()):
-            raise ValueError(f"corrupt vector store ids in {path / _IDS}")
-        return cls(path, dim, dtype, size, ids)
+        # An older store's ids.dat holds rows 0..k-1 (k < size once this
+        # version has appended to it); any other ids cannot be rows.
+        ids_file = path / _IDS
+        if ids_file.is_file():
+            ids = np.fromfile(ids_file, dtype=np.int64)[:size]
+            if not np.array_equal(ids, np.arange(ids.size)):
+                raise ValueError(f"vector store ids are not rows 0..n-1 in {ids_file}")
+        return cls(path, dim, dtype, size)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Stable ids in row order (a copy; rows never shift)."""
-        return self._ids[: self._size].copy()
 
     @property
     def nbytes(self) -> int:
@@ -210,25 +199,12 @@ class MemmapVectorStore:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        """Append ``vectors`` under new stable ``ids`` (append-only: an
-        id that is already stored raises ``ValueError``)."""
+    def append(self, vectors: np.ndarray) -> None:
+        """Append ``vectors`` as rows ``len(self)`` onwards."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) vectors")
-        id_array = np.asarray(list(ids), dtype=np.int64)
-        if id_array.size != vectors.shape[0]:
-            raise ValueError(
-                f"got {id_array.size} ids for {vectors.shape[0]} vectors"
-            )
-        if id_array.size and (id_array < 0).any():
-            raise ValueError("record ids must be non-negative")
-        if np.unique(id_array).size != id_array.size:
-            raise ValueError("record ids must be unique within one append()")
-        known = [int(i) for i in id_array if int(i) in self._id_to_row]
-        if known:
-            raise ValueError(f"ids already stored (store is append-only): {known}")
-        if not id_array.size:
+        if not vectors.shape[0]:
             return
         if self.dtype == "int8":
             codes, scales = quantize_rows(vectors)
@@ -238,12 +214,7 @@ class MemmapVectorStore:
             payload = vectors.astype(STORE_DTYPES[self.dtype])
         row_bytes = self.dim * STORE_DTYPES[self.dtype].itemsize
         self._append_file(_VECTORS, np.ascontiguousarray(payload).tobytes(), row_bytes)
-        self._append_file(_IDS, id_array.tobytes(), 8)
-        start = self._size
-        self._size += id_array.size
-        self._ids = np.concatenate([self._ids, id_array])
-        for offset, record_id in enumerate(id_array.tolist()):
-            self._id_to_row[record_id] = start + offset
+        self._size += vectors.shape[0]
         self._remap()
         self.flush()
 
@@ -261,56 +232,41 @@ class MemmapVectorStore:
             ),
         )
 
-    def _copy_rows(self, path: PathLike, ids: Sequence[int]) -> "MemmapVectorStore":
-        """A new store at ``path`` with the rows of ``ids`` under ids 0..n-1,
+    def _copy_rows(self, path: PathLike, rows: Sequence[int]) -> "MemmapVectorStore":
+        """A new store at ``path`` holding ``rows`` as its rows 0..n-1,
         copied as stored (int8 codes and scales are never requantized), so
         they read back byte-equal; ``meta.json`` is written last."""
-        rows = np.asarray([self._id_to_row[int(i)] for i in ids], dtype=np.int64)
+        rows = self._check_rows(rows)
         path = Path(path)
         path.mkdir(parents=True)
         payloads = {
             _VECTORS: self._vectors[rows],
-            _IDS: np.arange(rows.size, dtype=np.int64),
             _SCALES: self._scales[rows] if self._scales is not None else rows[:0],
         }
         for name, payload in payloads.items():
             (path / name).write_bytes(np.ascontiguousarray(payload).tobytes())
-        copy = MemmapVectorStore(path, self.dim, self.dtype, rows.size, payloads[_IDS])
+        copy = MemmapVectorStore(path, self.dim, self.dtype, rows.size)
         copy.flush()
         return copy
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, ids: Sequence[int]) -> np.ndarray:
-        """The rows for ``ids``: float64 for a float64 store, dequantized
-        float32 otherwise (unknown ids raise ``KeyError``)."""
-        rows = []
-        for record_id in ids:
-            row = self._id_to_row.get(int(record_id))
-            if row is None:
-                raise KeyError(f"unknown record id: {int(record_id)}")
-            rows.append(row)
-        return self._rows(np.asarray(rows, dtype=np.int64))
-
-    def batches(self, batch_size: int = 4096):
-        """Iterate ``(ids, vectors)`` chunks in row order.
-
-        The streaming read path: each chunk materialises only
-        ``batch_size`` dequantized rows, so a full-corpus scan (an index
-        build, a rebuild after retraining) never holds the whole matrix
-        in RAM.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        for start in range(0, self._size, batch_size):
-            stop = min(start + batch_size, self._size)
-            rows = np.arange(start, stop, dtype=np.int64)
-            yield self._ids[start:stop].copy(), self._rows(rows)
+    def get(self, rows: Sequence[int]) -> np.ndarray:
+        """The given rows: float64 for a float64 store, dequantized
+        float32 otherwise (a row outside ``[0, len)`` raises ``KeyError``)."""
+        return self._rows(self._check_rows(rows))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _check_rows(self, rows: Sequence[int]) -> np.ndarray:
+        row_array = np.asarray(list(rows), dtype=np.int64)
+        outside = row_array[(row_array < 0) | (row_array >= self._size)]
+        if outside.size:
+            raise KeyError(f"unknown rows: {outside.tolist()}")
+        return row_array
+
     def _rows(self, rows: np.ndarray) -> np.ndarray:
         dtype = np.float64 if self.dtype == "float64" else np.float32
         if rows.size == 0:

@@ -14,12 +14,7 @@ from repro.core import (
     save_encoder,
 )
 from repro.core.config import RETIRED_CONFIG_FIELDS
-from repro.core.persistence import (
-    load_ivfpq_index,
-    load_vector_cache,
-    save_ivfpq_index,
-    save_vector_cache,
-)
+from repro.core.persistence import load_vector_cache, save_vector_cache
 from repro.data.generators import load_em_benchmark
 from repro.nn import AdamW, load_state_archive, save_state_archive
 from repro.nn.layers import Linear
@@ -353,12 +348,12 @@ def _vector_cache_saver(path, seed):
 
 def _ivfpq_saver(path, seed):
     rows = np.random.default_rng(seed).normal(size=(64, 16))
-    save_ivfpq_index(path, IVFPQBackend(num_subvectors=4).build(rows))
+    IVFPQBackend(num_subvectors=4).build(rows).save(path)
 
 
 def _ivfpq_answers(path):
     queries = np.random.default_rng(9).normal(size=(4, 16))
-    return load_ivfpq_index(path).query(queries, k=5)
+    return IVFPQBackend.load(path).query(queries, k=5)
 
 
 def _trainer_state_saver(path, seed):

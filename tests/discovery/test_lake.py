@@ -189,6 +189,21 @@ class TestProfileJournal:
         assert "fp-b" not in final
         np.testing.assert_array_equal(final.vectors(["fp-c"]), np.full((1, 4), 2.0))
 
+    def test_vectors_with_an_ids_file_reopen(self, tmp_path, lake_tables):
+        """A vector directory from when the store kept an id per row
+        (``ids.dat``, always rows 0..n-1) reopens byte-equal, and still
+        reopens once rows that file does not list are appended."""
+        store, lake = self._filled(tmp_path / "cache", lake_tables)
+        before = store.vectors(lake.fingerprints).tobytes()
+        ids_file = tmp_path / "cache" / "vectors" / "ids.dat"
+        np.arange(len(store), dtype=np.int64).tofile(ids_file)
+        reopened = ProfileStore(tmp_path / "cache")
+        assert reopened.vectors(lake.fingerprints).tobytes() == before
+        reopened.put_many(["fp-new"], [self._column(1)], np.ones((1, 32)))
+        again = ProfileStore(tmp_path / "cache")
+        assert again.vectors(lake.fingerprints).tobytes() == before
+        np.testing.assert_array_equal(again.vectors(["fp-new"]), np.ones((1, 32)))
+
     @pytest.mark.parametrize("damage", ["middle", "header", "duplicate"])
     def test_other_damage_raises(self, tmp_path, lake_tables, damage):
         self._filled(tmp_path / "cache", lake_tables)

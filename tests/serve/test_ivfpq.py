@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import SudowoodoConfig, SudowoodoEncoder, build_tokenizer
-from repro.core.persistence import load_ivfpq_index, save_ivfpq_index
+from repro.nn import load_state_archive, save_state_archive
 from repro.serve import (
     ExactBackend,
     IVFPQBackend,
@@ -15,6 +15,7 @@ from repro.serve import (
     ShardedBackend,
     build_backend,
 )
+from repro.text.similarity import normalize_rows
 
 DIM = 32
 
@@ -303,15 +304,102 @@ class TestPersistence:
         ids_b, _ = loaded.query(rows[:8], k=5)
         np.testing.assert_array_equal(ids_a, ids_b)
 
+    def test_flat_rows_are_float32_unit_rows_in_insertion_order(self, tmp_path):
+        """The rows training reads: ``normalize_rows(x, "float32")``, in
+        the order a swap-delete and a remove-then-append upsert leave."""
+        rows = clustered_corpus(n=64) * 3.0
+        backend = IVFPQBackend(train_threshold=256).build(rows[:10])
+        backend.remove([2])  # row 9 fills the hole
+        backend.add([4], rows[10:11])  # upsert: row 8 fills 4's hole, 4 goes last
+        arrays, _ = load_state_archive(backend.save(tmp_path / "flat"))
+        order = [0, 1, 9, 3, 8, 5, 6, 7, 4]
+        expected = normalize_rows(rows[[0, 1, 9, 3, 8, 5, 6, 7, 10]], "float32")
+        np.testing.assert_array_equal(arrays["raw_ids"], order)
+        assert arrays["raw_vectors"].dtype == np.float32
+        assert arrays["raw_vectors"].tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _metadata(**overrides):
+        metadata = {
+            "format_version": 1,
+            "kind": "ivfpq",
+            "dim": 8,
+            "num_cells": 2,
+            "num_subvectors": 2,
+            "bits": 2,
+            "nprobe": 2,
+            "seed": 0,
+            "train_threshold": 16,
+        }
+        metadata.update(overrides)
+        return metadata
+
+    def test_flat_archive_format_loads(self, tmp_path):
+        """A hand-written flat archive (the format_version 1 layout) loads
+        and saves back with the same keys and bytes."""
+        rows = normalize_rows(clustered_corpus(n=8, dim=8, num_clusters=2), "float32")
+        ids = np.array([7, 3, 11, 0, 5, 2, 9, 4], dtype=np.int64)
+        path = save_state_archive(
+            tmp_path / "flat.npz",
+            {"raw_ids": ids, "raw_vectors": rows},
+            self._metadata(trained=False),
+        )
+        loaded = IVFPQBackend.load(path)
+        assert not loaded.trained and len(loaded) == 8
+        found, _ = loaded.query(rows[:3].astype(np.float64), k=1)
+        np.testing.assert_array_equal(found[:, 0], ids[:3])
+        arrays, metadata = load_state_archive(loaded.save(tmp_path / "again"))
+        assert metadata == self._metadata(trained=False)
+        assert sorted(arrays) == ["raw_ids", "raw_vectors"]
+        np.testing.assert_array_equal(arrays["raw_ids"], ids)
+        np.testing.assert_allclose(arrays["raw_vectors"], rows, atol=1e-7)
+
+    def test_trained_archive_format_loads(self, tmp_path):
+        """A hand-written trained archive loads: its codes decode, by ADC,
+        to the scores a query returns, and it saves back byte-equal."""
+        rng = np.random.default_rng(4)
+        payload = {
+            "centroids": normalize_rows(rng.normal(size=(2, 8))),
+            "codebooks": rng.normal(scale=0.1, size=(2, 4, 4)),
+            "cell_sizes": np.array([3, 2], dtype=np.int64),
+            "flat_ids": np.array([10, 12, 11, 20, 21], dtype=np.int64),
+            "flat_codes": rng.integers(0, 4, size=(5, 2)).astype(np.uint8),
+        }
+        path = save_state_archive(
+            tmp_path / "trained.npz", payload, self._metadata(trained=True)
+        )
+        loaded = IVFPQBackend.load(path)
+        assert loaded.trained and len(loaded) == 5
+        query = normalize_rows(rng.normal(size=(1, 8)))
+        found, scores = loaded.query(query, k=5)
+        cells = np.repeat([0, 1], [3, 2])
+        codebooks = payload["codebooks"]
+        decoded = np.hstack(
+            [codebooks[sub][payload["flat_codes"][:, sub]] for sub in range(2)]
+        )
+        approx = payload["centroids"][cells] + decoded
+        expected = 1.0 - 0.5 * ((approx - query) ** 2).sum(axis=1)
+        by_id = dict(zip(payload["flat_ids"].tolist(), expected.tolist()))
+        np.testing.assert_allclose(
+            scores[0], [by_id[i] for i in found[0].tolist()], atol=1e-12
+        )
+        assert sorted(found[0].tolist()) == [10, 11, 12, 20, 21]
+        arrays, metadata = load_state_archive(loaded.save(tmp_path / "again"))
+        assert metadata == self._metadata(trained=True)
+        assert sorted(arrays) == sorted(payload)
+        for name, array in payload.items():
+            assert arrays[name].dtype == array.dtype
+            assert arrays[name].tobytes() == array.tobytes()
+
     def test_save_unbuilt_raises(self, tmp_path):
         with pytest.raises(ValueError):
-            save_ivfpq_index(tmp_path / "x", IVFPQBackend())
+            IVFPQBackend().save(tmp_path / "x")
 
     def test_corrupt_file_raises_valueerror(self, tmp_path):
         path = tmp_path / "broken.npz"
         path.write_bytes(b"this is not an npz archive")
         with pytest.raises(ValueError, match=str(path)):
-            load_ivfpq_index(path)
+            IVFPQBackend.load(path)
 
     def test_tampered_codes_raise_valueerror(self, tmp_path):
         rows = clustered_corpus(n=512)
@@ -320,10 +408,10 @@ class TestPersistence:
         archive["cell_sizes"] = archive["cell_sizes"][:-1]  # drop a cell
         np.savez(path, **archive)
         with pytest.raises(ValueError, match="corrupt"):
-            load_ivfpq_index(path)
+            IVFPQBackend.load(path)
 
     def test_missing_file_raises(self, tmp_path):
         # Missing-vs-corrupt contract shared across core.persistence:
         # a path that does not exist is FileNotFoundError, not ValueError.
         with pytest.raises(FileNotFoundError):
-            load_ivfpq_index(tmp_path / "nope.npz")
+            IVFPQBackend.load(tmp_path / "nope.npz")

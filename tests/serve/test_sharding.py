@@ -518,10 +518,10 @@ class TestConfigAndRouting:
         assert backend.num_shards == 4
         assert backend.name == "sharded-exact"
         assert isinstance(build_backend(SudowoodoConfig()), ExactBackend)
-        # Explicit opt-out despite a sharded config.
+        # sharded=False is the default: the config's shard count decides.
         assert isinstance(
             build_backend(SudowoodoConfig(num_shards=4), sharded=False),
-            ExactBackend,
+            ShardedBackend,
         )
         # Explicit opt-in wraps even a single-shard config: callers ask
         # for sharded=True to get the lock-guarded wrapper.
